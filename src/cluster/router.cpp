@@ -414,7 +414,8 @@ std::string Router::handle_request(const std::string& payload,
 }
 
 json::Value Router::backend_request(std::size_t b, const std::string& payload,
-                                    std::optional<v2::Op> hot) {
+                                    std::optional<v2::Op> hot,
+                                    std::string* raw) {
   const BackendSpec& be = opts_.backends[b];
   if (!health_.allow(b))
     throw ServeError("breaker open for backend " + be.name());
@@ -428,8 +429,11 @@ json::Value Router::backend_request(std::size_t b, const std::string& payload,
       // hello per pooled connection, then the same JSON in a binary
       // envelope (responses are bit-identical by construction).
       if (hot && !lease->negotiated()) lease->negotiate();
-      resp = hot && lease->protocol() >= 2 ? lease->request_v2(*hot, payload)
-                                           : lease->request(payload);
+      std::string text = hot && lease->protocol() >= 2
+                             ? lease->request_v2_raw(*hot, payload)
+                             : lease->request_raw(payload);
+      resp = parse_json(text);
+      if (raw) *raw = std::move(text);
     } catch (...) {
       lease.discard();
       throw;
@@ -1065,26 +1069,38 @@ std::string Router::handle_result(const json::Value& req) {
     std::string cached;
     std::size_t gidx = 0, b = npos;
     std::uint64_t bid = 0;
+    bool has_bid = false;
     {
       const std::lock_guard<std::mutex> lock(state_mu_);
       const auto it = jobs_.find(rid);
       if (it == jobs_.end())
         return error_json("not_found", "no job " + std::to_string(rid));
+      gidx = it->second.group;
+      const SubmitGroup& g = *groups_[gidx];
+      b = g.backend;
+      has_bid = b != npos && it->second.pos < g.backend_ids.size();
+      if (has_bid) bid = g.backend_ids[it->second.pos];
       if (!it->second.result_json.empty()) {
         cached = it->second.result_json;
         if (release) release_job_locked(it);
         ++results_served_;
-      } else {
-        gidx = it->second.group;
-        const SubmitGroup& g = *groups_[gidx];
-        b = g.backend;
-        if (b != npos && it->second.pos < g.backend_ids.size())
-          bid = g.backend_ids[it->second.pos];
       }
     }
-    if (!cached.empty())
+    if (!cached.empty()) {
+      // An earlier fetch without release left the backend's record in
+      // place: release it there too, best effort (a backend that died
+      // or forgot the job has nothing left to reclaim).
+      if (release && has_bid) {
+        try {
+          backend_request(b, "{\"op\":\"result\",\"id\":" +
+                                 std::to_string(bid) + ",\"release\":true}",
+                          v2::Op::kResult);
+        } catch (const ServeError&) {
+        }
+      }
       return "{\"ok\":true,\"type\":\"result\",\"id\":" + std::to_string(rid) +
              ",\"result\":" + cached + "}";
+    }
 
     const bool expired = Clock::now() >= deadline;
     if (b == npos) {
@@ -1104,6 +1120,9 @@ std::string Router::handle_result(const json::Value& req) {
     // backend blocks at most 2s per round, then the mapping is re-read.
     std::ostringstream ps;
     ps << "{\"op\":\"result\",\"id\":" << bid;
+    // The router keeps no copy of a released result, so neither may the
+    // backend: forward the release, or its record lives forever.
+    if (release) ps << ",\"release\":true";
     if (wait) {
       const auto left = std::chrono::duration_cast<std::chrono::milliseconds>(
           deadline - Clock::now());
@@ -1113,8 +1132,9 @@ std::string Router::handle_result(const json::Value& req) {
     }
     ps << "}";
     json::Value resp;
+    std::string raw;
     try {
-      resp = backend_request(b, ps.str(), v2::Op::kResult);
+      resp = backend_request(b, ps.str(), v2::Op::kResult, &raw);
     } catch (const ServeError& e) {
       // Transport failure: the breaker heard about it; if it opened,
       // fail_over already re-landed the group on this thread. Re-read
@@ -1127,9 +1147,11 @@ std::string Router::handle_result(const json::Value& req) {
     }
     if (resp.get_bool("ok", false) &&
         resp.get_string("type", "") == "result") {
-      const json::Value* res = resp.find("result");
-      if (!res) return error_json("bad_gateway", "backend result lacks body");
-      const std::string body = json::serialize(*res);
+      // The backend's own bytes, spliced verbatim: a routed result is
+      // byte-equal to the same job's direct one (docs/CLUSTER.md).
+      const std::string body(json::member_text(raw, "result"));
+      if (body.empty())
+        return error_json("bad_gateway", "backend result lacks body");
       {
         const std::lock_guard<std::mutex> lock(state_mu_);
         const auto it = jobs_.find(rid);

@@ -230,8 +230,11 @@ class Router {
   /// FaultPlan::backend_fail. When `hot` names a protocol-v2 op, the
   /// connection is hello-negotiated once and the request rides a v2
   /// frame against a v2-capable backend (same JSON in, same JSON out).
+  /// `raw`, when given, receives the response exactly as the backend
+  /// sent it (for forwarding its bytes verbatim).
   json::Value backend_request(std::size_t b, const std::string& payload,
-                              std::optional<serve::v2::Op> hot = std::nullopt);
+                              std::optional<serve::v2::Op> hot = std::nullopt,
+                              std::string* raw = nullptr);
 
   /// Candidate backends for (re)placing `key`, best first: ring order
   /// under affinity, ascending outstanding-jobs otherwise; only alive

@@ -1,5 +1,6 @@
 #include "common/json.hpp"
 
+#include <algorithm>
 #include <cctype>
 #include <cerrno>
 #include <cmath>
@@ -9,11 +10,16 @@
 
 namespace masc {
 
-std::string json_escape(const std::string& s) {
-  std::string out;
-  out.reserve(s.size());
-  for (const char ch : s) {
-    const auto c = static_cast<unsigned char>(ch);
+namespace {
+
+void escape_into(const std::string& s, std::string& out) {
+  // Copy each run of characters that need no escaping in one append.
+  std::size_t run = 0;
+  for (std::size_t i = 0; i < s.size(); ++i) {
+    const auto c = static_cast<unsigned char>(s[i]);
+    if (c >= 0x20 && c != '"' && c != '\\') continue;
+    out.append(s, run, i - run);
+    run = i + 1;
     switch (c) {
       case '"': out += "\\\""; break;
       case '\\': out += "\\\\"; break;
@@ -22,16 +28,22 @@ std::string json_escape(const std::string& s) {
       case '\n': out += "\\n"; break;
       case '\r': out += "\\r"; break;
       case '\t': out += "\\t"; break;
-      default:
-        if (c < 0x20) {
-          char buf[8];
-          std::snprintf(buf, sizeof buf, "\\u%04x", c);
-          out += buf;
-        } else {
-          out += ch;
-        }
+      default: {
+        char buf[8];
+        std::snprintf(buf, sizeof buf, "\\u%04x", c);
+        out += buf;
+      }
     }
   }
+  out.append(s, run, s.size() - run);
+}
+
+}  // namespace
+
+std::string json_escape(const std::string& s) {
+  std::string out;
+  out.reserve(s.size());
+  escape_into(s, out);
   return out;
 }
 
@@ -130,7 +142,7 @@ void serialize_into(const Value& v, std::string& out) {
     }
     case Value::Kind::kString:
       out += '"';
-      out += json_escape(v.string);
+      escape_into(v.string, out);
       out += '"';
       return;
     case Value::Kind::kArray: {
@@ -151,7 +163,7 @@ void serialize_into(const Value& v, std::string& out) {
         if (!first) out += ',';
         first = false;
         out += '"';
-        out += json_escape(key);
+        escape_into(key, out);
         out += "\":";
         serialize_into(val, out);
       }
@@ -167,6 +179,72 @@ std::string serialize(const Value& v) {
   std::string out;
   serialize_into(v, out);
   return out;
+}
+
+namespace {
+
+bool is_ws(char c) { return c == ' ' || c == '\t' || c == '\n' || c == '\r'; }
+
+std::size_t skip_ws(std::string_view s, std::size_t i) {
+  while (i < s.size() && is_ws(s[i])) ++i;
+  return i;
+}
+
+/// One past the end of the value starting at `i` in valid JSON text:
+/// strings and containers by their closing character, scalars at the
+/// next ',' or enclosing '}'/']' (trailing whitespace included).
+std::size_t skip_value(std::string_view s, std::size_t i) {
+  int depth = 0;
+  bool in_string = false;
+  for (; i < s.size(); ++i) {
+    const char c = s[i];
+    if (in_string) {
+      if (c == '\\') {
+        ++i;
+      } else if (c == '"') {
+        in_string = false;
+        if (depth == 0) return i + 1;
+      }
+      continue;
+    }
+    switch (c) {
+      case '"': in_string = true; break;
+      case '{': case '[': ++depth; break;
+      case '}': case ']':
+        if (depth == 0) return i;
+        if (--depth == 0) return i + 1;
+        break;
+      case ',':
+        if (depth == 0) return i;
+        break;
+      default: break;
+    }
+  }
+  return std::min(i, s.size());  // an escape can step past a torn end
+}
+
+}  // namespace
+
+std::string_view member_text(std::string_view doc, std::string_view key) {
+  std::size_t i = skip_ws(doc, 0);
+  if (i >= doc.size() || doc[i] != '{') return {};
+  ++i;
+  for (;;) {
+    i = skip_ws(doc, i);
+    if (i >= doc.size() || doc[i] != '"') return {};
+    const std::size_t key_end = skip_value(doc, i);
+    const bool match = doc.substr(i + 1, key_end - i - 2) == key;
+    i = skip_ws(doc, key_end);
+    if (i >= doc.size() || doc[i] != ':') return {};
+    const std::size_t start = skip_ws(doc, i + 1);
+    std::size_t end = skip_value(doc, start);
+    i = end;
+    while (end > start && is_ws(doc[end - 1])) --end;
+    if (match) return doc.substr(start, end - start);
+    i = skip_ws(doc, i);
+    if (i >= doc.size() || doc[i] != ',') return {};
+    ++i;
+  }
 }
 
 }  // namespace json

@@ -12,6 +12,7 @@
 #include <map>
 #include <stdexcept>
 #include <string>
+#include <string_view>
 #include <utility>
 #include <vector>
 
@@ -79,6 +80,14 @@ struct Value {
 /// shortest-round-trip %.17g, strings fully escaped. Used by the job
 /// journal to re-record request payloads it replays on recovery.
 std::string serialize(const Value& v);
+
+/// The exact text of member `key`'s value in the JSON object `doc`, or
+/// an empty view when `doc` is not an object or has no such member.
+/// `doc` must be valid JSON (e.g. already accepted by parse_json());
+/// keys are compared as written, so `key` must need no escaping. Lets
+/// a proxy forward a nested value byte-for-byte instead of
+/// re-serializing it.
+std::string_view member_text(std::string_view doc, std::string_view key);
 
 }  // namespace json
 

@@ -71,6 +71,7 @@ Client::Client(Client&& other) noexcept
       next_request_id_(other.next_request_id_),
       obuf_(std::move(other.obuf_)),
       rbuf_(std::move(other.rbuf_)),
+      rlen_(other.rlen_),
       rpos_(other.rpos_),
       retry_rng_(other.retry_rng_) {}
 
@@ -88,6 +89,7 @@ Client& Client::operator=(Client&& other) noexcept {
     next_request_id_ = other.next_request_id_;
     obuf_ = std::move(other.obuf_);
     rbuf_ = std::move(other.rbuf_);
+    rlen_ = other.rlen_;
     rpos_ = other.rpos_;
     retry_rng_ = other.retry_rng_;
   }
@@ -176,7 +178,7 @@ void Client::close() {
   negotiated_ = false;
   next_request_id_ = 1;
   obuf_.clear();
-  rbuf_.clear();
+  rlen_ = 0;
   rpos_ = 0;
 }
 
@@ -194,21 +196,23 @@ bool Client::fill_rbuf() {
                          std::to_string(io_timeout_ms_) + " ms");
     if (rc < 0) throw ServeError(std::string("poll: ") + std::strerror(errno));
   }
+  // The buffer only ever grows: its bytes past rlen_ are scratch space,
+  // so a steady stream of small responses never pays a resize (which
+  // would zero-fill a whole chunk per read).
   constexpr std::size_t kChunk = 128u << 10;
-  const std::size_t old = rbuf_.size();
-  rbuf_.resize(old + kChunk);
+  if (rbuf_.size() - rlen_ < kChunk) rbuf_.resize(rlen_ + kChunk);
   ssize_t n;
   do {
-    n = ::recv(fd_, rbuf_.data() + old, kChunk, 0);
+    n = ::recv(fd_, rbuf_.data() + rlen_, rbuf_.size() - rlen_, 0);
   } while (n < 0 && errno == EINTR);
-  rbuf_.resize(old + (n > 0 ? static_cast<std::size_t>(n) : 0));
   if (n == 0) return false;  // peer closed
   if (n < 0) throw ServeError(std::string("recv: ") + std::strerror(errno));
+  rlen_ += static_cast<std::size_t>(n);
   return true;
 }
 
 bool Client::read_frame_buffered(std::string& payload) {
-  const auto have = [&] { return rbuf_.size() - rpos_; };
+  const auto have = [&] { return rlen_ - rpos_; };
   while (have() < 4) {
     if (!fill_rbuf()) {
       if (have() == 0) return false;  // clean close between frames
@@ -230,11 +234,12 @@ bool Client::read_frame_buffered(std::string& payload) {
   rpos_ += 4 + len;
   // Compact once everything buffered has been consumed (the common
   // case) or when the dead prefix gets large.
-  if (rpos_ == rbuf_.size()) {
-    rbuf_.clear();
+  if (rpos_ == rlen_) {
+    rlen_ = 0;
     rpos_ = 0;
   } else if (rpos_ > (1u << 20)) {
-    rbuf_.erase(0, rpos_);
+    std::memmove(rbuf_.data(), rbuf_.data() + rpos_, rlen_ - rpos_);
+    rlen_ -= rpos_;
     rpos_ = 0;
   }
   return true;
@@ -313,12 +318,16 @@ Client::V2Response Client::recv_v2() {
   return r;
 }
 
-json::Value Client::request_v2(v2::Op op, const std::string& body) {
+std::string Client::request_v2_raw(v2::Op op, const std::string& body) {
   const std::uint32_t id = send_v2(op, body);
-  const V2Response r = recv_v2();
+  V2Response r = recv_v2();
   if (r.request_id != id)
     throw ServeError("v2 response id mismatch (pipelining misuse)");
-  return parse_json(r.body);
+  return std::move(r.body);
+}
+
+json::Value Client::request_v2(v2::Op op, const std::string& body) {
+  return parse_json(request_v2_raw(op, body));
 }
 
 bool Client::cache_get_v2(const Hash128& key, std::string* record) {

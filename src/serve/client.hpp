@@ -124,8 +124,11 @@ class Client {
   void flush_v2();
 
   /// One v2 round-trip for a JSON-bodied op (submit/result/stats): body
-  /// is the v1 request JSON, the parsed v1 response comes back. Must
-  /// not be called with other requests in flight.
+  /// is the v1 request JSON, the v1 response JSON comes back as sent.
+  /// Must not be called with other requests in flight.
+  std::string request_v2_raw(v2::Op op, const std::string& body);
+
+  /// As request_v2_raw, with the response parsed.
   json::Value request_v2(v2::Op op, const std::string& body);
 
   /// One binary cache_get round-trip: true plus the encoded cache
@@ -149,7 +152,8 @@ class Client {
   bool pipelining_ = false;        ///< batch send_v2 frames (flush_v2)
   std::uint32_t next_request_id_ = 1;
   std::string obuf_;               ///< framed requests awaiting one send
-  std::string rbuf_;               ///< inbound bytes awaiting extraction
+  std::string rbuf_;               ///< receive buffer; [0, rlen_) is filled
+  std::size_t rlen_ = 0;           ///< bytes received into rbuf_
   std::size_t rpos_ = 0;           ///< parse cursor into rbuf_
   Rng retry_rng_{0x6d617363'72747279ULL};  // jitter stream; see RetryPolicy
 };

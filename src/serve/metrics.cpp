@@ -70,6 +70,7 @@ double ServeMetrics::mean_job_seconds(double dflt) const {
 std::string ServeMetrics::to_json(std::size_t queue_depth,
                                   std::size_t in_flight,
                                   std::size_t queue_capacity,
+                                  std::size_t jobs_tracked,
                                   const TieredCacheStats* cache,
                                   const SweepBatchStats* batch) const {
   const std::lock_guard<std::mutex> lock(mu_);
@@ -77,6 +78,7 @@ std::string ServeMetrics::to_json(std::size_t queue_depth,
   os << "{\"queue_depth\":" << queue_depth;
   os << ",\"queue_capacity\":" << queue_capacity;
   os << ",\"in_flight\":" << in_flight;
+  os << ",\"jobs_tracked\":" << jobs_tracked;
   // Host SIMD probe: what `--batch-lanes auto` resolves to on this
   // build (docs/PERF.md "Lane batching").
   os << ",\"simd\":" << simd_stats_json();
@@ -128,6 +130,7 @@ std::string ServeMetrics::to_json(std::size_t queue_depth,
 std::string ServeMetrics::to_prometheus(std::size_t queue_depth,
                                         std::size_t in_flight,
                                         std::size_t queue_capacity,
+                                        std::size_t jobs_tracked,
                                         const TieredCacheStats* cache,
                                         const SweepBatchStats* batch) const {
   const std::lock_guard<std::mutex> lock(mu_);
@@ -144,6 +147,8 @@ std::string ServeMetrics::to_prometheus(std::size_t queue_depth,
   gauge("masc_served_queue_capacity", queue_capacity, "Queue slots");
   gauge("masc_served_jobs_in_flight", in_flight,
         "Jobs in the currently dispatched batch");
+  gauge("masc_served_jobs_tracked", jobs_tracked,
+        "Job records held: submitted and not yet released");
   gauge("masc_served_simd_width_bits", host_simd().width_bits,
         "Host SIMD register width detected at build time");
   gauge("masc_served_auto_batch_lanes", host_simd().auto_lanes,

@@ -36,13 +36,15 @@ class ServeMetrics {
   /// Mean host seconds of completed jobs; `dflt` until the first one.
   double mean_job_seconds(double dflt) const;
 
-  /// One JSON object. Queue depth and in-flight count are owned by the
-  /// server (they are live state, not counters) and passed in, as is the
+  /// One JSON object. Queue depth, in-flight count and the number of job
+  /// records the server still tracks (submitted and not yet released)
+  /// are owned by the server (they are live state, not counters) and
+  /// passed in, as is the
   /// result-cache snapshot (null when the cache is disabled — the
   /// "cache" field then reports {"enabled":false}) and the runner's
   /// lane-batching snapshot (null omits the "batch" field entirely).
   std::string to_json(std::size_t queue_depth, std::size_t in_flight,
-                      std::size_t queue_capacity,
+                      std::size_t queue_capacity, std::size_t jobs_tracked,
                       const TieredCacheStats* cache = nullptr,
                       const SweepBatchStats* batch = nullptr) const;
 
@@ -53,6 +55,7 @@ class ServeMetrics {
   /// lane-batching occupancy as masc_served_batch_occupancy.
   std::string to_prometheus(std::size_t queue_depth, std::size_t in_flight,
                             std::size_t queue_capacity,
+                            std::size_t jobs_tracked,
                             const TieredCacheStats* cache = nullptr,
                             const SweepBatchStats* batch = nullptr) const;
 

@@ -35,7 +35,27 @@ MachineConfig config_from_json(const json::Value& v);
 /// {"ascal": "<src>"} compiles ASCAL, {"text": [u32...], "data":
 /// [u32...], "entry": n} loads a pre-assembled image. Throws
 /// AssemblyError / ascal::CompileError / JsonError.
+///
+/// Assembled sources are memoized process-wide (docs/SERVER.md
+/// "Program memo"): a text seen for the second time is stored, and
+/// later decodes of the same kind and text copy the stored Program
+/// instead of assembling again. Failed assemblies are never stored.
 Program program_from_json(const json::Value& v);
+
+/// Fixed bounds of the program memo: at most kProgramMemoEntries
+/// assembled programs (oldest evicted first), none larger than
+/// kProgramMemoMaxEntryBytes of source text plus image words, and a
+/// direct-mapped table of kProgramMemoSightings hashes remembering
+/// first sightings.
+inline constexpr std::size_t kProgramMemoEntries = 1024;
+inline constexpr std::size_t kProgramMemoMaxEntryBytes = 64u << 10;
+inline constexpr std::size_t kProgramMemoSightings = 4096;
+
+struct ProgramMemoStats {
+  std::size_t entries = 0;  ///< programs held, never above kProgramMemoEntries
+  std::uint64_t hits = 0;   ///< decodes answered without assembling
+};
+ProgramMemoStats program_memo_stats();
 
 /// Decode one job object: "config" (object), "program" (object),
 /// "label", "seed", "max_cycles", "batch_lanes". Deadline and

@@ -248,6 +248,7 @@ void Server::apply_journal_record(const std::string& payload) {
           job.deadline = now + std::chrono::milliseconds(deadline_ms);
         JobRecord r;
         r.id = id;
+        r.key = key;
         r.job = std::move(job);
         jobs_.insert_or_assign(id, std::move(r));
         ids.push_back(id);
@@ -290,7 +291,8 @@ void Server::apply_journal_record(const std::string& payload) {
         r.job.initial_state = std::make_shared<const std::string>(
             base64_decode(state->as_string()));
     } else if (kind == "release") {
-      jobs_.erase(rec.get_uint("id", 0));
+      const auto it = jobs_.find(rec.get_uint("id", 0));
+      if (it != jobs_.end()) release_job_locked(it);
     }
   } catch (const std::exception&) {
     // A record the crash corrupted (or a schema from a future version):
@@ -559,6 +561,7 @@ std::string Server::handle_submit(const json::Value& req) {
       const std::uint64_t id = next_id_.fetch_add(1);
       JobRecord rec;
       rec.id = id;
+      rec.key = key;
       rec.job = std::move(parsed[i]);
       if (hits[i]) {
         // Completed on arrival. Journaled exactly like a dispatched
@@ -722,7 +725,7 @@ std::optional<std::string> Server::handle_result(const json::Value& req,
   std::string response = "{\"ok\":true,\"type\":\"result\",\"id\":" +
                          std::to_string(id) + ",\"result\":" + body + "}";
   if (release) {
-    jobs_.erase(it);
+    release_job_locked(it);
     lock.unlock();
     // Journaled so replay does not resurrect a record the client
     // already consumed. Unsynced: redelivering a result is harmless.
@@ -733,6 +736,20 @@ std::optional<std::string> Server::handle_result(const json::Value& req,
     wake_result_waiters(id);
   }
   return response;
+}
+
+void Server::release_job_locked(std::map<std::uint64_t, JobRecord>::iterator it) {
+  const std::string key = std::move(it->second.key);
+  jobs_.erase(it);
+  if (key.empty()) return;
+  // The key's dedup entry lives exactly as long as one of its jobs: a
+  // long-lived server must not grow with total keyed submits, and a
+  // resend after every job was consumed is new work.
+  const auto k = jobs_by_key_.find(key);
+  if (k == jobs_by_key_.end()) return;
+  for (const std::uint64_t id : k->second)
+    if (jobs_.count(id) != 0) return;
+  jobs_by_key_.erase(k);
 }
 
 void Server::wake_result_waiters(std::uint64_t job_id) {
@@ -1014,31 +1031,36 @@ std::string Server::handle_cache_flush() {
 
 std::string Server::stats_json() const {
   const std::size_t depth = queue_.size();
-  std::size_t running;
+  std::size_t running, tracked;
   {
     const std::lock_guard<std::mutex> lock(jobs_mu_);
     running = running_;
+    tracked = jobs_.size();
   }
   const SweepBatchStats bs = runner_.batch_stats();
   if (!cache_)
-    return metrics_.to_json(depth, running, opts_.queue_capacity, nullptr, &bs);
+    return metrics_.to_json(depth, running, opts_.queue_capacity, tracked,
+                            nullptr, &bs);
   const TieredCacheStats cs = cache_->stats();
-  return metrics_.to_json(depth, running, opts_.queue_capacity, &cs, &bs);
+  return metrics_.to_json(depth, running, opts_.queue_capacity, tracked, &cs,
+                          &bs);
 }
 
 std::string Server::metrics_text() const {
   const std::size_t depth = queue_.size();
-  std::size_t running;
+  std::size_t running, tracked;
   {
     const std::lock_guard<std::mutex> lock(jobs_mu_);
     running = running_;
+    tracked = jobs_.size();
   }
   const SweepBatchStats bs = runner_.batch_stats();
   if (!cache_)
-    return metrics_.to_prometheus(depth, running, opts_.queue_capacity, nullptr,
-                                  &bs);
+    return metrics_.to_prometheus(depth, running, opts_.queue_capacity,
+                                  tracked, nullptr, &bs);
   const TieredCacheStats cs = cache_->stats();
-  return metrics_.to_prometheus(depth, running, opts_.queue_capacity, &cs, &bs);
+  return metrics_.to_prometheus(depth, running, opts_.queue_capacity, tracked,
+                                &cs, &bs);
 }
 
 }  // namespace masc::serve

@@ -159,6 +159,7 @@ class Server {
   struct JobRecord {
     std::uint64_t id = 0;
     JobState state = JobState::kQueued;
+    std::string key;       ///< the submit's idempotency key, "" if none
     SweepJob job;          ///< carries the cancel token and deadline
     SweepResult result;    ///< valid once state == kDone
     /// Serialized result object, as served to {"op":"result"}. Filled on
@@ -235,6 +236,11 @@ class Server {
   std::string handle_cache_stats();
   std::string handle_cache_flush();
 
+  /// Erase a released job, and its key's dedup entry once no job of
+  /// that key remains. Caller holds jobs_mu_ (or is single-threaded
+  /// journal replay).
+  void release_job_locked(std::map<std::uint64_t, JobRecord>::iterator it);
+
   /// Replay one journal record into jobs_ / jobs_by_key_ / next_id_.
   /// Unparseable or stale records are skipped (crash-written garbage
   /// must not keep the server from starting).
@@ -264,6 +270,7 @@ class Server {
   /// Idempotency: submit "key" → the ids of the submit that created it.
   /// Rebuilt from the journal on restart, so a client that resends a
   /// keyed submit after a crash gets its original ids, not fresh jobs.
+  /// An entry is dropped once every one of its jobs is released.
   std::map<std::string, std::vector<std::uint64_t>> jobs_by_key_;
   std::atomic<std::uint64_t> next_id_{1};
   std::size_t running_ = 0;                  ///< jobs in the current batch

@@ -14,6 +14,7 @@
 #include <cstdint>
 #include <memory>
 #include <string>
+#include <string_view>
 #include <thread>
 #include <tuple>
 #include <vector>
@@ -86,23 +87,20 @@ std::string serial_stats_json(const std::string& source) {
   return to_json(m.stats());
 }
 
-/// Canonical form: one trip through the shared parser/serializer, so
-/// strings produced by different writers compare byte-for-byte.
-std::string canonical(const std::string& json_text) {
-  return json::serialize(parse_json(json_text));
-}
-
-/// The "stats" object of a router result response, canonicalized.
-std::string result_stats_canonical(const std::string& raw) {
+/// The "stats" object of a router result response, exactly as the
+/// router sent it: routed results carry the backend's own bytes, so
+/// they compare byte-for-byte with a serial run's to_json().
+std::string result_stats(const std::string& raw) {
   const json::Value resp = parse_json(raw);
   EXPECT_TRUE(resp.get_bool("ok", false)) << raw;
   const json::Value* res = resp.find("result");
   EXPECT_NE(res, nullptr) << raw;
   if (!res) return {};
   EXPECT_EQ(res->get_string("status", ""), "finished") << raw;
-  const json::Value* stats = res->find("stats");
-  EXPECT_NE(stats, nullptr) << raw;
-  return stats ? json::serialize(*stats) : std::string{};
+  const std::string_view stats =
+      json::member_text(json::member_text(raw, "result"), "stats");
+  EXPECT_FALSE(stats.empty()) << raw;
+  return std::string(stats);
 }
 
 std::vector<std::uint64_t> ids_of(const json::Value& resp) {
@@ -397,6 +395,10 @@ std::uint64_t server_submitted(const Server& s) {
   return counters ? counters->get_uint("submitted", 0) : 0;
 }
 
+std::uint64_t server_jobs_tracked(const Server& s) {
+  return parse_json(s.stats_json()).get_uint("jobs_tracked", 0);
+}
+
 TEST(RouterProxyTest, SpeaksTheServedProtocolEndToEnd) {
   ServerOptions sopts;
   sopts.workers = 1;
@@ -458,8 +460,8 @@ TEST(RouterAffinityTest, RepeatSubmitsLandOnTheOwnersCache) {
   // Complete and collect every result: bit-identical to a serial run
   // (after one trip through the shared serializer on both sides).
   for (std::size_t i = 0; i < ids1.size(); ++i)
-    EXPECT_EQ(result_stats_canonical(await_result_raw(c, ids1[i])),
-              canonical(serial_stats_json(kernels[i])))
+    EXPECT_EQ(result_stats(await_result_raw(c, ids1[i])),
+              serial_stats_json(kernels[i]))
         << "job " << i << " diverged from the serial run";
 
   // The identical submit hashes to the same owner, whose cache now
@@ -467,8 +469,8 @@ TEST(RouterAffinityTest, RepeatSubmitsLandOnTheOwnersCache) {
   const json::Value second = c.request(submit);
   ASSERT_TRUE(second.get_bool("ok", false));
   const std::vector<std::uint64_t> ids2 = ids_of(second);
-  EXPECT_EQ(result_stats_canonical(await_result_raw(c, ids2[0])),
-            canonical(serial_stats_json(kernels[0])));
+  EXPECT_EQ(result_stats(await_result_raw(c, ids2[0])),
+            serial_stats_json(kernels[0]));
 
   std::size_t with_hits = kNpos;
   for (std::size_t i = 0; i < fleet.servers.size(); ++i) {
@@ -605,9 +607,9 @@ TEST(RouterLeastQueuedTest, SpreadsIdenticalWorkAcrossTheFleet) {
               1u)
         << "backend " << i;
 
-  const std::string want = canonical(serial_stats_json(counting_kernel(100)));
+  const std::string want = serial_stats_json(counting_kernel(100));
   for (const std::uint64_t id : ids)
-    EXPECT_EQ(result_stats_canonical(await_result_raw(c, id)), want);
+    EXPECT_EQ(result_stats(await_result_raw(c, id)), want);
 }
 
 TEST(RouterFailoverTest, InjectedFaultsOpenTheBreakerAndRerouteExactlyOnce) {
@@ -649,8 +651,8 @@ TEST(RouterFailoverTest, InjectedFaultsOpenTheBreakerAndRerouteExactlyOnce) {
   EXPECT_EQ(fleet.router->backend_state(owner), BreakerState::kOpen);
 
   // The rerouted job completes on the survivor, bit-identical.
-  EXPECT_EQ(result_stats_canonical(await_result_raw(c, id)),
-            canonical(serial_stats_json(counting_kernel(100))));
+  EXPECT_EQ(result_stats(await_result_raw(c, id)),
+            serial_stats_json(counting_kernel(100)));
 
   // Exactly-once from the client's view: the key still answers with the
   // original router ids, and each backend admitted the group once.
@@ -691,8 +693,8 @@ TEST(RouterFailoverTest, BackendStopMidRunFailsOverBitIdentically) {
   // opens, and the group is resubmitted to the survivor.
   fleet.servers[owner]->stop();
   const std::string raw = await_result_raw(c, id);
-  EXPECT_EQ(result_stats_canonical(raw),
-            canonical(serial_stats_json(kLongKernel)))
+  EXPECT_EQ(result_stats(raw),
+            serial_stats_json(kLongKernel))
       << "failed-over result diverged from the serial run";
   EXPECT_NE(raw.find("\"label\":\"stop-fo\""), std::string::npos);
 
@@ -726,9 +728,9 @@ TEST(RouterPeerCacheTest, DivertedSubmitIsServedFromTheOwnersCache) {
                              "]}";
   const json::Value warm = c.request(submit);
   ASSERT_TRUE(warm.get_bool("ok", false));
-  const std::string golden = result_stats_canonical(
+  const std::string golden = result_stats(
       await_result_raw(c, ids_of(warm)[0]));
-  ASSERT_EQ(golden, canonical(serial_stats_json(counting_kernel(100))));
+  ASSERT_EQ(golden, serial_stats_json(counting_kernel(100)));
   std::size_t owner = kNpos;
   for (std::size_t i = 0; i < fleet.servers.size(); ++i)
     if (server_submitted(*fleet.servers[i]) == 1) owner = i;
@@ -755,7 +757,7 @@ TEST(RouterPeerCacheTest, DivertedSubmitIsServedFromTheOwnersCache) {
   const json::Value status =
       c.request("{\"op\":\"status\",\"id\":" + std::to_string(id) + "}");
   EXPECT_EQ(status.get_string("state", ""), "done");
-  EXPECT_EQ(result_stats_canonical(await_result_raw(c, id)), golden);
+  EXPECT_EQ(result_stats(await_result_raw(c, id)), golden);
 
   // Neither backend saw a second submission...
   EXPECT_EQ(server_submitted(*fleet.servers[owner]), 1u);
@@ -785,7 +787,7 @@ TEST(RouterPeerCacheTest, DisabledReadThroughDivertsToSimulation) {
                              job_json(counting_kernel(100), "no-peer") + "]}";
   const json::Value warm = c.request(submit);
   ASSERT_TRUE(warm.get_bool("ok", false));
-  const std::string golden = result_stats_canonical(
+  const std::string golden = result_stats(
       await_result_raw(c, ids_of(warm)[0]));
   std::size_t owner = kNpos;
   for (std::size_t i = 0; i < fleet.servers.size(); ++i)
@@ -804,7 +806,7 @@ TEST(RouterPeerCacheTest, DisabledReadThroughDivertsToSimulation) {
   }
   // Same divert, same answer — but simulated on the other backend, with
   // the peer tier never consulted.
-  EXPECT_EQ(result_stats_canonical(await_result_raw(c, id)), golden);
+  EXPECT_EQ(result_stats(await_result_raw(c, id)), golden);
   EXPECT_EQ(server_submitted(*fleet.servers[1 - owner]), 1u);
   EXPECT_EQ(peer_counter(router_stats(c), "lookups"), 0u);
 }
@@ -833,8 +835,8 @@ TEST(RouterPeerCacheTest, FailoverPeerMissStillRecomputesBitIdentically) {
   // and nothing else.
   fleet.servers[owner]->stop();
   const std::string raw = await_result_raw(c, id);
-  EXPECT_EQ(result_stats_canonical(raw),
-            canonical(serial_stats_json(kLongKernel)));
+  EXPECT_EQ(result_stats(raw),
+            serial_stats_json(kLongKernel));
 
   const json::Value stats = router_stats(c);
   EXPECT_EQ(router_counter(stats, "jobs_rerouted"), 1u);
@@ -907,11 +909,11 @@ TEST(RouterConcurrencyTest, ConcurrentKeylessSubmitsGetDistinctFleetKeys) {
           job_json(counting_kernel(200 + t), "conc-" + std::to_string(t)) +
           "]}");
       if (!sub.get_bool("ok", false)) return;
-      got[t] = result_stats_canonical(await_result_raw(c, ids_of(sub)[0]));
+      got[t] = result_stats(await_result_raw(c, ids_of(sub)[0]));
     });
   for (auto& th : threads) th.join();
   for (unsigned t = 0; t < kThreads; ++t)
-    EXPECT_EQ(got[t], canonical(serial_stats_json(counting_kernel(200 + t))))
+    EXPECT_EQ(got[t], serial_stats_json(counting_kernel(200 + t)))
         << "submitter " << t << " received another client's results";
   // Every submit really ran: the lone backend admitted all eight
   // distinct groups instead of answering any of them as a duplicate.
@@ -955,15 +957,79 @@ TEST(RouterReleaseTest, ReleasingEveryJobReclaimsTheGroup) {
   stats = router_stats(c);
   EXPECT_EQ(router_counter(stats, "jobs_tracked"), 0u);
   EXPECT_EQ(router_counter(stats, "groups_live"), 0u);
+  // The release reached the backend too: it holds no record of either
+  // job, and no dedup entry for the fleet key.
+  EXPECT_EQ(server_jobs_tracked(*fleet.servers[0]), 0u);
 
-  // The client key was reclaimed with the group: a resend is a fresh
-  // submit with new router ids, not a duplicate of released work (the
-  // backend still dedups it via the fleet key, so nothing re-executes).
+  // The client key was reclaimed with the group, and the fleet key with
+  // the backend's records: a resend is a fresh submit with new router
+  // ids, not a duplicate of released work.
   const json::Value again = c.request(submit);
   ASSERT_TRUE(again.get_bool("ok", false));
   EXPECT_FALSE(again.get_bool("duplicate", true));
   EXPECT_NE(ids_of(again), ids);
-  EXPECT_EQ(server_submitted(*fleet.servers[0]), 2u);
+  EXPECT_EQ(server_submitted(*fleet.servers[0]), 4u);
+}
+
+TEST(RouterReleaseTest, RoutedReleasesLeaveNoBackendRecords) {
+  // Each round is what `masc-client submit --wait` does through the
+  // router: submit, then `result wait:true release:true`. Repeats are
+  // cache hits on their affinity home; every kind of round must leave
+  // the backends holding nothing.
+  ServerOptions sopts;
+  sopts.workers = 1;
+  sopts.cache_bytes = 1u << 20;
+  Fleet fleet(3, sopts, test_router_options());
+  Client c = fleet.connect();
+
+  constexpr unsigned kRounds = 24;
+  for (unsigned r = 0; r < kRounds; ++r) {
+    const std::string key =
+        r % 3 == 0 ? ",\"key\":\"round-" + std::to_string(r) + "\"" : "";
+    const json::Value sub = c.request(
+        "{\"op\":\"submit\"" + key + ",\"jobs\":[" +
+        job_json(counting_kernel(300 + r % 6), "round") + "]}");
+    ASSERT_TRUE(sub.get_bool("ok", false)) << json::serialize(sub);
+    const std::uint64_t id = ids_of(sub)[0];
+    if (r % 4 == 1) {
+      // Fetched first without release: the router caches the body and
+      // must still reclaim the backend's record on the later release.
+      ASSERT_TRUE(parse_json(await_result_raw(c, id)).get_bool("ok", false));
+    }
+    const json::Value res = c.request(
+        "{\"op\":\"result\",\"id\":" + std::to_string(id) +
+        ",\"wait\":true,\"release\":true,\"timeout_ms\":120000}");
+    ASSERT_TRUE(res.get_bool("ok", false)) << json::serialize(res);
+  }
+  EXPECT_EQ(router_counter(router_stats(c), "jobs_tracked"), 0u);
+  for (std::size_t b = 0; b < fleet.servers.size(); ++b)
+    EXPECT_EQ(server_jobs_tracked(*fleet.servers[b]), 0u) << "backend " << b;
+}
+
+TEST(RouterProxyTest, RoutedResultBytesEqualTheBackendsOwn) {
+  // docs/CLUSTER.md: a routed result is bit-identical to a direct one.
+  // Compared raw — no parse/serialize canonicalization on either side —
+  // so a router that re-rendered the body (e.g. "ipc" or host_seconds
+  // with more digits) would fail here.
+  ServerOptions sopts;
+  sopts.workers = 1;
+  Fleet fleet(1, sopts, test_router_options());
+  Client c = fleet.connect();
+  const json::Value sub = c.request(
+      "{\"op\":\"submit\",\"jobs\":[" +
+      job_json(counting_kernel(77), "bytes") + "]}");
+  ASSERT_TRUE(sub.get_bool("ok", false));
+  const std::string routed = await_result_raw(c, ids_of(sub)[0]);
+
+  // The lone backend's first job has id 1; ask it directly.
+  Client direct;
+  direct.connect("127.0.0.1", fleet.servers[0]->port(), 5000);
+  const std::string backend =
+      direct.request_raw("{\"op\":\"result\",\"id\":1}");
+  const std::string_view routed_body = json::member_text(routed, "result");
+  ASSERT_FALSE(routed_body.empty()) << routed;
+  EXPECT_NE(routed_body.find("\"label\":\"bytes\""), std::string::npos);
+  EXPECT_EQ(routed_body, json::member_text(backend, "result"));
 }
 
 TEST(RouterShutdownTest, StopUnblocksALongResultWait) {

@@ -19,11 +19,13 @@
 #include <thread>
 #include <vector>
 
+#include "ascal/codegen.hpp"
 #include "assembler/assembler.hpp"
 #include "common/base64.hpp"
 #include "common/error.hpp"
 #include "common/hash.hpp"
 #include "common/json.hpp"
+#include "common/random.hpp"
 #include "fault/fault.hpp"
 #include "serve/client.hpp"
 #include "serve/protocol.hpp"
@@ -233,6 +235,144 @@ TEST(ServeProtocol, ProgramDecodingAcceptsAllThreeForms) {
   EXPECT_THROW(serve::program_from_json(
                    parse_json("{\"source\":\"not an opcode\"}")),
                AssemblyError);
+}
+
+TEST(ServeProtocol, JsonEscapeRoundTripsRandomBytes) {
+  // Runs needing no escape are bulk-copied; every byte must still come
+  // back unchanged through the parser, escapes and all.
+  Rng rng(0x657363617065ULL);
+  for (int trial = 0; trial < 500; ++trial) {
+    std::string bytes(rng.next_below(200), '\0');
+    for (char& ch : bytes) {
+      // Bias towards the bytes the escaper treats specially.
+      const std::uint64_t pick = rng.next_below(4);
+      if (pick == 0) ch = "\"\\\n\t\b\f\r/"[rng.next_below(8)];
+      else if (pick == 1) ch = static_cast<char>(rng.next_below(0x20));
+      else ch = static_cast<char>(rng.next_below(256));
+    }
+    const std::string escaped = json_escape(bytes);
+    ASSERT_EQ(parse_json("\"" + escaped + "\"").as_string(), bytes)
+        << "trial " << trial;
+    const json::Value v = parse_json("{\"k\":\"" + escaped + "\"}");
+    EXPECT_EQ(json::serialize(v), "{\"k\":\"" + escaped + "\"}");
+  }
+}
+
+TEST(ServeProtocol, MemberTextIsTheValueAsWritten) {
+  const std::string doc =
+      " {\"ok\":true, \"type\" : \"result\",\"s\":\"a\\\",}\\\\\","
+      "\"result\": {\"x\":[1,{\"y\":\"}\"}],\"ipc\":0.666667} ,\"n\":-1.5e3 }";
+  EXPECT_EQ(json::member_text(doc, "result"),
+            "{\"x\":[1,{\"y\":\"}\"}],\"ipc\":0.666667}");
+  EXPECT_EQ(json::member_text(doc, "s"), "\"a\\\",}\\\\\"");
+  EXPECT_EQ(json::member_text(doc, "type"), "\"result\"");
+  EXPECT_EQ(json::member_text(doc, "ok"), "true");
+  EXPECT_EQ(json::member_text(doc, "n"), "-1.5e3");
+  EXPECT_TRUE(json::member_text(doc, "x").empty());  // nested, not top-level
+  EXPECT_TRUE(json::member_text("[1,2]", "ok").empty());
+  EXPECT_TRUE(json::member_text("{}", "ok").empty());
+}
+
+/// A source unique to one test, so the process-wide program memo has
+/// never seen it before.
+std::string fresh_source(const std::string& tag, int n) {
+  return "; " + tag + "\nmain:\n  li r1, " + std::to_string(n) +
+         "\n  la r2, tbl\n  lw r3, 0(r2)\nloop:\n  addi r1, r1, -1\n"
+         "  bne r1, r0, loop\n  halt\n.data\ntbl: .word " +
+         std::to_string(n) + ", 7, 9\n";
+}
+
+json::Value source_program(const std::string& source) {
+  return parse_json("{\"source\":\"" + json_escape(source) + "\"}");
+}
+
+TEST(ServeProtocol, MemoizedProgramEqualsAFreshAssembly) {
+  const std::string source = fresh_source("memo-equal", 21);
+  const json::Value v = source_program(source);
+  // First sighting assembles and remembers the hash; the second
+  // assembles and stores; the third is served from the memo.
+  const Program first = serve::program_from_json(v);
+  const Program second = serve::program_from_json(v);
+  const std::uint64_t hits = serve::program_memo_stats().hits;
+  const Program memoized = serve::program_from_json(v);
+  EXPECT_EQ(serve::program_memo_stats().hits, hits + 1);
+
+  const Program fresh = assemble(source);
+  for (const Program* p : {&first, &second, &memoized}) {
+    EXPECT_EQ(p->text, fresh.text);
+    EXPECT_EQ(p->data, fresh.data);
+    EXPECT_EQ(p->entry, fresh.entry);
+    EXPECT_EQ(p->symbols, fresh.symbols);
+  }
+  SweepJob memo_job;
+  memo_job.cfg.validate();
+  memo_job.program = memoized;
+  SweepJob fresh_job = memo_job;
+  fresh_job.program = fresh;
+  EXPECT_EQ(sweep_cache_key(memo_job), sweep_cache_key(fresh_job));
+
+  // The kind is part of the key: the same text as ASCAL is a different
+  // program (here: one that does not compile).
+  EXPECT_THROW(serve::program_from_json(
+                   parse_json("{\"ascal\":\"" + json_escape(source) + "\"}")),
+               std::exception);
+
+  const std::string ascal = "pint v; v = index() + 3;";
+  const json::Value av = parse_json("{\"ascal\":\"" + ascal + "\"}");
+  for (int i = 0; i < 3; ++i)
+    EXPECT_EQ(serve::program_from_json(av).text,
+              assemble(ascal::compile(ascal).assembly).text);
+}
+
+TEST(ServeProtocol, BadSourceFailsTheSameEveryTime) {
+  const json::Value bad = source_program("li r1, 1\nfrobnicate r2\nhalt\n");
+  std::string first;
+  for (int i = 0; i < 4; ++i) {
+    try {
+      serve::program_from_json(bad);
+      ADD_FAILURE() << "bad source assembled on attempt " << i;
+    } catch (const AssemblyError& e) {
+      if (i == 0) first = e.what();
+      EXPECT_EQ(e.what(), first) << "attempt " << i;
+    }
+  }
+  EXPECT_FALSE(first.empty());
+}
+
+TEST(ServeProtocol, ProgramMemoNeverExceedsItsBound) {
+  // Every source sighted twice, so every one is admitted.
+  for (std::size_t i = 0; i < serve::kProgramMemoEntries + 64; ++i) {
+    const json::Value v = source_program(
+        fresh_source("memo-bound", static_cast<int>(i) + 1));
+    serve::program_from_json(v);
+    serve::program_from_json(v);
+    ASSERT_LE(serve::program_memo_stats().entries, serve::kProgramMemoEntries);
+  }
+  EXPECT_EQ(serve::program_memo_stats().entries, serve::kProgramMemoEntries);
+}
+
+TEST(ServeProtocol, ConcurrentDecodesShareTheMemoRaceFree) {
+  const std::string shared = fresh_source("memo-shared", 5);
+  const Program want = assemble(shared);
+  constexpr int kThreads = 6;
+  std::vector<std::thread> threads;
+  std::atomic<int> mismatches{0};
+  for (int t = 0; t < kThreads; ++t)
+    threads.emplace_back([&, t] {
+      const json::Value sv = source_program(shared);
+      for (int i = 0; i < 40; ++i) {
+        if (serve::program_from_json(sv).text != want.text) ++mismatches;
+        // Distinct sources from every thread churn admission and the
+        // sightings table while the shared one is being served.
+        const std::string own =
+            fresh_source("memo-race-" + std::to_string(t), i % 8 + 1);
+        if (serve::program_from_json(source_program(own)).text !=
+            assemble(own).text)
+          ++mismatches;
+      }
+    });
+  for (auto& th : threads) th.join();
+  EXPECT_EQ(mismatches.load(), 0);
 }
 
 // --- the service ------------------------------------------------------
@@ -491,6 +631,136 @@ TEST(ServeServer, ResultWaitNotReadyAndRelease) {
   EXPECT_EQ(c.request("{\"op\":\"status\",\"id\":" + std::to_string(quick_id) +
                       "}").get_string("error", ""),
             "not_found");
+  server.stop();
+}
+
+std::uint64_t jobs_tracked(const Server& server) {
+  return parse_json(server.stats_json()).get_uint("jobs_tracked", 0);
+}
+
+TEST(ServeServer, ReleaseReclaimsJobRecordsAndTheirKey) {
+  const std::string journal_path = testing::TempDir() + "masc_reclaim_" +
+                                   std::to_string(::getpid()) + ".journal";
+  std::remove(journal_path.c_str());
+  ServerOptions opts = test_options();
+  opts.journal_path = journal_path;
+
+  JobSpec a;
+  a.source = reduction_kernel(3);
+  a.label = "a";
+  JobSpec b = a;
+  b.seed = 1;
+  b.label = "b";
+  const std::string key = "\"key\":\"reclaim-me\"";
+  const auto release = [](Client& c, std::uint64_t id) {
+    return c.request("{\"op\":\"result\",\"id\":" + std::to_string(id) +
+                     ",\"wait\":true,\"timeout_ms\":30000,\"release\":true}");
+  };
+  {
+    Server server(opts);
+    server.start();
+    Client c;
+    c.connect("127.0.0.1", server.port());
+    const auto ids = submit_ok(c, {job_json(a), job_json(b)}, key);
+    ASSERT_EQ(ids.size(), 2u);
+    EXPECT_EQ(jobs_tracked(server), 2u);
+
+    // While any job of the key is held, a resend is a duplicate.
+    ASSERT_TRUE(release(c, ids[0]).get_bool("ok", false));
+    EXPECT_EQ(jobs_tracked(server), 1u);
+    const json::Value dup =
+        c.request(submit_request({job_json(a), job_json(b)}, key));
+    EXPECT_TRUE(dup.get_bool("duplicate", false));
+
+    // Releasing the last one drops the key with it.
+    ASSERT_TRUE(release(c, ids[1]).get_bool("ok", false));
+    EXPECT_EQ(jobs_tracked(server), 0u);
+    EXPECT_NE(server.metrics_text().find("masc_served_jobs_tracked 0\n"),
+              std::string::npos);
+    server.stop();
+  }
+
+  // Journal replay applies the same rule: neither the released records
+  // nor their key come back, so the resend is new work.
+  Server server(opts);
+  server.start();
+  EXPECT_EQ(jobs_tracked(server), 0u);
+  Client c;
+  c.connect("127.0.0.1", server.port());
+  const json::Value again =
+      c.request(submit_request({job_json(a), job_json(b)}, key));
+  ASSERT_TRUE(again.get_bool("ok", false));
+  EXPECT_FALSE(again.get_bool("duplicate", true));
+  EXPECT_EQ(jobs_tracked(server), 2u);
+  EXPECT_NE(server.metrics_text().find("masc_served_jobs_tracked 2\n"),
+            std::string::npos);
+  server.stop();
+  std::remove(journal_path.c_str());
+}
+
+TEST(ServeServer, BadSourceGetsTheSameBadRequestOnEverySubmit) {
+  Server server(test_options());
+  server.start();
+  Client c;
+  c.connect("127.0.0.1", server.port());
+  JobSpec bad;
+  bad.source = "li r1, 2\nnot_an_opcode r1\nhalt\n";
+  std::string first;
+  for (int i = 0; i < 3; ++i) {
+    const json::Value resp = c.request(submit_request({job_json(bad)}));
+    EXPECT_FALSE(resp.get_bool("ok", true));
+    EXPECT_EQ(resp.get_string("error", ""), "bad_request");
+    if (i == 0) first = resp.get_string("detail", "");
+    EXPECT_FALSE(first.empty());
+    EXPECT_EQ(resp.get_string("detail", ""), first) << "submit " << i;
+  }
+  EXPECT_EQ(jobs_tracked(server), 0u);
+  server.stop();
+}
+
+TEST(ServeServer, ConcurrentSubmitsOfSharedAndDistinctSourcesAreRaceFree) {
+  ServerOptions opts = test_options();
+  opts.io_threads = 4;  // decodes run concurrently on several loops
+  opts.cache_bytes = 1u << 20;
+  Server server(opts);
+  server.start();
+
+  constexpr int kClients = 4;
+  constexpr int kRounds = 6;
+  JobSpec shared;
+  shared.source = mixed_kernel(5);
+  const std::string shared_want = serial_stats_json(shared);
+  std::vector<std::thread> threads;
+  std::atomic<int> wrong{0};
+  for (int t = 0; t < kClients; ++t)
+    threads.emplace_back([&, t] {
+      Client c;
+      c.connect("127.0.0.1", server.port());
+      JobSpec own;
+      own.source = reduction_kernel(2 + t);
+      const std::string own_want = serial_stats_json(own);
+      for (int r = 0; r < kRounds; ++r) {
+        const auto ids = submit_ok(c, {job_json(shared), job_json(own)});
+        if (ids.size() != 2) {
+          ++wrong;
+          continue;
+        }
+        for (int j = 0; j < 2; ++j) {
+          const json::Value resp = c.request(
+              "{\"op\":\"result\",\"id\":" + std::to_string(ids[j]) +
+              ",\"wait\":true,\"timeout_ms\":30000,\"release\":true}");
+          const json::Value* res = resp.find("result");
+          const json::Value* st = res ? res->find("stats") : nullptr;
+          if (!st || json::serialize(*st) !=
+                         json::serialize(parse_json(j ? own_want
+                                                      : shared_want)))
+            ++wrong;
+        }
+      }
+    });
+  for (auto& th : threads) th.join();
+  EXPECT_EQ(wrong.load(), 0);
+  EXPECT_EQ(jobs_tracked(server), 0u);
   server.stop();
 }
 
