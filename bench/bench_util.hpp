@@ -78,44 +78,6 @@ loop:
 )";
 }
 
-/// A row-compute-dense workload for the intra-job threading curves
-/// (BM_CycleSimMT): every iteration runs parallel divisions and
-/// multiplies — the host cost of a division row is dominated by p
-/// unvectorizable integer divides, so at large PE counts each row loop
-/// is microseconds of real work and the per-row fork/join barrier can
-/// amortize. Divisor p2 = pindex + 3 is never rewritten, so it is never
-/// zero and the quotient row stays data-dependent per PE.
-inline std::string parallel_dense_program(unsigned total_iters) {
-  return R"(
-main:
-    nthreads r1
-    li r2, 1
-    la r3, worker
-spawn:
-    bgeu r2, r1, body
-    tspawn r4, r3
-    addi r2, r2, 1
-    j spawn
-worker:
-body:
-    nthreads r5
-    li r6, )" + std::to_string(total_iters) + R"(
-    divu r2, r6, r5
-    pindex p1
-    paddi p2, p1, 3       # divisor row: pe + 3, never zero
-    pmov p3, p1
-    paddi p3, p3, 7
-    li r1, 0
-loop:
-    pdivu p4, p3, p2      # p unvectorizable host divides per row
-    pmul p5, p4, p2
-    pdivu p6, p5, p2
-    padd p3, p6, p1
-    addi r1, r1, 1
-    bne r1, r2, loop
-    texit
-)";
-}
 
 /// Run a program on a configuration; throws on timeout.
 inline Stats run_stats(const MachineConfig& cfg, const std::string& src,

@@ -563,43 +563,23 @@ std::string Router::handle_submit(const json::Value& req) {
   const std::uint64_t deadline_ms = req.get_uint("deadline_ms", 0);
   const std::string client_key = req.get_string("key", "");
 
-  // Fleet-wide host-execution defaults: inject "sim_threads" into each
-  // job config (docs/THREADING.md) and top-level "batch_lanes" into
-  // each job (docs/PERF.md "Lane batching") that doesn't set its own,
-  // before validation/serialization so backends and failover resubmits
-  // all see the same payload. Results and cache keys are unaffected —
-  // both knobs are excluded from sweep_cache_key — so affinity routing
-  // still lands repeats on their cached backend.
+  // Fleet-wide lane-batching default: inject top-level "batch_lanes"
+  // into each job (docs/PERF.md "Lane batching") that doesn't set its
+  // own, before validation/serialization so backends and failover
+  // resubmits all see the same payload. Results and cache keys are
+  // unaffected — the knob is excluded from sweep_cache_key — so affinity
+  // routing still lands repeats on their cached backend.
   json::Value jobs_owned;
-  if (opts_.default_sim_threads > 1 || opts_.default_batch_lanes > 1) {
-    const auto uint_value = [](std::uint32_t v) {
-      json::Value n;
-      n.kind = json::Value::Kind::kNumber;
-      n.number = static_cast<double>(v);
-      n.integer = static_cast<std::int64_t>(v);
-      n.is_integer = true;
-      return n;
-    };
+  if (opts_.default_batch_lanes > 1) {
+    json::Value lanes;
+    lanes.kind = json::Value::Kind::kNumber;
+    lanes.number = static_cast<double>(opts_.default_batch_lanes);
+    lanes.integer = static_cast<std::int64_t>(opts_.default_batch_lanes);
+    lanes.is_integer = true;
     jobs_owned = *jobs_v;
-    for (json::Value& elem : jobs_owned.array) {
-      if (!elem.is_object()) continue;
-      if (opts_.default_batch_lanes > 1 && elem.find("batch_lanes") == nullptr)
-        elem.object.emplace_back("batch_lanes",
-                                 uint_value(opts_.default_batch_lanes));
-      if (opts_.default_sim_threads <= 1) continue;
-      json::Value* cfg = nullptr;
-      for (auto& [k, v] : elem.object)
-        if (k == "config") cfg = &v;
-      if (cfg == nullptr) {
-        json::Value obj;
-        obj.kind = json::Value::Kind::kObject;
-        elem.object.emplace_back("config", std::move(obj));
-        cfg = &elem.object.back().second;
-      }
-      if (!cfg->is_object() || cfg->find("sim_threads") != nullptr) continue;
-      cfg->object.emplace_back("sim_threads",
-                               uint_value(opts_.default_sim_threads));
-    }
+    for (json::Value& elem : jobs_owned.array)
+      if (elem.is_object() && elem.find("batch_lanes") == nullptr)
+        elem.object.emplace_back("batch_lanes", lanes);
     jobs_v = &jobs_owned;
   }
 

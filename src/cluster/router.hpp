@@ -82,17 +82,11 @@ struct RouterOptions {
   std::uint64_t io_timeout_ms = 0;
   /// Reap client sessions idle this long, ms; 0 = never.
   std::uint64_t idle_timeout_ms = 0;
-  /// When > 1, inject "sim_threads": N into each submitted job config
-  /// that does not set its own, so a whole fleet can be switched to
-  /// intra-job row parallelism at the router (docs/THREADING.md).
-  /// Safe for routing: sim_threads is excluded from result-cache keys,
-  /// so affinity and backend cache hits are unaffected.
-  std::uint32_t default_sim_threads = 1;
   /// When > 1, inject top-level "batch_lanes": N into each submitted
   /// job that does not set its own, so a whole fleet can be switched to
   /// SIMD-over-jobs lane batching at the router (docs/PERF.md "Lane
-  /// batching"). Like sim_threads it is a host knob excluded from
-  /// result-cache keys, so affinity and cache hits are unaffected.
+  /// batching"). A host knob excluded from result-cache keys, so
+  /// affinity and cache hits are unaffected.
   std::uint32_t default_batch_lanes = 1;
   /// Tier-3 peer cache read-through (docs/CACHE.md). When a submit is
   /// diverted off its ring owner (saturation/drain) or a group is

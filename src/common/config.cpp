@@ -39,8 +39,6 @@ void MachineConfig::validate() const {
   if (instr_mem_words < 1) fail("instr_mem_words must be >= 1");
   if (scalar_mem_bytes < word_width / 8)
     fail("scalar_mem_bytes too small for one word");
-  if (sim_threads < 1 || sim_threads > 256)
-    fail("sim_threads must be in [1, 256]");
 }
 
 std::string MachineConfig::name() const {

@@ -113,16 +113,6 @@ struct MachineConfig {
   RegFileImpl regfile_impl = RegFileImpl::kBlockRam;
   FlagFileImpl flagfile_impl = FlagFileImpl::kSharedBlockRam;
 
-  // --- Host execution (NOT architectural) -----------------------------------
-  /// Host threads used to simulate the PE array (docs/THREADING.md).
-  /// 1 = serial (the seed behavior); N > 1 fans the SoA row loops out
-  /// over N-1 pooled workers plus the coordinator. Results are
-  /// bit-identical for every value, which is why this field is
-  /// deliberately EXCLUDED from name(), sweep_cache_key(), and the
-  /// checkpoint header: two runs differing only in sim_threads are the
-  /// same simulation, and their artifacts stay interchangeable.
-  std::uint32_t sim_threads = 1;
-
   // --- Derived latencies ----------------------------------------------------
   /// Broadcast network latency b in cycles (0 when non-pipelined).
   unsigned broadcast_latency() const;

@@ -187,9 +187,8 @@ bool Fabric::run(Cycle max_cycles) {
         if (!m.finished()) m.run(max_cycles);
       return finished();
     }
-    // Chips advance strictly in index order — with each chip itself
-    // bit-identical under any sim_threads value, this fixed order is
-    // what makes the whole fleet deterministic.
+    // Chips advance strictly in index order: this fixed order is what
+    // makes the whole fleet deterministic.
     for (Machine& m : chips_)
       if (!m.finished()) m.run(boundary);
     ++round_;

@@ -5,9 +5,9 @@
 // cascaded cross-chip reduction trees) ask what happens when the
 // reduction spans chips and the latency gets much deeper. The fabric
 // answers that question in simulation: each chip keeps its intra-chip
-// broadcast/reduction trees, scoreboard, and `--sim-threads` row pool
-// untouched, and a fabric-level scheduler advances all chips in
-// cycle-lockstep chunks ("rounds"). Chips talk to the fabric through a
+// broadcast/reduction trees and scoreboard untouched, and a
+// fabric-level scheduler advances all chips in cycle-lockstep chunks
+// ("rounds"). Chips talk to the fabric through a
 // small mailbox ABI in their scalar memory (software-visible, so guest
 // programs drive collectives with ordinary lw/sw — no new ISA opcodes,
 // in the associative spirit of keeping the control processor simple):
@@ -33,11 +33,10 @@
 // wait are protocol errors (FabricError), not deadlocks.
 //
 // Determinism contract (docs/MULTICHIP.md): chips advance in index
-// order within a round and each chip is bit-identical under any
-// `--sim-threads` value, so fabric results are bit-identical across
-// host thread counts and across checkpoint/resume. Unlike sim_threads,
-// every FabricConfig knob DOES change simulated behavior, so all of
-// them are part of sweep_cache_key() and of the checkpoint identity.
+// order within a round, so fabric results are bit-identical across
+// runs and across checkpoint/resume. Every FabricConfig knob changes
+// simulated behavior, so all of them are part of sweep_cache_key() and
+// of the checkpoint identity.
 #pragma once
 
 #include <array>

@@ -37,10 +37,6 @@ MachineConfig config_from_json(const json::Value& v) {
   else if (sched == "coarse") cfg.sched_policy = ThreadSchedPolicy::kCoarseGrain;
   else if (sched == "smt") cfg.sched_policy = ThreadSchedPolicy::kSmt;
   else throw JsonError("unknown sched policy \"" + sched + "\"");
-  // Host-execution knob, not architectural: never hashed into cache keys
-  // or config identity (docs/THREADING.md).
-  cfg.sim_threads =
-      static_cast<std::uint32_t>(v.get_uint("sim_threads", cfg.sim_threads));
   cfg.validate();
   return cfg;
 }
@@ -185,8 +181,8 @@ SweepJob job_from_json(const json::Value& v) {
   job.label = v.get_string("label", job.cfg.name());
   job.seed = v.get_uint("seed", 0);
   job.max_cycles = v.get_uint("max_cycles", job.max_cycles);
-  // Host-execution knob like "sim_threads": 0 inherits the server's
-  // --batch-lanes default, 1 forces serial; never part of cache keys.
+  // Host-execution knob: 0 inherits the server's --batch-lanes default,
+  // 1 forces serial; never part of cache keys.
   job.batch_lanes =
       static_cast<std::uint32_t>(v.get_uint("batch_lanes", job.batch_lanes));
   return job;

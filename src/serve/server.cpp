@@ -234,8 +234,6 @@ void Server::apply_journal_record(const std::string& payload) {
         const std::uint64_t id = ids_v->as_array()[i].as_uint();
         SweepJob job = job_from_json(jobs_v->as_array()[i]);
         job.max_cycles = std::min(job.max_cycles, opts_.max_cycles_cap);
-        if (opts_.sim_threads > 1 && job.cfg.sim_threads <= 1)
-          job.cfg.sim_threads = opts_.sim_threads;
         job.cancel = make_cancel_token();
         job.checkpoint_on_stop = true;
         // The deadline *budget* restarts on recovery: wall time spent
@@ -507,10 +505,6 @@ std::string Server::handle_submit(const json::Value& req) {
   for (const auto& elem : jobs_v->as_array()) {
     SweepJob job = job_from_json(elem);
     job.max_cycles = std::min(job.max_cycles, opts_.max_cycles_cap);
-    // Server default for intra-job row parallelism; a job's own explicit
-    // "sim_threads" wins. Never journaled or hashed — host knob only.
-    if (opts_.sim_threads > 1 && job.cfg.sim_threads <= 1)
-      job.cfg.sim_threads = opts_.sim_threads;
     job.cancel = make_cancel_token();
     // With a journal, an interrupted run is worth saving: ask the sweep
     // to capture a resume point whenever the job is stopped early.

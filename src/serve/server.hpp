@@ -61,11 +61,6 @@ struct ServerOptions {
   /// Deadline applied to jobs that do not carry their own, in ms from
   /// submission; 0 = none.
   std::uint64_t default_deadline_ms = 0;
-  /// Host threads simulating the PE array for jobs that do not request
-  /// their own "sim_threads" (docs/THREADING.md). 1 = serial. Trades
-  /// job-level parallelism (workers) for intra-job parallelism on big
-  /// configs; results and cache keys are identical either way.
-  std::uint32_t sim_threads = 1;
   /// SIMD-over-jobs lane width for jobs that do not request their own
   /// "batch_lanes" (docs/PERF.md "Lane batching"). 1 = serial. Up to N
   /// homogeneous queued jobs execute in lockstep on one worker; results

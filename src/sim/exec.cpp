@@ -1,12 +1,9 @@
 #include "sim/exec.hpp"
 
-#include <atomic>
 #include <span>
-#include <vector>
 
 #include "common/bits.hpp"
 #include "sim/network/trees.hpp"
-#include "sim/pe_pool.hpp"
 
 namespace masc {
 
@@ -89,6 +86,20 @@ bool flag_op(FlagFunct f, bool a, bool b) {
   return false;
 }
 
+net::ReduceOp reduce_op_of(RedFunct f) {
+  switch (f) {
+    case RedFunct::kAnd: return net::ReduceOp::kAnd;
+    case RedFunct::kOr: return net::ReduceOp::kOr;
+    case RedFunct::kMax: return net::ReduceOp::kMax;
+    case RedFunct::kMin: return net::ReduceOp::kMin;
+    case RedFunct::kMaxU: return net::ReduceOp::kMaxU;
+    case RedFunct::kMinU: return net::ReduceOp::kMinU;
+    case RedFunct::kSum: return net::ReduceOp::kSum;
+    case RedFunct::kSumU: return net::ReduceOp::kSumU;
+    default: return net::ReduceOp::kCountFlags;
+  }
+}
+
 }  // namespace detail
 
 namespace {
@@ -96,6 +107,7 @@ namespace {
 using detail::alu_op;
 using detail::cmp_op;
 using detail::flag_op;
+using detail::reduce_op_of;
 
 /// The activity row of a masked parallel/reduction instruction: flag 0 is
 /// hardwired to 1, so an unmasked instruction reads the all-ones row.
@@ -115,34 +127,6 @@ const Word* value_row(const ArchState& st, ThreadId t, RegNum r) {
   return st.preg_row(t, r);
 }
 
-/// Run `body(lo, hi)` over the PE index space [0, p): fanned out across
-/// the pool's fixed chunks when one is attached and the array is large
-/// enough to amortize the fork/join barrier, inline otherwise. Bodies
-/// are elementwise over the SoA rows — element pe is read and written
-/// only by the chunk owning pe — so both paths compute identical state
-/// (docs/THREADING.md spells out the contract).
-template <typename Body>
-void rows(PEWorkerPool* pool, std::uint32_t p, Body&& body) {
-  if (pool != nullptr && p >= kRowFanoutMinPes)
-    pool->run(p, body);
-  else
-    body(std::size_t{0}, std::size_t{p});
-}
-
-net::ReduceOp reduce_op_of(RedFunct f) {
-  switch (f) {
-    case RedFunct::kAnd: return net::ReduceOp::kAnd;
-    case RedFunct::kOr: return net::ReduceOp::kOr;
-    case RedFunct::kMax: return net::ReduceOp::kMax;
-    case RedFunct::kMin: return net::ReduceOp::kMin;
-    case RedFunct::kMaxU: return net::ReduceOp::kMaxU;
-    case RedFunct::kMinU: return net::ReduceOp::kMinU;
-    case RedFunct::kSum: return net::ReduceOp::kSum;
-    case RedFunct::kSumU: return net::ReduceOp::kSumU;
-    default: return net::ReduceOp::kCountFlags;
-  }
-}
-
 /// Execute a parallel-class instruction across the PE array.
 ///
 /// The per-PE state is stored structure-of-arrays (one contiguous row per
@@ -151,12 +135,7 @@ net::ReduceOp reduce_op_of(RedFunct f) {
 /// bounds-checked scalar accessors. Writes to hardwired register/flag 0
 /// have no architectural effect, so those loops are skipped outright —
 /// except PLW, whose address bounds checks must still fire.
-///
-/// With a pool attached the row loops run chunk-parallel via rows();
-/// every other effect of the instruction (operand checks, scalar reads)
-/// happens before the fan-out, on the coordinator.
-void exec_parallel(ArchState& st, ThreadId t, const Instruction& in,
-                   PEWorkerPool* pool) {
+void exec_parallel(ArchState& st, ThreadId t, const Instruction& in) {
   const auto& cfg = st.config();
   const unsigned w = cfg.word_width;
   const std::uint32_t p = cfg.num_pes;
@@ -184,10 +163,8 @@ void exec_parallel(ArchState& st, ThreadId t, const Instruction& in,
       const Word* const a = value_row(st, t, in.rs);
       const Word* const b = value_row(st, t, in.rt);
       Word* const d = st.preg_row(t, in.rd);
-      rows(pool, p, [&](std::size_t lo, std::size_t hi) {
-        for (std::size_t pe = lo; pe < hi; ++pe)
-          if (act[pe]) d[pe] = alu_op(f, a[pe], b[pe], w);
-      });
+      for (std::size_t pe = 0; pe < p; ++pe)
+        if (act[pe]) d[pe] = alu_op(f, a[pe], b[pe], w);
       return;
     }
     case Opcode::kPAluS: {
@@ -198,10 +175,8 @@ void exec_parallel(ArchState& st, ThreadId t, const Instruction& in,
       const Word s = st.sreg(t, in.rs);
       const Word* const b = value_row(st, t, in.rt);
       Word* const d = st.preg_row(t, in.rd);
-      rows(pool, p, [&](std::size_t lo, std::size_t hi) {
-        for (std::size_t pe = lo; pe < hi; ++pe)
-          if (act[pe]) d[pe] = alu_op(f, s, b[pe], w);
-      });
+      for (std::size_t pe = 0; pe < p; ++pe)
+        if (act[pe]) d[pe] = alu_op(f, s, b[pe], w);
       return;
     }
     case Opcode::kPImm: {
@@ -210,46 +185,42 @@ void exec_parallel(ArchState& st, ThreadId t, const Instruction& in,
       const Word imm = truncate(static_cast<Word>(in.imm), w);
       const Word* const a = value_row(st, t, in.rs);
       Word* const d = st.preg_row(t, in.rd);
-      // The funct switch sits inside the chunk body: one extra branch
-      // per chunk, and each case keeps its tight vectorizable loop.
-      rows(pool, p, [&](std::size_t lo, std::size_t hi) {
-        switch (static_cast<PImmOp>(in.funct)) {
-          case PImmOp::kAddi:
-            for (std::size_t pe = lo; pe < hi; ++pe)
-              if (act[pe]) d[pe] = alu_op(AluFunct::kAdd, a[pe], imm, w);
-            break;
-          case PImmOp::kAndi:
-            for (std::size_t pe = lo; pe < hi; ++pe)
-              if (act[pe]) d[pe] = a[pe] & imm;
-            break;
-          case PImmOp::kOri:
-            for (std::size_t pe = lo; pe < hi; ++pe)
-              if (act[pe]) d[pe] = a[pe] | imm;
-            break;
-          case PImmOp::kXori:
-            for (std::size_t pe = lo; pe < hi; ++pe)
-              if (act[pe]) d[pe] = a[pe] ^ imm;
-            break;
-          case PImmOp::kSlli:
-            for (std::size_t pe = lo; pe < hi; ++pe)
-              if (act[pe]) d[pe] = alu_op(AluFunct::kSll, a[pe], imm, w);
-            break;
-          case PImmOp::kSrli:
-            for (std::size_t pe = lo; pe < hi; ++pe)
-              if (act[pe]) d[pe] = alu_op(AluFunct::kSrl, a[pe], imm, w);
-            break;
-          case PImmOp::kSrai:
-            for (std::size_t pe = lo; pe < hi; ++pe)
-              if (act[pe]) d[pe] = alu_op(AluFunct::kSra, a[pe], imm, w);
-            break;
-          case PImmOp::kMovi:
-            for (std::size_t pe = lo; pe < hi; ++pe)
-              if (act[pe]) d[pe] = imm;
-            break;
-          case PImmOp::kCount:
-            break;
-        }
-      });
+      switch (static_cast<PImmOp>(in.funct)) {
+        case PImmOp::kAddi:
+          for (std::size_t pe = 0; pe < p; ++pe)
+            if (act[pe]) d[pe] = alu_op(AluFunct::kAdd, a[pe], imm, w);
+          break;
+        case PImmOp::kAndi:
+          for (std::size_t pe = 0; pe < p; ++pe)
+            if (act[pe]) d[pe] = a[pe] & imm;
+          break;
+        case PImmOp::kOri:
+          for (std::size_t pe = 0; pe < p; ++pe)
+            if (act[pe]) d[pe] = a[pe] | imm;
+          break;
+        case PImmOp::kXori:
+          for (std::size_t pe = 0; pe < p; ++pe)
+            if (act[pe]) d[pe] = a[pe] ^ imm;
+          break;
+        case PImmOp::kSlli:
+          for (std::size_t pe = 0; pe < p; ++pe)
+            if (act[pe]) d[pe] = alu_op(AluFunct::kSll, a[pe], imm, w);
+          break;
+        case PImmOp::kSrli:
+          for (std::size_t pe = 0; pe < p; ++pe)
+            if (act[pe]) d[pe] = alu_op(AluFunct::kSrl, a[pe], imm, w);
+          break;
+        case PImmOp::kSrai:
+          for (std::size_t pe = 0; pe < p; ++pe)
+            if (act[pe]) d[pe] = alu_op(AluFunct::kSra, a[pe], imm, w);
+          break;
+        case PImmOp::kMovi:
+          for (std::size_t pe = 0; pe < p; ++pe)
+            if (act[pe]) d[pe] = imm;
+          break;
+        case PImmOp::kCount:
+          break;
+      }
       return;
     }
     case Opcode::kPCmp: {
@@ -259,10 +230,8 @@ void exec_parallel(ArchState& st, ThreadId t, const Instruction& in,
       const Word* const a = value_row(st, t, in.rs);
       const Word* const b = value_row(st, t, in.rt);
       std::uint8_t* const d = st.pflag_row(t, in.rd);
-      rows(pool, p, [&](std::size_t lo, std::size_t hi) {
-        for (std::size_t pe = lo; pe < hi; ++pe)
-          if (act[pe]) d[pe] = cmp_op(f, a[pe], b[pe], w) ? 1 : 0;
-      });
+      for (std::size_t pe = 0; pe < p; ++pe)
+        if (act[pe]) d[pe] = cmp_op(f, a[pe], b[pe], w) ? 1 : 0;
       return;
     }
     case Opcode::kPCmpS: {
@@ -272,10 +241,8 @@ void exec_parallel(ArchState& st, ThreadId t, const Instruction& in,
       const Word s = st.sreg(t, in.rs);
       const Word* const b = value_row(st, t, in.rt);
       std::uint8_t* const d = st.pflag_row(t, in.rd);
-      rows(pool, p, [&](std::size_t lo, std::size_t hi) {
-        for (std::size_t pe = lo; pe < hi; ++pe)
-          if (act[pe]) d[pe] = cmp_op(f, s, b[pe], w) ? 1 : 0;
-      });
+      for (std::size_t pe = 0; pe < p; ++pe)
+        if (act[pe]) d[pe] = cmp_op(f, s, b[pe], w) ? 1 : 0;
       return;
     }
     case Opcode::kPFlag: {
@@ -285,80 +252,33 @@ void exec_parallel(ArchState& st, ThreadId t, const Instruction& in,
       const std::uint8_t* const a = activity_row(st, t, in.rs);
       const std::uint8_t* const b = activity_row(st, t, in.rt);
       std::uint8_t* const d = st.pflag_row(t, in.rd);
-      rows(pool, p, [&](std::size_t lo, std::size_t hi) {
-        for (std::size_t pe = lo; pe < hi; ++pe)
-          if (act[pe]) d[pe] = flag_op(f, a[pe] != 0, b[pe] != 0) ? 1 : 0;
-      });
+      for (std::size_t pe = 0; pe < p; ++pe)
+        if (act[pe]) d[pe] = flag_op(f, a[pe] != 0, b[pe] != 0) ? 1 : 0;
       return;
     }
     case Opcode::kPLw: {
       if (in.rd != 0) check_preg(in.rd);
       const Word* const base = value_row(st, t, in.rs);
       Word* const d = in.rd != 0 ? st.preg_row(t, in.rd) : nullptr;
-      // The only row loops that can fault mid-array are PLW/PSW address
-      // checks. The serial loop throws at the lowest faulting PE with
-      // all lower PEs already applied; to keep that state bit-identical,
-      // the pooled path first validates addresses read-only in parallel
-      // and, if anything faults, re-runs the whole op serially so the
-      // partial effects and the thrown message match the serial machine
-      // exactly.
-      auto serial = [&] {
-        for (PEIndex pe = 0; pe < p; ++pe) {
-          if (!act[pe]) continue;
-          const Addr a = truncate(base[pe] + static_cast<Word>(in.imm), 32);
-          expect(a < cfg.local_mem_bytes, "local memory read out of range");
-          if (d) d[pe] = st.local_mem_row(pe)[a];
-        }
-      };
-      if (pool == nullptr || p < kRowFanoutMinPes) return serial();
-      std::atomic<bool> fault{false};
-      pool->run(p, [&](std::size_t lo, std::size_t hi) {
-        for (std::size_t pe = lo; pe < hi; ++pe) {
-          if (!act[pe]) continue;
-          const Addr a = truncate(base[pe] + static_cast<Word>(in.imm), 32);
-          if (a >= cfg.local_mem_bytes)
-            fault.store(true, std::memory_order_relaxed);
-        }
-      });
-      if (fault.load(std::memory_order_relaxed)) return serial();
-      pool->run(p, [&](std::size_t lo, std::size_t hi) {
-        for (std::size_t pe = lo; pe < hi; ++pe) {
-          if (!act[pe]) continue;
-          const Addr a = truncate(base[pe] + static_cast<Word>(in.imm), 32);
-          if (d) d[pe] = st.local_mem_row(static_cast<PEIndex>(pe))[a];
-        }
-      });
+      // The only row loops that can fault mid-array: the fault fires at
+      // the lowest faulting PE with every lower PE already applied.
+      for (PEIndex pe = 0; pe < p; ++pe) {
+        if (!act[pe]) continue;
+        const Addr a = truncate(base[pe] + static_cast<Word>(in.imm), 32);
+        expect(a < cfg.local_mem_bytes, "local memory read out of range");
+        if (d) d[pe] = st.local_mem_row(pe)[a];
+      }
       return;
     }
     case Opcode::kPSw: {
       const Word* const base = value_row(st, t, in.rs);
       const Word* const src = value_row(st, t, in.rd);
-      auto serial = [&] {
-        for (PEIndex pe = 0; pe < p; ++pe) {
-          if (!act[pe]) continue;
-          const Addr a = truncate(base[pe] + static_cast<Word>(in.imm), 32);
-          expect(a < cfg.local_mem_bytes, "local memory write out of range");
-          st.local_mem_row(pe)[a] = src[pe];
-        }
-      };
-      if (pool == nullptr || p < kRowFanoutMinPes) return serial();
-      std::atomic<bool> fault{false};
-      pool->run(p, [&](std::size_t lo, std::size_t hi) {
-        for (std::size_t pe = lo; pe < hi; ++pe) {
-          if (!act[pe]) continue;
-          const Addr a = truncate(base[pe] + static_cast<Word>(in.imm), 32);
-          if (a >= cfg.local_mem_bytes)
-            fault.store(true, std::memory_order_relaxed);
-        }
-      });
-      if (fault.load(std::memory_order_relaxed)) return serial();
-      pool->run(p, [&](std::size_t lo, std::size_t hi) {
-        for (std::size_t pe = lo; pe < hi; ++pe) {
-          if (!act[pe]) continue;
-          const Addr a = truncate(base[pe] + static_cast<Word>(in.imm), 32);
-          st.local_mem_row(static_cast<PEIndex>(pe))[a] = src[pe];
-        }
-      });
+      for (PEIndex pe = 0; pe < p; ++pe) {
+        if (!act[pe]) continue;
+        const Addr a = truncate(base[pe] + static_cast<Word>(in.imm), 32);
+        expect(a < cfg.local_mem_bytes, "local memory write out of range");
+        st.local_mem_row(pe)[a] = src[pe];
+      }
       return;
     }
     case Opcode::kPMov: {
@@ -367,15 +287,11 @@ void exec_parallel(ArchState& st, ThreadId t, const Instruction& in,
       Word* const d = st.preg_row(t, in.rd);
       if (static_cast<PMovFunct>(in.funct) == PMovFunct::kBcast) {
         const Word s = st.sreg(t, in.rs);
-        rows(pool, p, [&](std::size_t lo, std::size_t hi) {
-          for (std::size_t pe = lo; pe < hi; ++pe)
-            if (act[pe]) d[pe] = s;
-        });
+        for (std::size_t pe = 0; pe < p; ++pe)
+          if (act[pe]) d[pe] = s;
       } else {
-        rows(pool, p, [&](std::size_t lo, std::size_t hi) {
-          for (std::size_t pe = lo; pe < hi; ++pe)
-            if (act[pe]) d[pe] = truncate(static_cast<Word>(pe), w);
-        });
+        for (std::size_t pe = 0; pe < p; ++pe)
+          if (act[pe]) d[pe] = truncate(static_cast<Word>(pe), w);
       }
       return;
     }
@@ -387,13 +303,7 @@ void exec_parallel(ArchState& st, ThreadId t, const Instruction& in,
 /// Execute a reduction-class instruction (uses the reduction network).
 /// Operand vectors are passed to the network as spans over the SoA
 /// register rows — no per-instruction gather copies.
-///
-/// Reductions and the responder resolver are GLOBAL phases: they fold
-/// the whole array in a fixed tree order, so they always run on the
-/// coordinator regardless of pool. Only RSEL's elementwise write-back
-/// loop (after `first` is known) fans out.
-void exec_reduction(ArchState& st, ThreadId t, const Instruction& in,
-                    PEWorkerPool* pool) {
+void exec_reduction(ArchState& st, ThreadId t, const Instruction& in) {
   const auto& cfg = st.config();
   const unsigned w = cfg.word_width;
   const std::uint32_t p = cfg.num_pes;
@@ -409,15 +319,13 @@ void exec_reduction(ArchState& st, ThreadId t, const Instruction& in,
     if (in.rd == 0) return;  // flag 0 is hardwired; writes are dropped
     expect(in.rd < cfg.num_flag_regs, "parallel flag out of range");
     std::uint8_t* const d = st.pflag_row(t, in.rd);
-    rows(pool, p, [&](std::size_t lo, std::size_t hi) {
-      for (std::size_t pe = lo; pe < hi; ++pe) {
-        if (!act[pe]) continue;
-        if (f == RSelFunct::kFirst)
-          d[pe] = pe == first ? 1 : 0;
-        else  // kClearFirst: source flags minus the first responder
-          d[pe] = (flags[pe] && pe != first) ? 1 : 0;
-      }
-    });
+    for (std::size_t pe = 0; pe < p; ++pe) {
+      if (!act[pe]) continue;
+      if (f == RSelFunct::kFirst)
+        d[pe] = pe == first ? 1 : 0;
+      else  // kClearFirst: source flags minus the first responder
+        d[pe] = (flags[pe] && pe != first) ? 1 : 0;
+    }
     return;
   }
 
@@ -459,8 +367,7 @@ void exec_reduction(ArchState& st, ThreadId t, const Instruction& in,
 
 }  // namespace
 
-ExecResult execute(ArchState& st, ThreadId t, Addr pc, const Instruction& in,
-                   PEWorkerPool* pool) {
+ExecResult execute(ArchState& st, ThreadId t, Addr pc, const Instruction& in) {
   ExecResult res;
   res.next_pc = pc + 1;
   const auto& cfg = st.config();
@@ -468,10 +375,10 @@ ExecResult execute(ArchState& st, ThreadId t, Addr pc, const Instruction& in,
 
   switch (in.instr_class()) {
     case InstrClass::kParallel:
-      exec_parallel(st, t, in, pool);
+      exec_parallel(st, t, in);
       return res;
     case InstrClass::kReduction:
-      exec_reduction(st, t, in, pool);
+      exec_reduction(st, t, in);
       return res;
     case InstrClass::kScalar:
       break;

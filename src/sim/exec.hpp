@@ -6,12 +6,16 @@
 // scoreboard).
 #pragma once
 
+#include <cstdint>
+
 #include "isa/instruction.hpp"
 #include "sim/arch_state.hpp"
 
 namespace masc {
 
-class PEWorkerPool;
+namespace net {
+enum class ReduceOp : std::uint8_t;  // sim/network/trees.hpp
+}  // namespace net
 
 /// Control-flow / thread-lifecycle outcome of executing one instruction.
 struct ExecResult {
@@ -27,14 +31,7 @@ struct ExecResult {
 /// Execute one instruction for thread `t` at PC `pc`. Applies all register,
 /// flag, and memory effects to `st` and returns the control outcome.
 /// Throws SimulationError for illegal runtime actions.
-///
-/// `pool`, when non-null, fans the parallel-class row loops out over the
-/// pool's fixed PE chunks (docs/THREADING.md). Results are bit-identical
-/// with or without a pool — reductions, responder resolution, and every
-/// scalar effect stay on the calling thread — so the functional simulator
-/// and debugger simply leave it null.
-ExecResult execute(ArchState& st, ThreadId t, Addr pc, const Instruction& in,
-                   PEWorkerPool* pool = nullptr);
+ExecResult execute(ArchState& st, ThreadId t, Addr pc, const Instruction& in);
 
 namespace detail {
 
@@ -48,6 +45,9 @@ bool cmp_op(CmpFunct f, Word a, Word b, unsigned width);
 
 /// Flag-logic semantics.
 bool flag_op(FlagFunct f, bool a, bool b);
+
+/// The reduction-network operator a value reduction (RED funct) uses.
+net::ReduceOp reduce_op_of(RedFunct f);
 
 }  // namespace detail
 

@@ -8,51 +8,19 @@
 #include "common/bits.hpp"
 #include "common/error.hpp"
 #include "fault/fault.hpp"
-#include "isa/encoding.hpp"
-#include "isa/operands.hpp"
 #include "sim/arch_state.hpp"
 #include "sim/exec.hpp"
 #include "sim/network/trees.hpp"
-#include "sim/scoreboard.hpp"
-#include "sim/stats.hpp"
+#include "sim/pipeline.hpp"
 
 namespace masc {
 
 namespace {
 
-// Timing constants, identical to machine.cpp (the control pass below is a
-// lockstep copy of Machine's issue logic and must never drift from it —
-// lane_batch_test.cpp pins bit-identity against the serial Machine across
-// every scheduling policy).
-constexpr unsigned kSerialCpi = 5;
-constexpr unsigned kTakenPenalty = 4;
-constexpr unsigned kUntakenPenalty = 2;
-constexpr unsigned kStartupPenalty = 4;
-
-bool uses_maxmin_unit(const Instruction& in) {
-  if (in.op != Opcode::kRed) return false;
-  const auto f = static_cast<RedFunct>(in.funct);
-  return f == RedFunct::kMax || f == RedFunct::kMin ||
-         f == RedFunct::kMaxU || f == RedFunct::kMinU;
-}
-
-net::ReduceOp reduce_op_of(RedFunct f) {
-  switch (f) {
-    case RedFunct::kAnd: return net::ReduceOp::kAnd;
-    case RedFunct::kOr: return net::ReduceOp::kOr;
-    case RedFunct::kMax: return net::ReduceOp::kMax;
-    case RedFunct::kMin: return net::ReduceOp::kMin;
-    case RedFunct::kMaxU: return net::ReduceOp::kMaxU;
-    case RedFunct::kMinU: return net::ReduceOp::kMinU;
-    case RedFunct::kSum: return net::ReduceOp::kSum;
-    case RedFunct::kSumU: return net::ReduceOp::kSumU;
-    default: return net::ReduceOp::kCountFlags;
-  }
-}
-
 using detail::alu_op;
 using detail::cmp_op;
 using detail::flag_op;
+using detail::reduce_op_of;
 
 /// Hot-path overload of masc::expect. The common one takes a
 /// `const std::string&`, so every call materializes (and frees) a
@@ -76,7 +44,8 @@ enum class LaneStop : std::uint8_t {
   kReplay,   ///< ejected; must be re-run serially from cycle 0
 };
 
-/// N SweepJobs in lockstep. Control and timing state is SHARED — one
+/// N SweepJobs in lockstep: the lane datapath under the one control
+/// pass (sim/pipeline.hpp). Control and timing state is SHARED — one
 /// thread table, one scoreboard, one Stats — because it is a function of
 /// the instruction sequence plus the tapped control values, which are
 /// verified uniform across live lanes before every use (tap()). Data
@@ -84,23 +53,15 @@ enum class LaneStop : std::uint8_t {
 /// row loops stride unit across lanes (job-index as the innermost SoA
 /// dimension). A snapshot of the shared Stats at the cycle a lane stops
 /// is bit-identical to that lane's own serial Stats.
-class BatchMachine {
+class BatchMachine : public Pipeline<BatchMachine> {
  public:
   BatchMachine(const MachineConfig& cfg, std::uint32_t lanes)
-      : cfg_(cfg),
-        L_(lanes),
-        P_(cfg.num_pes),
-        W_(cfg.word_width),
-        scoreboard_(cfg, cfg.effective_threads()) {
-    cfg_.validate();
+      : Pipeline(cfg), L_(lanes), P_(cfg.num_pes), W_(cfg.word_width) {
     const std::size_t T = cfg_.effective_threads();
     live_.assign(L_, 1);
     live_count_ = L_;
     stop_.assign(L_, LaneStop::kRunning);
     fault_msg_.assign(L_, nullptr);
-    tstate_.assign(T, ThreadIssueState{});
-    stats_.issued_by_thread.assign(T, 0);
-    stats_.thread_stalls.assign(T, {});
     threads_.assign(T, ThreadContext{});
     instr_mem_.assign(cfg_.instr_mem_words, 0);
     scalar_mem_.assign(std::size_t{cfg_.scalar_mem_bytes} * L_, 0);
@@ -111,8 +72,6 @@ class BatchMachine {
     local_mem_.assign(std::size_t{P_} * cfg_.local_mem_bytes * L_, 0);
     zero_pl_.assign(std::size_t{P_} * L_, 0);
     ones_pl_.assign(std::size_t{P_} * L_, 1);
-    zero_p_.assign(P_, 0);
-    ones_p_.assign(P_, 1);
     vals_p_.resize(P_);
     act_p_.resize(P_);
     flags_p_.resize(P_);
@@ -138,20 +97,13 @@ class BatchMachine {
     }
     threads_[0].state = ThreadState::kActive;
     threads_[0].pc = shared.entry;
-    tstate_[0].ready_at = 0;
-    tstate_[0].pending_since = 0;
-    predecoded_.clear();
-    predecoded_.reserve(shared.text.size());
-    for (const InstrWord w : shared.text) predecoded_.push_back(make_entry(w));
-    fallback_pc_ = ~Addr{0};
+    load_text(shared.text);
   }
 
-  Cycle now() const { return now_; }
   std::uint32_t live_count() const { return live_count_; }
   bool lane_live(std::uint32_t lane) const { return live_[lane] != 0; }
   LaneStop stop(std::uint32_t lane) const { return stop_[lane]; }
   const char* fault_msg(std::uint32_t lane) const { return fault_msg_[lane]; }
-  const Stats& stats() const { return stats_; }
 
   /// Driver-side masking: the lane's result has been recorded (finish,
   /// cancel, deadline); drop it from lockstep execution. The shared
@@ -175,40 +127,8 @@ class BatchMachine {
     live_count_ = 0;
   }
 
-  bool finished() const {
-    return (halted_ && now_ >= drain_end_) || all_exited_;
-  }
-
-  /// Absolute-limit run loop, identical to Machine::run — chunked calls
-  /// are cycle-for-cycle identical to one straight call.
-  bool run(Cycle max_cycles) {
-    while (!finished()) {
-      if (now_ >= max_cycles) return false;
-      step();
-    }
-    return true;
-  }
-
  private:
-  struct ThreadIssueState {
-    Cycle ready_at = 0;
-    Cycle pending_since = 0;
-    StallCause blocked_on = StallCause::kNone;
-  };
-
-  struct DecodedEntry {
-    Instruction instr;
-    OperandInfo info;
-    unsigned avail_off = 1;
-    unsigned ex_off = 1;
-    bool uses_falkoff_maxmin = false;
-    bool valid = false;
-  };
-
-  struct HazardCheck {
-    Cycle earliest = 0;
-    StallCause cause = StallCause::kNone;
-  };
+  friend class Pipeline<BatchMachine>;
 
   // --- Lane ejection ---------------------------------------------------------
 
@@ -266,8 +186,9 @@ class BatchMachine {
     return best;
   }
 
-  /// Per-lane read of a scalar register, tapped to a single control value.
-  Word tap_sreg(ThreadId t, RegNum r) {
+  /// Per-lane read of a scalar register, tapped to a single control value
+  /// (datapath hook: the pipeline reads the TMOV target through it).
+  Word control_sreg(ThreadId t, RegNum r) {
     for_live([&](std::uint32_t lane) { taps_[lane] = sreg(lane, t, r); });
     return tap();
   }
@@ -331,6 +252,10 @@ class BatchMachine {
     return pregs_.data() + preg_row_i(t, r);
   }
 
+  // --- Thread table and instruction memory (shared by every lane) ----------
+
+  ThreadContext& thread(ThreadId t) { return threads_[t]; }
+
   ThreadId allocate_thread(Addr entry_pc) {
     for (ThreadId t = 0; t < threads_.size(); ++t) {
       if (threads_[t].state == ThreadState::kFree) {
@@ -356,165 +281,6 @@ class BatchMachine {
   InstrWord fetch(Addr pc) const {
     expect(pc < instr_mem_.size(), "PC out of instruction memory");
     return instr_mem_[pc];
-  }
-
-  // --- Predecode (copied from machine.cpp) -----------------------------------
-
-  DecodedEntry make_entry(InstrWord word) const {
-    DecodedEntry de;
-    try {
-      de.instr = decode(word);
-    } catch (const DecodeError&) {
-      de.valid = false;
-      return de;
-    }
-    de.valid = true;
-    de.info = operands_of(de.instr);
-    de.avail_off = avail_offset(de.instr);
-    de.ex_off = ex_offset(de.instr);
-    de.uses_falkoff_maxmin = uses_maxmin_unit(de.instr) &&
-                             cfg_.maxmin_unit == MaxMinUnitKind::kFalkoff;
-    return de;
-  }
-
-  const DecodedEntry& decoded(Addr pc) {
-    if (pc < predecoded_.size()) {
-      const DecodedEntry& de = predecoded_[pc];
-      if (!de.valid) decode(fetch(pc));  // surface the DecodeError (uniform)
-      return de;
-    }
-    if (fallback_pc_ != pc) {
-      fallback_entry_ = make_entry(fetch(pc));
-      if (!fallback_entry_.valid) decode(fetch(pc));
-      fallback_pc_ = pc;
-    }
-    return fallback_entry_;
-  }
-
-  unsigned avail_offset(const Instruction& in) const {
-    const unsigned b = cfg_.broadcast_latency();
-    const unsigned r = cfg_.reduction_latency();
-    const unsigned w = cfg_.word_width;
-    switch (in.instr_class()) {
-      case InstrClass::kScalar: {
-        if (in.op == Opcode::kLw) return 2;
-        if (in.op == Opcode::kSAlu) {
-          const auto f = static_cast<AluFunct>(in.funct);
-          if (f == AluFunct::kMul)
-            return cfg_.multiplier == MultiplierKind::kSequential ? w : 2;
-          if (alu_uses_div(f)) return w;
-        }
-        return 1;
-      }
-      case InstrClass::kParallel: {
-        if (in.op == Opcode::kPLw) return b + 3;
-        if (in.op == Opcode::kPAlu || in.op == Opcode::kPAluS) {
-          const auto f = static_cast<AluFunct>(in.funct);
-          if (f == AluFunct::kMul)
-            return cfg_.multiplier == MultiplierKind::kSequential ? b + 1 + w
-                                                                  : b + 3;
-          if (alu_uses_div(f)) return b + 1 + w;
-        }
-        return b + 2;
-      }
-      case InstrClass::kReduction:
-        if (uses_maxmin_unit(in) && cfg_.maxmin_unit == MaxMinUnitKind::kFalkoff)
-          return b + 1 + w;
-        return b + r + 1;
-    }
-    return 1;
-  }
-
-  unsigned ex_offset(const Instruction& in) const {
-    return in.instr_class() == InstrClass::kScalar
-               ? 1
-               : cfg_.broadcast_latency() + 2;
-  }
-
-  // --- Hazard check (copied from machine.cpp; TMOV target is tapped) --------
-
-  HazardCheck earliest_issue(ThreadId t, const DecodedEntry& de) {
-    const unsigned b = cfg_.broadcast_latency();
-    HazardCheck hc;
-    hc.earliest = tstate_[t].ready_at;
-
-    const Instruction& in = de.instr;
-    const OperandInfo& info = de.info;
-
-    auto raise = [&](Cycle e, StallCause c) {
-      if (e > hc.earliest) {
-        hc.earliest = e;
-        hc.cause = c;
-      }
-    };
-
-    auto classify_raw = [&](InstrClass producer, ReadPoint at) {
-      if (producer == InstrClass::kReduction)
-        return at == ReadPoint::kScalarEx ? StallCause::kReductionHazard
-                                          : StallCause::kBroadcastReductionHazard;
-      return StallCause::kDataHazard;
-    };
-
-    for (std::uint32_t k = 0; k < info.num_reads; ++k) {
-      const RegRead& rr = info.reads[k];
-      if (rr.ref.hardwired()) continue;
-      const auto& entry = scoreboard_.lookup(t, rr.ref);
-      if (entry.avail == 0) continue;
-      const Cycle delta = rr.at == ReadPoint::kParallelRead ? b + 1 : 0;
-      const Cycle need = entry.avail > delta ? entry.avail - delta : 0;
-      raise(need, classify_raw(entry.producer, rr.at));
-    }
-
-    // The target thread id is data that steers a *control* decision
-    // (which scoreboard entry gates issue), so it must be uniform across
-    // live lanes — tapped every cycle this instruction is a candidate.
-    if (in.op == Opcode::kTMov) {
-      const Word target = tap_sreg(t, in.rt);
-      if (target < num_threads()) {
-        if (static_cast<TMovFunct>(in.funct) == TMovFunct::kGet) {
-          const auto& entry =
-              scoreboard_.lookup(target, RegRef{RegSpace::kScalarGpr, in.rs});
-          if (entry.avail != 0)
-            raise(entry.avail, classify_raw(entry.producer, ReadPoint::kScalarEx));
-        } else {
-          const auto& entry =
-              scoreboard_.lookup(target, RegRef{RegSpace::kScalarGpr, in.rd});
-          if (entry.avail != 0) raise(entry.avail, StallCause::kWawHazard);
-        }
-      }
-    }
-
-    if (info.write && !info.write->hardwired()) {
-      const auto& pending = scoreboard_.lookup(t, *info.write);
-      if (pending.avail != 0) {
-        const unsigned off = de.avail_off;
-        const Cycle need = pending.avail + 1 > off ? pending.avail + 1 - off : 0;
-        raise(need, StallCause::kWawHazard);
-      }
-    }
-
-    const bool seq_mul = cfg_.multiplier == MultiplierKind::kSequential;
-    const bool seq_div = cfg_.divider == DividerKind::kSequential;
-    if ((info.uses_scalar_mul && seq_mul) || (info.uses_scalar_div && seq_div)) {
-      const unsigned off = de.ex_off;
-      const Cycle need = scalar_muldiv_free_ > off ? scalar_muldiv_free_ - off : 0;
-      raise(need, StallCause::kStructuralHazard);
-    }
-    if ((info.uses_pe_mul && seq_mul) || (info.uses_pe_div && seq_div)) {
-      const unsigned off = de.ex_off;
-      const Cycle need = pe_muldiv_free_ > off ? pe_muldiv_free_ - off : 0;
-      raise(need, StallCause::kStructuralHazard);
-    }
-    if (de.uses_falkoff_maxmin) {
-      const unsigned off = de.ex_off;
-      const Cycle need = falkoff_free_ > off ? falkoff_free_ - off : 0;
-      raise(need, StallCause::kStructuralHazard);
-    }
-
-    if (hc.earliest == tstate_[t].ready_at && hc.cause == StallCause::kNone &&
-        tstate_[t].ready_at > now_)
-      hc.cause = StallCause::kControlPenalty;
-    return hc;
   }
 
   // --- Batched execute -------------------------------------------------------
@@ -822,7 +588,8 @@ class BatchMachine {
     }
   }
 
-  ExecResult bexec(ThreadId t, Addr pc, const Instruction& in) {
+  /// Datapath hook: one instruction for every live lane.
+  ExecResult exec(ThreadId t, Addr pc, const Instruction& in) {
     ExecResult res;
     res.next_pc = pc + 1;
     const unsigned w = W_;
@@ -1008,7 +775,7 @@ class BatchMachine {
         res.taken_branch = true;
         break;
       case Opcode::kJr:
-        res.next_pc = tap_sreg(t, in.rs);
+        res.next_pc = control_sreg(t, in.rs);
         res.taken_branch = true;
         break;
 
@@ -1017,7 +784,7 @@ class BatchMachine {
           case TCtlFunct::kSpawn: {
             // A spawn writes the shared thread table, so the entry PC
             // must be uniform.
-            const Addr entry = tap_sreg(t, in.rs);
+            const Addr entry = control_sreg(t, in.rs);
             const ThreadId child = allocate_thread(entry);
             res.spawned = child;
             for_live([&](std::uint32_t lane) {
@@ -1028,7 +795,7 @@ class BatchMachine {
             break;
           }
           case TCtlFunct::kJoin: {
-            const Word target = tap_sreg(t, in.rs);
+            const Word target = control_sreg(t, in.rs);
             if (target >= num_threads())
               throw SimulationError("tjoin: thread id out of range");
             if (threads_[target].state != ThreadState::kFree) {
@@ -1061,7 +828,7 @@ class BatchMachine {
         break;
 
       case Opcode::kTMov: {
-        const Word target = tap_sreg(t, in.rt);
+        const Word target = control_sreg(t, in.rt);
         if (target >= num_threads())
           throw SimulationError("tput/tget: thread id out of range");
         if (static_cast<TMovFunct>(in.funct) == TMovFunct::kPut) {
@@ -1082,219 +849,8 @@ class BatchMachine {
     return res;
   }
 
-  // --- Issue stage (copied from machine.cpp; trace elided) -------------------
-
-  void issue(ThreadId t, const DecodedEntry& de) {
-    auto& ts = tstate_[t];
-    auto& ctx = threads_[t];
-    const Addr pc = ctx.pc;
-    const Instruction& in = de.instr;
-    const OperandInfo& info = de.info;
-
-    if ((info.uses_scalar_mul || info.uses_pe_mul) &&
-        cfg_.multiplier == MultiplierKind::kNone)
-      throw SimulationError("MUL executed but no multiplier configured");
-    if ((info.uses_scalar_div || info.uses_pe_div) &&
-        cfg_.divider == DividerKind::kNone)
-      throw SimulationError("DIV/REM executed but no divider configured");
-
-    const ExecResult res = bexec(t, pc, in);
-    const Cycle avail = now_ + de.avail_off;
-
-    const InstrClass cls = in.instr_class();
-    if (info.write && !info.write->hardwired())
-      scoreboard_.record_write(t, *info.write, avail, cls);
-    if (in.op == Opcode::kTMov &&
-        static_cast<TMovFunct>(in.funct) == TMovFunct::kPut) {
-      // The serial machine re-reads rt AFTER execute (a TPUT to the
-      // issuing thread's own rt changes it), so the value is re-tapped
-      // here rather than reused from bexec.
-      const Word target = tap_sreg(t, in.rt);
-      if (target < num_threads() && in.rd != 0)
-        scoreboard_.record_write(static_cast<ThreadId>(target),
-                                 RegRef{RegSpace::kScalarGpr, in.rd}, avail,
-                                 InstrClass::kScalar);
-    }
-
-    const bool seq_mul = cfg_.multiplier == MultiplierKind::kSequential;
-    const bool seq_div = cfg_.divider == DividerKind::kSequential;
-    if ((info.uses_scalar_mul && seq_mul) || (info.uses_scalar_div && seq_div))
-      scalar_muldiv_free_ = avail + 1;
-    if ((info.uses_pe_mul && seq_mul) || (info.uses_pe_div && seq_div))
-      pe_muldiv_free_ = avail + 1;
-    if (de.uses_falkoff_maxmin) falkoff_free_ = avail + 1;
-
-    ctx.pc = res.next_pc;
-    Cycle next_ready = now_ + 1;
-    if (!cfg_.pipelined_execution) next_ready = now_ + kSerialCpi;
-    if (in.is_branch())
-      next_ready = now_ + (res.taken_branch ? kTakenPenalty : kUntakenPenalty);
-    if (res.blocked_join) {
-      ctx.state = ThreadState::kWaiting;
-      ctx.join_target = res.join_target;
-    }
-    if (res.exited) {
-      ctx.state = ThreadState::kFree;
-      for (ThreadId j = 0; j < num_threads(); ++j) {
-        auto& jc = threads_[j];
-        if (jc.state == ThreadState::kWaiting && jc.join_target == t) {
-          jc.state = ThreadState::kActive;
-          tstate_[j].ready_at = now_ + kStartupPenalty;
-          tstate_[j].pending_since = tstate_[j].ready_at;
-        }
-      }
-      if (active_thread_count() == 0) all_exited_ = true;
-    }
-    if (res.spawned != ArchState::kNoThread) {
-      tstate_[res.spawned].ready_at = now_ + kStartupPenalty;
-      tstate_[res.spawned].pending_since = tstate_[res.spawned].ready_at;
-    }
-    if (res.halt) {
-      halted_ = true;
-      drain_end_ = now_ + 4;
-    }
-
-    ++stats_.instructions;
-    ++stats_.issued_by_class[static_cast<std::size_t>(cls)];
-    ++stats_.issued_by_thread[t];
-    if (cls != InstrClass::kScalar) ++stats_.broadcast_ops;
-    if (cls == InstrClass::kReduction) ++stats_.reduction_ops;
-
-    ts.ready_at = next_ready;
-    ts.pending_since = next_ready;
-    ts.blocked_on = StallCause::kNone;
-    last_issued_ = t;
-  }
-
-  void issue_stage_finegrain(std::uint32_t max_issues) {
-    const std::uint32_t T = num_threads();
-    std::uint32_t issued = 0;
-    StallCause first_block = StallCause::kNone;
-    bool any_live = false;
-
-    const ThreadId rotate_from = last_issued_;
-    for (std::uint32_t k = 0; k < T && issued < max_issues; ++k) {
-      const ThreadId t = (rotate_from + 1 + k) % T;
-      auto& ctx = threads_[t];
-      if (ctx.state == ThreadState::kFree) continue;
-      any_live = true;
-      if (ctx.state == ThreadState::kWaiting) {
-        ++stats_.thread_stalls[t][static_cast<std::size_t>(StallCause::kJoinWait)];
-        if (first_block == StallCause::kNone) first_block = StallCause::kJoinWait;
-        continue;
-      }
-      if (tstate_[t].ready_at > now_) {
-        ++stats_.thread_stalls[t]
-                              [static_cast<std::size_t>(StallCause::kControlPenalty)];
-        if (first_block == StallCause::kNone)
-          first_block = StallCause::kControlPenalty;
-        continue;
-      }
-      const DecodedEntry& de = decoded(ctx.pc);
-      const HazardCheck hc = earliest_issue(t, de);
-      if (hc.earliest <= now_) {
-        issue(t, de);
-        ++issued;
-      } else {
-        ++stats_.thread_stalls[t][static_cast<std::size_t>(hc.cause)];
-        tstate_[t].blocked_on = hc.cause;
-        if (first_block == StallCause::kNone) first_block = hc.cause;
-      }
-    }
-
-    if (issued == 0) {
-      if (any_live) {
-        ++stats_.idle_cycles;
-        ++stats_.idle_by_cause[static_cast<std::size_t>(first_block)];
-      } else {
-        all_exited_ = true;
-      }
-    }
-  }
-
-  void issue_stage_coarse() {
-    const std::uint32_t T = num_threads();
-
-    if (active_thread_count() == 0) {
-      all_exited_ = true;
-      return;
-    }
-
-    auto idle = [&](StallCause cause) {
-      ++stats_.idle_cycles;
-      ++stats_.idle_by_cause[static_cast<std::size_t>(cause)];
-    };
-
-    if (switch_until_ > now_) {
-      idle(StallCause::kThreadSwitch);
-      return;
-    }
-
-    const auto& ctx = threads_[coarse_thread_];
-    bool resident_runnable = false;
-    StallCause resident_cause = StallCause::kJoinWait;
-    Cycle resident_wait = ~Cycle{0};
-    if (ctx.state == ThreadState::kActive) {
-      if (tstate_[coarse_thread_].ready_at > now_) {
-        resident_cause = StallCause::kControlPenalty;
-        resident_wait = tstate_[coarse_thread_].ready_at - now_;
-      } else {
-        const DecodedEntry& de = decoded(ctx.pc);
-        const HazardCheck hc = earliest_issue(coarse_thread_, de);
-        if (hc.earliest <= now_) {
-          issue(coarse_thread_, de);
-          resident_runnable = true;
-        } else {
-          resident_cause = hc.cause;
-          resident_wait = hc.earliest - now_;
-        }
-      }
-    }
-    if (resident_runnable) return;
-
-    if (resident_wait <= cfg_.switch_penalty) {
-      ++stats_.thread_stalls[coarse_thread_]
-                            [static_cast<std::size_t>(resident_cause)];
-      idle(resident_cause);
-      return;
-    }
-
-    for (std::uint32_t k = 1; k <= T; ++k) {
-      const ThreadId t = (coarse_thread_ + k) % T;
-      if (t == coarse_thread_) break;
-      if (threads_[t].state == ThreadState::kFree) continue;
-      coarse_thread_ = t;
-      switch_until_ = now_ + cfg_.switch_penalty;
-      ++stats_.thread_switches;
-      idle(StallCause::kThreadSwitch);
-      return;
-    }
-    ++stats_.thread_stalls[coarse_thread_]
-                          [static_cast<std::size_t>(resident_cause)];
-    idle(resident_cause);
-  }
-
-  void step() {
-    if (!halted_) {
-      switch (cfg_.sched_policy) {
-        case ThreadSchedPolicy::kFineGrain:
-          issue_stage_finegrain(1);
-          break;
-        case ThreadSchedPolicy::kSmt:
-          issue_stage_finegrain(cfg_.issue_width);
-          break;
-        case ThreadSchedPolicy::kCoarseGrain:
-          issue_stage_coarse();
-          break;
-      }
-    }
-    ++now_;
-    stats_.cycles = now_;
-  }
-
   // --- Fields ----------------------------------------------------------------
 
-  MachineConfig cfg_;
   const std::uint32_t L_;  ///< lanes
   const std::uint32_t P_;  ///< PEs
   const unsigned W_;       ///< word width
@@ -1304,25 +860,10 @@ class BatchMachine {
   std::vector<LaneStop> stop_;
   std::vector<const char*> fault_msg_;
 
-  // Shared control state (one copy; see class comment).
-  Scoreboard scoreboard_;
-  Stats stats_;
-  std::vector<ThreadIssueState> tstate_;
+  // Shared thread table and program image (control state; the rest of
+  // it lives in the Pipeline base).
   std::vector<ThreadContext> threads_;
   std::vector<InstrWord> instr_mem_;
-  std::vector<DecodedEntry> predecoded_;
-  Addr fallback_pc_ = ~Addr{0};
-  DecodedEntry fallback_entry_;
-  Cycle now_ = 0;
-  ThreadId last_issued_ = 0;
-  ThreadId coarse_thread_ = 0;
-  Cycle switch_until_ = 0;
-  bool halted_ = false;
-  Cycle drain_end_ = 0;
-  bool all_exited_ = false;
-  Cycle scalar_muldiv_free_ = 0;
-  Cycle pe_muldiv_free_ = 0;
-  Cycle falkoff_free_ = 0;
 
   // Per-lane data state, lane index innermost.
   std::vector<Word> scalar_mem_;       ///< [addr][lane]
@@ -1340,8 +881,6 @@ class BatchMachine {
   std::vector<Word> vals_p_;
   std::vector<std::uint8_t> act_p_;
   std::vector<std::uint8_t> flags_p_;
-  std::vector<Word> zero_p_;
-  std::vector<std::uint8_t> ones_p_;
   std::vector<Word> svals_;  ///< per-lane scalar operands
   std::vector<Word> taps_;   ///< per-lane control tap values
 };
@@ -1354,33 +893,10 @@ bool lane_batchable(const SweepJob& job) {
 }
 
 Hash128 lane_batch_key(const SweepJob& job) {
+  // sweep_cache_key's inputs minus the declared lane dimensions:
+  // program.data, label, seed.
   Fnv128 h;
-  const MachineConfig& c = job.cfg;
-  // Same field list and order as sweep_cache_key (sim_threads excluded),
-  // minus the declared lane dimensions: program.data, label, seed.
-  // result_cache_test.cpp's sizeof(MachineConfig) pin keeps both lists
-  // honest together.
-  h.u32(c.num_pes);
-  h.u32(static_cast<std::uint32_t>(c.word_width));
-  h.u32(c.num_threads);
-  h.u8(c.multithreading ? 1 : 0);
-  h.u8(static_cast<std::uint8_t>(c.sched_policy));
-  h.u32(c.issue_width);
-  h.u32(c.switch_penalty);
-  h.u32(c.num_scalar_regs);
-  h.u32(c.num_parallel_regs);
-  h.u32(c.num_flag_regs);
-  h.u32(c.local_mem_bytes);
-  h.u32(c.scalar_mem_bytes);
-  h.u32(c.instr_mem_words);
-  h.u32(c.broadcast_arity);
-  h.u8(c.pipelined_network ? 1 : 0);
-  h.u8(c.pipelined_execution ? 1 : 0);
-  h.u8(static_cast<std::uint8_t>(c.multiplier));
-  h.u8(static_cast<std::uint8_t>(c.divider));
-  h.u8(static_cast<std::uint8_t>(c.maxmin_unit));
-  h.u8(static_cast<std::uint8_t>(c.regfile_impl));
-  h.u8(static_cast<std::uint8_t>(c.flagfile_impl));
+  hash_config(h, job.cfg);
   h.u64(job.program.text.size());
   h.bytes(job.program.text.data(), job.program.text.size() * sizeof(InstrWord));
   h.u64(job.program.entry);

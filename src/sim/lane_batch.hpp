@@ -46,8 +46,8 @@ bool lane_batchable(const SweepJob& job);
 /// their keys are equal. Hashes everything that feeds sweep_cache_key()
 /// identity EXCEPT the declared lane dimension — program.data, the
 /// per-lane scalar-memory image (and label/seed, which are metadata).
-/// Like sweep_cache_key, cfg.sim_threads and SweepJob::batch_lanes are
-/// excluded: both are host knobs with bit-identical results.
+/// Like sweep_cache_key, SweepJob::batch_lanes is excluded: it is a host
+/// knob with bit-identical results.
 Hash128 lane_batch_key(const SweepJob& job);
 
 /// One lane of a batch: the job plus its index in the caller's job

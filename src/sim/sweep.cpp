@@ -183,12 +183,7 @@ SweepResult materialize_cached(const CachedSweepRun& run, const SweepJob& job,
   return r;
 }
 
-Hash128 sweep_cache_key(const SweepJob& job) {
-  Fnv128 h;
-  const MachineConfig& c = job.cfg;
-  // Every MachineConfig field, fixed order. A config field added without
-  // extending this list would let two differing machines share a key —
-  // result_cache_test.cpp pins sizeof(MachineConfig) to catch that.
+void hash_config(Fnv128& h, const MachineConfig& c) {
   h.u32(c.num_pes);
   h.u32(static_cast<std::uint32_t>(c.word_width));
   h.u32(c.num_threads);
@@ -210,9 +205,11 @@ Hash128 sweep_cache_key(const SweepJob& job) {
   h.u8(static_cast<std::uint8_t>(c.maxmin_unit));
   h.u8(static_cast<std::uint8_t>(c.regfile_impl));
   h.u8(static_cast<std::uint8_t>(c.flagfile_impl));
-  // c.sim_threads is deliberately EXCLUDED: it is a host-execution knob
-  // with bit-identical results (docs/THREADING.md), so a cached result
-  // computed at any thread count must hit for every other thread count.
+}
+
+Hash128 sweep_cache_key(const SweepJob& job) {
+  Fnv128 h;
+  hash_config(h, job.cfg);
   // The program image as loaded: text, data, entry. Symbols are
   // assembly-time bookkeeping the simulator never reads.
   h.u64(job.program.text.size());
@@ -232,8 +229,8 @@ Hash128 sweep_cache_key(const SweepJob& job) {
   }
   // Fabric knobs: every FabricConfig field, fixed order, preceded by a
   // presence byte so a K=1 fabric job (which still has a live mailbox)
-  // never shares a key with a bare single-Machine job. Unlike
-  // sim_threads, all of these change simulated behavior.
+  // never shares a key with a bare single-Machine job. All of these
+  // change simulated behavior.
   // result_cache_test.cpp pins sizeof(FabricConfig) to keep this list
   // complete.
   if (job.fabric) {

@@ -37,6 +37,7 @@
 #include "assembler/program.hpp"
 #include "common/cache_store.hpp"
 #include "common/config.hpp"
+#include "common/hash.hpp"
 #include "common/result_cache.hpp"
 #include "fabric/fabric.hpp"
 #include "sim/stats.hpp"
@@ -90,10 +91,9 @@ struct SweepJob {
   /// Lane-batching width for this job (docs/PERF.md "Lane batching"):
   /// SweepRunner may run up to this many compatible jobs in lockstep on
   /// one batched machine. 0 = inherit the runner's default
-  /// (SweepRunner::set_batch_lanes); 1 = always serial. Like
-  /// cfg.sim_threads, this is a host-execution knob with bit-identical
-  /// results, so it is deliberately EXCLUDED from sweep_cache_key() and
-  /// checkpoint identity.
+  /// (SweepRunner::set_batch_lanes); 1 = always serial. A host-execution
+  /// knob with bit-identical results, so it is deliberately EXCLUDED from
+  /// sweep_cache_key() and checkpoint identity.
   std::uint32_t batch_lanes = 0;
 
   // --- Checkpoint/restore (docs/RELIABILITY.md) -------------------------------
@@ -306,6 +306,13 @@ class SweepResultCache {
 /// cancellation/deadline/checkpoint plumbing (they select *whether* a
 /// run stops early, and early stops are never cached).
 Hash128 sweep_cache_key(const SweepJob& job);
+
+/// Feed every MachineConfig field into `h` in one fixed order: the
+/// config part of both sweep_cache_key() and lane_batch_key().
+/// result_cache_test.cpp pins sizeof(MachineConfig), so a field added
+/// without extending this list fails a test instead of letting two
+/// differing machines share a key.
+void hash_config(Fnv128& h, const MachineConfig& c);
 
 /// Approximate heap + struct footprint of one cached run, used as its
 /// LRU byte charge.

@@ -7,10 +7,6 @@
 //     --least-queued       route by fewest outstanding jobs instead of
 //                          cache-affinity rendezvous hashing (for fleets
 //                          running with --cache-bytes 0)
-//     --sim-threads N      inject "sim_threads": N into each job config
-//                          that doesn't set its own — fleet-wide intra-job
-//                          parallelism default (docs/THREADING.md);
-//                          results and cache keys are unchanged
 //     --batch-lanes N      inject "batch_lanes": N into each job that
 //                          doesn't set its own — fleet-wide SIMD-over-jobs
 //                          lane batching default (docs/PERF.md "Lane
@@ -61,9 +57,9 @@ void on_signal(int sig) { g_signal = sig; }
 int usage() {
   std::fprintf(stderr,
                "usage: masc-routerd --backend HOST:PORT [--backend ...]\n"
-               "  [--port N] [--least-queued] [--sim-threads N] "
-               "[--batch-lanes N|auto]\n  [--io-threads N] "
-               "[--handler-threads N]\n  [--no-peer-cache] [--peer-timeout-ms N] "
+               "  [--port N] [--least-queued] [--batch-lanes N|auto]\n"
+               "  [--io-threads N] [--handler-threads N]\n"
+               "  [--no-peer-cache] [--peer-timeout-ms N] "
                "[--fail-threshold N] [--cooldown-ms N] [--probe-ms N]\n"
                "  [--connect-timeout-ms N] [--io-timeout-ms N] "
                "[--idle-timeout-ms N]\n  [--fault SPEC]\n");
@@ -91,9 +87,6 @@ int main(int argc, char** argv) {
         opts.backends.push_back(masc::cluster::BackendSpec::parse(next()));
       else if (arg == "--least-queued")
         opts.affinity = false;
-      else if (arg == "--sim-threads")
-        opts.default_sim_threads =
-            static_cast<std::uint32_t>(std::strtoul(next(), nullptr, 0));
       else if (arg == "--batch-lanes") {
         const std::string v = next();
         if (v == "auto") {

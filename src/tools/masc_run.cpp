@@ -5,8 +5,6 @@
 //     --threads N    hardware threads       (default 16)
 //     --width N      word width 8|16|32     (default 16)
 //     --arity K      broadcast tree arity   (default 2)
-//     --sim-threads N  host threads simulating the PE array (default 1;
-//                      results are bit-identical, see docs/THREADING.md)
 //     --chips K      simulate K chips on an inter-chip fabric
 //                    (docs/MULTICHIP.md; enables the flags below)
 //     --fabric-topology T   chain|tree      (default tree)
@@ -41,7 +39,7 @@ using namespace masc;
 
 int usage() {
   std::fprintf(stderr, "usage: masc-run prog.s|prog.mo [--pes N] [--threads N] "
-                       "[--width N] [--arity K]\n  [--sim-threads N] [--single] "
+                       "[--width N] [--arity K]\n  [--single] "
                        "[--nonpipelined-net] [--serial] [--max-cycles N]\n"
                        "  [--chips K] [--fabric-topology chain|tree] "
                        "[--link-latency N] [--link-width N]\n"
@@ -107,7 +105,6 @@ int main(int argc, char** argv) {
     else if (arg == "--threads") next_u32(cfg.num_threads);
     else if (arg == "--width") { std::uint32_t w; next_u32(w); cfg.word_width = w; }
     else if (arg == "--arity") next_u32(cfg.broadcast_arity);
-    else if (arg == "--sim-threads") next_u32(cfg.sim_threads);
     else if (arg == "--single") cfg.multithreading = false;
     else if (arg == "--nonpipelined-net") cfg.pipelined_network = false;
     else if (arg == "--serial") { cfg.pipelined_execution = false; cfg.multithreading = false; }

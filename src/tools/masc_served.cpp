@@ -3,9 +3,6 @@
 //   masc-served [options]
 //     --port N            TCP port on 127.0.0.1; 0 = ephemeral (default 7733)
 //     --workers N         simulation worker threads; 0 = hardware (default 0)
-//     --sim-threads N     host threads simulating the PE array for jobs
-//                         that don't request their own "sim_threads"
-//                         (default 1; bit-identical — docs/THREADING.md)
 //     --batch-lanes N     run up to N homogeneous queued jobs in lockstep
 //                         on one worker for jobs that don't request their
 //                         own "batch_lanes" (default 1; bit-identical —
@@ -65,8 +62,8 @@ void on_signal(int sig) { g_signal = sig; }
 
 int usage() {
   std::fprintf(stderr,
-               "usage: masc-served [--port N] [--workers N] [--sim-threads N] "
-               "[--batch-lanes N|auto]\n  [--io-threads N] [--queue N] [--batch N] "
+               "usage: masc-served [--port N] [--workers N] [--batch-lanes N|auto]\n"
+               "  [--io-threads N] [--queue N] [--batch N] "
                "[--max-cycles N] [--deadline-ms N] "
                "[--cache-bytes N] [--cache-shards N]\n  [--cache-dir PATH] "
                "[--cache-disk-bytes N] [--cache-segment-bytes N]\n"
@@ -93,9 +90,6 @@ int main(int argc, char** argv) {
       opts.port = static_cast<std::uint16_t>(std::strtoul(next(), nullptr, 0));
     else if (arg == "--workers")
       opts.workers = static_cast<unsigned>(std::strtoul(next(), nullptr, 0));
-    else if (arg == "--sim-threads")
-      opts.sim_threads =
-          static_cast<std::uint32_t>(std::strtoul(next(), nullptr, 0));
     else if (arg == "--batch-lanes") {
       const std::string v = next();
       if (v == "auto") {

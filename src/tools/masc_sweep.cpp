@@ -11,10 +11,6 @@
 //     --arity K        broadcast tree arity             (default 2)
 //     --seeds N        run each config with seeds 0..N-1 (default 1)
 //     --workers N      worker threads; 0 = hardware     (default 0)
-//     --sim-threads N  host threads per job simulating the PE array
-//                      (default 1; bit-identical results, so use it to
-//                      trade job-level for intra-job parallelism on big
-//                      configs — see docs/THREADING.md)
 //     --batch-lanes N  run up to N homogeneous grid points in lockstep
 //                      on one worker, job-index innermost (default 1;
 //                      bit-identical results — docs/PERF.md "Lane
@@ -55,7 +51,7 @@ int usage() {
   std::fprintf(stderr,
                "usage: masc-sweep prog.s|prog.mo|prog.ascal [--pes LIST] "
                "[--threads LIST]\n  [--width LIST] [--arity K] [--seeds N] "
-               "[--workers N] [--sim-threads N]\n  [--batch-lanes N] "
+               "[--workers N]\n  [--batch-lanes N] "
                "[--max-cycles N] "
                "[--deadline-ms N] [--chips LIST] "
                "[--fabric-topology chain|tree]\n  [--link-latency N] "
@@ -94,7 +90,7 @@ std::vector<std::uint32_t> parse_list(const char* s) {
 int main(int argc, char** argv) {
   std::string input;
   std::vector<std::uint32_t> pes{16}, threads{16}, widths{16};
-  std::uint32_t arity = 2, seeds = 1, workers = 0, sim_threads = 1;
+  std::uint32_t arity = 2, seeds = 1, workers = 0;
   std::uint32_t batch_lanes = 1;
   Cycle max_cycles = 100'000'000;
   std::uint64_t deadline_ms = 0;
@@ -114,7 +110,6 @@ int main(int argc, char** argv) {
     else if (arg == "--arity") arity = static_cast<std::uint32_t>(std::strtoul(next(), nullptr, 0));
     else if (arg == "--seeds") seeds = static_cast<std::uint32_t>(std::strtoul(next(), nullptr, 0));
     else if (arg == "--workers") workers = static_cast<std::uint32_t>(std::strtoul(next(), nullptr, 0));
-    else if (arg == "--sim-threads") sim_threads = static_cast<std::uint32_t>(std::strtoul(next(), nullptr, 0));
     else if (arg == "--batch-lanes") batch_lanes = static_cast<std::uint32_t>(std::strtoul(next(), nullptr, 0));
     else if (arg == "--max-cycles") max_cycles = std::strtoul(next(), nullptr, 0);
     else if (arg == "--deadline-ms") deadline_ms = std::strtoull(next(), nullptr, 0);
@@ -159,7 +154,6 @@ int main(int argc, char** argv) {
               job.cfg.num_threads = t;
               job.cfg.word_width = w;
               job.cfg.broadcast_arity = arity;
-              job.cfg.sim_threads = sim_threads;
               job.cfg.validate();
               job.program = prog;
               job.label = job.cfg.name();

@@ -12,6 +12,7 @@
 
 #include "assembler/assembler.hpp"
 #include "common/binio.hpp"
+#include "common/hash.hpp"
 #include "sim/machine.hpp"
 #include "sim/sweep.hpp"
 
@@ -35,6 +36,46 @@ std::string loop_kernel() {
          "addi r2, r2, -1\n"
          "bne r2, r0, outer\n"
          "halt\n";
+}
+
+/// Every hardware thread runs a search/reduce loop over the PE array,
+/// touching scalar and PE local memory: the timing registers, the
+/// scoreboard and the thread table are all busy at any split point.
+std::string threaded_kernel(unsigned iters_per_thread) {
+  return R"(
+main:
+    nthreads r1
+    li r2, 1
+    la r3, worker
+spawn:
+    bgeu r2, r1, body
+    tspawn r4, r3
+    addi r2, r2, 1
+    j spawn
+worker:
+body:
+    li r2, )" + std::to_string(iters_per_thread) + R"(
+    pindex p1
+    pandi p6, p1, 63
+    pmov p2, p1
+    li r1, 0
+loop:
+    pcgts pf1, r1, p2
+    rcount r3, pf1
+    add r4, r4, r3
+    paddi p2, p2, 1 ?pf1
+    padds p3, r3, p2
+    pmul p4, p3, p2
+    pdivu p5, p4, p2
+    rsel pf2, pf1
+    psw p3, 0(p6) ?pf1
+    plw p4, 0(p6)
+    rsum r3, p2
+    sw r3, 8(r0)
+    addi r1, r1, 1
+    bne r1, r2, loop
+    texit
+)";
 }
 
 MachineConfig small_cfg() {
@@ -100,6 +141,33 @@ TEST(Checkpoint, ResumeIsBitIdenticalForReductionKernel) {
   EXPECT_EQ(to_json(resumed.stats()), want_stats);
 }
 
+// The sweep layer checkpoints at kSweepChunkCycles boundaries; resume
+// there with eight busy hardware threads over a 256-PE array and land on
+// the straight run's blob byte for byte.
+TEST(Checkpoint, ResumeAtTheSweepChunkBoundaryWithEightThreads) {
+  MachineConfig cfg;
+  cfg.num_pes = 256;
+  cfg.num_threads = 8;
+  cfg.word_width = 16;
+  cfg.validate();
+  const Program prog = assemble(threaded_kernel(600));
+  Machine straight(cfg);
+  straight.load(prog);
+  ASSERT_TRUE(straight.run(50'000'000));
+
+  ASSERT_EQ(kSweepChunkCycles, 65'536u);
+  Machine first(cfg);
+  first.load(prog);
+  ASSERT_FALSE(first.run(kSweepChunkCycles))
+      << "workload too short to split at the sweep chunk boundary";
+  Machine resumed(cfg);
+  resumed.load(prog);
+  resumed.restore_state(first.save_state());
+  EXPECT_EQ(resumed.now(), kSweepChunkCycles);
+  EXPECT_TRUE(resumed.run(50'000'000));
+  EXPECT_EQ(resumed.save_state(), straight.save_state());
+}
+
 TEST(Checkpoint, SavedMachineKeepsRunningUnperturbed) {
   // save_state() is const: taking a checkpoint must not change the
   // donor machine's own future.
@@ -144,6 +212,23 @@ TEST(Checkpoint, RejectsMismatchedConfigProgramAndGarbage) {
   EXPECT_THROW(target.restore_state(blob + "x"), BinError);
   EXPECT_THROW(target.restore_state("definitely not a checkpoint"), BinError);
   EXPECT_THROW(target.restore_state(""), BinError);
+}
+
+// Golden pin: journaled checkpoints (docs/RELIABILITY.md) are
+// save_state() blobs, so a refactor of the engine must leave their bytes
+// alone or recovery would reject every stored job. The digest was taken
+// before the control pass moved into sim/pipeline.hpp.
+TEST(Checkpoint, GoldenBlobDigestAtAFixedCycle) {
+  MachineConfig cfg = small_cfg();
+  cfg.num_threads = 8;
+  cfg.validate();
+  Machine m(cfg);
+  m.load(assemble(threaded_kernel(6)));
+  ASSERT_FALSE(m.run(300));
+  const std::string blob = m.save_state();
+  EXPECT_EQ(blob.size(), 304739u);
+  EXPECT_EQ(to_hex(Fnv128().bytes(blob.data(), blob.size()).digest()),
+            "461c5aa919752ab9efaa378b9db38c3c");
 }
 
 TEST(SweepCheckpoint, CancelledJobResumesBitIdentically) {

@@ -28,8 +28,10 @@
 #include "common/json.hpp"
 #include "fault/fault.hpp"
 #include "serve/client.hpp"
+#include "serve/protocol.hpp"
 #include "serve/server.hpp"
 #include "sim/machine.hpp"
+#include "sim/sweep.hpp"
 
 namespace masc {
 namespace {
@@ -480,7 +482,7 @@ TEST(RouterAffinityTest, RepeatSubmitsLandOnTheOwnersCache) {
     EXPECT_EQ(hits, 3u);
     with_hits = i;
   }
-  EXPECT_NE(with_hits, kNpos) << "the repeat submit hit no cache at all";
+  ASSERT_NE(with_hits, kNpos) << "the repeat submit hit no cache at all";
 
   // Router counters: both submits routed, nothing rerouted — affinity
   // placed them, saturation and failover never intervened.
@@ -489,6 +491,34 @@ TEST(RouterAffinityTest, RepeatSubmitsLandOnTheOwnersCache) {
   EXPECT_EQ(router_counter(stats, "jobs_routed"), 6u);
   EXPECT_EQ(router_counter(stats, "jobs_rerouted"), 0u);
   EXPECT_EQ(stats.find("fleet")->get_uint("cache_hits", 0), 3u);
+
+  // An old client's config may still carry "sim_threads", a removed host
+  // knob. It is ignored: every job keeps its cache key, so the whole
+  // submit routes to the same owner and hits its cache, with the same
+  // result bytes — through the router and directly at the backend.
+  const std::string width = "\"width\":16}";
+  const std::string legacy_width = "\"width\":16,\"sim_threads\":4}";
+  std::string legacy_submit = submit;
+  for (std::size_t at = legacy_submit.find(width); at != std::string::npos;
+       at = legacy_submit.find(width, at + legacy_width.size()))
+    legacy_submit.replace(at, width.size(), legacy_width);
+  const json::Value legacy_req = parse_json(legacy_submit);
+  for (std::size_t i = 0; i < kernels.size(); ++i)
+    EXPECT_EQ(sweep_cache_key(serve::job_from_json(
+                  legacy_req.find("jobs")->as_array()[i])),
+              sweep_cache_key(serve::job_from_json(
+                  parse_json(job_json(kernels[i], "aff-" + std::to_string(i))))));
+  const json::Value routed = c.request(legacy_submit);
+  ASSERT_TRUE(routed.get_bool("ok", false)) << legacy_submit;
+  EXPECT_EQ(result_stats(await_result_raw(c, ids_of(routed)[0])),
+            serial_stats_json(kernels[0]));
+  Client direct;
+  direct.connect("127.0.0.1", fleet.servers[with_hits]->port(), 5000);
+  const json::Value local = direct.request(legacy_submit);
+  ASSERT_TRUE(local.get_bool("ok", false)) << legacy_submit;
+  EXPECT_EQ(result_stats(await_result_raw(direct, ids_of(local)[0])),
+            serial_stats_json(kernels[0]));
+  EXPECT_EQ(server_cache_hits(*fleet.servers[with_hits]), 9u);
 }
 
 TEST(RouterIdempotencyTest, KeyedSubmitReturnsTheOriginalRouterIds) {

@@ -94,19 +94,6 @@ TEST(Config, NameEncodesShape) {
   EXPECT_EQ(cfg.name(), "p16.t1.w8.k2.nonpipe");
 }
 
-TEST(Config, ValidateBoundsSimThreadsButNameIgnoresIt) {
-  // sim_threads is a host-execution knob (docs/THREADING.md): bounded by
-  // validate() like any field, invisible to config identity.
-  MachineConfig cfg;
-  cfg.sim_threads = 0;
-  EXPECT_THROW(cfg.validate(), ConfigError);
-  cfg.sim_threads = 257;
-  EXPECT_THROW(cfg.validate(), ConfigError);
-  cfg.sim_threads = 256;
-  cfg.validate();
-  EXPECT_EQ(cfg.name(), "p16.t16.w8.k2");
-}
-
 TEST(Config, SequentialUnitLatencyTracksWidth) {
   MachineConfig cfg;
   cfg.word_width = 8;

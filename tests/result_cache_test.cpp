@@ -135,32 +135,40 @@ TEST(ResultCacheKey, TracksEveryMachineConfigField) {
   // order. A field added to the struct without extending that list would
   // let two differing machines share a cache key — which this size pin
   // turns into a visible failure instead of a silent wrong result.
-  // Adding a field? Extend sweep_cache_key() — or, for a host-execution
-  // knob with bit-identical results (sim_threads is the precedent),
-  // document its deliberate exclusion there — then update the size here.
-  EXPECT_EQ(sizeof(MachineConfig), 64u)
-      << "MachineConfig changed: update sweep_cache_key() to hash the new "
+  // Adding a field? Extend hash_config(), which both sweep_cache_key()
+  // and lane_batch_key() use, then update the size here.
+  EXPECT_EQ(sizeof(MachineConfig), 60u)
+      << "MachineConfig changed: update hash_config() to hash the new "
          "field, then adjust this pin";
   // Same discipline for the multi-chip fabric knobs: every FabricConfig
-  // field changes simulated behavior (none is a sim_threads-style host
-  // knob), so all of them must be hashed by sweep_cache_key() when
-  // SweepJob::fabric is set. fabric_test.cpp covers the behavior; this
-  // pin catches the silently-added field.
+  // field changes simulated behavior, so all of them must be hashed by
+  // sweep_cache_key() when SweepJob::fabric is set. fabric_test.cpp
+  // covers the behavior; this pin catches the silently-added field.
   EXPECT_EQ(sizeof(fabric::FabricConfig), 24u)
       << "FabricConfig changed: update sweep_cache_key() to hash the new "
          "field, then adjust this pin";
 }
 
-TEST(ResultCacheKey, IgnoresSimThreadsByDesign) {
-  // sim_threads is a host-execution knob with a bit-identity contract
-  // (docs/THREADING.md): a result computed at any thread count must be
-  // served to every other thread count, so the key excludes it.
-  SweepJob serial = make_job(reduction_kernel(4));
-  SweepJob pooled = make_job(reduction_kernel(4));
-  serial.cfg.sim_threads = 1;
-  pooled.cfg.sim_threads = 8;
-  EXPECT_EQ(sweep_cache_key(serial), sweep_cache_key(pooled))
-      << "sim_threads must not split the cache key";
+// Golden pins: the on-disk L2 segment store (docs/CACHE.md) files every
+// record under its sweep_cache_key, so a key that moved would orphan the
+// whole store. These hex strings were computed before the MachineConfig
+// field list moved into hash_config(); they change only together with a
+// deliberate segment-store format bump.
+TEST(ResultCacheKey, GoldenHexOfAPlainAndAFabricJob) {
+  SweepJob plain = make_job(reduction_kernel(4), 7, "golden");
+  plain.cfg.sched_policy = ThreadSchedPolicy::kSmt;
+  plain.cfg.issue_width = 2;
+  plain.cfg.divider = DividerKind::kNone;
+  plain.program.data = {1, 2, 3, 0xBEEF};
+  plain.max_cycles = 123'456;
+  EXPECT_EQ(to_hex(sweep_cache_key(plain)), "9ca779eb306a8305c7c8f40061a3c050");
+
+  SweepJob fab = plain;
+  fab.fabric = fabric::FabricConfig{};
+  fab.fabric->chips = 4;
+  fab.fabric->topology = fabric::Topology::kChain;
+  fab.fabric->link_latency = 3;
+  EXPECT_EQ(to_hex(sweep_cache_key(fab)), "43e9c137ec95b06b3ec5c26ca19e6c43");
 }
 
 TEST(ResultCacheKey, DependsOnEveryDeterminismInput) {
