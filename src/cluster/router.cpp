@@ -1,14 +1,12 @@
 #include "cluster/router.hpp"
 
-#include <arpa/inet.h>
-#include <netinet/in.h>
+#include <netdb.h>
 #include <sys/socket.h>
 #include <unistd.h>
 
 #include <algorithm>
 #include <cerrno>
 #include <chrono>
-#include <cstring>
 #include <random>
 #include <sstream>
 
@@ -21,40 +19,53 @@
 namespace masc::cluster {
 
 using serve::Client;
+using serve::error_json;
 using serve::PooledClient;
+using serve::require_id;
 using serve::ServeError;
+using serve::submitted_json;
 namespace v2 = serve::v2;
 
 namespace {
 
 using Clock = std::chrono::steady_clock;
 
-std::string error_json(const std::string& code, const std::string& detail,
-                       const std::string& extra = "") {
-  std::ostringstream os;
-  os << "{\"ok\":false,\"error\":\"" << json_escape(code) << "\"";
-  if (!detail.empty()) os << ",\"detail\":\"" << json_escape(detail) << "\"";
-  if (!extra.empty()) os << "," << extra;
-  os << "}";
-  return os.str();
+/// A result round is forwarded with a wait of at most this long, so a
+/// failover mid-wait is noticed between rounds.
+constexpr std::uint64_t kRoundWaitMs = 2'000;
+/// A backend that has not answered a round this long past its forwarded
+/// wait is hung: its channel is dropped and the round retried.
+constexpr std::uint64_t kRoundSlackMs = 2'000;
+
+std::string id_member(std::uint64_t rid) {
+  return "\"id\":" + std::to_string(rid);
 }
 
-std::uint64_t require_id(const json::Value& req) {
-  const json::Value* id = req.find("id");
-  if (!id) throw JsonError("missing \"id\"");
-  return id->as_uint();
+std::string result_json(std::uint64_t rid, std::string_view body) {
+  return "{\"ok\":true,\"type\":\"result\"," + id_member(rid) +
+         ",\"result\":" + std::string(body) + "}";
 }
 
-std::string submitted_json(const std::vector<std::uint64_t>& ids,
-                           bool duplicate) {
-  std::ostringstream os;
-  os << "{\"ok\":true,\"type\":\"submitted\",\"ids\":[";
-  for (std::size_t i = 0; i < ids.size(); ++i) {
-    if (i) os << ",";
-    os << ids[i];
+/// Start a nonblocking connect to `be` for a loop-owned channel; -1 when
+/// it failed outright. A host name is resolved here, on the loop thread,
+/// so fleets should name backends by address.
+int connect_async(const BackendSpec& be) {
+  addrinfo hints{};
+  hints.ai_family = AF_INET;
+  hints.ai_socktype = SOCK_STREAM;
+  addrinfo* res = nullptr;
+  if (::getaddrinfo(be.host.c_str(), std::to_string(be.port).c_str(), &hints,
+                    &res) != 0)
+    return -1;
+  int fd = ::socket(AF_INET, SOCK_STREAM | SOCK_NONBLOCK | SOCK_CLOEXEC, 0);
+  if (fd >= 0 && ::connect(fd, res->ai_addr, res->ai_addrlen) < 0 &&
+      errno != EINPROGRESS) {
+    ::close(fd);
+    fd = -1;
   }
-  os << "],\"duplicate\":" << (duplicate ? "true" : "false") << "}";
-  return os.str();
+  ::freeaddrinfo(res);
+  if (fd >= 0) serve::set_nodelay(fd);
+  return fd;
 }
 
 /// Rewrite the top-level "id" member of a backend response in place, so
@@ -83,6 +94,18 @@ std::string result_from_blob(const std::string& blob, const SweepJob& job,
   const SweepResult r = materialize_cached(
       run, job, static_cast<std::size_t>(rid), host_seconds);
   return to_json(r, job.cfg);
+}
+
+/// The backend submit a group is (re)placed with: one fixed payload, so a
+/// re-landed group is byte-identical to the original.
+std::string submit_payload(const std::string& fleet_key,
+                           std::uint64_t deadline_ms,
+                           const std::string& jobs_json) {
+  std::ostringstream ps;
+  ps << "{\"op\":\"submit\",\"key\":\"" << json_escape(fleet_key) << "\"";
+  if (deadline_ms > 0) ps << ",\"deadline_ms\":" << deadline_ms;
+  ps << ",\"jobs\":" << jobs_json << "}";
+  return ps.str();
 }
 
 std::vector<std::uint64_t> ids_from_response(const json::Value& resp) {
@@ -128,8 +151,15 @@ Router::Router(RouterOptions opts)
     : opts_(std::move(opts)),
       ring_(backend_names(opts_.backends)),
       health_(opts_.backends.size(), opts_.breaker),
-      pool_(opts_.connect_timeout_ms, opts_.io_timeout_ms) {
+      pool_(opts_.connect_timeout_ms, opts_.io_timeout_ms),
+      // Client-face frames are never throttled (io timeout 0).
+      front_(opts_.port, opts_.io_threads, opts_.idle_timeout_ms, 0,
+             [this](serve::Request&& req, const serve::Reply& reply) {
+               return handle_request(std::move(req), reply);
+             }) {
   if (opts_.backends.empty()) throw ServeError("router needs >= 1 backend");
+  for (std::size_t i = 0; i < front_.loops().size(); ++i)
+    channels_[&front_.loops().at(i)].resize(opts_.backends.size());
   std::random_device rd;
   key_prefix_ = (static_cast<std::uint64_t>(rd()) << 32) ^ rd();
   health_.set_on_transition(
@@ -157,283 +187,88 @@ Router::~Router() { stop(); }
 
 void Router::start() {
   if (started_.exchange(true)) throw ServeError("router already started");
-
-  listen_fd_ = ::socket(AF_INET, SOCK_STREAM, 0);
-  if (listen_fd_ < 0)
-    throw ServeError(std::string("socket: ") + std::strerror(errno));
-  const int one = 1;
-  ::setsockopt(listen_fd_, SOL_SOCKET, SO_REUSEADDR, &one, sizeof one);
-
-  sockaddr_in addr{};
-  addr.sin_family = AF_INET;
-  addr.sin_addr.s_addr = htonl(INADDR_LOOPBACK);
-  addr.sin_port = htons(opts_.port);
-  if (::bind(listen_fd_, reinterpret_cast<const sockaddr*>(&addr),
-             sizeof addr) < 0 ||
-      ::listen(listen_fd_, 64) < 0) {
-    const std::string what = std::strerror(errno);
-    ::close(listen_fd_);
-    listen_fd_ = -1;
-    throw ServeError("bind/listen 127.0.0.1:" + std::to_string(opts_.port) +
-                     ": " + what);
-  }
-  sockaddr_in bound{};
-  socklen_t len = sizeof bound;
-  ::getsockname(listen_fd_, reinterpret_cast<sockaddr*>(&bound), &len);
-  port_ = ntohs(bound.sin_port);
-
-  net::LoopConfig loop_cfg;
-  loop_cfg.idle_timeout_ms = opts_.idle_timeout_ms;
-  loop_cfg.io_timeout_ms = 0;  // client-face frames are never throttled
-  loop_cfg.max_frame_bytes = serve::kMaxFrameBytes;
-  loop_cfg.on_frame = [this](net::Conn& c, std::string&& payload) {
-    on_frame(c, std::move(payload));
-  };
-  loops_ = std::make_unique<net::LoopGroup>(
-      opts_.io_threads ? opts_.io_threads : 1, loop_cfg);
-  loops_->start();
-  handlers_ = std::make_unique<net::TaskPool>(
-      opts_.handler_threads ? opts_.handler_threads : 4);
-  handlers_->start();
-
-  accept_thread_ = std::thread([this] { accept_loop(); });
+  handlers_.start();
+  front_.start();
   if (opts_.probe_interval_ms > 0) health_.start(opts_.probe_interval_ms);
 }
 
 void Router::stop() {
   if (!started_.load()) return;
   if (stopping_.exchange(true)) return;
-  // Serialize with keyed-submit waiters exactly like the server does:
-  // take and drop the lock so no waiter can miss the notify.
-  { const std::lock_guard<std::mutex> lock(state_mu_); }
-  jobs_cv_.notify_all();
-
   health_.stop();
+  front_.stop_accepting();
+  // Pool tasks see stopping_ and finish fast; their responses (and the
+  // outcome of any in-flight keyed submit, which answers its parked
+  // resends) are posted to the loops, which are still running.
+  handlers_.stop();
+  // Answer every result round parked on a backend channel with
+  // shutting_down, then stop the loops: the posted resets run before
+  // each loop's teardown hangs up its sessions.
+  for (auto& [loop, row] : channels_)
+    loop->post([this, loop = loop] {
+      for (std::size_t b = 0; b < opts_.backends.size(); ++b)
+        reset_channel(*loop, b, "router stopping");
+    });
+  front_.stop();
+}
 
-  if (listen_fd_ >= 0) ::shutdown(listen_fd_, SHUT_RDWR);
-  if (accept_thread_.joinable()) accept_thread_.join();
-
-  // Drain in dependency order: handler tasks (which see stopping_ and
-  // finish fast) may still post responses, so the loops stop after the
-  // pool — their teardown flushes the last posted deliveries.
-  if (handlers_) handlers_->stop();
-  if (loops_) loops_->stop();
-
-  if (listen_fd_ >= 0) {
-    ::close(listen_fd_);
-    listen_fd_ = -1;
+std::optional<std::string> Router::handle_request(serve::Request&& req,
+                                                  const serve::Reply& reply) {
+  if (req.op == "result") {
+    auto call = std::make_shared<ResultCall>();
+    call->reply = reply;
+    call->rid = require_id(req.body);
+    call->wait = req.body.get_bool("wait", false);
+    call->release = req.body.get_bool("release", false);
+    call->deadline_ms =
+        net::EventLoop::now_ms() + req.body.get_uint("timeout_ms", 60'000);
+    result_round(call);
+    return std::nullopt;
   }
-}
-
-void Router::accept_loop() {
-  for (;;) {
-    const int fd = ::accept(listen_fd_, nullptr, nullptr);
-    if (fd < 0) {
-      if (errno == EINTR) continue;
-      return;
-    }
-    if (stopping_.load()) {
-      ::close(fd);
-      return;
-    }
-    serve::set_nodelay(fd);
-    loops_->next().adopt(fd);
-  }
-}
-
-Router::ConnState& Router::conn_state(net::Conn& c) {
-  if (!c.ctx) c.ctx = std::make_shared<ConnState>();
-  return *static_cast<ConnState*>(c.ctx.get());
-}
-
-void Router::send_v1(net::Conn& c, std::uint64_t slot, std::string&& resp) {
-  ConnState& st = conn_state(c);
-  for (auto& [s, r] : st.v1_q)
-    if (s == slot) {
-      r = std::move(resp);
-      break;
-    }
-  while (!st.v1_q.empty() && st.v1_q.front().second) {
-    c.send_frame(*st.v1_q.front().second);
-    st.v1_q.pop_front();
-    if (c.closing()) return;
-  }
-}
-
-void Router::dispatch(net::Conn& c, Pending p, std::string&& payload,
-                      const char* forced_op) {
-  net::EventLoop* loop = &c.loop();
-  const std::uint64_t conn_id = c.id();
-  handlers_->submit([this, loop, conn_id, p, forced_op,
-                     req = std::move(payload)]() mutable {
-    // Handler thread: free to block on backend round-trips. The
-    // response is rendered to its final outgoing payload here, then
-    // posted to the owning loop, which only looks up the conn (it may
-    // have died meanwhile) and writes.
-    std::string out;
-    bool drop = false;
-    try {
-      std::string resp = handle_request(req, forced_op);
-      if (!p.v2) {
-        out = std::move(resp);
-      } else if (p.v2_op == v2::Op::kCacheGet && !v2::is_error_body(resp)) {
-        // Re-encode the backend's JSON answer as the binary v2 body.
-        try {
-          const json::Value r = parse_json(resp);
-          if (r.get_bool("found", false))
-            out = v2::encode_cache_get_hit(
-                p.v2_id, base64_decode(r.get_string("payload", "")));
-          else
-            out = v2::encode_cache_get_miss(p.v2_id);
-        } catch (const std::exception& e) {
-          out = v2::encode(p.v2_op, v2::Kind::kError, p.v2_id,
-                           error_json("bad_gateway", e.what()));
-        }
-      } else {
-        out = v2::encode(p.v2_op,
-                         v2::is_error_body(resp) ? v2::Kind::kError
-                                                 : v2::Kind::kOk,
-                         p.v2_id, resp);
-      }
-    } catch (const std::exception&) {
-      // ServeError out of handle_request means the stream is not to be
-      // trusted (matching the server): drop the connection.
-      drop = true;
-    }
-    loop->post([this, loop, conn_id, p, drop, out = std::move(out)]() mutable {
-      net::Conn* c = loop->find(conn_id);
-      if (!c) return;  // client hung up while we worked
-      if (drop) {
-        c->close();
-        return;
-      }
-      if (p.v2)
-        c->send_frame(out);
-      else
-        send_v1(*c, p.v1_slot, std::move(out));
+  if (req.op == "metrics_text")
+    return "{\"ok\":true,\"type\":\"metrics_text\",\"text\":\"" +
+           json_escape(metrics_text()) + "\"}";
+  // Every other op blocks on a backend round trip (stats on one per
+  // backend), so it runs on the pool; the Reply posts the response back
+  // to the connection's loop.
+  handlers_.submit([this, req = std::move(req), reply] {
+    reply.answer([&]() -> std::optional<std::string> {
+      const std::string& op = req.op;
+      if (op == "submit") return handle_submit(req.body, reply);
+      if (op == "cache_get") return handle_cache_get(req.key, reply);
+      if (op == "stats")
+        return "{\"ok\":true,\"type\":\"stats\",\"stats\":" + stats_json() +
+               "}";
+      if (op == "status" || op == "cancel" || op == "extend")
+        return forward_by_id(req.body, op);
+      return error_json("unknown_op", "unrecognized \"op\" \"" + op + "\"");
     });
   });
+  return std::nullopt;
 }
 
-void Router::on_frame(net::Conn& c, std::string&& payload) {
-  if (v2::is_v2(payload)) {
-    handle_v2_frame(c, payload);
-    return;
+std::optional<std::string> Router::admit(std::size_t b) {
+  const BackendSpec& be = opts_.backends[b];
+  if (!health_.allow(b)) return "breaker open for backend " + be.name();
+  if (auto* inj = fault::active(); inj && inj->on_backend_request()) {
+    health_.on_failure(b);
+    return "injected fault: request to " + be.name() + " failed";
   }
-  ConnState& st = conn_state(c);
-  Pending p;
-  p.v1_slot = st.next_slot++;
-  st.v1_q.emplace_back(p.v1_slot, std::nullopt);
-  dispatch(c, p, std::move(payload), nullptr);
-}
-
-void Router::handle_v2_frame(net::Conn& c, const std::string& payload) {
-  v2::Frame f;
-  try {
-    f = v2::decode(payload);
-  } catch (const v2::V2Error& e) {
-    if (e.fatal()) {
-      c.close();  // header garbage: the stream can't be trusted
-      return;
-    }
-    const std::uint8_t op_byte =
-        payload.size() > 2 ? static_cast<std::uint8_t>(payload[2]) : 0;
-    c.send_frame(v2::encode(static_cast<v2::Op>(op_byte), v2::Kind::kError,
-                            e.request_id(),
-                            error_json(e.code(), e.what())));
-    return;
-  }
-  if (f.kind != v2::Kind::kRequest) {
-    c.send_frame(v2::encode(f.op, v2::Kind::kError, f.request_id,
-                            error_json("bad_frame",
-                                       "expected a request frame")));
-    return;
-  }
-  Pending p;
-  p.v2 = true;
-  p.v2_id = f.request_id;
-  p.v2_op = f.op;
-  if (f.op == v2::Op::kCacheGet) {
-    // Binary in, binary out on the client face; the fleet lookup
-    // itself is the same JSON forward handle_cache_get always does.
-    try {
-      const Hash128 key = v2::decode_cache_get_key(f.body, f.request_id);
-      dispatch(c, p,
-               "{\"op\":\"cache_get\",\"key\":\"" + to_hex(key) + "\"}",
-               "cache_get");
-    } catch (const v2::V2Error& e) {
-      c.send_frame(v2::encode(f.op, v2::Kind::kError, e.request_id(),
-                              error_json(e.code(), e.what())));
-    }
-    return;
-  }
-  const char* forced_op = f.op == v2::Op::kSubmit   ? "submit"
-                          : f.op == v2::Op::kResult ? "result"
-                                                    : "stats";
-  dispatch(c, p, std::string(f.body), forced_op);
-}
-
-std::string Router::handle_request(const std::string& payload,
-                                   const char* forced_op) {
-  try {
-    const json::Value req = parse_json(payload.empty() ? "{}" : payload);
-    const std::string op = forced_op ? forced_op : req.get_string("op", "");
-    if (op == "ping") return "{\"ok\":true,\"type\":\"pong\"}";
-    if (op == "hello") {
-      // Same negotiation contract as the server (docs/NET.md): the
-      // router speaks v2 on its client face regardless of what its
-      // backends speak — v2 frames are translated per-op.
-      unsigned best = 1;
-      if (const json::Value* v = req.find("versions"); v && v->is_array())
-        for (const auto& e : v->as_array())
-          if (e.is_number() && e.as_uint() == 2) best = 2;
-      return "{\"ok\":true,\"type\":\"hello\",\"version\":" +
-             std::to_string(best) + ",\"versions\":[1,2]}";
-    }
-    if (op == "submit") return handle_submit(req);
-    if (op == "status") return handle_status(req);
-    if (op == "result") return handle_result(req);
-    if (op == "cache_get") return handle_cache_get(req);
-    if (op == "cancel" || op == "extend")
-      return handle_forwarded_by_id(req, op);
-    if (op == "stats")
-      return "{\"ok\":true,\"type\":\"stats\",\"stats\":" + stats_json() + "}";
-    if (op == "metrics_text")
-      return "{\"ok\":true,\"type\":\"metrics_text\",\"text\":\"" +
-             json_escape(metrics_text()) + "\"}";
-    if (op == "shutdown") {
-      shutdown_requested_.store(true, std::memory_order_release);
-      return "{\"ok\":true,\"type\":\"shutdown\"}";
-    }
-    return error_json("unknown_op", "unrecognized \"op\" \"" + op + "\"");
-  } catch (const ServeError&) {
-    throw;  // transport desync: drop the session, as the server does
-  } catch (const std::exception& e) {
-    return error_json("bad_request", e.what());
-  }
+  return std::nullopt;
 }
 
 json::Value Router::backend_request(std::size_t b, const std::string& payload,
-                                    std::optional<v2::Op> hot,
-                                    std::string* raw) {
+                                    std::optional<v2::Op> hot) {
   const BackendSpec& be = opts_.backends[b];
-  if (!health_.allow(b))
-    throw ServeError("breaker open for backend " + be.name());
+  if (const auto refused = admit(b)) throw ServeError(*refused);
   try {
-    if (auto* inj = fault::active(); inj && inj->on_backend_request())
-      throw ServeError("injected fault: request to " + be.name() + " failed");
     PooledClient lease(pool_, be.host, be.port);
     json::Value resp;
     try {
-      // Hot ops ride protocol v2 against a v2-capable backend: one
-      // hello per pooled connection, then the same JSON in a binary
-      // envelope (responses are bit-identical by construction).
-      if (hot && !lease->negotiated()) lease->negotiate();
-      std::string text = hot && lease->protocol() >= 2
-                             ? lease->request_v2_raw(*hot, payload)
-                             : lease->request_raw(payload);
-      resp = parse_json(text);
-      if (raw) *raw = std::move(text);
+      // Hot ops ride protocol v2 (backends speak it without a hello):
+      // the same JSON in a binary envelope, answered bit-identically.
+      resp = parse_json(hot ? lease->request_v2_raw(*hot, payload)
+                            : lease->request_raw(payload));
     } catch (...) {
       lease.discard();
       throw;
@@ -451,8 +286,9 @@ json::Value Router::backend_request(std::size_t b, const std::string& payload,
   }
 }
 
-std::optional<std::vector<std::string>> Router::peer_cache_fetch(
-    std::size_t b, const std::vector<Hash128>& keys) {
+std::optional<std::vector<std::string>> Router::peer_results(
+    std::size_t b, const std::vector<Hash128>& keys,
+    const std::vector<SweepJob>& jobs, std::vector<std::uint64_t>& rids) {
   // Like the health prober, a peer read is a fresh short-deadline
   // connection: a hung peer costs one bounded round, never a parked
   // pooled socket. It also bypasses the breaker on purpose — a failed
@@ -460,9 +296,11 @@ std::optional<std::vector<std::string>> Router::peer_cache_fetch(
   // breaker and trigger a real failover.
   {
     const std::lock_guard<std::mutex> lock(state_mu_);
-    ++peer_lookups_;
+    ++counters_.peer_lookups;
   }
+  const auto t0 = Clock::now();
   bool miss = false;
+  std::vector<std::string> blobs;
   try {
     const BackendSpec& be = opts_.backends[b];
     const std::uint64_t budget =
@@ -470,54 +308,61 @@ std::optional<std::vector<std::string>> Router::peer_cache_fetch(
     Client c;
     c.connect(be.host, be.port, budget);
     c.set_io_timeout_ms(budget);
-    std::vector<std::string> blobs;
     blobs.reserve(keys.size());
-    if (c.negotiate() >= 2) {
-      // v2 peer: pipeline every binary cache_get before reading the
-      // first response — the whole round costs one RTT and zero
-      // base64/JSON, which is what keeps peer_timeout_ms honest for
-      // large groups (docs/NET.md "Pipelining").
-      std::vector<std::uint32_t> ids;
-      ids.reserve(keys.size());
-      for (const Hash128& k : keys)
-        ids.push_back(c.send_v2(
-            v2::Op::kCacheGet,
-            std::string_view(v2::encode_cache_get_request(0, k))
-                .substr(v2::kHeaderBytes)));
-      std::map<std::uint32_t, Client::V2Response> got;
-      for (std::size_t i = 0; i < keys.size(); ++i) {
-        Client::V2Response r = c.recv_v2();
-        got.emplace(r.request_id, std::move(r));
-      }
-      for (std::size_t i = 0; i < keys.size() && !miss; ++i) {
-        const auto it = got.find(ids[i]);
-        std::string rec;
-        if (it == got.end() || !it->second.ok ||
-            !v2::decode_cache_get_response(it->second.body, ids[i], &rec))
-          miss = true;  // a single absent key abandons the whole round
-        else
-          blobs.push_back(std::move(rec));
-      }
-    } else {
-      for (const Hash128& k : keys) {
-        const json::Value resp = c.request(
-            "{\"op\":\"cache_get\",\"key\":\"" + to_hex(k) + "\"}");
-        if (!resp.get_bool("ok", false) || !resp.get_bool("found", false)) {
-          miss = true;  // a single absent key abandons the whole round:
-          break;        // a partial serve would still cost a submission
-        }
-        blobs.push_back(base64_decode(resp.get_string("payload", "")));
-      }
+    // Pipeline every binary cache_get before reading the first response
+    // — the whole round costs one RTT and zero base64/JSON, which is
+    // what keeps peer_timeout_ms honest for large groups (docs/NET.md
+    // "Pipelining"). Backends speak v2 without a hello.
+    std::vector<std::uint32_t> ids;
+    ids.reserve(keys.size());
+    for (const Hash128& k : keys)
+      ids.push_back(c.send_v2(
+          v2::Op::kCacheGet,
+          std::string_view(v2::encode_cache_get_request(0, k))
+              .substr(v2::kHeaderBytes)));
+    std::map<std::uint32_t, Client::V2Response> got;
+    for (std::size_t i = 0; i < keys.size(); ++i) {
+      Client::V2Response r = c.recv_v2();
+      got.emplace(r.request_id, std::move(r));
     }
-    if (!miss) return blobs;
+    for (std::size_t i = 0; i < keys.size() && !miss; ++i) {
+      const auto it = got.find(ids[i]);
+      std::string rec;
+      if (it == got.end() || !it->second.ok ||
+          !v2::decode_cache_get_response(it->second.body, ids[i], &rec))
+        miss = true;  // a single absent key abandons the whole round
+      else
+        blobs.push_back(std::move(rec));
+    }
   } catch (const std::exception&) {
     const std::lock_guard<std::mutex> lock(state_mu_);
-    ++peer_errors_;
+    ++counters_.peer_errors;
     return std::nullopt;
   }
-  const std::lock_guard<std::mutex> lock(state_mu_);
-  ++peer_misses_;
-  return std::nullopt;
+  {
+    const std::lock_guard<std::mutex> lock(state_mu_);
+    if (miss) {
+      ++counters_.peer_misses;
+      return std::nullopt;
+    }
+    while (rids.size() < jobs.size()) rids.push_back(next_router_id_++);
+  }
+  // Bill the round's wall time across the jobs, as a backend bills its
+  // cache-lookup time to each admitted hit.
+  const double secs = std::chrono::duration<double>(Clock::now() - t0).count() /
+                      static_cast<double>(jobs.size());
+  std::vector<std::string> bodies;
+  for (std::size_t i = 0; i < jobs.size(); ++i) {
+    bodies.push_back(result_from_blob(blobs[i], jobs[i], rids[i], secs));
+    if (bodies.back().empty()) {
+      // Fetched but undecodable (version skew, torn frame): count it and
+      // simulate — a peer's garbage must never become our error.
+      const std::lock_guard<std::mutex> lock(state_mu_);
+      ++counters_.peer_errors;
+      return std::nullopt;
+    }
+  }
+  return bodies;
 }
 
 std::vector<std::size_t> Router::outstanding_by_backend() {
@@ -555,13 +400,61 @@ std::vector<std::size_t> Router::placement(const Hash128& key,
   return out;
 }
 
-std::string Router::handle_submit(const json::Value& req) {
+std::optional<std::string> Router::handle_submit(const json::Value& req,
+                                                 const serve::Reply& reply) {
   const json::Value* jobs_v = req.find("jobs");
   if (!jobs_v || !jobs_v->is_array() || jobs_v->as_array().empty())
     throw JsonError("submit needs a non-empty \"jobs\" array");
   if (stopping_.load()) return error_json("shutting_down", "router stopping");
-  const std::uint64_t deadline_ms = req.get_uint("deadline_ms", 0);
   const std::string client_key = req.get_string("key", "");
+
+  // Router-level idempotency on the client's key: a repeat gets the
+  // original router ids; a concurrent repeat parks its reply behind the
+  // first attempt instead of double-submitting (or holding a thread).
+  if (!client_key.empty()) {
+    const std::lock_guard<std::mutex> lock(state_mu_);
+    const auto it = by_client_key_.find(client_key);
+    if (it != by_client_key_.end()) {
+      if (!it->second.ids.empty())
+        return submitted_json(it->second.ids, true);
+      it->second.parked.push_back(reply);
+      return std::nullopt;
+    }
+    by_client_key_.emplace(client_key, KeyedSubmit{});  // reserve
+  }
+  std::vector<std::uint64_t> ids;
+  std::string resp;
+  try {
+    resp = forward_submit(req, client_key, ids);
+  } catch (const std::exception& e) {
+    resp = error_json("bad_request", e.what());
+  }
+  if (client_key.empty()) return resp;
+
+  // Publish the outcome: success keeps the key's ids for later resends,
+  // failure frees the key. Either way every parked resend gets it now.
+  std::vector<serve::Reply> parked;
+  {
+    const std::lock_guard<std::mutex> lock(state_mu_);
+    const auto it = by_client_key_.find(client_key);
+    if (it != by_client_key_.end()) {
+      parked = std::move(it->second.parked);
+      if (ids.empty())
+        by_client_key_.erase(it);
+      else
+        it->second.ids = ids;
+    }
+  }
+  const std::string dup = ids.empty() ? resp : submitted_json(ids, true);
+  for (const serve::Reply& r : parked) r.send(dup);
+  return resp;
+}
+
+std::string Router::forward_submit(const json::Value& req,
+                                   const std::string& client_key,
+                                   std::vector<std::uint64_t>& ids) {
+  const json::Value* jobs_v = req.find("jobs");
+  const std::uint64_t deadline_ms = req.get_uint("deadline_ms", 0);
 
   // Fleet-wide lane-batching default: inject top-level "batch_lanes"
   // into each job (docs/PERF.md "Lane batching") that doesn't set its
@@ -603,26 +496,6 @@ std::string Router::handle_submit(const json::Value& req) {
   }
   const Hash128 route_key = key_hash.digest();
 
-  // Router-level idempotency on the client's key: a repeat gets the
-  // original router ids; a concurrent repeat waits for the first
-  // attempt to resolve instead of double-submitting.
-  if (!client_key.empty()) {
-    std::unique_lock<std::mutex> lock(state_mu_);
-    for (;;) {
-      const auto it = by_client_key_.find(client_key);
-      if (it == by_client_key_.end()) break;
-      if (it->second.ready) return submitted_json(it->second.ids, true);
-      if (stopping_.load())
-        return error_json("shutting_down", "router stopping");
-      if (jobs_cv_.wait_for(lock, std::chrono::seconds(30)) ==
-          std::cv_status::timeout)
-        return error_json("unavailable",
-                          "keyed submit \"" + client_key +
-                              "\" still unresolved after 30s");
-    }
-    by_client_key_.emplace(client_key, KeyedSubmit{});  // reserve
-  }
-
   // Serialize the jobs array once: this exact payload is what failover
   // resubmits, so a re-landed group is byte-identical to the original.
   std::string jobs_json;
@@ -653,11 +526,7 @@ std::string Router::handle_submit(const json::Value& req) {
     fleet_key = "c:" + client_key;
   }
 
-  std::ostringstream ps;
-  ps << "{\"op\":\"submit\",\"key\":\"" << json_escape(fleet_key) << "\"";
-  if (deadline_ms > 0) ps << ",\"deadline_ms\":" << deadline_ms;
-  ps << ",\"jobs\":" << jobs_json << "}";
-  const std::string payload = ps.str();
+  const std::string payload = submit_payload(fleet_key, deadline_ms, jobs_json);
 
   const std::vector<std::size_t> candidates = placement(route_key);
   bool saw_queue_full = false;
@@ -676,55 +545,31 @@ std::string Router::handle_submit(const json::Value& req) {
     // submit by at most peer_timeout_ms, never fail it.
     if (rank > 0 && !peer_tried && opts_.affinity && opts_.peer_read_through) {
       peer_tried = true;
-      const auto t0 = Clock::now();
-      if (const auto blobs = peer_cache_fetch(candidates[0], job_keys)) {
-        std::vector<std::uint64_t> rids(njobs);
+      std::vector<std::uint64_t> rids;
+      if (auto bodies = peer_results(candidates[0], job_keys, parsed, rids)) {
+        auto group = std::make_unique<SubmitGroup>();
+        group->jobs_json = std::move(jobs_json);
+        group->deadline_ms = deadline_ms;
+        group->fleet_key = std::move(fleet_key);
+        group->client_key = client_key;
+        group->route_key = route_key;
+        group->job_keys = std::move(job_keys);
+        group->backend = npos;  // fully served: never (re)submitted
+        group->router_ids = rids;
+        group->unreleased = njobs;
         {
           const std::lock_guard<std::mutex> lock(state_mu_);
-          for (auto& rid : rids) rid = next_router_id_++;
+          const std::size_t gidx = groups_.size();
+          for (std::size_t i = 0; i < njobs; ++i)
+            jobs_.emplace(rids[i], JobEntry{gidx, i, std::move((*bodies)[i])});
+          groups_.push_back(std::move(group));
+          ++counters_.submits_routed;
+          counters_.jobs_routed += njobs;
+          ++counters_.peer_hits;
+          counters_.peer_jobs_served += njobs;
         }
-        // Bill the peer round's wall time across the jobs, as a backend
-        // bills its cache-lookup time to each admitted hit.
-        const double secs =
-            std::chrono::duration<double>(Clock::now() - t0).count() /
-            static_cast<double>(njobs);
-        std::vector<std::string> bodies(njobs);
-        bool decoded = true;
-        for (std::size_t i = 0; i < njobs && decoded; ++i) {
-          bodies[i] = result_from_blob((*blobs)[i], parsed[i], rids[i], secs);
-          if (bodies[i].empty()) decoded = false;
-        }
-        if (decoded) {
-          auto group = std::make_unique<SubmitGroup>();
-          group->jobs_json = std::move(jobs_json);
-          group->deadline_ms = deadline_ms;
-          group->fleet_key = std::move(fleet_key);
-          group->client_key = client_key;
-          group->route_key = route_key;
-          group->job_keys = std::move(job_keys);
-          group->backend = npos;  // fully served: never (re)submitted
-          group->router_ids = rids;
-          group->unreleased = njobs;
-          {
-            const std::lock_guard<std::mutex> lock(state_mu_);
-            const std::size_t gidx = groups_.size();
-            for (std::size_t i = 0; i < njobs; ++i)
-              jobs_.emplace(rids[i], JobEntry{gidx, i, std::move(bodies[i])});
-            groups_.push_back(std::move(group));
-            ++submits_routed_;
-            jobs_routed_ += njobs;
-            ++peer_hits_;
-            peer_jobs_served_ += njobs;
-            if (!client_key.empty())
-              by_client_key_[client_key] = KeyedSubmit{rids, true};
-          }
-          jobs_cv_.notify_all();
-          return submitted_json(rids, false);
-        }
-        // Fetched but undecodable (version skew, torn frame): count it
-        // and simulate — a peer's garbage must never become our error.
-        const std::lock_guard<std::mutex> lock(state_mu_);
-        ++peer_errors_;
+        ids = rids;
+        return submitted_json(rids, false);
       }
     }
     json::Value resp;
@@ -750,11 +595,6 @@ std::string Router::handle_submit(const json::Value& req) {
       }
       // Any other refusal (bad_request despite our parse, a cap
       // mismatch...) would be refused by every backend: forward it.
-      if (!client_key.empty()) {
-        const std::lock_guard<std::mutex> lock(state_mu_);
-        by_client_key_.erase(client_key);
-        jobs_cv_.notify_all();
-      }
       return json::serialize(resp);
     }
     std::vector<std::uint64_t> backend_ids;
@@ -762,8 +602,7 @@ std::string Router::handle_submit(const json::Value& req) {
       backend_ids = ids_from_response(resp);
     } catch (const std::exception& e) {
       // ok:true without a usable "ids" array: treat it as a candidate
-      // failure (as place_group does) — it must never unwind past the
-      // keyed reservation above, which would wedge that client key.
+      // failure (as place_group does).
       last_error = "backend " + opts_.backends[b].name() + ": " + e.what();
       continue;
     }
@@ -800,22 +639,18 @@ std::string Router::handle_submit(const json::Value& req) {
       }
       group->router_ids = router_ids;
       groups_.push_back(std::move(group));
-      ++submits_routed_;
-      jobs_routed_ += njobs;
-      if (rank > 0) jobs_rerouted_ += njobs;  // diverted around saturation
-      if (!client_key.empty())
-        by_client_key_[client_key] = KeyedSubmit{router_ids, true};
+      ++counters_.submits_routed;
+      counters_.jobs_routed += njobs;
+      if (rank > 0) counters_.jobs_rerouted += njobs;  // diverted around saturation
     }
-    jobs_cv_.notify_all();
+    ids = router_ids;
     return submitted_json(router_ids, false);
   }
 
   {
     const std::lock_guard<std::mutex> lock(state_mu_);
-    if (!client_key.empty()) by_client_key_.erase(client_key);
-    ++submits_rejected_;
+    ++counters_.submits_rejected;
   }
-  jobs_cv_.notify_all();
   if (saw_queue_full) {
     if (retry_hint == 0) retry_hint = 100;
     return error_json("queue_full",
@@ -844,12 +679,7 @@ bool Router::place_group(std::size_t group_idx, std::size_t exclude) {
       if (it != jobs_.end() && it->second.result_json.empty()) ++pending;
     }
     if (pending == 0) return true;  // fully served (or released): no move
-    std::ostringstream ps;
-    ps << "{\"op\":\"submit\",\"key\":\"" << json_escape(g->fleet_key)
-       << "\"";
-    if (g->deadline_ms > 0) ps << ",\"deadline_ms\":" << g->deadline_ms;
-    ps << ",\"jobs\":" << g->jobs_json << "}";
-    payload = ps.str();
+    payload = submit_payload(g->fleet_key, g->deadline_ms, g->jobs_json);
     jobs_json = g->jobs_json;
     key = g->route_key;
     job_keys = g->job_keys;
@@ -866,50 +696,29 @@ bool Router::place_group(std::size_t group_idx, std::size_t exclude) {
   if (opts_.affinity && opts_.peer_read_through &&
       job_keys.size() == expected) {
     const std::vector<std::size_t> cands = placement(key, exclude);
-    if (!cands.empty()) {
-      const auto t0 = Clock::now();
-      if (const auto blobs = peer_cache_fetch(cands[0], job_keys)) {
-        const double secs =
-            std::chrono::duration<double>(Clock::now() - t0).count() /
-            static_cast<double>(expected);
-        std::vector<std::string> bodies(expected);
-        bool decoded = true;
-        try {
-          const json::Value jv = parse_json(jobs_json);
-          if (!jv.is_array() || jv.as_array().size() != expected)
-            decoded = false;
-          for (std::size_t i = 0; i < expected && decoded; ++i) {
-            const SweepJob job = serve::job_from_json(jv.as_array()[i]);
-            bodies[i] =
-                result_from_blob((*blobs)[i], job, router_ids[i], secs);
-            if (bodies[i].empty()) decoded = false;
-          }
-        } catch (const std::exception&) {
-          decoded = false;
+    std::vector<SweepJob> jobs;
+    try {
+      const json::Value jv = parse_json(jobs_json);
+      for (const auto& elem : jv.as_array())
+        jobs.push_back(serve::job_from_json(elem));
+    } catch (const std::exception&) {
+      jobs.clear();  // unreachable for our own serialization: resubmit
+    }
+    std::optional<std::vector<std::string>> bodies;
+    if (!cands.empty() && jobs.size() == expected)
+      bodies = peer_results(cands[0], job_keys, jobs, router_ids);
+    if (bodies) {
+      const std::lock_guard<std::mutex> lock(state_mu_);
+      if (SubmitGroup* g = groups_[group_idx].get()) {
+        g->backend = npos;  // fully served: nothing left to place
+        for (std::size_t i = 0; i < expected; ++i) {
+          const auto it = jobs_.find(router_ids[i]);
+          if (it != jobs_.end() && it->second.result_json.empty())
+            it->second.result_json = std::move((*bodies)[i]);
         }
-        bool served = false;
-        {
-          const std::lock_guard<std::mutex> lock(state_mu_);
-          if (decoded) {
-            if (SubmitGroup* g = groups_[group_idx].get()) {
-              g->backend = npos;  // fully served: nothing left to place
-              for (std::size_t i = 0; i < expected; ++i) {
-                const auto it = jobs_.find(router_ids[i]);
-                if (it != jobs_.end() && it->second.result_json.empty())
-                  it->second.result_json = std::move(bodies[i]);
-              }
-              ++peer_hits_;
-              peer_jobs_served_ += pending;
-              served = true;
-            }
-          } else {
-            ++peer_errors_;
-          }
-        }
-        if (served) {
-          jobs_cv_.notify_all();
-          return true;
-        }
+        ++counters_.peer_hits;
+        counters_.peer_jobs_served += pending;
+        return true;
       }
     }
   }
@@ -943,7 +752,7 @@ bool Router::place_group(std::size_t group_idx, std::size_t exclude) {
       if (SubmitGroup* g = groups_[group_idx].get()) {
         g->backend = b;
         g->backend_ids = std::move(ids);
-        jobs_rerouted_ += pending;
+        counters_.jobs_rerouted += pending;
         claimed = true;
       }
     }
@@ -951,9 +760,7 @@ bool Router::place_group(std::size_t group_idx, std::size_t exclude) {
       // Every job was fetched-and-released while we were resubmitting:
       // nobody will ever collect this copy, so unwind it best-effort.
       if (!duplicate) cancel_backend_ids(b, ids);
-      return true;
     }
-    jobs_cv_.notify_all();
     return true;
   }
   // Nowhere to land right now (whole fleet down or saturated). Leave it
@@ -991,9 +798,8 @@ void Router::cancel_backend_ids(std::size_t b,
 }
 
 void Router::fail_over(std::size_t dead) {
-  // Recursive: resubmitting to a survivor can open ITS breaker mid-loop
-  // and re-enter fail_over from the transition callback on this thread.
-  const std::lock_guard<std::recursive_mutex> lock(failover_mu_);
+  if (stopping_.load()) return;
+  const std::lock_guard<std::mutex> lock(failover_mu_);
   pool_.clear(opts_.backends[dead].host, opts_.backends[dead].port);
   std::vector<std::size_t> affected;
   {
@@ -1005,7 +811,8 @@ void Router::fail_over(std::size_t dead) {
 }
 
 bool Router::reroute_group(std::size_t group_idx, bool allow_current) {
-  const std::lock_guard<std::recursive_mutex> lock(failover_mu_);
+  if (stopping_.load()) return false;
+  const std::lock_guard<std::mutex> lock(failover_mu_);
   std::size_t current;
   {
     const std::lock_guard<std::mutex> slock(state_mu_);
@@ -1026,164 +833,285 @@ void Router::on_breaker_transition(std::size_t i, BreakerState from,
   const bool is_routable = to == BreakerState::kClosed;
   if (was_routable != is_routable) {
     const std::lock_guard<std::mutex> lock(state_mu_);
-    ++ring_moves_;
+    ++counters_.ring_moves;
   }
-  if (to == BreakerState::kOpen && !stopping_.load()) fail_over(i);
+  // Re-landing groups blocks on backend round trips, and transitions are
+  // reported from loop threads too: the pool does it.
+  if (to == BreakerState::kOpen && !stopping_.load())
+    handlers_.submit([this, i] { fail_over(i); });
 }
 
-std::string Router::handle_result(const json::Value& req) {
-  const std::uint64_t rid = require_id(req);
-  const bool wait = req.get_bool("wait", false);
-  const bool release = req.get_bool("release", false);
-  const auto deadline =
-      Clock::now() +
-      std::chrono::milliseconds(req.get_uint("timeout_ms", 60'000));
+// --- the result path ---------------------------------------------------
+// A `result` holds no thread: each round is one pipelined v2 request on
+// the client loop's channel to the job's backend, and its reply (or the
+// channel's loss) re-enters that loop to answer, re-issue, or reroute.
 
-  unsigned attempts = 0;
-  for (;;) {
-    // The wait/retry deadline is client-chosen (and unbounded): never
-    // let it outlive the router — stop() joins this session's thread.
-    if (stopping_.load())
-      return error_json("shutting_down", "router stopping",
-                        "\"id\":" + std::to_string(rid));
-    std::string cached;
-    std::size_t gidx = 0, b = npos;
-    std::uint64_t bid = 0;
-    bool has_bid = false;
+void Router::result_round(const CallPtr& call) {
+  const std::uint64_t rid = call->rid;
+  // The wait deadline is client-chosen (and unbounded): never let it
+  // outlive the router.
+  if (stopping_.load()) return call->fail("shutting_down", "router stopping");
+  std::string cached;
+  std::size_t b = npos;
+  std::uint64_t bid = 0;
+  bool has_bid = false;
+  {
+    const std::lock_guard<std::mutex> lock(state_mu_);
+    const auto it = jobs_.find(rid);
+    if (it == jobs_.end())
+      return call->reply.send(
+          error_json("not_found", "no job " + std::to_string(rid)));
+    call->group = it->second.group;
+    const SubmitGroup& g = *groups_[call->group];
+    b = g.backend;
+    has_bid = b != npos && it->second.pos < g.backend_ids.size();
+    if (has_bid) bid = g.backend_ids[it->second.pos];
+    if (!it->second.result_json.empty()) {
+      cached = it->second.result_json;
+      if (call->release) release_job_locked(it);
+      ++counters_.results_served;
+    }
+  }
+  if (!cached.empty()) {
+    // An earlier fetch without release left the backend's record in
+    // place: release it there too, best effort (a backend that died or
+    // forgot the job has nothing left to reclaim), then answer.
+    if (!call->release || !has_bid)
+      return call->reply.send(result_json(rid, cached));
+    call->cached = std::move(cached);
+    return send_round(call, b,
+                      "{\"op\":\"result\",\"id\":" + std::to_string(bid) +
+                          ",\"release\":true}",
+                      0);
+  }
+
+  const std::uint64_t now = net::EventLoop::now_ms();
+  if (b == npos) {
+    // Unplaced (mid-failover with no survivor yet): poll for a home.
+    if (!call->wait || now >= call->deadline_ms)
+      return call->fail("not_ready",
+                        "job " + std::to_string(rid) + " is awaiting rerouting",
+                        ",\"state\":\"queued\"");
+    return retry_after(call, 100, /*reroute=*/true);
+  }
+
+  // Forward in bounded rounds so a failover mid-wait is noticed: the
+  // backend parks at most kRoundWaitMs per round, then the mapping is
+  // re-read.
+  std::ostringstream ps;
+  ps << "{\"op\":\"result\",\"id\":" << bid;
+  // The router keeps no copy of a released result, so neither may the
+  // backend: forward the release, or its record lives forever.
+  if (call->release) ps << ",\"release\":true";
+  std::uint64_t wait_ms = 0;
+  if (call->wait) {
+    wait_ms = std::min(
+        call->deadline_ms > now ? call->deadline_ms - now : 0, kRoundWaitMs);
+    ps << ",\"wait\":true,\"timeout_ms\":" << wait_ms;
+  }
+  ps << "}";
+  send_round(call, b, ps.str(), wait_ms);
+}
+
+void Router::send_round(const CallPtr& call, std::size_t b,
+                        const std::string& payload, std::uint64_t wait_ms) {
+  if (const auto refused = admit(b)) return round_failed(call, *refused);
+  net::EventLoop* loop = &call->reply.loop();
+  Channel& ch = channels_.at(loop)[b];
+  net::Conn* c = ch.conn ? loop->find(ch.conn) : nullptr;
+  if (c == nullptr) {
+    auto on_frame = [this, loop, b](net::Conn& conn, std::string&& p) {
+      on_channel_frame(*loop, b, conn.id(), p);
+    };
+    auto on_close = [this, loop, b](net::Conn& conn) {
+      if (channels_.at(loop)[b].conn == conn.id())
+        reset_channel(*loop, b,
+                      "lost connection to " + opts_.backends[b].name());
+    };
+    const int fd = connect_async(opts_.backends[b]);
+    ch.conn = fd < 0 ? 0 : loop->attach(fd, on_frame, on_close);
+    c = ch.conn ? loop->find(ch.conn) : nullptr;
+    if (c == nullptr) {
+      health_.on_failure(b);
+      return round_failed(call, "cannot connect to " + opts_.backends[b].name());
+    }
+  }
+  const std::uint32_t tag = ch.next_tag++;
+  ch.calls.emplace(tag, call);
+  // The forwarded timeout bounds a healthy backend's answer; this timer
+  // catches a hung one.
+  call->timer = loop->add_timer(wait_ms + kRoundSlackMs, [this, loop, b] {
+    reset_channel(*loop, b, opts_.backends[b].name() + " did not answer");
+  });
+  c->send_frame(v2::encode(v2::Op::kResult, v2::Kind::kRequest, tag, payload));
+}
+
+void Router::on_channel_frame(net::EventLoop& loop, std::size_t b,
+                              std::uint64_t conn_id,
+                              const std::string& payload) {
+  Channel& ch = channels_.at(&loop)[b];
+  if (ch.conn != conn_id) return;  // a dropped channel's late bytes
+  v2::Frame f;
+  try {
+    f = v2::decode(payload);
+  } catch (const v2::V2Error&) {
+    return reset_channel(loop, b, "bad frame from " + opts_.backends[b].name());
+  }
+  const auto it = ch.calls.find(f.request_id);
+  if (it == ch.calls.end()) return;  // its round was abandoned
+  const CallPtr call = std::move(it->second);
+  ch.calls.erase(it);
+  loop.cancel_timer(call->timer);
+  call->timer = 0;
+  const std::uint64_t rid = call->rid;
+  json::Value resp;
+  try {
+    resp = parse_json(std::string(f.body));
+  } catch (const std::exception& e) {
+    // The backend answered garbage: as dead as a reset.
+    health_.on_failure(b);
+    return round_failed(call, e.what());
+  }
+  health_.on_success(b);
+  if (!call->cached.empty())
+    return call->reply.send(result_json(rid, call->cached));
+  if (resp.get_bool("ok", false) && resp.get_string("type", "") == "result") {
+    // The backend's own bytes, spliced verbatim: a routed result is
+    // byte-equal to the same job's direct one (docs/CLUSTER.md).
+    const std::string_view body = json::member_text(f.body, "result");
+    if (body.empty())
+      return call->reply.send(
+          error_json("bad_gateway", "backend result lacks body"));
     {
       const std::lock_guard<std::mutex> lock(state_mu_);
-      const auto it = jobs_.find(rid);
-      if (it == jobs_.end())
-        return error_json("not_found", "no job " + std::to_string(rid));
-      gidx = it->second.group;
-      const SubmitGroup& g = *groups_[gidx];
-      b = g.backend;
-      has_bid = b != npos && it->second.pos < g.backend_ids.size();
-      if (has_bid) bid = g.backend_ids[it->second.pos];
-      if (!it->second.result_json.empty()) {
-        cached = it->second.result_json;
-        if (release) release_job_locked(it);
-        ++results_served_;
+      const auto job = jobs_.find(rid);
+      if (job != jobs_.end()) {
+        if (call->release)
+          release_job_locked(job);
+        else
+          job->second.result_json = std::string(body);
       }
+      ++counters_.results_served;
     }
-    if (!cached.empty()) {
-      // An earlier fetch without release left the backend's record in
-      // place: release it there too, best effort (a backend that died
-      // or forgot the job has nothing left to reclaim).
-      if (release && has_bid) {
-        try {
-          backend_request(b, "{\"op\":\"result\",\"id\":" +
-                                 std::to_string(bid) + ",\"release\":true}",
-                          v2::Op::kResult);
-        } catch (const ServeError&) {
-        }
-      }
-      return "{\"ok\":true,\"type\":\"result\",\"id\":" + std::to_string(rid) +
-             ",\"result\":" + cached + "}";
-    }
+    return call->reply.send(result_json(rid, body));
+  }
+  const std::string err = resp.get_string("error", "");
+  const bool expired = net::EventLoop::now_ms() >= call->deadline_ms;
+  if (err == "not_ready") {
+    if (!call->wait || expired)
+      return call->fail(
+          "not_ready",
+          "job " + std::to_string(rid) + " is " +
+              resp.get_string("state", "pending"),
+          ",\"state\":\"" + resp.get_string("state", "queued") + "\"");
+    return result_round(call);
+  }
+  if (err == "not_found") {
+    // The backend forgot the job (restarted without its journal, or the
+    // mapping is stale): resubmit the group under its fleet key.
+    // Determinism makes the rerun's result bit-identical; the fleet key
+    // makes a backend that DOES remember answer duplicate.
+    if (++call->attempts > (call->wait ? 16u : 3u) || (call->wait && expired))
+      return call->fail("unavailable", "backend lost job " +
+                                           std::to_string(rid) +
+                                           " and rerouting failed");
+    return retry_after(call, 0, /*reroute=*/true);
+  }
+  if (err == "shutting_down") {
+    // An announced drain is as good as a death: move the work now.
+    health_.trip(b);
+    if (call->wait ? expired : ++call->attempts >= 3)
+      return call->fail("unavailable", "backend draining");
+    return result_round(call);
+  }
+  rewrite_id(resp, rid);
+  call->reply.send(json::serialize(resp));
+}
 
-    const bool expired = Clock::now() >= deadline;
-    if (b == npos) {
-      // Unplaced (mid-failover with no survivor yet): poll for a home.
-      if (!wait || expired)
-        return error_json("not_ready",
-                          "job " + std::to_string(rid) +
-                              " is awaiting rerouting",
-                          "\"id\":" + std::to_string(rid) +
-                              ",\"state\":\"queued\"");
-      reroute_group(gidx, /*allow_current=*/true);
-      std::this_thread::sleep_for(std::chrono::milliseconds(100));
-      continue;
-    }
+void Router::round_failed(const CallPtr& call, const std::string& what) {
+  // Never sends a round synchronously: this runs inside a channel's
+  // close callback, where the loop must not open a new conn.
+  if (!call->cached.empty())  // the release was best effort
+    return call->reply.send(result_json(call->rid, call->cached));
+  if (stopping_.load()) return call->fail("shutting_down", "router stopping");
+  // The breaker heard about it; if it opened, the pool is re-landing the
+  // group. Re-read the mapping shortly, until the deadline (or attempt
+  // budget).
+  if (call->wait ? net::EventLoop::now_ms() >= call->deadline_ms
+                 : ++call->attempts >= 3)
+    return call->fail("unavailable", what);
+  retry_after(call, 50, false);
+}
 
-    // Forward in bounded chunks so a failover mid-wait is noticed: the
-    // backend blocks at most 2s per round, then the mapping is re-read.
-    std::ostringstream ps;
-    ps << "{\"op\":\"result\",\"id\":" << bid;
-    // The router keeps no copy of a released result, so neither may the
-    // backend: forward the release, or its record lives forever.
-    if (release) ps << ",\"release\":true";
-    if (wait) {
-      const auto left = std::chrono::duration_cast<std::chrono::milliseconds>(
-          deadline - Clock::now());
-      ps << ",\"wait\":true,\"timeout_ms\":"
-         << std::min<std::int64_t>(std::max<std::int64_t>(left.count(), 0),
-                                   2'000);
-    }
-    ps << "}";
-    json::Value resp;
-    std::string raw;
-    try {
-      resp = backend_request(b, ps.str(), v2::Op::kResult, &raw);
-    } catch (const ServeError& e) {
-      // Transport failure: the breaker heard about it; if it opened,
-      // fail_over already re-landed the group on this thread. Re-read
-      // the mapping and retry until the deadline (or attempt budget).
-      if (wait ? Clock::now() >= deadline : ++attempts >= 3)
-        return error_json("unavailable", e.what(),
-                          "\"id\":" + std::to_string(rid));
-      std::this_thread::sleep_for(std::chrono::milliseconds(50));
-      continue;
-    }
-    if (resp.get_bool("ok", false) &&
-        resp.get_string("type", "") == "result") {
-      // The backend's own bytes, spliced verbatim: a routed result is
-      // byte-equal to the same job's direct one (docs/CLUSTER.md).
-      const std::string body(json::member_text(raw, "result"));
-      if (body.empty())
-        return error_json("bad_gateway", "backend result lacks body");
-      {
-        const std::lock_guard<std::mutex> lock(state_mu_);
-        const auto it = jobs_.find(rid);
-        if (it != jobs_.end()) {
-          if (release)
-            release_job_locked(it);
-          else
-            it->second.result_json = body;
-        }
-        ++results_served_;
-      }
-      return "{\"ok\":true,\"type\":\"result\",\"id\":" + std::to_string(rid) +
-             ",\"result\":" + body + "}";
-    }
-    const std::string err = resp.get_string("error", "");
-    if (err == "not_ready") {
-      if (!wait || expired)
-        return error_json("not_ready",
-                          "job " + std::to_string(rid) + " is " +
-                              resp.get_string("state", "pending"),
-                          "\"id\":" + std::to_string(rid) + ",\"state\":\"" +
-                              resp.get_string("state", "queued") + "\"");
-      continue;
-    }
-    if (err == "not_found") {
-      // The backend forgot the job (restarted without its journal, or
-      // the mapping is stale): resubmit the group under its fleet key.
-      // Determinism makes the rerun's result bit-identical; the fleet
-      // key makes a backend that DOES remember answer duplicate.
-      if (++attempts > (wait ? 16u : 3u) || (wait && expired))
-        return error_json("unavailable",
-                          "backend lost job " + std::to_string(rid) +
-                              " and rerouting failed",
-                          "\"id\":" + std::to_string(rid));
-      reroute_group(gidx, /*allow_current=*/true);
-      continue;
-    }
-    if (err == "shutting_down") {
-      // An announced drain is as good as a death: move the work now.
-      health_.trip(b);
-      if (wait ? Clock::now() >= deadline : ++attempts >= 3)
-        return error_json("unavailable", "backend draining",
-                          "\"id\":" + std::to_string(rid));
-      continue;
-    }
-    rewrite_id(resp, rid);
-    return json::serialize(resp);
+void Router::retry_after(const CallPtr& call, std::uint64_t delay_ms,
+                         bool reroute) {
+  if (reroute) {
+    // Re-placing the group blocks on backend round trips: the pool does
+    // it, then the next round runs back on the loop.
+    handlers_.submit([this, call, delay_ms] {
+      reroute_group(call->group, /*allow_current=*/true);
+      call->reply.loop().post(
+          [this, call, delay_ms] { retry_after(call, delay_ms, false); });
+    });
+  } else if (delay_ms == 0) {
+    result_round(call);
+  } else {
+    call->timer = call->reply.loop().add_timer(delay_ms, [this, call] {
+      call->timer = 0;
+      result_round(call);
+    });
   }
 }
 
-std::string Router::handle_status(const json::Value& req) {
+void Router::reset_channel(net::EventLoop& loop, std::size_t b,
+                           const std::string& what) {
+  Channel& ch = channels_.at(&loop)[b];
+  if (net::Conn* c = ch.conn ? loop.find(ch.conn) : nullptr) c->close();
+  ch.conn = 0;
+  const auto calls = std::move(ch.calls);
+  ch.calls.clear();
+  for (const auto& [tag, call] : calls) {
+    (void)tag;
+    loop.cancel_timer(call->timer);
+    call->timer = 0;
+    // Every admitted round owes the breaker one observation.
+    if (!stopping_.load()) health_.on_failure(b);
+    round_failed(call, what);
+  }
+}
+
+std::optional<std::string> Router::handle_cache_get(
+    const Hash128& key, const serve::Reply& reply) {
+  // Fleet cache lookup: the key IS the content hash affinity routes
+  // by, so under affinity the first candidate is exactly the backend
+  // whose cache would hold it. Scan the remaining alive backends only
+  // on a miss (bounded by fleet size; a cache probe is cheap).
+  const std::string request =
+      "{\"op\":\"cache_get\",\"key\":\"" + to_hex(key) + "\"}";
+  bool missed = false;  // a definite miss from a live cache
+  for (const std::size_t b : placement(key)) {
+    json::Value resp;
+    try {
+      resp = backend_request(b, request);
+    } catch (const ServeError&) {
+      continue;
+    }
+    if (!resp.get_bool("ok", false)) continue;
+    if (resp.get_bool("found", false)) {
+      reply.send_cache_record(base64_decode(resp.get_string("payload", "")));
+      return std::nullopt;
+    }
+    missed = true;
+  }
+  if (!missed) return error_json("unavailable", "no alive backend");
+  reply.send_cache_record(std::nullopt);
+  return std::nullopt;
+}
+
+std::string Router::forward_by_id(const json::Value& req,
+                                  const std::string& op) {
   const std::uint64_t rid = require_id(req);
+  const bool status = op == "status";
   std::string cached;
   std::size_t gidx = 0, b = npos;
   std::uint64_t bid = 0;
@@ -1199,83 +1127,25 @@ std::string Router::handle_status(const json::Value& req) {
     if (b != npos && it->second.pos < g.backend_ids.size())
       bid = g.backend_ids[it->second.pos];
   }
-  if (!cached.empty()) {
+  const std::string rerouting = "{\"ok\":true,\"type\":\"status\"," +
+                                id_member(rid) +
+                                ",\"state\":\"queued\",\"rerouting\":true}";
+  if (status && !cached.empty()) {
     // Served from the router's copy; mirror the backend's shape.
-    std::string status = "finished";
+    std::string st = "finished";
     try {
-      status = parse_json(cached).get_string("status", "finished");
+      st = parse_json(cached).get_string("status", "finished");
     } catch (const std::exception&) {
     }
-    return "{\"ok\":true,\"type\":\"status\",\"id\":" + std::to_string(rid) +
-           ",\"state\":\"done\",\"status\":\"" + json_escape(status) + "\"}";
+    return "{\"ok\":true,\"type\":\"status\"," + id_member(rid) +
+           ",\"state\":\"done\",\"status\":\"" + json_escape(st) + "\"}";
   }
   if (b == npos)
-    return "{\"ok\":true,\"type\":\"status\",\"id\":" + std::to_string(rid) +
-           ",\"state\":\"queued\",\"rerouting\":true}";
-  json::Value resp;
-  try {
-    resp = backend_request(
-        b, "{\"op\":\"status\",\"id\":" + std::to_string(bid) + "}");
-  } catch (const ServeError& e) {
-    return error_json("unavailable", e.what(),
-                      "\"id\":" + std::to_string(rid));
-  }
-  if (!resp.get_bool("ok", false) &&
-      resp.get_string("error", "") == "not_found") {
-    // Amnesiac backend: kick a reroute and report the honest state.
-    reroute_group(gidx, /*allow_current=*/true);
-    return "{\"ok\":true,\"type\":\"status\",\"id\":" + std::to_string(rid) +
-           ",\"state\":\"queued\",\"rerouting\":true}";
-  }
-  rewrite_id(resp, rid);
-  return json::serialize(resp);
-}
-
-std::string Router::handle_cache_get(const json::Value& req) {
-  // Fleet cache lookup: the key IS the content hash affinity routes
-  // by, so under affinity the first candidate is exactly the backend
-  // whose cache would hold it. Scan the remaining alive backends only
-  // on a miss (bounded by fleet size; a cache probe is cheap).
-  const std::string key_hex = req.get_string("key", "");
-  Hash128 key;
-  if (!hash128_from_hex(key_hex, key))
-    return error_json("bad_request", "\"key\" must be 32 hex chars");
-  std::string last = error_json("unavailable", "no alive backend");
-  for (const std::size_t b : placement(key)) {
-    json::Value resp;
-    try {
-      resp = backend_request(
-          b, "{\"op\":\"cache_get\",\"key\":\"" + key_hex + "\"}");
-    } catch (const ServeError&) {
-      continue;
-    }
-    if (resp.get_bool("ok", false) && resp.get_bool("found", false))
-      return json::serialize(resp);
-    if (resp.get_bool("ok", false))
-      last = json::serialize(resp);  // a definite miss from a live cache
-  }
-  return last;
-}
-
-std::string Router::handle_forwarded_by_id(const json::Value& req,
-                                           const std::string& op) {
-  const std::uint64_t rid = require_id(req);
-  std::size_t b = npos;
-  std::uint64_t bid = 0;
-  {
-    const std::lock_guard<std::mutex> lock(state_mu_);
-    const auto it = jobs_.find(rid);
-    if (it == jobs_.end())
-      return error_json("not_found", "no job " + std::to_string(rid));
-    const SubmitGroup& g = *groups_[it->second.group];
-    b = g.backend;
-    if (b != npos && it->second.pos < g.backend_ids.size())
-      bid = g.backend_ids[it->second.pos];
-  }
-  if (b == npos)
-    return error_json("not_ready",
-                      "job " + std::to_string(rid) + " is being rerouted",
-                      "\"id\":" + std::to_string(rid));
+    return status ? rerouting
+                  : error_json("not_ready",
+                               "job " + std::to_string(rid) +
+                                   " is being rerouted",
+                               id_member(rid));
   std::ostringstream ps;
   ps << "{\"op\":\"" << op << "\",\"id\":" << bid;
   if (op == "extend" && req.find("deadline_ms"))
@@ -1285,8 +1155,13 @@ std::string Router::handle_forwarded_by_id(const json::Value& req,
   try {
     resp = backend_request(b, ps.str());
   } catch (const ServeError& e) {
-    return error_json("unavailable", e.what(),
-                      "\"id\":" + std::to_string(rid));
+    return error_json("unavailable", e.what(), id_member(rid));
+  }
+  if (status && !resp.get_bool("ok", false) &&
+      resp.get_string("error", "") == "not_found") {
+    // Amnesiac backend: kick a reroute and report the honest state.
+    reroute_group(gidx, /*allow_current=*/true);
+    return rerouting;
   }
   if (op == "extend" && resp.get_bool("ok", false)) {
     // The backend requeued the job: drop our stale cached result so the
@@ -1299,27 +1174,17 @@ std::string Router::handle_forwarded_by_id(const json::Value& req,
   return json::serialize(resp);
 }
 
+Router::Counters Router::counters() const {
+  const std::lock_guard<std::mutex> lock(state_mu_);
+  Counters n = counters_;
+  n.jobs_tracked = jobs_.size();
+  for (const auto& g : groups_)
+    if (g) ++n.groups_live;
+  return n;
+}
+
 std::string Router::stats_json() {
-  std::uint64_t submits_routed, jobs_routed, jobs_rerouted, submits_rejected,
-      results_served, ring_moves, peer_lookups, peer_hits, peer_jobs_served,
-      peer_misses, peer_errors, jobs_tracked, groups_live = 0;
-  {
-    const std::lock_guard<std::mutex> lock(state_mu_);
-    submits_routed = submits_routed_;
-    jobs_routed = jobs_routed_;
-    jobs_rerouted = jobs_rerouted_;
-    submits_rejected = submits_rejected_;
-    results_served = results_served_;
-    ring_moves = ring_moves_;
-    peer_lookups = peer_lookups_;
-    peer_hits = peer_hits_;
-    peer_jobs_served = peer_jobs_served_;
-    peer_misses = peer_misses_;
-    peer_errors = peer_errors_;
-    jobs_tracked = jobs_.size();
-    for (const auto& g : groups_)
-      if (g) ++groups_live;
-  }
+  const Counters n = counters();
   const BreakerCounts trans = health_.totals();
   const std::vector<std::size_t> outstanding = outstanding_by_backend();
 
@@ -1329,17 +1194,17 @@ std::string Router::stats_json() {
   os << ",\"alive\":" << health_.alive_count();
   os << ",\"mode\":\"" << (opts_.affinity ? "affinity" : "least_queued")
      << "\"";
-  os << ",\"submits_routed\":" << submits_routed;
-  os << ",\"jobs_routed\":" << jobs_routed;
-  os << ",\"jobs_rerouted\":" << jobs_rerouted;
-  os << ",\"submits_rejected\":" << submits_rejected;
-  os << ",\"results_served\":" << results_served;
-  os << ",\"ring_moves\":" << ring_moves;
-  os << ",\"jobs_tracked\":" << jobs_tracked;
-  os << ",\"groups_live\":" << groups_live;
-  os << ",\"peer_cache\":{\"lookups\":" << peer_lookups
-     << ",\"hits\":" << peer_hits << ",\"jobs_served\":" << peer_jobs_served
-     << ",\"misses\":" << peer_misses << ",\"errors\":" << peer_errors
+  os << ",\"submits_routed\":" << n.submits_routed;
+  os << ",\"jobs_routed\":" << n.jobs_routed;
+  os << ",\"jobs_rerouted\":" << n.jobs_rerouted;
+  os << ",\"submits_rejected\":" << n.submits_rejected;
+  os << ",\"results_served\":" << n.results_served;
+  os << ",\"ring_moves\":" << n.ring_moves;
+  os << ",\"jobs_tracked\":" << n.jobs_tracked;
+  os << ",\"groups_live\":" << n.groups_live;
+  os << ",\"peer_cache\":{\"lookups\":" << n.peer_lookups
+     << ",\"hits\":" << n.peer_hits << ",\"jobs_served\":" << n.peer_jobs_served
+     << ",\"misses\":" << n.peer_misses << ",\"errors\":" << n.peer_errors
      << "}";
   os << ",\"breaker\":{\"opened\":" << trans.opened
      << ",\"half_opened\":" << trans.half_opened
@@ -1402,26 +1267,7 @@ std::string Router::stats_json() {
 }
 
 std::string Router::metrics_text() {
-  std::uint64_t submits_routed, jobs_routed, jobs_rerouted, submits_rejected,
-      results_served, ring_moves, peer_lookups, peer_hits, peer_jobs_served,
-      peer_misses, peer_errors, jobs_tracked, groups_live = 0;
-  {
-    const std::lock_guard<std::mutex> lock(state_mu_);
-    submits_routed = submits_routed_;
-    jobs_routed = jobs_routed_;
-    jobs_rerouted = jobs_rerouted_;
-    submits_rejected = submits_rejected_;
-    results_served = results_served_;
-    ring_moves = ring_moves_;
-    peer_lookups = peer_lookups_;
-    peer_hits = peer_hits_;
-    peer_jobs_served = peer_jobs_served_;
-    peer_misses = peer_misses_;
-    peer_errors = peer_errors_;
-    jobs_tracked = jobs_.size();
-    for (const auto& g : groups_)
-      if (g) ++groups_live;
-  }
+  const Counters n = counters();
   const BreakerCounts trans = health_.totals();
   const std::vector<std::size_t> outstanding = outstanding_by_backend();
 
@@ -1438,31 +1284,31 @@ std::string Router::metrics_text() {
         "Configured backends");
   gauge("masc_routerd_backends_alive", health_.alive_count(),
         "Backends whose breaker is not open");
-  counter("masc_routerd_submits_routed_total", submits_routed,
+  counter("masc_routerd_submits_routed_total", n.submits_routed,
           "Client submits placed on a backend");
-  counter("masc_routerd_jobs_routed_total", jobs_routed,
+  counter("masc_routerd_jobs_routed_total", n.jobs_routed,
           "Jobs in placed submits");
-  counter("masc_routerd_jobs_rerouted_total", jobs_rerouted,
+  counter("masc_routerd_jobs_rerouted_total", n.jobs_rerouted,
           "Jobs re-landed by failover or diverted around saturation");
-  counter("masc_routerd_submits_rejected_total", submits_rejected,
+  counter("masc_routerd_submits_rejected_total", n.submits_rejected,
           "Submits refused fleet-wide (queue_full/unavailable)");
-  counter("masc_routerd_results_served_total", results_served,
+  counter("masc_routerd_results_served_total", n.results_served,
           "Result responses returned to clients");
-  counter("masc_routerd_ring_moves_total", ring_moves,
+  counter("masc_routerd_ring_moves_total", n.ring_moves,
           "Routable-set changes (backend died or recovered)");
-  counter("masc_routerd_peer_cache_lookups_total", peer_lookups,
+  counter("masc_routerd_peer_cache_lookups_total", n.peer_lookups,
           "Peer cache read-through rounds attempted");
-  counter("masc_routerd_peer_cache_hits_total", peer_hits,
+  counter("masc_routerd_peer_cache_hits_total", n.peer_hits,
           "Submit groups served whole from a peer's result cache");
-  counter("masc_routerd_peer_cache_jobs_served_total", peer_jobs_served,
+  counter("masc_routerd_peer_cache_jobs_served_total", n.peer_jobs_served,
           "Jobs answered from a peer cache instead of re-simulating");
-  counter("masc_routerd_peer_cache_misses_total", peer_misses,
+  counter("masc_routerd_peer_cache_misses_total", n.peer_misses,
           "Peer cache rounds abandoned on a missing key");
-  counter("masc_routerd_peer_cache_errors_total", peer_errors,
+  counter("masc_routerd_peer_cache_errors_total", n.peer_errors,
           "Peer cache rounds abandoned on transport or decode failure");
-  gauge("masc_routerd_jobs_tracked", jobs_tracked,
+  gauge("masc_routerd_jobs_tracked", n.jobs_tracked,
         "Jobs the router still tracks (unfetched or unreleased)");
-  gauge("masc_routerd_groups_live", groups_live,
+  gauge("masc_routerd_groups_live", n.groups_live,
         "Submit groups not yet fully released");
   counter("masc_routerd_breaker_opened_total", trans.opened,
           "Breaker transitions to open");

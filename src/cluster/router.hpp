@@ -1,9 +1,11 @@
 // masc-routerd core: a cluster router fronting N masc-served backends.
 //
 // The router speaks the masc-served wire protocol on both faces: to
-// clients it *is* a masc-served (same ops, same framing, so masc-client
-// points at it unchanged); to backends it is a pooled client. Three
-// responsibilities (docs/CLUSTER.md):
+// clients it *is* a masc-served (the same serve::FrontEnd, so
+// masc-client points at it unchanged); to backends it is a pooled
+// client, plus one pipelined v2 channel per event loop that carries
+// every `result` without holding a thread. Three responsibilities
+// (docs/CLUSTER.md):
 //
 //  1. Cache-affinity routing. A submit's jobs are decoded and hashed
 //     with the same canonical content hash the result cache uses
@@ -33,15 +35,12 @@
 #pragma once
 
 #include <atomic>
-#include <condition_variable>
 #include <cstdint>
-#include <deque>
 #include <map>
 #include <memory>
 #include <mutex>
 #include <optional>
 #include <string>
-#include <thread>
 #include <unordered_map>
 #include <vector>
 
@@ -50,6 +49,7 @@
 #include "net/event_loop.hpp"
 #include "net/task_pool.hpp"
 #include "serve/client.hpp"
+#include "serve/front_end.hpp"
 #include "serve/protocol.hpp"
 #include "serve/protocol_v2.hpp"
 
@@ -100,14 +100,9 @@ struct RouterOptions {
   /// simulation it might save.
   std::uint64_t peer_timeout_ms = 250;
   /// Event-loop threads multiplexing client sessions (docs/NET.md);
-  /// 0 = 1. Loops only parse frames and write responses — request
-  /// handling (which blocks on backend round-trips) runs on the
-  /// handler pool below.
+  /// 0 = 1. Each loop also owns one pipelined v2 channel per backend,
+  /// on which every `result` request of its sessions is forwarded.
   unsigned io_threads = 2;
-  /// Handler-pool threads executing requests against backends; bounds
-  /// how many client requests (notably blocking result-waits) are in
-  /// flight at once. 0 = 4.
-  unsigned handler_threads = 8;
 };
 
 class Router {
@@ -121,15 +116,14 @@ class Router {
   /// Bind, listen, spawn the accept thread and the health prober.
   /// Throws ServeError if the port cannot be bound.
   void start();
-  /// Refuse new connections, hang up sessions, join all threads.
-  /// Backends are left running — the router owns no backend lifecycle.
+  /// Refuse new connections, answer parked result-waits with
+  /// shutting_down, hang up sessions, join all threads. Backends are
+  /// left running — the router owns no backend lifecycle.
   void stop();
 
-  std::uint16_t port() const { return port_; }
+  std::uint16_t port() const { return front_.port(); }
 
-  bool shutdown_requested() const {
-    return shutdown_requested_.load(std::memory_order_acquire);
-  }
+  bool shutdown_requested() const { return front_.shutdown_requested(); }
 
   /// The same JSON served to {"op":"stats"} (for embedding/tests).
   std::string stats_json();
@@ -171,64 +165,95 @@ class Router {
   };
 
   /// Client-key idempotency at the router: a resent keyed submit gets
-  /// the original ROUTER ids back, even while the first attempt is
-  /// still in flight (waiters block on jobs_cv_).
+  /// the original ROUTER ids back. A resend that arrives while the first
+  /// attempt is still in flight parks its reply here; the attempt's
+  /// outcome answers every parked reply.
   struct KeyedSubmit {
-    std::vector<std::uint64_t> ids;
-    bool ready = false;
+    std::vector<std::uint64_t> ids;  ///< empty while the attempt is in flight
+    std::vector<serve::Reply> parked;
   };
 
-  /// Per-connection protocol state, attached to net::Conn::ctx — same
-  /// contract as the server's: v1 responses leave strictly in request
-  /// order (slots), v2 responses as they complete, matched by id.
-  struct ConnState {
-    std::deque<std::pair<std::uint64_t, std::optional<std::string>>> v1_q;
-    std::uint64_t next_slot = 1;
+  /// One client `result` request, driven on the loop that owns the
+  /// client's connection. Every field is touched only on that loop.
+  struct ResultCall {
+    serve::Reply reply;
+    std::uint64_t rid = 0;
+    bool wait = false;
+    bool release = false;
+    std::uint64_t deadline_ms = 0; ///< on net::EventLoop::now_ms()'s clock
+    unsigned attempts = 0;
+    std::size_t group = 0;         ///< the job's group, as last read
+    net::TimerId timer = 0;        ///< round or retry timer
+    /// Set when the router already holds the body: the round in flight
+    /// is a best-effort backend release, and any outcome answers this.
+    std::string cached;
+
+    /// Answer with error `code`, naming this call's router id.
+    void fail(const std::string& code, const std::string& detail,
+              const std::string& extra = "") const {
+      reply.send(serve::error_json(
+          code, detail, "\"id\":" + std::to_string(rid) + extra));
+    }
+  };
+  using CallPtr = std::shared_ptr<ResultCall>;
+
+  /// One pipelined protocol-v2 connection from a router loop to a
+  /// backend. Rounds are matched to their calls by v2 request id.
+  struct Channel {
+    std::uint64_t conn = 0;  ///< 0 = none open
+    std::uint32_t next_tag = 1;
+    std::unordered_map<std::uint32_t, CallPtr> calls;
   };
 
-  /// How one in-flight request's response must be delivered.
-  struct Pending {
-    bool v2 = false;
-    std::uint32_t v2_id = 0;         ///< v2: request id to echo
-    serve::v2::Op v2_op = serve::v2::Op::kSubmit;
-    std::uint64_t v1_slot = 0;       ///< v1: ordered-response slot
-  };
+  /// The op table, on the loop thread (serve::FrontEnd::Handler).
+  std::optional<std::string> handle_request(serve::Request&& req,
+                                            const serve::Reply& reply);
 
-  void accept_loop();
+  /// Pool thread. The response, or nullopt when the reply parked behind
+  /// an in-flight submit with the same key.
+  std::optional<std::string> handle_submit(const json::Value& req,
+                                           const serve::Reply& reply);
+  /// Everything after the key reservation: place the group and return
+  /// the client's response; `ids` gets the router ids on success.
+  std::string forward_submit(const json::Value& req,
+                             const std::string& client_key,
+                             std::vector<std::uint64_t>& ids);
+  /// Answers hits and misses itself (nullopt); returns errors.
+  std::optional<std::string> handle_cache_get(const Hash128& key,
+                                              const serve::Reply& reply);
+  /// status, cancel or extend, forwarded to the job's backend by its
+  /// backend id (status answers from the router's copy when it has one).
+  std::string forward_by_id(const json::Value& req, const std::string& op);
 
-  // Event-loop entry points (loop thread).
-  void on_frame(net::Conn& c, std::string&& payload);
-  void handle_v2_frame(net::Conn& c, const std::string& payload);
-  static ConnState& conn_state(net::Conn& c);
-  /// Fill `slot` and flush every in-order response now available.
-  void send_v1(net::Conn& c, std::uint64_t slot, std::string&& resp);
-  /// Run `payload` on the handler pool; post the response back to the
-  /// connection's loop for delivery per `p`.
-  void dispatch(net::Conn& c, Pending p, std::string&& payload,
-                const char* forced_op);
+  // The result path: loop thread only, never blocks.
+  /// Re-read the job's mapping and answer, or forward one round.
+  void result_round(const CallPtr& call);
+  void send_round(const CallPtr& call, std::size_t b,
+                  const std::string& payload, std::uint64_t wait_ms);
+  void on_channel_frame(net::EventLoop& loop, std::size_t b,
+                        std::uint64_t conn_id, const std::string& payload);
+  /// The round could not reach its backend: retry or give up.
+  void round_failed(const CallPtr& call, const std::string& what);
+  /// Run another round after `delay_ms`, re-placing the call's group
+  /// first when `reroute`.
+  void retry_after(const CallPtr& call, std::uint64_t delay_ms, bool reroute);
+  /// Drop `loop`'s channel to `b`: every round on it fails.
+  void reset_channel(net::EventLoop& loop, std::size_t b,
+                     const std::string& what);
 
-  std::string handle_request(const std::string& payload,
-                             const char* forced_op = nullptr);
-
-  std::string handle_submit(const json::Value& req);
-  std::string handle_status(const json::Value& req);
-  std::string handle_result(const json::Value& req);
-  std::string handle_cache_get(const json::Value& req);
-  std::string handle_forwarded_by_id(const json::Value& req,
-                                     const std::string& op);
+  /// Breaker gate plus the FaultPlan::backend_fail hook, shared by
+  /// backend_request and channel rounds: the refusal reason, or nullopt
+  /// when the request may go (the caller then owes the breaker one
+  /// on_success/on_failure). An injected fault is reported as a failure.
+  std::optional<std::string> admit(std::size_t b);
 
   /// One request/response round-trip to backend `b` through the pool,
-  /// gated by its breaker and observed by it. Throws ServeError when
-  /// the breaker refuses or the transport fails (after reporting the
-  /// failure). This is the fault-injection hook site for
-  /// FaultPlan::backend_fail. When `hot` names a protocol-v2 op, the
-  /// connection is hello-negotiated once and the request rides a v2
-  /// frame against a v2-capable backend (same JSON in, same JSON out).
-  /// `raw`, when given, receives the response exactly as the backend
-  /// sent it (for forwarding its bytes verbatim).
+  /// gated by admit() and observed by the breaker. Throws ServeError
+  /// when the gate refuses or the transport fails (after reporting the
+  /// failure). When `hot` names a protocol-v2 op, the request rides a
+  /// v2 frame (same JSON in, same JSON out).
   json::Value backend_request(std::size_t b, const std::string& payload,
-                              std::optional<serve::v2::Op> hot = std::nullopt,
-                              std::string* raw = nullptr);
+                              std::optional<serve::v2::Op> hot = std::nullopt);
 
   /// Candidate backends for (re)placing `key`, best first: ring order
   /// under affinity, ascending outstanding-jobs otherwise; only alive
@@ -237,7 +262,7 @@ class Router {
                                      std::size_t exclude = npos);
 
   /// Resubmit every unfinished group mapped to `dead` onto survivors.
-  /// Serialized internally; safe to call from any thread.
+  /// Serialized internally; blocks, so it runs on the handler pool.
   void fail_over(std::size_t dead);
   /// Resubmit one group (e.g. its backend forgot it after an
   /// unjournaled restart). `allow_current` keeps the current backend as
@@ -247,13 +272,17 @@ class Router {
   /// candidate that accepts it. Caller must NOT hold state_mu_.
   bool place_group(std::size_t group_idx, std::size_t exclude);
 
-  /// Fetch every key from backend `b`'s result cache over one fresh
-  /// short-deadline connection (the prober pattern — never the pool,
-  /// never the breaker: an optimization must not poison the request
-  /// path). Returns the decoded payload blobs, parallel to `keys`,
-  /// only when EVERY key was found; nullopt on any miss or failure.
-  std::optional<std::vector<std::string>> peer_cache_fetch(
-      std::size_t b, const std::vector<Hash128>& keys);
+  /// Tier-3 peer read-through (docs/CACHE.md): fetch every key from
+  /// backend `b`'s result cache over one fresh short-deadline
+  /// connection (the prober pattern — never the pool, never the
+  /// breaker: an optimization must not poison the request path). Only
+  /// when EVERY key was found and decodes: the result bodies for router
+  /// ids `rids` (allocated here when empty), materialized from `jobs`
+  /// as a backend does on its own cache hit. nullopt on any miss or
+  /// failure.
+  std::optional<std::vector<std::string>> peer_results(
+      std::size_t b, const std::vector<Hash128>& keys,
+      const std::vector<SweepJob>& jobs, std::vector<std::uint64_t>& rids);
 
   /// Router-tracked unfinished jobs per backend (for least-queued).
   std::vector<std::size_t> outstanding_by_backend();
@@ -273,16 +302,16 @@ class Router {
   void on_breaker_transition(std::size_t i, BreakerState from,
                              BreakerState to);
 
+  /// Threads running the ops that block on a backend round trip
+  /// (submit, status, cancel, extend, cache_get, stats) and failover.
+  static constexpr std::size_t kHandlerThreads = 8;
+
   RouterOptions opts_;
   RendezvousRing ring_;
   HealthMonitor health_;
   serve::ClientPool pool_;
 
-  std::uint16_t port_ = 0;
-  int listen_fd_ = -1;
-
   mutable std::mutex state_mu_;
-  std::condition_variable jobs_cv_;  ///< keyed-submit waiters
   std::vector<std::unique_ptr<SubmitGroup>> groups_;
   std::unordered_map<std::uint64_t, JobEntry> jobs_;
   std::map<std::string, KeyedSubmit> by_client_key_;
@@ -290,36 +319,44 @@ class Router {
   std::uint64_t key_prefix_ = 0;  ///< randomizes generated fleet keys
   std::uint64_t fleet_seq_ = 1;   ///< reserves generated fleet keys
 
-  /// Serializes fail_over/reroute storms. Recursive because placing a
-  /// group on a survivor can open THAT survivor's breaker, whose
-  /// transition callback re-enters fail_over on the same thread.
-  std::recursive_mutex failover_mu_;
+  /// Serializes fail_over/reroute storms. A breaker that opens while a
+  /// group is being placed queues its own fail_over on the pool.
+  std::mutex failover_mu_;
 
-  // Router counters (state_mu_; transitions live in health_).
-  std::uint64_t submits_routed_ = 0;   ///< submits forwarded successfully
-  std::uint64_t jobs_routed_ = 0;      ///< jobs in those submits
-  std::uint64_t jobs_rerouted_ = 0;    ///< jobs re-landed by failover or
-                                       ///< diverted around saturation
-  std::uint64_t submits_rejected_ = 0; ///< fleet-wide queue_full replies
-  std::uint64_t results_served_ = 0;   ///< result responses to clients
-  std::uint64_t ring_moves_ = 0;       ///< full deaths + full recoveries
-                                       ///< (closed ↔ not-closed)
-  // Peer cache read-through (docs/CACHE.md tier L3).
-  std::uint64_t peer_lookups_ = 0;     ///< fetch rounds attempted
-  std::uint64_t peer_hits_ = 0;        ///< groups served whole from a peer
-  std::uint64_t peer_jobs_served_ = 0; ///< jobs answered without simulating
-  std::uint64_t peer_misses_ = 0;      ///< rounds abandoned on a missing key
-  std::uint64_t peer_errors_ = 0;      ///< rounds abandoned on transport or
-                                       ///< decode failure
+  /// Router counters (transitions live in health_).
+  struct Counters {
+    std::uint64_t submits_routed = 0;   ///< submits forwarded successfully
+    std::uint64_t jobs_routed = 0;      ///< jobs in those submits
+    std::uint64_t jobs_rerouted = 0;    ///< jobs re-landed by failover or
+                                        ///< diverted around saturation
+    std::uint64_t submits_rejected = 0; ///< fleet-wide queue_full replies
+    std::uint64_t results_served = 0;   ///< result responses to clients
+    std::uint64_t ring_moves = 0;       ///< full deaths + full recoveries
+                                        ///< (closed ↔ not-closed)
+    // Peer cache read-through (docs/CACHE.md tier L3).
+    std::uint64_t peer_lookups = 0;     ///< fetch rounds attempted
+    std::uint64_t peer_hits = 0;        ///< groups served whole from a peer
+    std::uint64_t peer_jobs_served = 0; ///< jobs answered without simulating
+    std::uint64_t peer_misses = 0;      ///< rounds abandoned on a missing key
+    std::uint64_t peer_errors = 0;      ///< rounds abandoned on transport or
+                                        ///< decode failure
+    std::uint64_t jobs_tracked = 0;     ///< snapshot only
+    std::uint64_t groups_live = 0;      ///< snapshot only
+  };
+  Counters counters_;  ///< guarded by state_mu_
+  /// A consistent copy of counters_, with the snapshot-only fields set.
+  Counters counters() const;
 
-  /// `io_threads` epoll loops; every client session lives on exactly
-  /// one. Blocking work never runs on a loop — it runs on handlers_.
-  std::unique_ptr<net::LoopGroup> loops_;
-  std::unique_ptr<net::TaskPool> handlers_;
-  std::thread accept_thread_;
+  net::TaskPool handlers_{kHandlerThreads};
   std::atomic<bool> started_{false};
   std::atomic<bool> stopping_{false};
-  std::atomic<bool> shutdown_requested_{false};
+
+  /// Sessions on `io_threads` epoll loops. Blocking work never runs on a
+  /// loop — it runs on handlers_.
+  serve::FrontEnd front_;
+  /// Per loop, one channel per backend; each row is touched only by its
+  /// own loop (the map itself is fixed at construction).
+  std::map<net::EventLoop*, std::vector<Channel>> channels_;
 };
 
 }  // namespace masc::cluster

@@ -197,6 +197,7 @@ void EventLoop::run_posted() {
 }
 
 void EventLoop::run() {
+  thread_.store(std::this_thread::get_id(), std::memory_order_relaxed);
   epoll_event events[64];
   while (!stopping_.load(std::memory_order_acquire)) {
     const std::uint64_t hint = wheel_.advance(now_ms());
@@ -234,10 +235,12 @@ void EventLoop::run() {
   for (std::uint64_t id : ids) destroy(id);
 }
 
-void EventLoop::create_conn(int fd) {
+Conn* EventLoop::create_conn(int fd, FrameFn on_frame, ConnFn on_close) {
   const std::uint64_t id = next_conn_id_++;
   auto conn = std::unique_ptr<Conn>(new Conn(this, fd, id));
   Conn* c = conn.get();
+  c->on_frame_ = std::move(on_frame);
+  c->on_close_ = std::move(on_close);
   conns_.emplace(id, std::move(conn));
   conn_count_.fetch_add(1, std::memory_order_relaxed);
   epoll_event ev{};
@@ -247,16 +250,24 @@ void EventLoop::create_conn(int fd) {
     conns_.erase(id);
     conn_count_.fetch_sub(1, std::memory_order_relaxed);
     ::close(fd);
-    return;
+    return nullptr;
   }
+  if (c->on_frame_) return c;  // outbound: no idle budget, no on_open
   if (stopping_.load(std::memory_order_acquire)) {
     // Raced with stop(): run()'s teardown already swept conns_. Destroy
     // here so on_close still fires exactly once.
     destroy(id);
-    return;
+    return nullptr;
   }
   update_timers(*c);
   if (cfg_.on_open) cfg_.on_open(*c);
+  return c;
+}
+
+std::uint64_t EventLoop::attach(int fd, FrameFn on_frame, ConnFn on_close) {
+  set_nonblocking(fd);
+  const Conn* c = create_conn(fd, std::move(on_frame), std::move(on_close));
+  return c ? c->id_ : 0;
 }
 
 Conn* EventLoop::find(std::uint64_t conn_id) {
@@ -293,7 +304,10 @@ void EventLoop::destroy(std::uint64_t conn_id) {
   if (c.idle_timer_) wheel_.cancel(c.idle_timer_);
   if (c.io_timer_) wheel_.cancel(c.io_timer_);
   c.idle_timer_ = c.io_timer_ = 0;
-  if (cfg_.on_close) cfg_.on_close(c);
+  if (c.on_close_)
+    c.on_close_(c);
+  else if (cfg_.on_close)
+    cfg_.on_close(c);
   (void)::epoll_ctl(epfd_, EPOLL_CTL_DEL, c.fd_, nullptr);
   ::close(c.fd_);
   conns_.erase(it);
@@ -378,7 +392,10 @@ void EventLoop::parse_frames(Conn& c) {
       if (avail - 4 < len) break;  // frame not complete yet
       std::string payload = c.rbuf_.substr(c.rpos_ + 4, len);
       c.rpos_ += 4 + len;
-      if (cfg_.on_frame) cfg_.on_frame(c, std::move(payload));
+      if (c.on_frame_)
+        c.on_frame_(c, std::move(payload));
+      else if (cfg_.on_frame)
+        cfg_.on_frame(c, std::move(payload));
       // A pipelining client can queue responses faster than it reads
       // them; stop consuming input until the write queue drains.
       if (c.wbytes_ > cfg_.write_high_water) c.reading_ = false;
@@ -486,7 +503,7 @@ void EventLoop::update_timers(Conn& c) {
   }
   // idle timer: budget for the next frame to begin. Reset (re-armed)
   // whenever transfer progress moved, i.e. the peer is alive.
-  if (!mid_frame && cfg_.idle_timeout_ms > 0) {
+  if (!mid_frame && cfg_.idle_timeout_ms > 0 && !c.on_frame_) {
     if (c.idle_timer_ && c.progress_ != c.idle_progress_snapshot_) {
       wheel_.cancel(c.idle_timer_);
       c.idle_timer_ = 0;

@@ -9,9 +9,9 @@
 // Threading contract:
 //   - run() executes on exactly one thread (the "loop thread").
 //   - Conn methods, find(), and timer methods are loop-thread only.
-//   - post(), adopt(), and stop() are safe from any thread; post() is
-//     how dispatcher completions re-enter the loop ("wakeup fd for
-//     cross-thread job-completion posts").
+//   - post(), adopt(), stop() and on_loop_thread() are safe from any
+//     thread; post() is how dispatcher completions re-enter the loop
+//     ("wakeup fd for cross-thread job-completion posts").
 //   - Conns are referred to across threads by (loop, conn id), never by
 //     pointer: a posted task re-looks the id up and quietly does
 //     nothing when the conn died in between.
@@ -36,6 +36,10 @@
 namespace masc::net {
 
 class EventLoop;
+class Conn;
+
+using FrameFn = std::function<void(Conn&, std::string&&)>;
+using ConnFn = std::function<void(Conn&)>;
 
 /// One buffered nonblocking connection, owned by its EventLoop.
 class Conn {
@@ -72,6 +76,10 @@ class Conn {
   EventLoop* loop_;
   int fd_;
   std::uint64_t id_;
+  /// Set only on outbound conns (EventLoop::attach): they take their own
+  /// callbacks instead of the loop's and are exempt from the idle budget.
+  FrameFn on_frame_;
+  ConnFn on_close_;
 
   std::string rbuf_;       ///< unparsed inbound bytes
   std::size_t rpos_ = 0;   ///< parse cursor into rbuf_
@@ -106,12 +114,12 @@ struct LoopConfig {
   /// client that never reads its responses); resume below half of it.
   std::size_t write_high_water = 32u << 20;
   /// Delivered once per complete inbound frame, on the loop thread.
-  std::function<void(Conn&, std::string&&)> on_frame;
+  FrameFn on_frame;
   /// Conn adopted and registered (loop thread). Optional.
-  std::function<void(Conn&)> on_open;
+  ConnFn on_open;
   /// Conn is going away: fd still open, ctx still set (loop thread).
   /// Optional. Runs exactly once per conn, including at loop stop.
-  std::function<void(Conn&)> on_close;
+  ConnFn on_close;
 };
 
 class EventLoop {
@@ -138,8 +146,20 @@ class EventLoop {
   /// owns the fd from this point, even if it is stopping.
   void adopt(int fd);
 
+  /// Loop-thread only: register an outbound socket (a nonblocking
+  /// connect may still be in progress; frames queue until it completes)
+  /// as a Conn with its own callbacks, exempt from the idle budget — it
+  /// waits on its peer. Returns the conn id, or 0 (fd closed).
+  std::uint64_t attach(int fd, FrameFn on_frame, ConnFn on_close);
+
   /// Loop-thread only: conn by id, or nullptr if it died.
   Conn* find(std::uint64_t conn_id);
+
+  /// True when called from the thread inside run().
+  bool on_loop_thread() const {
+    return thread_.load(std::memory_order_relaxed) ==
+           std::this_thread::get_id();
+  }
 
   /// Loop-thread only: arm/cancel a wheel timer.
   TimerId add_timer(std::uint64_t delay_ms, std::function<void()> cb);
@@ -168,7 +188,9 @@ class EventLoop {
   void mark_dead(Conn& c);
   void sweep_dead();
   void destroy(std::uint64_t conn_id);
-  void create_conn(int fd);
+  /// nullptr when epoll refused the fd (then closed) or the loop is
+  /// stopping. Handlers given = an outbound conn (attach()).
+  Conn* create_conn(int fd, FrameFn on_frame = {}, ConnFn on_close = {});
 
   LoopConfig cfg_;
   int epfd_ = -1;
@@ -179,6 +201,7 @@ class EventLoop {
   std::vector<std::uint64_t> dead_;
   std::uint64_t next_conn_id_ = 1;
   std::atomic<std::size_t> conn_count_{0};
+  std::atomic<std::thread::id> thread_{};
 
   std::mutex post_mu_;
   std::vector<std::function<void()>> posted_;

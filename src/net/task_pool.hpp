@@ -1,9 +1,9 @@
 // Fixed-size blocking-work pool for event-loop servers (docs/NET.md
 // "Offloading blocking work").
 //
-// Event-loop handlers must never block, but some router ops are
-// blocking by construction (a forwarded `result` wait holds a backend
-// connection open for seconds). Those handlers run here; the finished
+// Event-loop handlers must never block, but some router ops block on a
+// bounded backend round trip (submit, status, cancel, extend, cache_get,
+// stats) or on failover re-placement. Those run here; the finished
 // response is then post()ed back to the conn's owning loop.
 #pragma once
 
@@ -59,8 +59,6 @@ class TaskPool {
     }
     cv_.notify_one();
   }
-
-  std::size_t size() const { return target_; }
 
  private:
   void worker_loop() {

@@ -1,18 +1,10 @@
 #include "serve/server.hpp"
 
-#include <arpa/inet.h>
-#include <netinet/in.h>
-#include <sys/socket.h>
-#include <unistd.h>
-
 #include <algorithm>
-#include <cerrno>
-#include <cstring>
 #include <sstream>
 
 #include "common/base64.hpp"
 #include "fault/fault.hpp"
-#include "serve/framing.hpp"
 
 namespace masc::serve {
 
@@ -20,35 +12,7 @@ namespace {
 
 using Clock = std::chrono::steady_clock;
 
-std::string error_json(const std::string& code, const std::string& detail,
-                       const std::string& extra = "") {
-  std::ostringstream os;
-  os << "{\"ok\":false,\"error\":\"" << json_escape(code) << "\"";
-  if (!detail.empty()) os << ",\"detail\":\"" << json_escape(detail) << "\"";
-  if (!extra.empty()) os << "," << extra;
-  os << "}";
-  return os.str();
-}
-
-std::uint64_t require_id(const json::Value& req) {
-  const json::Value* id = req.find("id");
-  if (!id) throw JsonError("missing \"id\"");
-  return id->as_uint();
-}
-
 const char* to_string(bool b) { return b ? "true" : "false"; }
-
-std::string submitted_json(const std::vector<std::uint64_t>& ids,
-                           bool duplicate) {
-  std::ostringstream os;
-  os << "{\"ok\":true,\"type\":\"submitted\",\"ids\":[";
-  for (std::size_t i = 0; i < ids.size(); ++i) {
-    if (i) os << ",";
-    os << ids[i];
-  }
-  os << "],\"duplicate\":" << to_string(duplicate) << "}";
-  return os.str();
-}
 
 /// Inverse of masc::to_string(SweepStatus), for journal replay.
 SweepStatus status_from_string(const std::string& s) {
@@ -69,7 +33,15 @@ std::string ckpt_record(std::uint64_t id, const std::string& blob) {
 Server::Server(ServerOptions opts)
     : opts_(opts),
       runner_(opts.workers),
-      queue_(opts.queue_capacity) {
+      queue_(opts.queue_capacity),
+      front_(opts.port, opts.io_threads, opts.idle_timeout_ms,
+             opts.io_timeout_ms,
+             [this](Request&& req, const Reply& reply) {
+               return handle_request(std::move(req), reply);
+             },
+             [this](net::EventLoop& loop, std::uint64_t conn_id) {
+               on_conn_close(loop, conn_id);
+             }) {
   // Jobs that do not carry their own "batch_lanes" inherit the server
   // default inside the runner (docs/PERF.md "Lane batching").
   runner_.set_batch_lanes(opts_.batch_lanes);
@@ -120,46 +92,8 @@ void Server::start() {
       if (rec.state == JobState::kQueued) recovered.push_back(id);
   }
 
-  listen_fd_ = ::socket(AF_INET, SOCK_STREAM, 0);
-  if (listen_fd_ < 0)
-    throw ServeError(std::string("socket: ") + std::strerror(errno));
-  const int one = 1;
-  ::setsockopt(listen_fd_, SOL_SOCKET, SO_REUSEADDR, &one, sizeof one);
-
-  sockaddr_in addr{};
-  addr.sin_family = AF_INET;
-  addr.sin_addr.s_addr = htonl(INADDR_LOOPBACK);
-  addr.sin_port = htons(opts_.port);
-  if (::bind(listen_fd_, reinterpret_cast<const sockaddr*>(&addr),
-             sizeof addr) < 0 ||
-      ::listen(listen_fd_, 64) < 0) {
-    const std::string what = std::strerror(errno);
-    ::close(listen_fd_);
-    listen_fd_ = -1;
-    throw ServeError("bind/listen 127.0.0.1:" + std::to_string(opts_.port) +
-                     ": " + what);
-  }
-  sockaddr_in bound{};
-  socklen_t len = sizeof bound;
-  ::getsockname(listen_fd_, reinterpret_cast<sockaddr*>(&bound), &len);
-  port_ = ntohs(bound.sin_port);
-
-  // Event loops before the acceptor: a connection accepted first must
-  // have a loop to land on.
-  net::LoopConfig loop_cfg;
-  loop_cfg.idle_timeout_ms = opts_.idle_timeout_ms;
-  loop_cfg.io_timeout_ms = opts_.io_timeout_ms;
-  loop_cfg.max_frame_bytes = kMaxFrameBytes;
-  loop_cfg.on_frame = [this](net::Conn& c, std::string&& payload) {
-    on_frame(c, std::move(payload));
-  };
-  loop_cfg.on_close = [this](net::Conn& c) { on_conn_close(c); };
-  loops_ = std::make_unique<net::LoopGroup>(
-      opts_.io_threads ? opts_.io_threads : 1, loop_cfg);
-  loops_->start();
-
+  front_.start();
   dispatch_thread_ = std::thread([this] { dispatch_loop(); });
-  accept_thread_ = std::thread([this] { accept_loop(); });
 
   if (!recovered.empty()) {
     metrics_.on_accepted(recovered.size());
@@ -177,16 +111,10 @@ void Server::shutdown_impl(bool park_interrupted) {
   // callback can never see stopping_ without the drain flag.
   if (park_interrupted && journal_.is_open()) draining_.store(true);
   if (stopping_.exchange(true)) return;
-  // Serialize the flag flip with result-waiters' predicate checks: a
-  // waiter that saw stopping_ == false is now inside wait_for and will
-  // receive this notify; one that hasn't locked yet will see true.
-  { const std::lock_guard<std::mutex> lock(jobs_mu_); }
-  jobs_cv_.notify_all();
 
   // 1. No new connections: unblock accept() and join the acceptor, so
   //    the session list is frozen from here on.
-  if (listen_fd_ >= 0) ::shutdown(listen_fd_, SHUT_RDWR);
-  if (accept_thread_.joinable()) accept_thread_.join();
+  front_.stop_accepting();
 
   // 2. Drain the pipeline: cancel everything not yet done, close the
   //    queue (pop_batch returns the remnants, whose cancel tokens are
@@ -205,15 +133,9 @@ void Server::shutdown_impl(bool park_interrupted) {
   //    (the loops are still running, so the posts get delivered during
   //    loop teardown at the latest), then stop the loops: each conn
   //    gets on_close exactly once and the loop threads join.
-  wake_all_waiters();
-  if (loops_) loops_->stop();
-
-  if (listen_fd_ >= 0) {
-    ::close(listen_fd_);
-    listen_fd_ = -1;
-  }
+  wake_waiters(std::nullopt);
+  front_.stop();
   journal_.close();
-  jobs_cv_.notify_all();
 }
 
 void Server::apply_journal_record(const std::string& payload) {
@@ -298,193 +220,41 @@ void Server::apply_journal_record(const std::string& payload) {
   }
 }
 
-void Server::accept_loop() {
-  for (;;) {
-    const int fd = ::accept(listen_fd_, nullptr, nullptr);
-    if (fd < 0) {
-      if (errno == EINTR) continue;
-      return;  // listener shut down (or fatal) — stop accepting
-    }
-    if (stopping_.load()) {
-      ::close(fd);
-      return;
-    }
-    set_nodelay(fd);
-    loops_->next().adopt(fd);
-  }
-}
-
-Server::ConnState& Server::conn_state(net::Conn& c) {
-  if (!c.ctx) c.ctx = std::make_shared<ConnState>();
-  return *static_cast<ConnState*>(c.ctx.get());
-}
-
-void Server::send_v1(net::Conn& c, std::uint64_t slot, std::string&& resp) {
-  ConnState& st = conn_state(c);
-  for (auto& [s, r] : st.v1_q)
-    if (s == slot) {
-      r = std::move(resp);
-      break;
-    }
-  // v1 responses leave strictly in request order: a parked result-wait
-  // holds later (already computed) responses back until it resolves.
-  while (!st.v1_q.empty() && st.v1_q.front().second) {
-    c.send_frame(*st.v1_q.front().second);
-    st.v1_q.pop_front();
-    if (c.closing()) return;
-  }
-}
-
-void Server::on_frame(net::Conn& c, std::string&& payload) {
-  if (v2::is_v2(payload)) {
-    handle_v2_frame(c, payload);
-    return;
-  }
-  ConnState& st = conn_state(c);
-  const std::uint64_t slot = st.next_slot++;
-  st.v1_q.emplace_back(slot, std::nullopt);
-  WaitTarget wt;
-  wt.loop = &c.loop();
-  wt.conn_id = c.id();
-  wt.v1_slot = slot;
-  wt.request = payload;
-  std::optional<std::string> resp;
-  try {
-    resp = handle_request(payload, &wt);
-  } catch (const ServeError&) {
-    // Transport failure (or an injected frame fault) mid-handling: the
-    // stream may be desynced, so drop the connection rather than write
-    // a "response" the client can't attribute.
-    c.close();
-    return;
-  }
-  if (resp) send_v1(c, slot, std::move(*resp));
-}
-
-void Server::handle_v2_frame(net::Conn& c, const std::string& payload) {
-  v2::Frame f;
-  try {
-    f = v2::decode(payload);
-  } catch (const v2::V2Error& e) {
-    if (e.fatal()) {
-      c.close();  // header garbage: the stream can't be trusted
-      return;
-    }
-    const std::uint8_t op_byte =
-        payload.size() > 2 ? static_cast<std::uint8_t>(payload[2]) : 0;
-    c.send_frame(v2::encode(static_cast<v2::Op>(op_byte), v2::Kind::kError,
-                            e.request_id(),
-                            error_json(e.code(), e.what())));
-    return;
-  }
-  if (f.kind != v2::Kind::kRequest) {
-    c.send_frame(v2::encode(f.op, v2::Kind::kError, f.request_id,
-                            error_json("bad_frame",
-                                       "expected a request frame")));
-    return;
-  }
-  if (f.op == v2::Op::kCacheGet) {
-    // The fully binary op: 16 raw key bytes in, the encoded cache
-    // record out — no JSON, no base64 (docs/NET.md "cache_get").
-    try {
-      const Hash128 key = v2::decode_cache_get_key(f.body, f.request_id);
-      if (cache_) {
-        if (const auto rec = cache_->peek_encoded(key)) {
-          c.send_frame(v2::encode_cache_get_hit(f.request_id, *rec));
-          return;
-        }
-      }
-      c.send_frame(v2::encode_cache_get_miss(f.request_id));
-    } catch (const v2::V2Error& e) {
-      c.send_frame(v2::encode(f.op, v2::Kind::kError, e.request_id(),
-                              error_json(e.code(), e.what())));
-    }
-    return;
-  }
-  // submit/result/stats carry the v1 JSON request as the body; the op
-  // in the header wins over any "op" member. Responses are the exact
-  // v1 response bytes inside a v2 envelope, so v2 results are
-  // bit-identical to v1 by construction.
-  const char* forced_op = f.op == v2::Op::kSubmit   ? "submit"
-                          : f.op == v2::Op::kResult ? "result"
-                                                    : "stats";
-  WaitTarget wt;
-  wt.loop = &c.loop();
-  wt.conn_id = c.id();
-  wt.v2 = true;
-  wt.v2_id = f.request_id;
-  wt.request = std::string(f.body);
-  std::optional<std::string> resp;
-  try {
-    resp = handle_request(wt.request, &wt, forced_op);
-  } catch (const ServeError&) {
-    c.close();
-    return;
-  }
-  if (resp)
-    c.send_frame(v2::encode(f.op,
-                            v2::is_error_body(*resp) ? v2::Kind::kError
-                                                     : v2::Kind::kOk,
-                            f.request_id, *resp));
-}
-
-void Server::on_conn_close(net::Conn& c) {
+void Server::on_conn_close(net::EventLoop& loop, std::uint64_t conn_id) {
   // Orphan this conn's parked result-waits; their timers no-op later.
-  const std::uint64_t conn_id = c.id();
-  net::EventLoop* loop = &c.loop();
   const std::lock_guard<std::mutex> lock(jobs_mu_);
-  for (auto it = waiters_.begin(); it != waiters_.end();) {
-    if (it->second.target.loop == loop && it->second.target.conn_id == conn_id)
-      it = waiters_.erase(it);
-    else
-      ++it;
-  }
+  std::erase_if(waiters_, [&](const auto& entry) {
+    const Reply& r = entry.second.reply;
+    return &r.loop() == &loop && r.conn_id() == conn_id;
+  });
 }
 
-std::optional<std::string> Server::handle_request(const std::string& payload,
-                                                  const WaitTarget* wt,
-                                                  const char* forced_op) {
-  try {
-    const json::Value req = parse_json(payload.empty() ? "{}" : payload);
-    const std::string op = forced_op ? forced_op : req.get_string("op", "");
-    if (op == "ping") return "{\"ok\":true,\"type\":\"pong\"}";
-    if (op == "hello") {
-      // Version negotiation (docs/NET.md "Negotiation"): answer with
-      // the highest version both sides speak. v2 frames are accepted
-      // regardless — hello is how a *client* learns it may send them.
-      unsigned best = 1;
-      if (const json::Value* v = req.find("versions"); v && v->is_array())
-        for (const auto& e : v->as_array())
-          if (e.is_number() && e.as_uint() == 2) best = 2;
-      return "{\"ok\":true,\"type\":\"hello\",\"version\":" +
-             std::to_string(best) + ",\"versions\":[1,2]}";
-    }
-    if (op == "submit") return handle_submit(req);
-    if (op == "status") return handle_status(req);
-    if (op == "result") return handle_result(req, wt);
-    if (op == "cancel") return handle_cancel(req);
-    if (op == "extend") return handle_extend(req);
-    if (op == "stats")
-      return "{\"ok\":true,\"type\":\"stats\",\"stats\":" + stats_json() + "}";
-    if (op == "cache_get") return handle_cache_get(req);
-    if (op == "cache_stats") return handle_cache_stats();
-    if (op == "cache_flush") return handle_cache_flush();
-    if (op == "metrics_text")
-      return "{\"ok\":true,\"type\":\"metrics_text\",\"text\":\"" +
-             json_escape(metrics_text()) + "\"}";
-    if (op == "shutdown") {
-      shutdown_requested_.store(true, std::memory_order_release);
-      return "{\"ok\":true,\"type\":\"shutdown\"}";
-    }
-    return error_json("unknown_op", "unrecognized \"op\" \"" + op + "\"");
-  } catch (const ServeError&) {
-    throw;  // transport failure: the caller drops the connection
-  } catch (const std::exception& e) {
-    // JsonError, ConfigError, AssemblyError, CompileError, ...: the
-    // request was understood to be ill-formed, the connection is fine —
-    // answer with an error frame and keep serving it.
-    return error_json("bad_request", e.what());
+std::optional<std::string> Server::handle_request(Request&& req,
+                                                  const Reply& reply) {
+  const std::string& op = req.op;
+  if (op == "result") return handle_result(req.body, &reply);
+  if (op == "cache_get") {
+    // Peer read-through (docs/CACHE.md tier L3): the router asks this
+    // backend — the ring owner for the key — before letting another
+    // backend simulate. Served entirely at the session layer (L1 peek or
+    // one disk pread), never through the queue, so it stays fast even
+    // when the dispatcher is saturated.
+    reply.send_cache_record(cache_ ? cache_->peek_encoded(req.key)
+                                   : std::nullopt);
+    return std::nullopt;
   }
+  if (op == "submit") return handle_submit(req.body);
+  if (op == "status") return handle_status(req.body);
+  if (op == "cancel") return handle_cancel(req.body);
+  if (op == "extend") return handle_extend(req.body);
+  if (op == "stats")
+    return "{\"ok\":true,\"type\":\"stats\",\"stats\":" + stats_json() + "}";
+  if (op == "cache_stats") return handle_cache_stats();
+  if (op == "cache_flush") return handle_cache_flush();
+  if (op == "metrics_text")
+    return "{\"ok\":true,\"type\":\"metrics_text\",\"text\":\"" +
+           json_escape(metrics_text()) + "\"}";
+  return error_json("unknown_op", "unrecognized \"op\" \"" + op + "\"");
 }
 
 std::string Server::handle_submit(const json::Value& req) {
@@ -638,7 +408,6 @@ std::string Server::handle_submit(const json::Value& req) {
       journal_.append(rec, /*sync=*/false);
   }
   for (const SweepResult& r : hit_results) metrics_.on_done(r);
-  if (!hit_results.empty()) jobs_cv_.notify_all();
 
   return submitted_json(ids, false);
 }
@@ -668,33 +437,29 @@ std::string Server::handle_status(const json::Value& req) {
 }
 
 std::optional<std::string> Server::handle_result(const json::Value& req,
-                                                 const WaitTarget* wt) {
+                                                 const Reply* reply) {
   const std::uint64_t id = require_id(req);
   const bool wait = req.get_bool("wait", false);
   const bool release = req.get_bool("release", false);
   const std::uint64_t timeout_ms = req.get_uint("timeout_ms", 60'000);
 
   std::unique_lock<std::mutex> lock(jobs_mu_);
-  // Async wait: instead of blocking the loop thread on jobs_cv_, park a
-  // waiter that the dispatcher's completion callback (or release, or
-  // shutdown) posts back to the owning loop. The wake re-dispatches the
-  // original request with waiting disabled, so the response — including
+  // Async wait: instead of blocking the loop thread, park a waiter that
+  // the dispatcher's completion callback (or release, or shutdown)
+  // answers through its Reply. The wake re-runs the original request with waiting disabled, so the response — including
   // release/journal side effects — is exactly what a fresh request at
   // that moment would have produced.
-  if (wait && wt != nullptr && !stopping_.load()) {
+  if (wait && reply != nullptr && !stopping_.load()) {
     const auto wit = jobs_.find(id);
     if (wit != jobs_.end() && wit->second.state != JobState::kDone) {
-      ResultWaiter w;
-      w.uid = next_waiter_uid_++;
-      w.job_id = id;
-      w.target = *wt;
-      waiters_.emplace(id, w);
+      const std::uint64_t uid = next_waiter_uid_++;
+      waiters_.emplace(id, ResultWaiter{uid, *reply, req});
       lock.unlock();
       // Timer and registration race benignly: if the job completes
       // before the timer is armed, the wake already removed the uid and
       // the timer finds nothing.
-      wt->loop->add_timer(timeout_ms, [this, id, uid = w.uid] {
-        expire_waiter(id, uid);
+      reply->loop().add_timer(timeout_ms, [this, id, uid] {
+        wake_waiters(id, uid);  // resolves to not_ready
       });
       return std::nullopt;
     }
@@ -727,7 +492,7 @@ std::optional<std::string> Server::handle_result(const json::Value& req,
                     /*sync=*/false);
     // Anyone else parked on this id now sees "gone": answer not_found,
     // matching what their wake would find as a fresh request.
-    wake_result_waiters(id);
+    wake_waiters(id);
   }
   return response;
 }
@@ -746,68 +511,29 @@ void Server::release_job_locked(std::map<std::uint64_t, JobRecord>::iterator it)
   jobs_by_key_.erase(k);
 }
 
-void Server::wake_result_waiters(std::uint64_t job_id) {
+void Server::wake_waiters(std::optional<std::uint64_t> job_id,
+                          std::uint64_t uid) {
   std::vector<ResultWaiter> woken;
   {
     const std::lock_guard<std::mutex> lock(jobs_mu_);
-    const auto [b, e] = waiters_.equal_range(job_id);
-    for (auto it = b; it != e; ++it) woken.push_back(it->second);
-    waiters_.erase(b, e);
-  }
-  for (const ResultWaiter& w : woken)
-    w.target.loop->post([this, w] { deliver_waiter(w); });
-}
-
-void Server::wake_all_waiters() {
-  std::vector<ResultWaiter> woken;
-  {
-    const std::lock_guard<std::mutex> lock(jobs_mu_);
-    for (const auto& [id, w] : waiters_) woken.push_back(w);
-    waiters_.clear();
-  }
-  for (const ResultWaiter& w : woken)
-    w.target.loop->post([this, w] { deliver_waiter(w); });
-}
-
-void Server::deliver_waiter(const ResultWaiter& w) {
-  net::Conn* c = w.target.loop->find(w.target.conn_id);
-  if (c == nullptr) return;  // conn died while the wait was parked
-  std::string resp;
-  try {
-    const json::Value req =
-        parse_json(w.target.request.empty() ? "{}" : w.target.request);
-    // wt == nullptr forces the synchronous path: the job is done (or
-    // gone, or the wait timed out), so this resolves immediately.
-    resp = *handle_result(req, nullptr);
-  } catch (const std::exception& e) {
-    resp = error_json("bad_request", e.what());
-  }
-  if (w.target.v2)
-    c->send_frame(v2::encode(v2::Op::kResult,
-                             v2::is_error_body(resp) ? v2::Kind::kError
-                                                     : v2::Kind::kOk,
-                             w.target.v2_id, resp));
-  else
-    send_v1(*c, w.target.v1_slot, std::move(resp));
-}
-
-void Server::expire_waiter(std::uint64_t job_id, std::uint64_t uid) {
-  ResultWaiter w;
-  bool found = false;
-  {
-    const std::lock_guard<std::mutex> lock(jobs_mu_);
-    const auto [b, e] = waiters_.equal_range(job_id);
-    for (auto it = b; it != e; ++it) {
-      if (it->second.uid == uid) {
-        w = it->second;
-        found = true;
-        waiters_.erase(it);
-        break;
+    // Equal keys are adjacent in a multimap's iteration order.
+    auto it = job_id ? waiters_.find(*job_id) : waiters_.begin();
+    while (it != waiters_.end() && (!job_id || it->first == *job_id)) {
+      if (uid != 0 && it->second.uid != uid) {
+        ++it;
+        continue;
       }
+      woken.push_back(std::move(it->second));
+      it = waiters_.erase(it);
     }
   }
-  // Already woken (job completed first): the timer is a stale no-op.
-  if (found) deliver_waiter(w);  // resolves to not_ready
+  // A null reply forces the synchronous path: the job is done (or gone,
+  // or the wait timed out), so this resolves immediately. The Reply
+  // posts the response to the owning loop, which drops it if the
+  // connection died while the wait was parked. A uid no longer parked
+  // (the job completed first) makes the timer a stale no-op.
+  for (const ResultWaiter& w : woken)
+    w.reply.answer([&] { return *handle_result(w.request, nullptr); });
 }
 
 std::string Server::handle_cancel(const json::Value& req) {
@@ -975,33 +701,13 @@ void Server::dispatch_loop() {
       if (!ckpt_rec.empty()) journal_.append(ckpt_rec, /*sync=*/false);
       if (!done_rec.empty()) journal_.append(done_rec, /*sync=*/true);
       metrics_.on_done(r);
-      jobs_cv_.notify_all();
       // Job-completion post back to the owning loop(s): every parked
       // result-wait for this id resolves now. Parked (drain) jobs stay
       // un-woken — their waiters ride out the timeout, like v1's
       // predicate never turning true.
-      if (completed) wake_result_waiters(id);
+      if (completed) wake_waiters(id);
     });
   }
-}
-
-std::string Server::handle_cache_get(const json::Value& req) {
-  // Peer read-through (docs/CACHE.md tier L3): the router asks this
-  // backend — the ring owner for the key — before letting another
-  // backend simulate. Served entirely at the session layer (L1 peek or
-  // one disk pread), never through the queue, so it stays fast even
-  // when the dispatcher is saturated.
-  const std::string key_hex = req.get_string("key", "");
-  Hash128 key;
-  if (!hash128_from_hex(key_hex, key))
-    return error_json("bad_request",
-                      "cache_get needs a 32-hex-digit \"key\"");
-  if (!cache_) return "{\"ok\":true,\"type\":\"cache_get\",\"found\":false}";
-  const auto payload = cache_->peek_encoded(key);
-  if (!payload)
-    return "{\"ok\":true,\"type\":\"cache_get\",\"found\":false}";
-  return "{\"ok\":true,\"type\":\"cache_get\",\"found\":true,\"payload\":\"" +
-         base64_encode(*payload) + "\"}";
 }
 
 std::string Server::handle_cache_stats() {
@@ -1023,24 +729,11 @@ std::string Server::handle_cache_flush() {
          ",\"demoted\":" + std::to_string(demoted) + "}";
 }
 
-std::string Server::stats_json() const {
-  const std::size_t depth = queue_.size();
-  std::size_t running, tracked;
-  {
-    const std::lock_guard<std::mutex> lock(jobs_mu_);
-    running = running_;
-    tracked = jobs_.size();
-  }
-  const SweepBatchStats bs = runner_.batch_stats();
-  if (!cache_)
-    return metrics_.to_json(depth, running, opts_.queue_capacity, tracked,
-                            nullptr, &bs);
-  const TieredCacheStats cs = cache_->stats();
-  return metrics_.to_json(depth, running, opts_.queue_capacity, tracked, &cs,
-                          &bs);
-}
+std::string Server::stats_json() const { return render(false); }
 
-std::string Server::metrics_text() const {
+std::string Server::metrics_text() const { return render(true); }
+
+std::string Server::render(bool prometheus) const {
   const std::size_t depth = queue_.size();
   std::size_t running, tracked;
   {
@@ -1049,12 +742,14 @@ std::string Server::metrics_text() const {
     tracked = jobs_.size();
   }
   const SweepBatchStats bs = runner_.batch_stats();
-  if (!cache_)
-    return metrics_.to_prometheus(depth, running, opts_.queue_capacity,
-                                  tracked, nullptr, &bs);
-  const TieredCacheStats cs = cache_->stats();
-  return metrics_.to_prometheus(depth, running, opts_.queue_capacity, tracked,
-                                &cs, &bs);
+  std::optional<TieredCacheStats> cs;
+  if (cache_) cs = cache_->stats();
+  const TieredCacheStats* c = cs ? &*cs : nullptr;
+  return prometheus ? metrics_.to_prometheus(depth, running,
+                                             opts_.queue_capacity, tracked,
+                                             c, &bs)
+                    : metrics_.to_json(depth, running, opts_.queue_capacity,
+                                       tracked, c, &bs);
 }
 
 }  // namespace masc::serve

@@ -1,11 +1,11 @@
 // masc-served core: a long-running simulation service on localhost TCP.
 //
-// Architecture (one paragraph): an accept thread hands each connection
-// to one of `io_threads` epoll event loops (src/net/, docs/NET.md),
-// which parse length-prefixed frames and dispatch requests inline on
-// the loop thread — both v1 JSON (serve/protocol.hpp) and the
-// negotiated binary protocol v2 (serve/protocol_v2.hpp), pipelined
-// many-in-flight per connection. Submitted jobs are compiled on the
+// Architecture (one paragraph): the shared session front end
+// (serve/front_end.hpp, docs/NET.md) accepts connections onto
+// `io_threads` epoll event loops and decodes requests — both v1 JSON
+// (serve/protocol.hpp) and the negotiated binary protocol v2
+// (serve/protocol_v2.hpp), pipelined many-in-flight per connection —
+// which this server's op table handles inline on the loop thread. Submitted jobs are compiled on the
 // loop thread, admitted all-or-nothing into a bounded queue
 // (backpressure: a full queue rejects with a retry-after hint instead
 // of blocking), and drained by a dispatcher thread that coalesces
@@ -24,10 +24,7 @@
 #pragma once
 
 #include <atomic>
-#include <chrono>
-#include <condition_variable>
 #include <cstdint>
-#include <deque>
 #include <map>
 #include <memory>
 #include <mutex>
@@ -38,11 +35,10 @@
 #include <utility>
 #include <vector>
 
-#include "net/event_loop.hpp"
+#include "serve/front_end.hpp"
 #include "serve/journal.hpp"
 #include "serve/metrics.hpp"
 #include "serve/protocol.hpp"
-#include "serve/protocol_v2.hpp"
 #include "serve/queue.hpp"
 
 namespace masc::serve {
@@ -133,13 +129,11 @@ class Server {
   void drain();
 
   /// The bound port (after start()); useful with ServerOptions::port = 0.
-  std::uint16_t port() const { return port_; }
+  std::uint16_t port() const { return front_.port(); }
 
   /// True once a client has sent {"op":"shutdown"}; the embedding
   /// program is expected to notice and call stop().
-  bool shutdown_requested() const {
-    return shutdown_requested_.load(std::memory_order_acquire);
-  }
+  bool shutdown_requested() const { return front_.shutdown_requested(); }
 
   /// The same JSON served to {"op":"stats"} (for embedding/tests).
   std::string stats_json() const;
@@ -167,69 +161,39 @@ class Server {
     bool user_cancelled = false;
   };
 
-  /// Where an async `result` response must be delivered once the job
-  /// completes (or the wait times out): the conn is named by
-  /// (loop, conn id) so a connection that died in the meantime is a
-  /// silent no-op, and the original request payload is re-dispatched on
-  /// wake so release/journal semantics are identical to a fresh request.
-  struct WaitTarget {
-    net::EventLoop* loop = nullptr;
-    std::uint64_t conn_id = 0;
-    bool v2 = false;
-    std::uint32_t v2_id = 0;     ///< v2: request id to echo
-    std::uint64_t v1_slot = 0;   ///< v1: ordered-response slot
-    std::string request;         ///< original JSON request payload
-  };
-
   struct ResultWaiter {
     std::uint64_t uid = 0;  ///< registry handle (timer vs wake races)
-    std::uint64_t job_id = 0;
-    WaitTarget target;
+    Reply reply;
+    /// The original request, re-run on wake so release/journal
+    /// semantics are identical to a fresh request's.
+    json::Value request;
   };
 
-  /// Per-connection protocol state, attached to net::Conn::ctx. v1
-  /// responses go out strictly in request order (slots); v2 responses
-  /// are written as they complete and matched by request id.
-  struct ConnState {
-    std::deque<std::pair<std::uint64_t, std::optional<std::string>>> v1_q;
-    std::uint64_t next_slot = 1;
-  };
-
-  void accept_loop();
   void dispatch_loop();
 
-  // Event-loop entry points (loop thread).
-  void on_frame(net::Conn& c, std::string&& payload);
-  void on_conn_close(net::Conn& c);
-  void handle_v2_frame(net::Conn& c, const std::string& payload);
-  static ConnState& conn_state(net::Conn& c);
-  /// Fill `slot` and flush every in-order response now available.
-  void send_v1(net::Conn& c, std::uint64_t slot, std::string&& resp);
+  /// The op table, on the loop thread (FrontEnd::Handler).
+  std::optional<std::string> handle_request(Request&& req,
+                                            const Reply& reply);
+  /// Orphan a closed connection's parked result-waits.
+  void on_conn_close(net::EventLoop& loop, std::uint64_t conn_id);
 
-  // Async result-wait plumbing.
-  void wake_result_waiters(std::uint64_t job_id);
-  void wake_all_waiters();
-  void deliver_waiter(const ResultWaiter& w);  ///< loop thread
-  void expire_waiter(std::uint64_t job_id, std::uint64_t uid);
-
-  /// Parse + dispatch one request payload. Returns the response, or
-  /// nullopt when the request parked as an async waiter (only `result`
-  /// with wait=true does; requires `wt`). Protocol-level errors become
-  /// {"ok":false,...} responses; `forced_op` overrides the payload's
-  /// "op" member (v2 frames name the op in their header).
-  std::optional<std::string> handle_request(const std::string& payload,
-                                            const WaitTarget* wt,
-                                            const char* forced_op = nullptr);
+  /// Answer parked result-waits: `job_id`'s (every one when nullopt),
+  /// or only waiter `uid` when nonzero (its timer fired).
+  void wake_waiters(std::optional<std::uint64_t> job_id,
+                    std::uint64_t uid = 0);
 
   std::string handle_submit(const json::Value& req);
   std::string handle_status(const json::Value& req);
+  /// The response, or nullopt when the request parked as an async waiter
+  /// on `reply` (only wait=true with a reply does).
   std::optional<std::string> handle_result(const json::Value& req,
-                                           const WaitTarget* wt);
+                                           const Reply* reply);
   std::string handle_cancel(const json::Value& req);
   std::string handle_extend(const json::Value& req);
-  std::string handle_cache_get(const json::Value& req);
   std::string handle_cache_stats();
   std::string handle_cache_flush();
+  /// stats_json() or metrics_text(): one snapshot, two renderings.
+  std::string render(bool prometheus) const;
 
   /// Erase a released job, and its key's dedup entry once no job of
   /// that key remains. Caller holds jobs_mu_ (or is single-threaded
@@ -244,8 +208,6 @@ class Server {
   void shutdown_impl(bool park_interrupted);
 
   ServerOptions opts_;
-  std::uint16_t port_ = 0;
-  int listen_fd_ = -1;
 
   SweepRunner runner_;
   BoundedQueue<std::uint64_t> queue_;
@@ -256,7 +218,6 @@ class Server {
   Journal journal_;                          ///< no-op unless journal_path set
 
   mutable std::mutex jobs_mu_;
-  std::condition_variable jobs_cv_;          ///< signalled per job completion
   std::map<std::uint64_t, JobRecord> jobs_;  ///< id → record
   /// job id → parked result-waits, woken by the dispatcher's completion
   /// callback (guarded by jobs_mu_).
@@ -270,15 +231,13 @@ class Server {
   std::atomic<std::uint64_t> next_id_{1};
   std::size_t running_ = 0;                  ///< jobs in the current batch
 
-  /// `io_threads` epoll loops; every connection lives on exactly one.
-  std::unique_ptr<net::LoopGroup> loops_;
-
-  std::thread accept_thread_;
   std::thread dispatch_thread_;
   std::atomic<bool> started_{false};
   std::atomic<bool> stopping_{false};
   std::atomic<bool> draining_{false};        ///< drain() (vs stop()) shutdown
-  std::atomic<bool> shutdown_requested_{false};
+
+  /// Sessions: `io_threads` epoll loops behind one acceptor.
+  FrontEnd front_;
 };
 
 }  // namespace masc::serve

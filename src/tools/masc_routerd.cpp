@@ -15,8 +15,6 @@
 //                          was compiled for (common/simd.hpp) and logs it
 //     --io-threads N       epoll event-loop threads serving client
 //                          sessions (default 2; docs/NET.md)
-//     --handler-threads N  handler-pool threads executing requests
-//                          against backends (default 8; docs/NET.md)
 //     --no-peer-cache      disable tier-3 peer cache read-through: diverted
 //                          or re-placed submits go straight to simulation
 //                          instead of first asking the ring owner's cache
@@ -58,7 +56,7 @@ int usage() {
   std::fprintf(stderr,
                "usage: masc-routerd --backend HOST:PORT [--backend ...]\n"
                "  [--port N] [--least-queued] [--batch-lanes N|auto]\n"
-               "  [--io-threads N] [--handler-threads N]\n"
+               "  [--io-threads N]\n"
                "  [--no-peer-cache] [--peer-timeout-ms N] "
                "[--fail-threshold N] [--cooldown-ms N] [--probe-ms N]\n"
                "  [--connect-timeout-ms N] [--io-timeout-ms N] "
@@ -118,9 +116,6 @@ int main(int argc, char** argv) {
         opts.idle_timeout_ms = std::strtoull(next(), nullptr, 0);
       else if (arg == "--io-threads")
         opts.io_threads =
-            static_cast<unsigned>(std::strtoul(next(), nullptr, 0));
-      else if (arg == "--handler-threads")
-        opts.handler_threads =
             static_cast<unsigned>(std::strtoul(next(), nullptr, 0));
       else if (arg == "--fault")
         fault_spec = next();

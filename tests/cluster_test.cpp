@@ -7,11 +7,18 @@
 // keyed-submit idempotency, diversion around a saturated owner, honest
 // fleet-wide backpressure, fault-injected breaker trips with
 // exactly-once failover, transport-failure failover when a backend
-// stops, and the Prometheus rendering of the router counters.
+// stops, the Prometheus rendering of the router counters, and parked
+// result-waits and keyed resends that hold no thread (a client that
+// waits never stalls another).
+#include <arpa/inet.h>
 #include <gtest/gtest.h>
+#include <netinet/in.h>
+#include <sys/socket.h>
+#include <unistd.h>
 
 #include <chrono>
 #include <cstdint>
+#include <map>
 #include <memory>
 #include <string>
 #include <string_view>
@@ -28,6 +35,7 @@
 #include "common/json.hpp"
 #include "fault/fault.hpp"
 #include "serve/client.hpp"
+#include "serve/framing.hpp"
 #include "serve/protocol.hpp"
 #include "serve/server.hpp"
 #include "sim/machine.hpp"
@@ -62,6 +70,14 @@ const char* kLongKernel =
     "addi r2, r2, -1\n"
     "bne r2, r0, outer\n"
     "halt\n";
+
+/// Runs until cancelled (within the server's cycle cap).
+std::string spin_job_json(const std::string& label) {
+  return "{\"config\":{\"pes\":8,\"threads\":4,\"width\":16},"
+         "\"program\":{\"source\":\"loop: j loop\\n\"},"
+         "\"max_cycles\":1000000000,\"label\":\"" +
+         label + "\"}";
+}
 
 /// Distinct loop bounds give distinct cache keys on demand.
 std::string counting_kernel(unsigned n) {
@@ -1065,7 +1081,9 @@ TEST(RouterProxyTest, RoutedResultBytesEqualTheBackendsOwn) {
 TEST(RouterShutdownTest, StopUnblocksALongResultWait) {
   // Regression: handle_result's wait loop honored only the
   // client-chosen deadline, so stop() could block on a session thread
-  // for that entire (unbounded) wait.
+  // for that entire (unbounded) wait. With waits parked on the loops,
+  // stop() answers all of them at once — shutting_down, or a hang-up
+  // for one caught between rounds — the contract masc-served keeps.
   ServerOptions sopts;
   sopts.workers = 1;
   Fleet fleet(1, sopts, test_router_options());
@@ -1077,21 +1095,277 @@ TEST(RouterShutdownTest, StopUnblocksALongResultWait) {
   ASSERT_TRUE(sub.get_bool("ok", false));
   const std::uint64_t id = ids_of(sub)[0];
 
-  // Park a waiter whose deadline is far beyond any shutdown budget.
-  std::thread waiter([&c, id] {
-    try {
-      c.request_raw("{\"op\":\"result\",\"id\":" + std::to_string(id) +
-                    ",\"wait\":true,\"timeout_ms\":600000}");
-    } catch (const std::exception&) {
-      // The router hung up mid-wait: exactly what stop() should do.
-    }
-  });
-  std::this_thread::sleep_for(100ms);  // let the wait reach the backend
+  // Park waiters whose deadline is far beyond any shutdown budget.
+  constexpr int kWaiters = 32;
+  std::vector<std::string> answers(kWaiters);
+  std::vector<std::thread> waiters;
+  for (int i = 0; i < kWaiters; ++i)
+    waiters.emplace_back([&fleet, &answers, id, i] {
+      try {
+        Client w = fleet.connect();
+        answers[i] = w.request_raw("{\"op\":\"result\",\"id\":" +
+                                   std::to_string(id) +
+                                   ",\"wait\":true,\"timeout_ms\":600000}");
+      } catch (const std::exception&) {
+        answers[i] = "hang-up";
+      }
+    });
+  std::this_thread::sleep_for(300ms);  // let the waits reach the backend
   const auto t0 = std::chrono::steady_clock::now();
   fleet.router->stop();
   const auto took = std::chrono::steady_clock::now() - t0;
-  waiter.join();
-  EXPECT_LT(took, 10s) << "stop() waited out a client result deadline";
+  for (auto& t : waiters) t.join();
+  EXPECT_LT(took, 1s) << "stop() waited out a client result deadline";
+  for (int i = 0; i < kWaiters; ++i)
+    EXPECT_TRUE(answers[i] == "hang-up" ||
+                answers[i].find("\"shutting_down\"") != std::string::npos)
+        << "waiter " << i << ": " << answers[i];
+}
+
+// --- parked result-waits hold no thread (docs/NET.md "Front end") ------
+
+/// A raw v1 connection: Client's v1 API is strictly one request at a
+/// time, these tests pipeline v1 requests to check response order.
+class V1Conn {
+ public:
+  explicit V1Conn(std::uint16_t port) {
+    fd_ = ::socket(AF_INET, SOCK_STREAM, 0);
+    sockaddr_in addr{};
+    addr.sin_family = AF_INET;
+    addr.sin_port = htons(port);
+    addr.sin_addr.s_addr = htonl(INADDR_LOOPBACK);
+    EXPECT_EQ(
+        ::connect(fd_, reinterpret_cast<const sockaddr*>(&addr), sizeof addr),
+        0);
+  }
+  ~V1Conn() { ::close(fd_); }
+  V1Conn(const V1Conn&) = delete;
+  V1Conn& operator=(const V1Conn&) = delete;
+
+  void send(const std::string& payload) { serve::write_frame(fd_, payload); }
+  /// Next response; throws ServeError on hang-up or after 60 s.
+  std::string recv() {
+    std::string payload;
+    if (!serve::read_frame(fd_, payload, 60'000, 60'000))
+      throw ServeError("router hung up");
+    return payload;
+  }
+
+ private:
+  int fd_ = -1;
+};
+
+std::string wait_request(std::uint64_t id, std::uint64_t timeout_ms) {
+  return "{\"op\":\"result\",\"id\":" + std::to_string(id) +
+         ",\"wait\":true,\"timeout_ms\":" + std::to_string(timeout_ms) + "}";
+}
+
+/// The backend the router's affinity ring places this submit on,
+/// derived exactly as the router derives it.
+std::size_t route_owner(const Fleet& fleet,
+                        const std::vector<std::string>& jobs) {
+  std::vector<std::string> names;
+  for (const auto& s : fleet.servers)
+    names.push_back(BackendSpec{"127.0.0.1", s->port()}.name());
+  Fnv128 route;
+  for (const std::string& job : jobs) {
+    const Hash128 k = sweep_cache_key(serve::job_from_json(parse_json(job)));
+    route.u64(k.hi).u64(k.lo);
+  }
+  return RendezvousRing(names).ranked(route.digest())[0];
+}
+
+TEST(RouterParkedWaitTest, ThirtyTwoParkedWaitsLeavePingFast) {
+  // Regression: each result-wait held one of the router's handler
+  // threads for its whole wait, so as many parked waits as handlers froze
+  // the router for every client (a ping took 19.5 s behind 8 waits).
+  ServerOptions sopts;
+  sopts.workers = 1;
+  Fleet fleet(2, sopts, test_router_options());
+  Client c = fleet.connect();
+
+  const std::vector<std::string> spins = {spin_job_json("spin-a"),
+                                          spin_job_json("spin-b")};
+  const json::Value sub = c.request("{\"op\":\"submit\",\"jobs\":[" +
+                                    spins[0] + "," + spins[1] + "]}");
+  ASSERT_TRUE(sub.get_bool("ok", false)) << json::serialize(sub);
+  const std::vector<std::uint64_t> spin_ids = ids_of(sub);
+  await_running(c, spin_ids[0]);
+
+  // 16 v1 connections, each a parked wait followed by a ping that must
+  // queue behind it; 16 v2 waits pipelined on one more connection.
+  constexpr int kConns = 16;
+  std::vector<std::unique_ptr<V1Conn>> v1;
+  for (int i = 0; i < kConns; ++i) {
+    v1.push_back(std::make_unique<V1Conn>(fleet.router->port()));
+    v1.back()->send(wait_request(spin_ids[i % 2], 120'000));
+    v1.back()->send("{\"op\":\"ping\"}");
+  }
+  Client pipelined = fleet.connect();
+  ASSERT_EQ(pipelined.negotiate(), 2u);
+  for (int i = 0; i < kConns; ++i)
+    pipelined.send_v2(serve::v2::Op::kResult,
+                      wait_request(spin_ids[i % 2], 120'000));
+  std::this_thread::sleep_for(300ms);  // let every wait reach its backend
+
+  auto t0 = std::chrono::steady_clock::now();
+  const json::Value pong = c.request("{\"op\":\"ping\"}");
+  EXPECT_LT(std::chrono::steady_clock::now() - t0, 50ms)
+      << "32 parked waits stalled an unrelated ping";
+  EXPECT_EQ(pong.get_string("type", ""), "pong");
+
+  // A fresh job on the other backend runs and is fetched at once.
+  const std::size_t spin_owner = route_owner(fleet, spins);
+  std::string fresh;
+  for (unsigned n = 1000; fresh.empty() && n < 1100; ++n) {
+    const std::string job = job_json(counting_kernel(n), "fresh");
+    if (route_owner(fleet, {job}) != spin_owner) fresh = job;
+  }
+  ASSERT_FALSE(fresh.empty());
+  t0 = std::chrono::steady_clock::now();
+  const json::Value fsub =
+      c.request("{\"op\":\"submit\",\"jobs\":[" + fresh + "]}");
+  ASSERT_TRUE(fsub.get_bool("ok", false)) << json::serialize(fsub);
+  const json::Value fres = c.request(wait_request(ids_of(fsub)[0], 10'000));
+  EXPECT_LT(std::chrono::steady_clock::now() - t0, 1s);
+  EXPECT_TRUE(fres.get_bool("ok", false)) << json::serialize(fres);
+
+  // Cancelling the spins answers every parked wait with its terminal
+  // result, and each v1 connection's answers keep request order.
+  for (const std::uint64_t id : spin_ids)
+    ASSERT_TRUE(c.request("{\"op\":\"cancel\",\"id\":" + std::to_string(id) +
+                          "}")
+                    .get_bool("ok", false));
+  for (int i = 0; i < kConns; ++i) {
+    const std::string first = v1[i]->recv();
+    EXPECT_NE(first.find("\"status\":\"cancelled\""), std::string::npos)
+        << "v1 conn " << i << ": " << first;
+    EXPECT_EQ(parse_json(v1[i]->recv()).get_string("type", ""), "pong")
+        << "v1 conn " << i;
+  }
+  for (int i = 0; i < kConns; ++i) {
+    const Client::V2Response r = pipelined.recv_v2();
+    EXPECT_TRUE(r.ok) << r.body;
+    EXPECT_NE(r.body.find("\"status\":\"cancelled\""), std::string::npos)
+        << r.body;
+  }
+}
+
+TEST(RouterParkedWaitTest, IdleBudgetNeverReapsBackendChannels) {
+  // The idle budget reaps silent client sessions. The router's own
+  // channels to its backends stay silent for a whole wait round and must
+  // never be reaped with them — each reap would fail the round and count
+  // against the backend's breaker.
+  ServerOptions sopts;
+  sopts.workers = 1;
+  RouterOptions ropts = test_router_options();
+  ropts.idle_timeout_ms = 200;
+  Fleet fleet(1, sopts, ropts);
+
+  std::uint64_t id = 0;
+  {
+    Client c = fleet.connect();
+    const json::Value sub = c.request("{\"op\":\"submit\",\"jobs\":[" +
+                                      spin_job_json("idle-wait") + "]}");
+    ASSERT_TRUE(sub.get_bool("ok", false));
+    id = ids_of(sub)[0];
+  }
+  // The client keeps its own session alive with pings, queued behind
+  // the parked wait; the wait itself stays parked for a full second.
+  V1Conn waiter(fleet.router->port());
+  waiter.send(wait_request(id, 30'000));
+  for (int i = 0; i < 10; ++i) {
+    std::this_thread::sleep_for(100ms);
+    waiter.send("{\"op\":\"ping\"}");
+  }
+  {
+    Client c = fleet.connect();
+    ASSERT_TRUE(c.request("{\"op\":\"cancel\",\"id\":" + std::to_string(id) +
+                          "}")
+                    .get_bool("ok", false));
+  }
+  const std::string result = waiter.recv();
+  EXPECT_NE(result.find("\"status\":\"cancelled\""), std::string::npos)
+      << result;
+  for (int i = 0; i < 10; ++i)
+    EXPECT_EQ(parse_json(waiter.recv()).get_string("type", ""), "pong");
+  EXPECT_EQ(fleet.router->backend_state(0), BreakerState::kClosed);
+  EXPECT_EQ(fleet.router->health().counts(0).opened, 0u);
+}
+
+TEST(RouterIdempotencyTest, ConcurrentResendsParkBehindTheFirstAttempt) {
+  // A resend of a keyed submit whose first attempt is still in flight
+  // parks until that attempt resolves — holding no thread, so the
+  // router keeps answering everyone else meanwhile.
+  //
+  // Backend 0 stalls: it listens but never accepts, so the first
+  // attempt blocks on it until the listener closes and resets the
+  // connection; the submit then lands on backend 1. Least-queued routing
+  // with nothing outstanding tries backends in index order.
+  const int stall_fd = ::socket(AF_INET, SOCK_STREAM, 0);
+  sockaddr_in addr{};
+  addr.sin_family = AF_INET;
+  addr.sin_addr.s_addr = htonl(INADDR_LOOPBACK);
+  ASSERT_EQ(::bind(stall_fd, reinterpret_cast<const sockaddr*>(&addr),
+                   sizeof addr),
+            0);
+  ASSERT_EQ(::listen(stall_fd, 16), 0);
+  socklen_t len = sizeof addr;
+  ::getsockname(stall_fd, reinterpret_cast<sockaddr*>(&addr), &len);
+
+  ServerOptions sopts;
+  sopts.workers = 1;
+  sopts.port = 0;
+  Server backend(sopts);
+  backend.start();
+  RouterOptions ropts = test_router_options();
+  ropts.affinity = false;
+  ropts.backends = {BackendSpec{"127.0.0.1", ntohs(addr.sin_port)},
+                    BackendSpec{"127.0.0.1", backend.port()}};
+  Router router(ropts);
+  router.start();
+  auto connect = [&router] {
+    Client c;
+    c.connect("127.0.0.1", router.port(), 5000);
+    return c;
+  };
+
+  const std::string submit =
+      "{\"op\":\"submit\",\"key\":\"in-flight-key\",\"jobs\":[" +
+      job_json(counting_kernel(100), "keyed") + "]}";
+  json::Value first;
+  std::thread first_thread([&] { first = connect().request(submit); });
+  std::this_thread::sleep_for(100ms);  // the first attempt is stalled
+
+  constexpr int kResends = 16;
+  std::vector<json::Value> resent(kResends);
+  std::vector<std::thread> resenders;
+  for (int i = 0; i < kResends; ++i)
+    resenders.emplace_back(
+        [&, i] { resent[i] = connect().request(submit); });
+  std::this_thread::sleep_for(100ms);  // every resend is parked
+
+  Client c = connect();
+  const auto t0 = std::chrono::steady_clock::now();
+  EXPECT_EQ(c.request("{\"op\":\"ping\"}").get_string("type", ""), "pong");
+  EXPECT_LT(std::chrono::steady_clock::now() - t0, 50ms)
+      << "parked keyed resends stalled an unrelated ping";
+
+  std::this_thread::sleep_for(800ms);
+  ::close(stall_fd);  // resets the stalled attempt: it moves on
+  first_thread.join();
+  for (auto& t : resenders) t.join();
+
+  ASSERT_TRUE(first.get_bool("ok", false)) << json::serialize(first);
+  EXPECT_FALSE(first.get_bool("duplicate", true));
+  for (int i = 0; i < kResends; ++i) {
+    ASSERT_TRUE(resent[i].get_bool("ok", false)) << json::serialize(resent[i]);
+    EXPECT_TRUE(resent[i].get_bool("duplicate", false)) << "resend " << i;
+    EXPECT_EQ(ids_of(resent[i]), ids_of(first)) << "resend " << i;
+  }
+  EXPECT_EQ(server_submitted(backend), 1u);
+  router.stop();
+  backend.stop();
 }
 
 }  // namespace
