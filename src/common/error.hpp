@@ -37,4 +37,11 @@ inline void expect(bool cond, const std::string& what) {
   if (!cond) throw SimulationError(what);
 }
 
+/// Hot-path overload: a string literal binds here instead of
+/// materializing (and freeing) a std::string temporary on every check
+/// that passes, so it only pays on throw.
+inline void expect(bool cond, const char* what) {
+  if (!cond) throw SimulationError(what);
+}
+
 }  // namespace masc

@@ -24,7 +24,7 @@ void ArchState::load(const Program& program) {
   expect(program.text.size() <= instr_mem_.size(),
          "program text exceeds instruction memory");
   expect(program.data.size() <= scalar_mem_.size(),
-         "program data exceeds scalar memory");
+         fault_text::kDataTooBig);
   std::copy(program.text.begin(), program.text.end(), instr_mem_.begin());
   std::copy(program.data.begin(), program.data.end(), scalar_mem_.begin());
   threads_[0].state = ThreadState::kActive;
@@ -54,12 +54,12 @@ void ArchState::set_sflag(ThreadId t, RegNum f, bool v) {
 }
 
 Word ArchState::scalar_mem(Addr a) const {
-  expect(a < scalar_mem_.size(), "scalar memory read out of range");
+  expect(a < scalar_mem_.size(), fault_text::kScalarRead);
   return scalar_mem_[a];
 }
 
 void ArchState::set_scalar_mem(Addr a, Word v) {
-  expect(a < scalar_mem_.size(), "scalar memory write out of range");
+  expect(a < scalar_mem_.size(), fault_text::kScalarWrite);
   scalar_mem_[a] = truncate(v, cfg_.word_width);
 }
 
@@ -86,12 +86,12 @@ void ArchState::set_pflag(ThreadId t, RegNum f, PEIndex pe, bool v) {
 }
 
 Word ArchState::local_mem(PEIndex pe, Addr a) const {
-  expect(a < cfg_.local_mem_bytes, "local memory read out of range");
+  expect(a < cfg_.local_mem_bytes, fault_text::kLocalRead);
   return local_mem_[static_cast<std::size_t>(pe) * cfg_.local_mem_bytes + a];
 }
 
 void ArchState::set_local_mem(PEIndex pe, Addr a, Word v) {
-  expect(a < cfg_.local_mem_bytes, "local memory write out of range");
+  expect(a < cfg_.local_mem_bytes, fault_text::kLocalWrite);
   local_mem_[static_cast<std::size_t>(pe) * cfg_.local_mem_bytes + a] =
       truncate(v, cfg_.word_width);
 }
@@ -123,15 +123,15 @@ InstrWord ArchState::fetch(Addr pc) const {
   return instr_mem_[pc];
 }
 
-ThreadId ArchState::allocate_thread(Addr entry_pc) {
-  for (ThreadId t = 0; t < threads_.size(); ++t) {
-    if (threads_[t].state == ThreadState::kFree) {
-      threads_[t].state = ThreadState::kActive;
-      threads_[t].pc = entry_pc;
+ThreadId allocate_thread(std::vector<ThreadContext>& table, Addr entry_pc) {
+  for (ThreadId t = 0; t < table.size(); ++t) {
+    if (table[t].state == ThreadState::kFree) {
+      table[t].state = ThreadState::kActive;
+      table[t].pc = entry_pc;
       return t;
     }
   }
-  return kNoThread;
+  return ArchState::kNoThread;
 }
 
 void ArchState::save(BinWriter& w) const {
@@ -176,9 +176,9 @@ void ArchState::restore(BinReader& r) {
   }
 }
 
-std::uint32_t ArchState::active_thread_count() const {
+std::uint32_t active_thread_count(const std::vector<ThreadContext>& table) {
   std::uint32_t n = 0;
-  for (const auto& t : threads_)
+  for (const auto& t : table)
     if (t.state != ThreadState::kFree) ++n;
   return n;
 }

@@ -19,6 +19,18 @@ namespace masc {
 class BinReader;
 class BinWriter;
 
+/// The messages of the faults a job's own data can raise. A serial run
+/// throws them as SimulationError; a lane batch stops only the faulting
+/// lane, with the same text (sim/datapath.hpp).
+namespace fault_text {
+inline constexpr char kScalarRead[] = "scalar memory read out of range";
+inline constexpr char kScalarWrite[] = "scalar memory write out of range";
+inline constexpr char kLocalRead[] = "local memory read out of range";
+inline constexpr char kLocalWrite[] = "local memory write out of range";
+inline constexpr char kGetPe[] = "getpe: PE index out of range";
+inline constexpr char kDataTooBig[] = "program data exceeds scalar memory";
+}  // namespace fault_text
+
 /// Lifecycle of a hardware thread context (paper Fig. 3, thread status
 /// table).
 enum class ThreadState : std::uint8_t {
@@ -32,6 +44,13 @@ struct ThreadContext {
   Addr pc = 0;
   ThreadId join_target = 0;  ///< valid when state == kWaiting
 };
+
+/// TSPAWN's allocation: the lowest free context becomes active at
+/// `entry_pc`; returns its id, or ArchState::kNoThread when none is free.
+/// Shared by ArchState and the lane batch's one thread table.
+ThreadId allocate_thread(std::vector<ThreadContext>& table, Addr entry_pc);
+/// Contexts that are not free.
+std::uint32_t active_thread_count(const std::vector<ThreadContext>& table);
 
 class ArchState {
  public:
@@ -103,8 +122,12 @@ class ArchState {
   std::uint32_t num_threads() const { return static_cast<std::uint32_t>(threads_.size()); }
   /// Allocate a free context; returns the thread id or nullopt-like
   /// all-ones when none is free.
-  ThreadId allocate_thread(Addr entry_pc);
-  std::uint32_t active_thread_count() const;
+  ThreadId allocate_thread(Addr entry_pc) {
+    return masc::allocate_thread(threads_, entry_pc);
+  }
+  std::uint32_t active_thread_count() const {
+    return masc::active_thread_count(threads_);
+  }
 
   static constexpr ThreadId kNoThread = ~ThreadId{0};
 

@@ -1,9 +1,10 @@
 // Functional execution of decoded instructions against ArchState.
 //
-// Both simulators (cycle-accurate and functional) share these semantics;
-// only *when* effects are applied differs (the cycle simulator applies
-// them at issue and models visibility timing separately through the
-// scoreboard).
+// execute() runs the one ISA datapath (sim/datapath.hpp) over a single
+// job's state. Both simulators (cycle-accurate and functional) call it,
+// and the lane batch runs the same datapath over N jobs; only *when*
+// effects are applied differs (the cycle simulator applies them at issue
+// and models visibility timing separately through the scoreboard).
 #pragma once
 
 #include <cstdint>

@@ -1,13 +1,12 @@
 // SIMD-over-jobs lane batching (docs/PERF.md "Lane batching").
 //
 // Sweeps and served traffic are dominated by many near-identical jobs:
-// same program, same config, varying scalar-memory data. Serially, every
-// job pays its own fetch/decode/hazard-check/row-loop overhead. This
-// engine runs N such jobs in *lockstep* as lanes of one batched machine:
-// one control pass (predecode lookup, scoreboard check, issue, timing
-// update) per cycle serves all lanes, and every data row loop is
-// restructured so the job index is the innermost SoA dimension — the
-// paper's wide-word SIMD trick lifted one level, from PEs to jobs.
+// same program, same config, varying scalar-memory data. This engine runs
+// N such jobs in *lockstep* as lanes of one batched machine: one control
+// pass (sim/pipeline.hpp) per cycle serves all lanes, and the one ISA
+// datapath (sim/datapath.hpp) runs each row loop over P PEs x N lanes,
+// the job index innermost — the paper's wide-word SIMD trick lifted one
+// level, from PEs to jobs.
 //
 // Why one control pass is legal: the simulator's entire control and
 // timing state (thread table, scoreboard, stall accounting, Stats) is a

@@ -1,8 +1,9 @@
 // The control unit of the Multithreaded ASC Processor (paper Fig. 3): one
 // fetch unit, one rotating-priority scheduler, one instruction status
-// table. This is the only copy of the control pass; both datapaths run
-// through it — the serial Machine over one ArchState, and the lane
-// batch (sim/lane_batch.cpp) over N jobs' state in lockstep.
+// table. This is the only copy of the control pass, and the ISA's data
+// semantics exist once too (sim/datapath.hpp). Both machines run through
+// them — the serial Machine over one ArchState, and the lane batch
+// (sim/lane_batch.cpp) over N jobs' state in lockstep.
 //
 // Timing model (full derivation in DESIGN.md §5): the machine is a
 // single-issue, in-order, fine-grain multithreaded pipeline. Each cycle
@@ -31,6 +32,7 @@
 //
 //   ExecResult exec(ThreadId t, Addr pc, const Instruction&)
 //       apply the instruction's data effects; report the control outcome
+//       (both machines forward to datapath::execute)
 //   Word control_sreg(ThreadId t, RegNum r)
 //       a scalar register whose value steers control (the TMOV target);
 //       the lane datapath verifies it is uniform across lanes

@@ -5,14 +5,15 @@
 //    engines. For single-threaded programs (no cross-thread races) both
 //    must produce identical final architectural state; the cycle count
 //    is the only thing allowed to differ.
-// 2. The one control pass (sim/pipeline.hpp) drives two datapaths: the
-//    serial Machine and the lane batch. Random *multithreaded* programs
-//    whose loop trip counts come from reductions over per-job table
-//    data must give every lane of a batch the result bytes of its own
-//    serial run — lanes ejected on divergence and replayed included —
-//    and a Machine resumed from a checkpoint at a random cycle must end
-//    on the straight run's blob. These suites also run as the
-//    asan_/ubsan_differential ctest gates.
+// 2. The one control pass (sim/pipeline.hpp) and the one datapath
+//    (sim/datapath.hpp) run over two kinds of state: the serial Machine
+//    and the lane batch. Random *multithreaded* programs whose loop trip
+//    counts come from reductions over per-job table data must give every
+//    lane of a batch the result bytes of its own serial run — lanes
+//    ejected on divergence and replayed, and lanes stopped by their own
+//    data faults, included — and a Machine resumed from a checkpoint at
+//    a random cycle must end on the straight run's blob. These suites
+//    also run as the asan_/ubsan_differential ctest gates.
 #include <gtest/gtest.h>
 
 #include <sstream>
@@ -103,15 +104,20 @@ constexpr Addr kTableWords = 16;
 /// r9..r11), every thread runs random blocks interleaved with loops
 /// whose trip count is a reduction over a table word of the job's data,
 /// cross-thread tput/tget, and thread 0 joins every worker before HALT.
-/// r8..r13 hold control state the random blocks never touch.
-std::string random_mt_program(Rng& rng) {
+/// r8..r13 hold control state the random blocks never touch. A
+/// non-empty `probe` is emitted once in every thread's block, after at
+/// least one segment of work.
+std::string random_mt_program(Rng& rng, const std::string& probe = {}) {
   std::ostringstream os;
   int label = 0;
   const unsigned workers = 1 + static_cast<unsigned>(rng.next_below(3));
   const auto rx = [&] { return "r" + std::to_string(1 + rng.next_below(7)); };
   auto block = [&](bool main_thread) {
     const int segments = 2 + static_cast<int>(rng.next_below(3));
+    const int probe_at =
+        probe.empty() ? -1 : 1 + static_cast<int>(rng.next_below(segments - 1));
     for (int seg = 0; seg < segments; ++seg) {
+      if (seg == probe_at) os << probe;
       random_ops(os, rng, 3 + static_cast<int>(rng.next_below(6)));
       switch (rng.next_below(3)) {
         case 0: {
@@ -390,6 +396,86 @@ TEST_P(DifferentialEngine, CheckpointResumeAtARandomCycleMatchesStraightRun) {
           << "split at " << split << " of " << straight.now();
       EXPECT_EQ(to_json(resumed.stats()), to_json(straight.stats()));
     }
+  }
+}
+
+/// The data faults a lane can take alone. Each probe has r14 hold the
+/// job's kProbeWord table word and uses it as an address or PE index
+/// (r14/r15 and p8/p9 are untouched by the random blocks); the plw/psw
+/// address is pbcast + pindex, so a fault can land mid-array.
+struct FaultKind {
+  const char* name;
+  const char* probe;    ///< after the load of r14
+  const char* message;  ///< the serial error text, pinned
+  Word first_bad;       ///< the lowest probe word that faults at PE 0
+};
+constexpr Addr kProbeWord = kTableWords - 2;
+const FaultKind kFaultKinds[] = {
+    {"lw", "lw r15, 0(r14)\nadd r1, r1, r15\n", "scalar memory read out of range", 256},
+    {"sw", "sw r1, 0(r14)\n", "scalar memory write out of range", 256},
+    {"plw", "pbcast p8, r14\npindex p9\npadd p8, p8, p9\nplw p1, 0(p8)",
+     "local memory read out of range", 256},
+    {"psw", "pbcast p8, r14\npindex p9\npadd p8, p8, p9\npsw p2, 0(p8)",
+     "local memory write out of range", 256},
+    {"getpe", "getpe r15, p1, r14\nadd r2, r2, r15\n", "getpe: PE index out of range", 8},
+};
+
+TEST_P(DifferentialEngine, PerLaneDataFaultsMatchSerialJobs) {
+  // Per-lane table words drive one faulting opcode out of range on some
+  // lanes, mid-run, in every thread: each lane's result — error text
+  // included — must be byte-equal to its own serial run, and every
+  // fault kind must stop at least one lane inside a batch.
+  Rng rng(GetParam());
+  for (const FaultKind& kind : kFaultKinds) {
+    std::uint32_t faulted = 0;
+    // Two rounds, and more (up to eight) until a lane faulted in a batch.
+    for (int round = 0; round < 8 && (round < 2 || faulted == 0); ++round) {
+      std::string probe =
+          "lw r14, " + std::to_string(kProbeWord) + "(r0)\n" + kind.probe;
+      if (probe.back() != '\n') {  // plw/psw: optionally masked
+        if (rng.next_below(2) != 0) probe += " ?pf" + std::to_string(1 + rng.next_below(3));
+        probe += "\n";
+      }
+      const Program prog = assemble(random_mt_program(rng, probe));
+      std::vector<Word> base(kTableWords);
+      for (Word& w : base) w = static_cast<Word>(rng.next_below(1u << 16));
+      const ThreadSchedPolicy policy = kPolicies[rng.next_below(3)];
+      for (const std::uint32_t lanes : {2u, 8u}) {
+        std::vector<SweepJob> jobs(lanes);
+        std::vector<LaneJob> lane_jobs;
+        for (std::uint32_t l = 0; l < lanes; ++l) {
+          jobs[l].cfg = mt_policy_config(policy);
+          jobs[l].cfg.scalar_mem_bytes = 256;
+          jobs[l].program = prog;
+          jobs[l].program.data = lane_table(base, rng, l);
+          // A third of the lanes draw from [first_bad - 7, first_bad + 57):
+          // most fault, and a plw/psw word below first_bad faults only at
+          // a higher PE of the 8, after the lower ones were written.
+          const Word bad = kind.first_bad;
+          jobs[l].program.data[kProbeWord] = static_cast<Word>(
+              rng.next_below(3) == 0 ? bad - 7 + rng.next_below(64)
+                                     : rng.next_below(bad - 7));
+          jobs[l].max_cycles = 1'000'000;
+          jobs[l].label = "lane" + std::to_string(l);
+        }
+        for (std::uint32_t l = 0; l < lanes; ++l) lane_jobs.push_back({&jobs[l], l});
+        LaneBatchReport report;
+        const auto got = run_lane_batch(lane_jobs, &report);
+        ASSERT_EQ(got.size(), lanes);
+        faulted += report.faulted;
+        for (std::uint32_t l = 0; l < lanes; ++l) {
+          const SweepResult want = run_sweep_job(jobs[l], l);
+          if (want.status == SweepStatus::kError)
+            ASSERT_EQ(want.error, kind.message) << kind.name << " lane " << l;
+          else
+            ASSERT_EQ(want.status, SweepStatus::kFinished) << kind.name;
+          ASSERT_EQ(got[l].error, want.error) << kind.name << " lane " << l;
+          ASSERT_EQ(result_bytes(got[l], jobs[l].cfg), result_bytes(want, jobs[l].cfg))
+              << kind.name << " lane " << l << " of " << lanes;
+        }
+      }
+    }
+    EXPECT_GT(faulted, 0u) << kind.name << " never faulted a lane in a batch";
   }
 }
 
