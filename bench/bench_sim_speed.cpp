@@ -60,8 +60,8 @@ BENCHMARK(BM_CycleSim)
 // all threads with a masked parallel update per iteration and no
 // reductions, at 16 PEs — because shared control (fetch, predecode,
 // scoreboard, scheduler scan, branch-penalty timing) is what batching
-// amortizes; per-lane data rows and reduction trees are paid per lane
-// either way. The setup refuses to measure an
+// amortizes; BM_LaneBatchQuery below measures the per-lane data rows and
+// the lane-wide reduction network. The setup refuses to measure an
 // unverified path: every lane's batched Stats must be byte-identical
 // to its serial run, with zero lanes ejected, before timing starts.
 // Speedup at N lanes = jobs/s(BM_LaneBatch/N) / jobs/s(BM_LaneBatch/1);
@@ -96,47 +96,46 @@ loop:
 )";
 }
 
-void BM_LaneBatch(benchmark::State& state) {
-  const auto lanes = static_cast<std::size_t>(state.range(0));
-  MachineConfig cfg;
-  cfg.num_pes = 16;
-  cfg.num_threads = 16;
-  cfg.word_width = 16;
-  const Program prog = assemble(lane_batch_program(2048));
-
+/// `lanes` jobs sharing `prog` on `cfg`, lane i with data image data(i).
+template <typename Data>
+std::vector<SweepJob> lane_jobs(const MachineConfig& cfg, const Program& prog,
+                                std::size_t lanes, Data&& data) {
   std::vector<SweepJob> jobs(lanes);
   for (std::size_t i = 0; i < lanes; ++i) {
     jobs[i].cfg = cfg;
     jobs[i].program = prog;
-    jobs[i].program.data = {static_cast<Word>(i)};  // per-lane memory image
+    jobs[i].program.data = data(i);  // per-lane memory image
     jobs[i].label = "lane" + std::to_string(i);
     jobs[i].seed = i;
     jobs[i].max_cycles = 10'000'000;
   }
+  return jobs;
+}
+
+/// Times run_lane_batch over `jobs`, after the bit-identity gate: per-job
+/// status, error, and Stats from the batched run must equal the serial
+/// run's, lane for lane, with every lane batched and none replayed, and
+/// every job must finish.
+void time_lane_batch(benchmark::State& state, const char* name,
+                     const std::vector<SweepJob>& jobs) {
+  const std::size_t lanes = jobs.size();
   std::vector<LaneJob> batch;
   for (std::size_t i = 0; i < lanes; ++i) batch.push_back({&jobs[i], i});
-
-  {
-    // Bit-identity gate: per-job status, error, and Stats from the
-    // batched run must equal the serial run's, lane for lane.
-    LaneBatchReport rep;
-    const auto batched = run_lane_batch(batch, &rep);
-    if (lanes > 1 && (rep.lanes != lanes || rep.replayed != 0)) {
-      std::fprintf(stderr, "BM_LaneBatch: batch degraded at %zu lanes "
-                   "(entered=%u replayed=%u)\n", lanes, rep.lanes,
-                   rep.replayed);
+  LaneBatchReport rep;
+  const auto batched = run_lane_batch(batch, &rep);
+  if (lanes > 1 && (rep.lanes != lanes || rep.replayed != 0)) {
+    std::fprintf(stderr, "%s: batch degraded at %zu lanes (entered=%u replayed=%u)\n",
+                 name, lanes, rep.lanes, rep.replayed);
+    std::exit(1);
+  }
+  for (std::size_t i = 0; i < lanes; ++i) {
+    const SweepResult serial = run_sweep_job(jobs[i], i);
+    if (serial.status != SweepStatus::kFinished || batched[i].status != serial.status ||
+        batched[i].error != serial.error ||
+        to_json(batched[i].stats) != to_json(serial.stats)) {
+      std::fprintf(stderr, "%s: lane %zu NOT bit-identical at %zu lanes\n", name, i,
+                   lanes);
       std::exit(1);
-    }
-    for (std::size_t i = 0; i < lanes; ++i) {
-      const SweepResult serial = run_sweep_job(jobs[i], i);
-      if (batched[i].status != serial.status ||
-          batched[i].error != serial.error ||
-          to_json(batched[i].stats) != to_json(serial.stats)) {
-        std::fprintf(stderr,
-                     "BM_LaneBatch: lane %zu NOT bit-identical at %zu lanes\n",
-                     i, lanes);
-        std::exit(1);
-      }
     }
   }
 
@@ -149,7 +148,89 @@ void BM_LaneBatch(benchmark::State& state) {
   state.counters["jobs/s"] = benchmark::Counter(
       static_cast<double>(total_jobs), benchmark::Counter::kIsRate);
 }
+
+void BM_LaneBatch(benchmark::State& state) {
+  MachineConfig cfg;
+  cfg.num_pes = 16;
+  cfg.num_threads = 16;
+  cfg.word_width = 16;
+  const Program prog = assemble(lane_batch_program(2048));
+  time_lane_batch(state, "BM_LaneBatch",
+                  lane_jobs(cfg, prog, static_cast<std::size_t>(state.range(0)),
+                            [](std::size_t i) { return std::vector<Word>{static_cast<Word>(i)}; }));
+}
 BENCHMARK(BM_LaneBatch)->Arg(1)->Arg(2)->Arg(4)->Arg(8)->Arg(16)
+    ->Unit(benchmark::kMillisecond)->UseRealTime();
+
+// The fleet's query kernel (perfbench/run.py `program`, copied here so the
+// benchmark stands alone): load a table into the PE array, then every
+// thread runs threshold searches, each a broadcast compare and count, max
+// and sum reductions. Lanes share the text and differ in their tables, as
+// the jobs of one fleet batch request do. Reductions dominate its host
+// time, so this is the benchmark that sees the lane-wide reduction
+// network; it carries BM_LaneBatch's bit-identity gate.
+std::string query_program(unsigned records, unsigned queries) {
+  return R"(
+main:
+    la    r3, recs
+    li    r1, )" + std::to_string(records) + R"(
+    pindex p1
+    li    r2, 0
+load:
+    lw    r4, 0(r3)
+    pceqs pf1, r2, p1
+    pbcast p2, r4 ?pf1
+    addi  r3, r3, 1
+    addi  r2, r2, 1
+    bne   r2, r1, load
+    nthreads r5
+    li    r6, 1
+    la    r7, worker
+spawn:
+    bgeu  r6, r5, worker
+    tspawn r8, r7
+    addi  r6, r6, 1
+    j     spawn
+worker:
+    tid   r9
+    li    r10, 0
+    li    r11, )" + std::to_string(queries) + R"(
+query:
+    add   r12, r9, r10
+    slli  r12, r12, 4
+    pcgts pf2, r12, p2
+    rcount r13, pf2
+    rmax  r14, p2 ?pf2
+    rsum  r15, p2 ?pf2
+    addi  r10, r10, 1
+    bne   r10, r11, query
+    texit
+)";
+}
+
+void BM_LaneBatchQuery(benchmark::State& state) {
+  constexpr unsigned kRecords = 14, kQueries = 48;  // perfbench's middle case
+  MachineConfig cfg;
+  cfg.num_pes = 16;
+  cfg.num_threads = 16;
+  cfg.word_width = 16;
+  std::string table = ".data\nrecs: .word 0";
+  for (unsigned r = 1; r < kRecords; ++r) table += ", 0";
+  const Program prog = assemble(table + "\n.text\n" + query_program(kRecords, kQueries));
+  time_lane_batch(state, "BM_LaneBatchQuery",
+                  lane_jobs(cfg, prog, static_cast<std::size_t>(state.range(0)),
+                            [](std::size_t lane) {
+                              std::vector<Word> recs(kRecords);
+                              std::uint64_t x = 0x9E3779B97F4A7C15ull * (lane + 1);
+                              for (Word& r : recs) {  // a table of its own per lane
+                                x ^= x >> 29;
+                                x *= 0xBF58476D1CE4E5B9ull;
+                                r = static_cast<Word>(x >> 52);  // < 4096
+                              }
+                              return recs;
+                            }));
+}
+BENCHMARK(BM_LaneBatchQuery)->Arg(1)->Arg(8)->Arg(16)
     ->Unit(benchmark::kMillisecond)->UseRealTime();
 
 void BM_FuncSim(benchmark::State& state) {

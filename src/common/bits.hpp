@@ -46,10 +46,10 @@ constexpr Word truncate(Word v, unsigned width) { return v & low_mask(width); }
 /// Sign-extend the low `width` bits of v into a full SWord.
 constexpr SWord sign_extend(Word v, unsigned width) {
   assert(width >= 1 && width <= 32);
-  const Word m = low_mask(width);
-  const Word sign_bit = Word{1} << (width - 1);
-  const Word x = v & m;
-  return (x & sign_bit) ? static_cast<SWord>(x | ~m) : static_cast<SWord>(x);
+  // Move the field's sign bit to bit 31 and shift back arithmetically:
+  // branch-free, so row loops over it vectorize.
+  const unsigned up = 32 - width;
+  return static_cast<SWord>(v << up) >> up;
 }
 
 /// Extract bits [hi:lo] from an instruction word.

@@ -5,8 +5,10 @@
 // dimension compiles out, and BatchMachine (lane_batch.cpp), L jobs.
 //
 // Parallel rows are [t][r][pe][lane] (the serial [t][r][pe] at L = 1), so
-// row loops run over P·L elements; broadcast-scalar operands are read per
-// lane. A view S supplies, besides config() and lanes():
+// row loops run over P·L elements, each funct dispatched once per
+// instruction. Reductions run every lane through one pass of the
+// lane-wide network (net::reduce_lanes). A view S supplies, besides
+// config() and lanes():
 //   for_live(f)            f(lane) for every live lane
 //   control(f) -> Word     a value that steers the shared control pass:
 //                          serial returns f(0); lanes tap() it, ejecting
@@ -15,11 +17,9 @@
 //                          the faulting PE, lower PEs written; lanes stop
 //                          just that lane with the same message
 //   sreg/set_sreg/sflag/set_sflag/preg    per-lane registers
-//   broadcast(t, r)        sreg r of every lane, indexed by lane (serially
-//                          a value, so row stores cannot alias it)
+//   broadcast(t, r)        sreg r of every lane, indexed like a P·L row
+//                          (serially a value, so row stores cannot alias it)
 //   preg_row/pflag_row/zero_row/ones_row  P·L-element rows
-//   column/act_column(row, lane)  one lane's P values for the reduction
-//                          network (serially the row itself, no copy)
 //   local_mem, scalar_mem/set_scalar_mem, thread table
 // Address loops never run for dead lanes. Register-number and mask checks
 // depend only on the instruction, so they are uniform; they fire even
@@ -30,6 +30,7 @@
 #include <cstdint>
 
 #include "common/bits.hpp"
+#include "common/dispatch.hpp"
 #include "common/error.hpp"
 #include "sim/arch_state.hpp"
 #include "sim/exec.hpp"
@@ -57,21 +58,36 @@ const Word* value_row(S& s, ThreadId t, RegNum r) {
   return s.preg_row(t, r);
 }
 
-/// f(i) for every active element i = pe·L + lane of a P·L row.
-template <typename F>
-void for_active(const std::uint8_t* act, std::size_t n, F&& f) {
-  for (std::size_t i = 0; i < n; ++i)
-    if (act[i]) f(i);
+/// d[i] = v(i) for every active element i of a P·L row, written as a
+/// select so the compiler can vectorize it: v runs on inactive elements
+/// too (it must not fault), whose d[i] is kept. v is taken by value, so a
+/// store to d cannot alias its captures.
+template <typename T, typename V>
+void store_active(T* d, const std::uint8_t* act, std::size_t n, V v) {
+  for (std::size_t i = 0; i < n; ++i) {
+    const T r = v(i);
+    d[i] = act[i] ? r : d[i];
+  }
+}
+
+/// store_active() with a funct of enum E (enumerators 0..Last) dispatched
+/// once: v(f, i) gets the funct as a compile-time constant f.
+template <auto Last, typename T, typename V>
+void store_funct(std::uint8_t funct, T* d, const std::uint8_t* act, std::size_t n, V v) {
+  dispatch<Last>(static_cast<decltype(Last)>(funct), [&](auto f) {
+    store_active(d, act, n, [=](std::size_t i) { return v(f, i); });
+  });
 }
 
 /// Execute a parallel-class instruction across the PE array of every
-/// lane. Each opcode runs as a tight row loop the compiler can vectorize.
-/// Writes to hardwired register/flag 0 have no architectural effect, so
-/// those loops are skipped outright — except PLW, whose address bounds
-/// checks must still fire.
+/// lane. Each opcode runs as a tight row loop the compiler can vectorize,
+/// its funct dispatched once per instruction. Writes to hardwired
+/// register/flag 0 have no architectural effect, so those loops are
+/// skipped outright — except PLW, whose address bounds checks must still
+/// fire.
 template <typename S>
 void exec_parallel(S& s, ThreadId t, const Instruction& in) {
-  using detail::alu_op;
+  using detail::alu;
   const auto& cfg = s.config();
   const unsigned w = cfg.word_width;
   const std::uint32_t p = cfg.num_pes;
@@ -95,20 +111,22 @@ void exec_parallel(S& s, ThreadId t, const Instruction& in) {
     case Opcode::kPAlu: {
       if (in.rd == 0) return;
       Word* const d = dest_preg();
-      const auto f = static_cast<AluFunct>(in.funct);
       const Word* const a = value_row(s, t, in.rs);
       const Word* const b = value_row(s, t, in.rt);
-      for_active(act, n, [&](std::size_t i) { d[i] = alu_op(f, a[i], b[i], w); });
+      store_funct<AluFunct::kCount>(in.funct, d, act, n, [=](auto f, std::size_t i) {
+        return alu<f()>(a[i], b[i], w);
+      });
       return;
     }
     case Opcode::kPAluS: {
       // Broadcast-scalar form: the scalar value is the LEFT operand.
       if (in.rd == 0) return;
       Word* const d = dest_preg();
-      const auto f = static_cast<AluFunct>(in.funct);
       const auto sv = s.broadcast(t, in.rs);
       const Word* const b = value_row(s, t, in.rt);
-      for_active(act, n, [&](std::size_t i) { d[i] = alu_op(f, sv[i % l], b[i], w); });
+      store_funct<AluFunct::kCount>(in.funct, d, act, n, [=](auto f, std::size_t i) {
+        return alu<f()>(sv[i], b[i], w);
+      });
       return;
     }
     case Opcode::kPImm: {
@@ -116,26 +134,26 @@ void exec_parallel(S& s, ThreadId t, const Instruction& in) {
       Word* const d = dest_preg();
       const Word imm = truncate(static_cast<Word>(in.imm), w);
       const Word* const a = value_row(s, t, in.rs);
-      auto alu = [&](AluFunct f) {
-        for_active(act, n, [&](std::size_t i) { d[i] = alu_op(f, a[i], imm, w); });
+      auto store = [&](auto v) {
+        store_active(d, act, n, [=](std::size_t i) { return v(a[i]); });
       };
       switch (static_cast<PImmOp>(in.funct)) {
-        case PImmOp::kAddi: alu(AluFunct::kAdd); break;
-        case PImmOp::kAndi:
-          for_active(act, n, [&](std::size_t i) { d[i] = a[i] & imm; });
+        case PImmOp::kAddi:
+          store([=](Word x) { return alu<AluFunct::kAdd>(x, imm, w); });
           break;
-        case PImmOp::kOri:
-          for_active(act, n, [&](std::size_t i) { d[i] = a[i] | imm; });
+        case PImmOp::kAndi: store([=](Word x) { return x & imm; }); break;
+        case PImmOp::kOri: store([=](Word x) { return x | imm; }); break;
+        case PImmOp::kXori: store([=](Word x) { return x ^ imm; }); break;
+        case PImmOp::kSlli:
+          store([=](Word x) { return alu<AluFunct::kSll>(x, imm, w); });
           break;
-        case PImmOp::kXori:
-          for_active(act, n, [&](std::size_t i) { d[i] = a[i] ^ imm; });
+        case PImmOp::kSrli:
+          store([=](Word x) { return alu<AluFunct::kSrl>(x, imm, w); });
           break;
-        case PImmOp::kSlli: alu(AluFunct::kSll); break;
-        case PImmOp::kSrli: alu(AluFunct::kSrl); break;
-        case PImmOp::kSrai: alu(AluFunct::kSra); break;
-        case PImmOp::kMovi:
-          for_active(act, n, [&](std::size_t i) { d[i] = imm; });
+        case PImmOp::kSrai:
+          store([=](Word x) { return alu<AluFunct::kSra>(x, imm, w); });
           break;
+        case PImmOp::kMovi: store([=](Word) { return imm; }); break;
         case PImmOp::kCount:
           break;
       }
@@ -144,33 +162,30 @@ void exec_parallel(S& s, ThreadId t, const Instruction& in) {
     case Opcode::kPCmp: {
       if (in.rd == 0) return;
       std::uint8_t* const d = dest_pflag();
-      const auto f = static_cast<CmpFunct>(in.funct);
       const Word* const a = value_row(s, t, in.rs);
       const Word* const b = value_row(s, t, in.rt);
-      for_active(act, n, [&](std::size_t i) {
-        d[i] = detail::cmp_op(f, a[i], b[i], w) ? 1 : 0;
+      store_funct<CmpFunct::kCount>(in.funct, d, act, n, [=](auto f, std::size_t i) {
+        return std::uint8_t{detail::cmp<f()>(a[i], b[i], w)};
       });
       return;
     }
     case Opcode::kPCmpS: {
       if (in.rd == 0) return;
       std::uint8_t* const d = dest_pflag();
-      const auto f = static_cast<CmpFunct>(in.funct);
       const auto sv = s.broadcast(t, in.rs);
       const Word* const b = value_row(s, t, in.rt);
-      for_active(act, n, [&](std::size_t i) {
-        d[i] = detail::cmp_op(f, sv[i % l], b[i], w) ? 1 : 0;
+      store_funct<CmpFunct::kCount>(in.funct, d, act, n, [=](auto f, std::size_t i) {
+        return std::uint8_t{detail::cmp<f()>(sv[i], b[i], w)};
       });
       return;
     }
     case Opcode::kPFlag: {
       if (in.rd == 0) return;
       std::uint8_t* const d = dest_pflag();
-      const auto f = static_cast<FlagFunct>(in.funct);
       const std::uint8_t* const a = activity_row(s, t, in.rs);
       const std::uint8_t* const b = activity_row(s, t, in.rt);
-      for_active(act, n, [&](std::size_t i) {
-        d[i] = detail::flag_op(f, a[i] != 0, b[i] != 0) ? 1 : 0;
+      store_funct<FlagFunct::kCount>(in.funct, d, act, n, [=](auto f, std::size_t i) {
+        return std::uint8_t{detail::flag<f()>(a[i] != 0, b[i] != 0)};
       });
       return;
     }
@@ -204,11 +219,11 @@ void exec_parallel(S& s, ThreadId t, const Instruction& in) {
       Word* const d = dest_preg();
       if (static_cast<PMovFunct>(in.funct) == PMovFunct::kBcast) {
         const auto sv = s.broadcast(t, in.rs);
-        for_active(act, n, [&](std::size_t i) { d[i] = sv[i % l]; });
+        store_active(d, act, n, [=](std::size_t i) { return sv[i]; });
       } else {
         // Element i is PE i / L.
-        for_active(act, n, [&](std::size_t i) {
-          d[i] = truncate(static_cast<Word>(i / l), w);
+        store_active(d, act, n, [=](std::size_t i) {
+          return truncate(static_cast<Word>(i / l), w);
         });
       }
       return;
@@ -219,8 +234,9 @@ void exec_parallel(S& s, ThreadId t, const Instruction& in) {
 }
 
 /// Execute a reduction-class instruction (uses the reduction network).
-/// Each lane's operands reach the network as one P-element column —
-/// serially a span over the SoA row, with no copy.
+/// One pass of the lane-wide network (net::reduce_lanes) reduces every
+/// lane at once, its operator dispatched once per instruction. Dead lanes
+/// are reduced too, but only live lanes' scalar results are written.
 template <typename S>
 void exec_reduction(S& s, ThreadId t, const Instruction& in) {
   const auto& cfg = s.config();
@@ -236,19 +252,25 @@ void exec_reduction(S& s, ThreadId t, const Instruction& in) {
     if (in.rd == 0) return;  // flag 0 is hardwired; writes are dropped
     expect(in.rd < cfg.num_flag_regs, "parallel flag out of range");
     std::uint8_t* const d = s.pflag_row(t, in.rd);
-    s.for_live([&](std::uint32_t lane) {
-      const auto a = s.act_column(act, lane);
-      const auto fl = s.column(flags, lane);
-      // Index form of the resolver: no one-hot scratch vector.
-      const std::size_t first = net::resolve_first_index(fl, a);
-      for (std::size_t pe = 0; pe < p; ++pe) {
-        if (!a[pe]) continue;
-        d[pe * l + lane] = f == RSelFunct::kFirst
-                               ? (pe == first ? 1 : 0)
-                               // kClearFirst: source flags minus the first
-                               : ((fl[pe] && pe != first) ? 1 : 0);
+    // The first responder is the MINU tree over responders' element
+    // indices, which order a lane's PEs; with no responder the identity
+    // (all ones) matches no element.
+    const Word* const first = net::reduce_lanes<net::ReduceOp::kMinU>(
+        p, l, 32, [=](std::size_t i) {
+          return (act[i] != 0) & (flags[i] != 0) ? static_cast<Word>(i) : ~Word{0};
+        });
+    // Like every parallel row, the rewrite of a dead lane's flags is an
+    // architectural no-op.
+    for (std::uint32_t pe = 0; pe < p; ++pe)
+      for (std::uint32_t lane = 0; lane < l; ++lane) {
+        const std::size_t i = std::size_t{pe} * l + lane;
+        const bool is_first = i == first[lane];
+        const bool r = f == RSelFunct::kFirst
+                           ? is_first
+                           // kClearFirst: source flags minus the first
+                           : flags[i] && !is_first;
+        if (act[i]) d[i] = r ? 1 : 0;
       }
-    });
     return;
   }
 
@@ -258,21 +280,23 @@ void exec_reduction(S& s, ThreadId t, const Instruction& in) {
     case RedFunct::kAny:
     case RedFunct::kFAnd:
     case RedFunct::kFOr: {
+      // The response counter's adder tree is wide enough for an exact
+      // count (paper §6.4); the architectural result is then truncated
+      // to the word width when written to the destination register. The
+      // flag AND asks the same tree whether no active PE lacks the flag.
       const std::uint8_t* const flags = activity_row(s, t, in.rs);
-      const bool to_flag = f == RedFunct::kFAnd || f == RedFunct::kFOr;
-      const auto op = f == RedFunct::kFAnd ? net::ReduceOp::kAnd
-                      : f == RedFunct::kFOr ? net::ReduceOp::kOr
-                                            : net::ReduceOp::kCountFlags;
+      const bool want = f != RedFunct::kFAnd;
+      const Word* const r = net::reduce_lanes<net::ReduceOp::kCountFlags>(
+          p, l, w, [=](std::size_t i) {
+            return static_cast<Word>((act[i] != 0) & ((flags[i] != 0) == want));
+          });
       s.for_live([&](std::uint32_t lane) {
-        // The response counter's adder tree is wide enough for an exact
-        // count (paper §6.4); the architectural result is then truncated
-        // to the word width when written to the destination register.
-        const Word r =
-            net::flag_reduce(op, s.column(flags, lane), s.act_column(act, lane));
-        if (to_flag)
-          s.set_sflag(lane, t, in.rd, r != 0);
-        else
-          s.set_sreg(lane, t, in.rd, f == RedFunct::kAny ? (r != 0 ? 1 : 0) : r);
+        switch (f) {
+          case RedFunct::kFAnd: s.set_sflag(lane, t, in.rd, r[lane] == 0); break;
+          case RedFunct::kFOr: s.set_sflag(lane, t, in.rd, r[lane] != 0); break;
+          case RedFunct::kAny: s.set_sreg(lane, t, in.rd, r[lane] != 0 ? 1 : 0); break;
+          default: s.set_sreg(lane, t, in.rd, r[lane]); break;
+        }
       });
       break;
     }
@@ -288,11 +312,11 @@ void exec_reduction(S& s, ThreadId t, const Instruction& in) {
       break;
     default: {
       const Word* const vals = value_row(s, t, in.rs);
-      s.for_live([&](std::uint32_t lane) {
-        s.set_sreg(lane, t, in.rd,
-                   net::tree_reduce(detail::reduce_op_of(f), s.column(vals, lane),
-                                    s.act_column(act, lane), w));
-      });
+      const Word* const r = dispatch<net::ReduceOp::kCountFlags>(
+          detail::reduce_op_of(f), [&](auto op) {
+            return net::reduce_lanes<op()>(p, l, w, net::value_leaves<op()>(vals, act, w));
+          });
+      s.for_live([&](std::uint32_t lane) { s.set_sreg(lane, t, in.rd, r[lane]); });
       break;
     }
   }
@@ -302,7 +326,7 @@ void exec_reduction(S& s, ThreadId t, const Instruction& in) {
 /// `s` and return the (shared) control outcome.
 template <typename S>
 ExecResult execute(S& s, ThreadId t, Addr pc, const Instruction& in) {
-  using detail::alu_op;
+  using detail::alu;
   ExecResult res;
   res.next_pc = pc + 1;
   const auto& cfg = s.config();
@@ -341,23 +365,25 @@ ExecResult execute(S& s, ThreadId t, Addr pc, const Instruction& in) {
       break;
 
     case Opcode::kSAlu:
-      write_rd([&](std::uint32_t lane) {
-        return alu_op(static_cast<AluFunct>(in.funct), reg(lane, in.rs),
-                      reg(lane, in.rt), w);
+      dispatch<AluFunct::kCount>(static_cast<AluFunct>(in.funct), [&](auto f) {
+        write_rd([&](std::uint32_t lane) {
+          return alu<f()>(reg(lane, in.rs), reg(lane, in.rt), w);
+        });
       });
       break;
     case Opcode::kSCmp:
-      s.for_live([&](std::uint32_t lane) {
-        s.set_sflag(lane, t, in.rd,
-                    detail::cmp_op(static_cast<CmpFunct>(in.funct), reg(lane, in.rs),
-                                   reg(lane, in.rt), w));
+      dispatch<CmpFunct::kCount>(static_cast<CmpFunct>(in.funct), [&](auto f) {
+        s.for_live([&](std::uint32_t lane) {
+          s.set_sflag(lane, t, in.rd, detail::cmp<f()>(reg(lane, in.rs), reg(lane, in.rt), w));
+        });
       });
       break;
     case Opcode::kSFlag:
-      s.for_live([&](std::uint32_t lane) {
-        s.set_sflag(lane, t, in.rd,
-                    detail::flag_op(static_cast<FlagFunct>(in.funct),
-                                    s.sflag(lane, t, in.rs), s.sflag(lane, t, in.rt)));
+      dispatch<FlagFunct::kCount>(static_cast<FlagFunct>(in.funct), [&](auto f) {
+        s.for_live([&](std::uint32_t lane) {
+          s.set_sflag(lane, t, in.rd,
+                      detail::flag<f()>(s.sflag(lane, t, in.rs), s.sflag(lane, t, in.rt)));
+        });
       });
       break;
 
@@ -384,16 +410,14 @@ ExecResult execute(S& s, ThreadId t, Addr pc, const Instruction& in) {
       });
       break;
     case Opcode::kSlli:
-    case Opcode::kSrli:
-    case Opcode::kSrai: {
-      const AluFunct f = in.op == Opcode::kSlli   ? AluFunct::kSll
-                         : in.op == Opcode::kSrli ? AluFunct::kSrl
-                                                  : AluFunct::kSra;
-      write_rd([&](std::uint32_t lane) {
-        return alu_op(f, reg(lane, in.rs), simm, w);
-      });
+      write_rd([&](std::uint32_t lane) { return alu<AluFunct::kSll>(reg(lane, in.rs), simm, w); });
       break;
-    }
+    case Opcode::kSrli:
+      write_rd([&](std::uint32_t lane) { return alu<AluFunct::kSrl>(reg(lane, in.rs), simm, w); });
+      break;
+    case Opcode::kSrai:
+      write_rd([&](std::uint32_t lane) { return alu<AluFunct::kSra>(reg(lane, in.rs), simm, w); });
+      break;
     case Opcode::kLui:
       write_rd([&](std::uint32_t) { return simm << 16; });
       break;
@@ -422,10 +446,12 @@ ExecResult execute(S& s, ThreadId t, Addr pc, const Instruction& in) {
                                static_cast<unsigned>(Opcode::kBeq)];
       // The control value is the *decision*, not the operands: lanes
       // whose registers differ but branch the same way stay convergent.
-      if (s.control([&](std::uint32_t lane) -> Word {
-            return detail::cmp_op(c, reg(lane, in.rd), reg(lane, in.rs), w) ? 1 : 0;
-          }) != 0)
-        take(branch_target);
+      const bool taken = dispatch<CmpFunct::kCount>(c, [&](auto f) {
+        return s.control([&](std::uint32_t lane) -> Word {
+          return detail::cmp<f()>(reg(lane, in.rd), reg(lane, in.rs), w) ? 1 : 0;
+        }) != 0;
+      });
+      if (taken) take(branch_target);
       break;
     }
     case Opcode::kBfset:

@@ -3,7 +3,6 @@
 #include <algorithm>
 #include <chrono>
 #include <optional>
-#include <span>
 
 #include "common/bits.hpp"
 #include "common/error.hpp"
@@ -55,10 +54,7 @@ class BatchMachine : public Pipeline<BatchMachine> {
     local_mem_.assign(std::size_t{P_} * cfg_.local_mem_bytes * L_, 0);
     zero_pl_.assign(std::size_t{P_} * L_, 0);
     ones_pl_.assign(std::size_t{P_} * L_, 1);
-    vals_p_.resize(P_);
-    act_p_.resize(P_);
-    flags_p_.resize(P_);
-    svals_.resize(L_);
+    bcast_pl_.resize(std::size_t{P_} * L_);
     taps_.resize(L_);
   }
 
@@ -156,11 +152,15 @@ class BatchMachine : public Pipeline<BatchMachine> {
     expect(r < cfg_.num_parallel_regs, "lane batch: parallel register out of range");
     return preg_row(t, r)[std::size_t{pe} * L_ + lane];
   }
-  /// Per-lane scalar operand of a broadcast form: dead lanes read a stale
-  /// but in-bounds value; their row writes are architectural no-ops.
+  /// The scalar operand of a broadcast form as a P*L row, each lane's
+  /// value repeated on every PE, so the row loop indexes it like any other
+  /// operand. Dead lanes read a stale but in-bounds value; their row
+  /// writes are architectural no-ops.
   const Word* broadcast(ThreadId t, RegNum r) {
-    for (std::uint32_t lane = 0; lane < L_; ++lane) svals_[lane] = sreg(lane, t, r);
-    return svals_.data();
+    for (std::uint32_t lane = 0; lane < L_; ++lane) bcast_pl_[lane] = sreg(lane, t, r);
+    for (std::uint32_t pe = 1; pe < P_; ++pe)
+      std::copy_n(bcast_pl_.begin(), L_, bcast_pl_.begin() + std::size_t{pe} * L_);
+    return bcast_pl_.data();
   }
 
   // [pe][lane] rows of P*L elements.
@@ -172,20 +172,6 @@ class BatchMachine : public Pipeline<BatchMachine> {
   }
   const Word* zero_row() const { return zero_pl_.data(); }
   const std::uint8_t* ones_row() const { return ones_pl_.data(); }
-
-  // One lane's column of a row, gathered contiguous so the reduction
-  // network (which folds in hardware tree order) sees exactly a serial
-  // row.
-  std::span<const Word> column(const Word* row, std::uint32_t lane) {
-    return gather(row, lane, vals_p_);
-  }
-  std::span<const std::uint8_t> column(const std::uint8_t* row, std::uint32_t lane) {
-    return gather(row, lane, flags_p_);
-  }
-  std::span<const std::uint8_t> act_column(const std::uint8_t* row,
-                                           std::uint32_t lane) {
-    return gather(row, lane, act_p_);
-  }
 
   Word& local_mem(std::uint32_t lane, PEIndex pe, Addr a) {
     return local_mem_[(std::size_t{pe} * cfg_.local_mem_bytes + a) * L_ + lane];
@@ -217,13 +203,6 @@ class BatchMachine : public Pipeline<BatchMachine> {
   }
   std::size_t sflag_i(ThreadId t, RegNum f, std::uint32_t lane) const {
     return (std::size_t{t} * cfg_.num_flag_regs + f) * L_ + lane;
-  }
-
-  template <typename T>
-  std::span<const T> gather(const T* row, std::uint32_t lane, std::vector<T>& out) {
-    for (std::uint32_t pe = 0; pe < P_; ++pe)
-      out[pe] = row[std::size_t{pe} * L_ + lane];
-    return out;
   }
 
   // --- Lane ejection ---------------------------------------------------------
@@ -320,11 +299,7 @@ class BatchMachine : public Pipeline<BatchMachine> {
   std::vector<Word> zero_pl_;          ///< P*L zeros (register 0 row)
   std::vector<std::uint8_t> ones_pl_;  ///< P*L ones (flag 0 row)
 
-  // Reduction gather scratch (see column()).
-  std::vector<Word> vals_p_;
-  std::vector<std::uint8_t> act_p_;
-  std::vector<std::uint8_t> flags_p_;
-  std::vector<Word> svals_;  ///< per-lane scalar operands
+  std::vector<Word> bcast_pl_;  ///< P*L broadcast operand (see broadcast())
   std::vector<Word> taps_;   ///< per-lane control tap values
 };
 

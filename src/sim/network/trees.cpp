@@ -6,41 +6,6 @@
 
 namespace masc::net {
 
-Word identity_of(ReduceOp op, unsigned width) {
-  switch (op) {
-    case ReduceOp::kAnd: return low_mask(width);
-    case ReduceOp::kOr: return 0;
-    case ReduceOp::kMax: return signed_min_word(width);
-    case ReduceOp::kMin: return signed_max_word(width);
-    case ReduceOp::kMaxU: return 0;
-    case ReduceOp::kMinU: return low_mask(width);
-    case ReduceOp::kSum: return 0;
-    case ReduceOp::kSumU: return 0;
-    case ReduceOp::kCountFlags: return 0;
-  }
-  return 0;
-}
-
-Word combine(ReduceOp op, Word a, Word b, unsigned width) {
-  switch (op) {
-    case ReduceOp::kAnd: return a & b;
-    case ReduceOp::kOr: return a | b;
-    case ReduceOp::kMax:
-      return sign_extend(a, width) >= sign_extend(b, width) ? a : b;
-    case ReduceOp::kMin:
-      return sign_extend(a, width) <= sign_extend(b, width) ? a : b;
-    case ReduceOp::kMaxU: return std::max(a, b);
-    case ReduceOp::kMinU: return std::min(a, b);
-    case ReduceOp::kSum: return sat_add_signed(a, b, width);
-    case ReduceOp::kSumU: return sat_add_unsigned(a, b, width);
-    case ReduceOp::kCountFlags:
-      // The adder tree of the response counter is sized to hold an exact
-      // count of up to p responders; it cannot overflow.
-      return a + b;
-  }
-  return 0;
-}
-
 Word tree_reduce(ReduceOp op, std::span<const Word> values,
                  std::span<const std::uint8_t> active, unsigned width) {
   expect(values.size() == active.size(), "tree_reduce: size mismatch");

@@ -8,6 +8,10 @@
 //    associative (saturation at an internal node is sticky), so emulating
 //    the tree shape — leaves padded with the operator identity up to the
 //    next power of two — is required for bit-exact fidelity.
+//    reduce_lanes() is the form the simulator runs: every lane of a batch
+//    (one lane serially) in one pass, the operator a template parameter.
+//    tree_reduce(), flag_reduce() and resolve_first_index() reduce one
+//    column; they are the reference the property tests pin it against.
 //
 // 2. *Pipeline structure*: PipelinedBroadcastTree / PipelinedReductionTree
 //    model the stage registers of the k-ary broadcast tree and the binary
@@ -18,6 +22,8 @@
 //    pipeline, and so the network can be studied in isolation (bench E6).
 #pragma once
 
+#include <algorithm>
+#include <cstddef>
 #include <deque>
 #include <functional>
 #include <optional>
@@ -26,6 +32,7 @@
 
 #include "common/bits.hpp"
 #include "common/config.hpp"
+#include "common/dispatch.hpp"
 #include "common/saturate.hpp"
 #include "common/types.hpp"
 
@@ -42,10 +49,46 @@ enum class ReduceOp : std::uint8_t {
 
 /// The operator identity: contributed by inactive PEs and by the padding
 /// leaves that round the array up to a full binary tree.
-Word identity_of(ReduceOp op, unsigned width);
+template <ReduceOp Op>
+constexpr Word identity(unsigned width) {
+  if constexpr (Op == ReduceOp::kAnd || Op == ReduceOp::kMinU) return low_mask(width);
+  else if constexpr (Op == ReduceOp::kMax) return signed_min_word(width);
+  else if constexpr (Op == ReduceOp::kMin) return signed_max_word(width);
+  else return 0;
+}
 
 /// Combine two values at one tree node.
-Word combine(ReduceOp op, Word a, Word b, unsigned width);
+template <ReduceOp Op>
+constexpr Word combine(Word a, Word b, unsigned width) {
+  using enum ReduceOp;
+  if constexpr (Op == kAnd) return a & b;
+  else if constexpr (Op == kOr) return a | b;
+  else if constexpr (Op == kMax) return sign_extend(a, width) >= sign_extend(b, width) ? a : b;
+  else if constexpr (Op == kMin) return sign_extend(a, width) <= sign_extend(b, width) ? a : b;
+  else if constexpr (Op == kMaxU) return a < b ? b : a;
+  else if constexpr (Op == kMinU) return b < a ? b : a;
+  else if constexpr (Op == kSum) return sat_add_signed(a, b, width);
+  else if constexpr (Op == kSumU) return sat_add_unsigned(a, b, width);
+  // The adder tree of the response counter is sized to hold an exact
+  // count of up to p responders; it cannot overflow.
+  else return a + b;
+}
+
+/// The word a PE's value feeds the tree: truncated to the word width, or
+/// 0/1 for the response counter.
+template <ReduceOp Op>
+constexpr Word leaf(Word v, unsigned width) {
+  if constexpr (Op == ReduceOp::kCountFlags) return v != 0 ? 1 : 0;
+  else return truncate(v, width);
+}
+
+inline Word identity_of(ReduceOp op, unsigned width) {
+  return dispatch<ReduceOp::kCountFlags>(op, [&](auto o) { return identity<o()>(width); });
+}
+
+inline Word combine(ReduceOp op, Word a, Word b, unsigned width) {
+  return dispatch<ReduceOp::kCountFlags>(op, [&](auto o) { return combine<o()>(a, b, width); });
+}
 
 /// Reduce a vector of per-PE values in hardware tree order. `active[i]`
 /// false replaces values[i] with the identity. `width` is the machine
@@ -65,9 +108,78 @@ Word tree_reduce(ReduceOp op, std::span<const Word> values, unsigned width);
 Word flag_reduce(ReduceOp op, std::span<const std::uint8_t> flags,
                  std::span<const std::uint8_t> active);
 
+/// Scratch words of the lane-wide network, reused across calls; each
+/// sweep worker thread gets its own.
+inline Word* lane_scratch(std::size_t n) {
+  thread_local std::vector<Word> words;
+  if (words.size() < n) words.resize(n);
+  return words.data();
+}
+
+/// The leaves of a value reduction over a row, for reduce_lanes(): element
+/// i's word, or the identity where its PE is inactive. Both loads are
+/// unconditional, so the leaf pass vectorizes.
+template <ReduceOp Op>
+auto value_leaves(const Word* vals, const std::uint8_t* act, unsigned width) {
+  const Word id = identity<Op>(width);
+  return [=](std::size_t i) {
+    const Word v = leaf<Op>(vals[i], width);
+    return act[i] ? v : id;
+  };
+}
+
+/// The lane-wide reduction network: reduces every lane of a [pe][lane]
+/// row of p·l elements in one pass, lane index innermost, into an l-wide
+/// accumulator. leaf(i) is the word element i = pe·l + lane feeds the
+/// tree (the identity for an inactive PE); it must not fault on inactive
+/// PEs, and it is taken by value so the loop can keep its captures in
+/// registers. Returns the l results, lane k's at [k], in lane_scratch(),
+/// valid until the next call on this thread. Per lane the result is the
+/// word tree_reduce() gives for that lane's column, which the property
+/// tests pin.
+template <ReduceOp Op, typename Leaf>
+const Word* reduce_lanes(std::uint32_t p, std::uint32_t l, unsigned width, Leaf leaf) {
+  // The leaves first, in one flat pass over the whole row: the widest
+  // loop, and the only one that reads the machine's rows. Every later
+  // loop runs over word rows of l lanes, which vectorize.
+  const std::uint32_t padded = std::uint32_t{1} << ceil_log2(p);
+  const std::size_t n = std::size_t{p} * l;
+  const std::size_t m = std::size_t{padded} * l;
+  Word* const row = lane_scratch(m + m / 2);
+  for (std::size_t i = 0; i < n; ++i) row[i] = leaf(i);
+  if constexpr (Op != ReduceOp::kSum && Op != ReduceOp::kSumU) {
+    // Associative: a linear fold equals the tree (see tree_reduce()).
+    // PE 0's row accumulates.
+    for (std::uint32_t pe = 1; pe < p; ++pe) {
+      const Word* const next = row + std::size_t{pe} * l;
+      for (std::uint32_t lane = 0; lane < l; ++lane)
+        row[lane] = combine<Op>(row[lane], next[lane], width);
+    }
+    return row;
+  } else {
+    // Saturating sum keeps the exact hardware tree: padding leaves past p
+    // hold the identity, and each level combines nodes 2j and 2j+1 of
+    // every lane into node j, alternating between two buffers.
+    std::fill(row + n, row + m, identity<Op>(width));
+    Word* src = row;
+    Word* dst = row + m;
+    for (std::size_t nodes = padded; nodes > 1; nodes /= 2) {
+      for (std::size_t j = 0; j < nodes / 2; ++j) {
+        const Word* const x = src + 2 * j * l;
+        const Word* const y = x + l;
+        for (std::uint32_t lane = 0; lane < l; ++lane)
+          dst[j * l + lane] = combine<Op>(x[lane], y[lane], width);
+      }
+      std::swap(src, dst);
+    }
+    return src;
+  }
+}
+
 /// Multiple-response resolver (parallel-prefix network): index of the
 /// first set flag among active PEs, or flags.size() when no PE responds.
-/// Allocation-free — this is the form the simulator's hot loop uses.
+/// Allocation-free; the reference for the resolver the datapath runs on
+/// reduce_lanes().
 std::size_t resolve_first_index(std::span<const std::uint8_t> flags,
                                 std::span<const std::uint8_t> active);
 

@@ -63,6 +63,30 @@ TEST(ExecScalar, DivisionByZero) {
   EXPECT_EQ(f.state().sreg(0, 3), 42u);
 }
 
+TEST(ExecScalar, SignedDivisionOverflowWraps) {
+  // The most negative word over -1 overflows a 32-bit quotient; it wraps
+  // to itself (remainder 0) in the scalar ALU and every PE's, instead of
+  // trapping the host.
+  auto cfg = small_config();
+  cfg.word_width = 32;
+  auto f = run_func(cfg, R"(
+    li r1, 1
+    slli r1, r1, 31
+    li r2, -1
+    div r3, r1, r2
+    rem r4, r1, r2
+    pbcast p1, r2
+    pdivs p2, r1, p1
+    rminu r5, p2
+    rmaxu r6, p2
+    halt
+)");
+  EXPECT_EQ(f.state().sreg(0, 3), 0x80000000u);
+  EXPECT_EQ(f.state().sreg(0, 4), 0u);
+  EXPECT_EQ(f.state().sreg(0, 5), 0x80000000u);
+  EXPECT_EQ(f.state().sreg(0, 6), 0x80000000u);
+}
+
 TEST(ExecScalar, SignedArithmetic) {
   auto f = run_func(small_config(), R"(
     li r1, -6

@@ -14,7 +14,10 @@
 #include <vector>
 
 #include "assembler/assembler.hpp"
+#include "common/dispatch.hpp"
+#include "common/random.hpp"
 #include "sim/lane_batch.hpp"
+#include "sim/network/trees.hpp"
 #include "sim/stats.hpp"
 #include "sim/sweep.hpp"
 
@@ -338,6 +341,226 @@ TEST(LaneBatch, SingleLaneAndEmptyBatch) {
   EXPECT_EQ(rep.lanes, 0u);  // nothing to lockstep with
   expect_identical(run_serial(jobs), batched, "single");
   EXPECT_TRUE(run_lane_batch({}).empty());
+}
+
+// --- The lane-wide reduction network --------------------------------------
+
+/// Every reduction of one lane's data, each checked against a value the
+/// host computed with the reference network (net::tree_reduce and
+/// friends). Data layout, in words: [0, 8) the PE values, 8 the getpe
+/// index, 9 the mask threshold, then one expected result per check. A
+/// wrong result branches to `bad`, which faults the lane; a batched lane
+/// that disagreed with its serial run would diverge and replay.
+struct ReductionCheck {
+  const char* code;  ///< leaves its result in r5
+  net::ReduceOp op;  ///< reference operator (kCountFlags for the flag checks)
+  bool masked;       ///< under pf2 = (threshold > value), signed
+};
+
+constexpr std::uint32_t kRedPes = 8;
+constexpr Addr kRedGetPe = 8, kRedThreshold = 9, kRedExpected = 10;
+
+const std::vector<ReductionCheck>& reduction_checks() {
+  static const std::vector<ReductionCheck> checks = {
+      {"rsum r5, p2", net::ReduceOp::kSum, false},
+      {"rsumu r5, p2", net::ReduceOp::kSumU, false},
+      {"rmax r5, p2", net::ReduceOp::kMax, false},
+      {"rmin r5, p2", net::ReduceOp::kMin, false},
+      {"rsum r5, p2 ?pf2", net::ReduceOp::kSum, true},
+      {"rmax r5, p2 ?pf2", net::ReduceOp::kMax, true},
+      {"rminu r5, p2 ?pf2", net::ReduceOp::kMinU, true},
+      {"rcount r5, pf2", net::ReduceOp::kCountFlags, true},
+      // The first responder's PE index, 0 with no responder.
+      {"rsel pf3, pf2\n    rsum r5, p1 ?pf3", net::ReduceOp::kCountFlags, true},
+      // Responders left after the first is stepped off.
+      {"rstep pf4, pf2\n    rcount r5, pf4", net::ReduceOp::kCountFlags, true},
+  };
+  return checks;
+}
+
+std::string reduction_src() {
+  std::string src = R"(
+main:
+    pindex p1
+    li r1, 8
+    li r2, 0
+load:
+    lw r4, 0(r2)
+    pceqs pf1, r2, p1
+    pbcast p2, r4 ?pf1
+    addi r2, r2, 1
+    bne r2, r1, load
+    lw r4, 8(r0)
+    getpe r5, p2, r4      # an out-of-range index faults just this lane
+    lw r9, 9(r0)
+    pcgts pf2, r9, p2
+)";
+  for (std::size_t k = 0; k < reduction_checks().size(); ++k)
+    src += "    " + std::string(reduction_checks()[k].code) + "\n    lw r6, " +
+           std::to_string(kRedExpected + k) + "(r0)\n    bne r5, r6, bad\n";
+  return src + "    texit\nbad:\n    lw r9, -1(r0)\n    texit\n";
+}
+
+/// One lane's data image: PE values, getpe index, threshold, and the
+/// expected result of every check from the reference network.
+std::vector<Word> reduction_lane_data(const std::vector<SWord>& values, Word getpe,
+                                      SWord threshold, unsigned w) {
+  std::vector<Word> v(kRedPes);
+  for (std::uint32_t pe = 0; pe < kRedPes; ++pe)
+    v[pe] = truncate(static_cast<Word>(values[pe]), w);
+  const std::vector<std::uint8_t> all(kRedPes, 1);
+  std::vector<std::uint8_t> mask(kRedPes);
+  for (std::uint32_t pe = 0; pe < kRedPes; ++pe)
+    mask[pe] = threshold > sign_extend(v[pe], w) ? 1 : 0;
+  const Word count = net::flag_reduce(net::ReduceOp::kCountFlags, mask, all);
+  const std::size_t first = net::resolve_first_index(mask, all);
+
+  std::vector<Word> data = v;
+  data.push_back(getpe);
+  data.push_back(truncate(static_cast<Word>(threshold), w));
+  for (const ReductionCheck& c : reduction_checks()) {
+    const std::string code = c.code;
+    Word want;
+    if (code.starts_with("rsel")) {
+      want = first < kRedPes ? static_cast<Word>(first) : 0;
+    } else if (code.starts_with("rstep")) {
+      want = count - (count > 0 ? 1 : 0);
+    } else if (code.starts_with("rcount")) {
+      want = count;
+    } else {
+      want = net::tree_reduce(c.op, v, c.masked ? mask : all, w);
+    }
+    data.push_back(truncate(want, w));
+  }
+  return data;
+}
+
+TEST(LaneBatch, ReductionsPerLaneMatchTheHardwareTree) {
+  // Lane by lane, rsum saturates at a different node of the 8-leaf tree:
+  // nowhere, a first-level node (positive, negative), a second-level node
+  // (both signs at once), the root (positive, negative). Lane 6 sits on
+  // the signed width edges; lane 7 faults at getpe before the later
+  // reductions run in the surviving lanes. Thresholds vary the masks,
+  // down to no responder at all.
+  for (const unsigned w : {8u, 16u}) {
+    const SWord hi = static_cast<SWord>(signed_max_word(w)), lo = -hi - 1;
+    const SWord u = w == 8 ? 1 : 256;  // scales the width-8 patterns
+    const std::vector<std::vector<SWord>> values = {
+        {1, 2, 3, 4, 5, 6, 7, 8},
+        {100 * u, 100 * u, -50 * u, -50 * u, -50 * u, -50 * u, -50 * u, -50 * u},
+        {-100 * u, -100 * u, 50 * u, 50 * u, 50 * u, 50 * u, 50 * u, 50 * u},
+        {60 * u, 60 * u, 60 * u, 60 * u, -60 * u, -60 * u, -10 * u, -10 * u},
+        {30 * u, 30 * u, 30 * u, 30 * u, 30 * u, 30 * u, 30 * u, 30 * u},
+        {-30 * u, -30 * u, -30 * u, -30 * u, -30 * u, -30 * u, -30 * u, -30 * u},
+        {hi, lo, 0, 1, -1, hi - 1, lo + 1, 2},
+        {1, 2, 3, 4, 5, 6, 7, 8},
+    };
+    const std::vector<SWord> thresholds = {5, 0, 0, 0, 31 * u, lo, hi, 5};
+    const MachineConfig cfg = [&] {
+      MachineConfig c = small_cfg();
+      c.word_width = w;
+      c.validate();
+      return c;
+    }();
+    const Program prog = assemble(reduction_src());
+    std::vector<SweepJob> jobs(values.size());
+    bool tree_order_matters = false;
+    for (std::size_t l = 0; l < values.size(); ++l) {
+      const Word getpe = l == 7 ? 200 : static_cast<Word>(l);
+      jobs[l].cfg = cfg;
+      jobs[l].program = prog;
+      jobs[l].program.data = reduction_lane_data(values[l], getpe, thresholds[l], w);
+      jobs[l].label = "lane" + std::to_string(l);
+      jobs[l].max_cycles = 1'000'000;
+      // A linear saturating fold would give a different rsum somewhere.
+      Word linear = 0;
+      for (const SWord x : values[l])
+        linear = sat_add_signed(linear, truncate(static_cast<Word>(x), w), w);
+      tree_order_matters |= linear != jobs[l].program.data[kRedExpected];
+    }
+    EXPECT_TRUE(tree_order_matters);
+
+    LaneBatchReport rep;
+    const auto batched = run_lane_batch(as_lanes(jobs), &rep);
+    const auto serial = run_serial(jobs);
+    const std::string what = "width " + std::to_string(w);
+    for (std::size_t l = 0; l + 1 < values.size(); ++l)
+      EXPECT_EQ(serial[l].status, SweepStatus::kFinished) << what << " lane " << l;
+    EXPECT_EQ(serial[7].status, SweepStatus::kError);
+    EXPECT_EQ(serial[7].error, "getpe: PE index out of range");
+    EXPECT_EQ(rep.lanes, values.size()) << what;
+    EXPECT_EQ(rep.faulted, 1u) << what;
+    EXPECT_EQ(rep.replayed, 0u) << what << ": a lane disagreed with its serial run";
+    expect_identical(serial, batched, what);
+  }
+}
+
+/// The lane-wide network over a value row, with the datapath's leaves.
+template <net::ReduceOp Op>
+std::vector<Word> value_lanes(const std::vector<Word>& row, const std::vector<std::uint8_t>& act,
+                              std::uint32_t p, std::uint32_t l, unsigned w) {
+  const Word* const r =
+      net::reduce_lanes<Op>(p, l, w, net::value_leaves<Op>(row.data(), act.data(), w));
+  return {r, r + l};
+}
+
+TEST(LaneWideNetwork, MatchesReferenceNetworkPerLane) {
+  // Every operator, over random rows, masks (all on, all off, random) and
+  // widths, at L in {1, 3, 8, 16}: lane k of the one-pass kernel equals the
+  // reference network run on lane k's column alone.
+  Rng rng(0x1A4E);
+  for (const std::uint32_t l : {1u, 3u, 8u, 16u})
+    for (const std::uint32_t p : {1u, 2u, 3u, 7u, 8u, 16u, 33u})
+      for (const unsigned w : {1u, 8u, 16u, 32u})
+        for (int iter = 0; iter < 6; ++iter) {
+          const std::size_t n = std::size_t{p} * l;
+          std::vector<Word> row(n);
+          std::vector<std::uint8_t> act(n), flags(n);
+          for (std::size_t i = 0; i < n; ++i) {
+            // Full-width words, so truncation to w is exercised too;
+            // half of them near the signed edges, where saturation lives.
+            row[i] = rng.next_bool() ? static_cast<Word>(rng.next_u64())
+                                     : signed_max_word(w) + static_cast<Word>(rng.next_in(-2, 2));
+            act[i] = iter == 0 ? 1 : iter == 1 ? 0 : rng.next_bool();
+            flags[i] = rng.next_bool();
+          }
+          auto column = [&](const auto& r, std::uint32_t lane) {
+            std::vector<typename std::decay_t<decltype(r)>::value_type> c(p);
+            for (std::uint32_t pe = 0; pe < p; ++pe) c[pe] = r[std::size_t{pe} * l + lane];
+            return c;
+          };
+          const std::string where = "L=" + std::to_string(l) + " P=" + std::to_string(p) +
+                                    " w=" + std::to_string(w) + " iter " + std::to_string(iter);
+          for (std::uint8_t o = 0; o <= static_cast<std::uint8_t>(net::ReduceOp::kCountFlags); ++o) {
+            const auto op = static_cast<net::ReduceOp>(o);
+            const auto got = dispatch<net::ReduceOp::kCountFlags>(
+                op, [&](auto c) { return value_lanes<c()>(row, act, p, l, w); });
+            for (std::uint32_t lane = 0; lane < l; ++lane)
+              ASSERT_EQ(got[lane], net::tree_reduce(op, column(row, lane), column(act, lane), w))
+                  << where << " op " << int{o} << " lane " << lane;
+          }
+          // The flag trees and the resolver, with the datapath's leaves.
+          const std::uint8_t* const a = act.data();
+          const std::uint8_t* const f = flags.data();
+          const Word* r = net::reduce_lanes<net::ReduceOp::kCountFlags>(
+              p, l, w, [=](std::size_t i) { return static_cast<Word>((a[i] != 0) & (f[i] != 0)); });
+          const std::vector<Word> count(r, r + l);
+          r = net::reduce_lanes<net::ReduceOp::kCountFlags>(
+              p, l, w, [=](std::size_t i) { return static_cast<Word>((a[i] != 0) & (f[i] == 0)); });
+          const std::vector<Word> lacking(r, r + l);
+          r = net::reduce_lanes<net::ReduceOp::kMinU>(p, l, 32, [=](std::size_t i) {
+            return (a[i] != 0) & (f[i] != 0) ? static_cast<Word>(i) : ~Word{0};
+          });
+          const std::vector<Word> first(r, r + l);
+          for (std::uint32_t lane = 0; lane < l; ++lane) {
+            const auto fl = column(flags, lane), ac = column(act, lane);
+            EXPECT_EQ(count[lane], net::flag_reduce(net::ReduceOp::kCountFlags, fl, ac)) << where;
+            EXPECT_EQ(count[lane] != 0, net::flag_reduce(net::ReduceOp::kOr, fl, ac) != 0) << where;
+            EXPECT_EQ(lacking[lane] == 0, net::flag_reduce(net::ReduceOp::kAnd, fl, ac) != 0) << where;
+            const std::size_t want = net::resolve_first_index(fl, ac);
+            EXPECT_EQ(first[lane], want < p ? static_cast<Word>(want * l + lane) : ~Word{0}) << where;
+          }
+        }
 }
 
 TEST(SweepRunnerBatch, GridMatchesSerialAndCountsBatches) {
