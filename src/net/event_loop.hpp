@@ -10,7 +10,7 @@
 //   - run() executes on exactly one thread (the "loop thread").
 //   - Conn methods, find(), and timer methods are loop-thread only.
 //   - post(), adopt(), stop() and on_loop_thread() are safe from any
-//     thread; post() is how dispatcher completions re-enter the loop
+//     thread; post() is how job completions re-enter the loop
 //     ("wakeup fd for cross-thread job-completion posts").
 //   - Conns are referred to across threads by (loop, conn id), never by
 //     pointer: a posted task re-looks the id up and quietly does

@@ -43,7 +43,7 @@ class Journal {
   void close();
 
   /// Append one length-prefixed record; fsync the file first when
-  /// `sync`. Thread-safe (called from session, dispatcher, and sweep
+  /// `sync`. Thread-safe (called from session and sweep
   /// worker threads). A no-op when the journal is not open, so call
   /// sites don't need to be gated on journaling being enabled.
   void append(const std::string& payload, bool sync);

@@ -32,8 +32,6 @@ std::string ckpt_record(std::uint64_t id, const std::string& blob) {
 
 Server::Server(ServerOptions opts)
     : opts_(opts),
-      runner_(opts.workers),
-      queue_(opts.queue_capacity),
       front_(opts.port, opts.io_threads, opts.idle_timeout_ms,
              opts.io_timeout_ms,
              [this](Request&& req, const Reply& reply) {
@@ -41,7 +39,18 @@ Server::Server(ServerOptions opts)
              },
              [this](net::EventLoop& loop, std::uint64_t conn_id) {
                on_conn_close(loop, conn_id);
-             }) {
+             }),
+      sink_(std::make_shared<const SweepSink>(SweepSink{
+          [this](std::size_t id) { on_started(id); },
+          [this](SweepResult&& r) { complete(std::move(r), /*sync=*/true); }})),
+      runner_(opts.workers) {
+  // Unsynced appends — a torn checkpoint is truncated away on replay and
+  // the job simply resumes from the previous one.
+  checkpoint_sink_ = std::make_shared<
+      const std::function<void(std::size_t, const std::string&)>>(
+      [this](std::size_t id, const std::string& blob) {
+        journal_.append(ckpt_record(id, blob), /*sync=*/false);
+      });
   // Jobs that do not carry their own "batch_lanes" inherit the server
   // default inside the runner (docs/PERF.md "Lane batching").
   runner_.set_batch_lanes(opts_.batch_lanes);
@@ -68,8 +77,8 @@ Server::Server(ServerOptions opts)
         cache_->note_disk_open_failure();
       }
     }
-    // The runner consults the same cache on dispatch, so queued repeats
-    // and intra-batch duplicates are answered from memory too.
+    // The runner consults the same cache at admission and again when a
+    // job is pulled, so queued repeats are answered from memory too.
     runner_.set_cache(cache_);
   }
 }
@@ -82,22 +91,24 @@ void Server::start() {
   // Recovery: replay the journal before anything can connect. Completed
   // jobs come back servable, unfinished ones come back queued (with
   // their last checkpoint attached when one was recorded) and are
-  // re-enqueued below, past capacity if need be.
-  std::vector<std::uint64_t> recovered;
+  // re-admitted below, past capacity if need be.
+  std::vector<SweepTask> recovered;
   if (!opts_.journal_path.empty()) {
     for (const std::string& rec : Journal::replay(opts_.journal_path))
       apply_journal_record(rec);
     journal_.open(opts_.journal_path);
+    const std::lock_guard<std::mutex> lock(jobs_mu_);
     for (const auto& [id, rec] : jobs_)
-      if (rec.state == JobState::kQueued) recovered.push_back(id);
+      if (rec.state == JobState::kQueued) recovered.push_back(task_of(rec));
   }
 
   front_.start();
-  dispatch_thread_ = std::thread([this] { dispatch_loop(); });
 
   if (!recovered.empty()) {
     metrics_.on_accepted(recovered.size());
-    queue_.push_recovered(recovered);
+    std::vector<SweepResult> hits;
+    admit(std::move(recovered), SIZE_MAX, hits);
+    for (SweepResult& r : hits) complete(std::move(r), /*sync=*/true);
   }
 }
 
@@ -107,8 +118,8 @@ void Server::drain() { shutdown_impl(/*park_interrupted=*/true); }
 
 void Server::shutdown_impl(bool park_interrupted) {
   if (!started_.load()) return;
-  // Set *before* claiming stopping_, so the dispatcher's completion
-  // callback can never see stopping_ without the drain flag.
+  // Set *before* claiming stopping_, so a job's completion callback
+  // can never see stopping_ without the drain flag.
   if (park_interrupted && journal_.is_open()) draining_.store(true);
   if (stopping_.exchange(true)) return;
 
@@ -116,18 +127,17 @@ void Server::shutdown_impl(bool park_interrupted) {
   //    the session list is frozen from here on.
   front_.stop_accepting();
 
-  // 2. Drain the pipeline: cancel everything not yet done, close the
-  //    queue (pop_batch returns the remnants, whose cancel tokens are
-  //    already set, so the dispatcher discharges them as cancelled
-  //    within one sweep chunk each) and join the dispatcher.
+  // 2. Drain the pipeline: cancel everything not yet done, then close
+  //    the runner. Its workers still pull the queued remnants, whose
+  //    cancel tokens are already set, so each is discharged as
+  //    cancelled within one sweep chunk; then they are joined.
   {
     const std::lock_guard<std::mutex> lock(jobs_mu_);
     for (auto& [id, rec] : jobs_)
       if (rec.state != JobState::kDone && rec.job.cancel)
         rec.job.cancel->store(true, std::memory_order_relaxed);
   }
-  queue_.close();
-  if (dispatch_thread_.joinable()) dispatch_thread_.join();
+  runner_.close();
 
   // 3. Flush every parked result-wait with a shutting_down response
   //    (the loops are still running, so the posts get delivered during
@@ -182,7 +192,9 @@ void Server::apply_journal_record(const std::string& payload) {
       if (it == jobs_.end() || !result) return;
       JobRecord& r = it->second;
       r.state = JobState::kDone;
-      r.result_json = json::serialize(*result);
+      // The recorded bytes themselves: re-serializing the parsed tree
+      // would reprint doubles such as "ipc" at a different precision.
+      r.result_json = std::string(json::member_text(payload, "result"));
       r.result.index = static_cast<std::size_t>(r.id);
       r.result.status = status_from_string(result->get_string("status", ""));
       r.result.finished = r.result.status == SweepStatus::kFinished;
@@ -238,7 +250,7 @@ std::optional<std::string> Server::handle_request(Request&& req,
     // backend — the ring owner for the key — before letting another
     // backend simulate. Served entirely at the session layer (L1 peek or
     // one disk pread), never through the queue, so it stays fast even
-    // when the dispatcher is saturated.
+    // when every worker is busy.
     reply.send_cache_record(cache_ ? cache_->peek_encoded(req.key)
                                    : std::nullopt);
     return std::nullopt;
@@ -290,26 +302,10 @@ std::string Server::handle_submit(const json::Value& req) {
 
   if (stopping_.load()) return error_json("shutting_down", "server stopping");
 
-  // Cache fast path: look every job up by content hash before
-  // admission. A hit is complete at submit time and never takes a queue
-  // slot, so repeat traffic is served even when the queue is saturated
-  // and the backlog never grows for work the server already did.
-  std::vector<std::shared_ptr<const CachedSweepRun>> hits(parsed.size());
-  std::vector<double> lookup_seconds(parsed.size(), 0.0);
-  if (cache_) {
-    for (std::size_t i = 0; i < parsed.size(); ++i) {
-      const auto t0 = Clock::now();
-      hits[i] = cache_->lookup(sweep_cache_key(parsed[i]));
-      lookup_seconds[i] =
-          std::chrono::duration<double>(Clock::now() - t0).count();
-    }
-  }
-
-  std::vector<std::uint64_t> ids;       // every job of this submit
-  std::vector<std::uint64_t> miss_ids;  // the subset that must queue
-  std::vector<SweepResult> hit_results;
-  std::vector<std::string> done_records;
+  std::vector<std::uint64_t> ids;  // every job of this submit
+  std::vector<SweepTask> tasks;
   ids.reserve(parsed.size());
+  tasks.reserve(parsed.size());
   {
     const std::lock_guard<std::mutex> lock(jobs_mu_);
     // Idempotent resubmission: a client that crashed (or lost our
@@ -321,49 +317,39 @@ std::string Server::handle_submit(const json::Value& req) {
       const auto it = jobs_by_key_.find(key);
       if (it != jobs_by_key_.end()) return submitted_json(it->second, true);
     }
-    for (std::size_t i = 0; i < parsed.size(); ++i) {
+    for (SweepJob& job : parsed) {
       const std::uint64_t id = next_id_.fetch_add(1);
       JobRecord rec;
       rec.id = id;
       rec.key = key;
-      rec.job = std::move(parsed[i]);
-      if (hits[i]) {
-        // Completed on arrival. Journaled exactly like a dispatched
-        // completion, so replay serves it without re-running anything.
-        rec.state = JobState::kDone;
-        rec.result = materialize_cached(*hits[i], rec.job,
-                                        static_cast<std::size_t>(id),
-                                        lookup_seconds[i]);
-        rec.result_json = to_json(rec.result, rec.job.cfg);
-        hit_results.push_back(rec.result);
-        if (journaling)
-          done_records.push_back("{\"rec\":\"done\",\"id\":" +
-                                 std::to_string(id) +
-                                 ",\"result\":" + rec.result_json + "}");
-        else
-          rec.job.program = Program{};  // same footprint rule as dispatch
-      } else {
-        miss_ids.push_back(id);
-      }
+      rec.job = std::move(job);
+      tasks.push_back(task_of(rec));
+      // The program image is the bulk of a record's footprint and the
+      // runner's copy is the one that runs; keep cfg for the result.
+      // With a journal the image is retained so {"op":"extend"} can
+      // re-admit the job without re-parsing the journal.
+      if (!journaling) rec.job.program = Program{};
       jobs_.emplace(id, std::move(rec));
       ids.push_back(id);
     }
     if (!key.empty()) jobs_by_key_[key] = ids;
   }
-  if (!miss_ids.empty() && !queue_.try_push(miss_ids)) {
+  // Admission looks every job up by content hash first: a hit is
+  // complete at submit time and never takes a queue slot, so repeat
+  // traffic is served even when the queue is saturated and the backlog
+  // never grows for work the server already did.
+  std::vector<SweepResult> hits;
+  if (!admit(std::move(tasks), opts_.queue_capacity, hits)) {
+    std::size_t backlog = runner_.queued();
     {
       const std::lock_guard<std::mutex> lock(jobs_mu_);
       for (const std::uint64_t id : ids) jobs_.erase(id);
       if (!key.empty()) jobs_by_key_.erase(key);
+      backlog += running_;
     }
     metrics_.on_rejected(ids.size());
     // Retry-after hint: how long until this many slots should free up,
     // from the measured mean job time and the current backlog.
-    std::size_t backlog = queue_.size();
-    {
-      const std::lock_guard<std::mutex> lock(jobs_mu_);
-      backlog += running_;
-    }
     const double mean_s = metrics_.mean_job_seconds(0.05);
     double ms = mean_s * static_cast<double>(backlog) /
                 static_cast<double>(runner_.workers()) * 1e3;
@@ -401,13 +387,11 @@ std::string Server::handle_submit(const json::Value& req) {
     }
     js << "]}";
     journal_.append(js.str(), /*sync=*/true);
-    // Cache hits completed at admission: journal their done records
-    // right behind the submit record, so replay serves them without
-    // re-running. No fsync — losing one merely re-runs a cached job.
-    for (const std::string& rec : done_records)
-      journal_.append(rec, /*sync=*/false);
   }
-  for (const SweepResult& r : hit_results) metrics_.on_done(r);
+  // Cache hits completed at admission: their done records go right
+  // behind the submit record, so replay serves them without re-running.
+  // No fsync — losing one merely re-runs a cached job.
+  for (SweepResult& r : hits) complete(std::move(r), /*sync=*/false);
 
   return submitted_json(ids, false);
 }
@@ -445,10 +429,11 @@ std::optional<std::string> Server::handle_result(const json::Value& req,
 
   std::unique_lock<std::mutex> lock(jobs_mu_);
   // Async wait: instead of blocking the loop thread, park a waiter that
-  // the dispatcher's completion callback (or release, or shutdown)
-  // answers through its Reply. The wake re-runs the original request with waiting disabled, so the response — including
-  // release/journal side effects — is exactly what a fresh request at
-  // that moment would have produced.
+  // the job's completion callback (or release, or shutdown) answers
+  // through its Reply. The wake re-runs the original request with
+  // waiting disabled, so the response — including release/journal side
+  // effects — is exactly what a fresh request at that moment would have
+  // produced.
   if (wait && reply != nullptr && !stopping_.load()) {
     const auto wit = jobs_.find(id);
     if (wit != jobs_.end() && wit->second.state != JobState::kDone) {
@@ -562,6 +547,7 @@ std::string Server::handle_extend(const json::Value& req) {
 
   bool resumed = false;
   std::string ckpt_b64;
+  std::vector<SweepTask> tasks;
   {
     const std::lock_guard<std::mutex> lock(jobs_mu_);
     const auto it = jobs_.find(id);
@@ -597,8 +583,10 @@ std::string Server::handle_extend(const json::Value& req) {
     rec.state = JobState::kQueued;
     rec.user_cancelled = false;
     rec.result_json.clear();
+    tasks.push_back(task_of(rec));
   }
-  if (!queue_.try_push({id})) {
+  std::vector<SweepResult> hits;
+  if (!admit(std::move(tasks), opts_.queue_capacity, hits)) {
     const std::lock_guard<std::mutex> lock(jobs_mu_);
     const auto it = jobs_.find(id);
     if (it != jobs_.end()) it->second.state = JobState::kDone;
@@ -612,102 +600,79 @@ std::string Server::handle_extend(const json::Value& req) {
     rec += "}";
     journal_.append(rec, /*sync=*/true);
   }
+  for (SweepResult& r : hits) complete(std::move(r), /*sync=*/true);
   std::ostringstream os;
   os << "{\"ok\":true,\"type\":\"extend\",\"id\":" << id
      << ",\"resumed\":" << to_string(resumed) << "}";
   return os.str();
 }
 
-void Server::dispatch_loop() {
-  const bool journaling = journal_.is_open();
-  for (;;) {
-    // Coalesce everything currently queued (up to batch_max) into one
-    // sweep dispatch: one thread-pool spin-up amortized over the batch.
-    const std::vector<std::uint64_t> ids = queue_.pop_batch(opts_.batch_max);
-    if (ids.empty()) return;  // queue closed and drained
-
-    // Fault-injection hook: a "failed dispatch" bounces the whole batch
-    // back to the queue untouched (no record was mutated yet), exactly
-    // like a dispatcher that died between pop and run. The injector's
-    // fault budget guarantees this cannot livelock.
-    if (auto* inj = fault::active(); inj && inj->on_dispatch()) {
-      queue_.push_recovered(ids);
-      continue;
-    }
-
-    std::vector<SweepJob> batch;
-    batch.reserve(ids.size());
-    {
-      const std::lock_guard<std::mutex> lock(jobs_mu_);
-      for (const std::uint64_t id : ids) {
-        JobRecord& rec = jobs_.at(id);
-        rec.state = JobState::kRunning;
-        ++running_;
-        batch.push_back(rec.job);
-        // The program image is the bulk of a record's footprint and the
-        // worker's copy is the one that runs; keep cfg for the result.
-        // With a journal the image is retained so {"op":"extend"} can
-        // re-dispatch the job without re-parsing the journal.
-        if (!journaling) rec.job.program = Program{};
-      }
-    }
-    if (journaling && opts_.checkpoint_every_chunks > 0) {
-      // Periodic resume points: bound how much simulation a SIGKILL can
-      // cost. Unsynced appends — a torn checkpoint is truncated away on
-      // replay and the job simply resumes from the previous one.
-      auto batch_ids = std::make_shared<std::vector<std::uint64_t>>(ids);
-      auto sink = std::make_shared<
-          const std::function<void(std::size_t, const std::string&)>>(
-          [this, batch_ids](std::size_t index, const std::string& blob) {
-            journal_.append(ckpt_record((*batch_ids)[index], blob),
-                            /*sync=*/false);
-          });
-      for (SweepJob& job : batch) {
-        job.checkpoint_every_chunks = opts_.checkpoint_every_chunks;
-        job.checkpoint_sink = sink;
-      }
-    }
-    metrics_.on_batch(ids.size());
-
-    runner_.run(batch, [&](const SweepResult& r) {
-      const std::uint64_t id = ids[r.index];
-      std::string done_rec, ckpt_rec;
-      bool completed = false;
-      {
-        const std::lock_guard<std::mutex> lock(jobs_mu_);
-        JobRecord& rec = jobs_.at(id);
-        rec.result = r;
-        rec.result.index = static_cast<std::size_t>(id);  // batch-local → id
-        // A job cancelled by drain() (not by the user) is *parked*, not
-        // completed: its submit record stays outstanding in the journal
-        // — with a fresh checkpoint when it got far enough to have one —
-        // and the restarted server resumes it.
-        const bool parked = draining_.load() && !rec.user_cancelled &&
-                            r.status == SweepStatus::kCancelled;
-        if (parked) {
-          if (journaling && !r.checkpoint.empty())
-            ckpt_rec = ckpt_record(id, r.checkpoint);
-          rec.state = JobState::kQueued;
-        } else {
-          rec.state = JobState::kDone;
-          rec.result_json = to_json(rec.result, rec.job.cfg);
-          if (journaling)
-            done_rec = "{\"rec\":\"done\",\"id\":" + std::to_string(id) +
-                       ",\"result\":" + rec.result_json + "}";
-          completed = true;
-        }
-        --running_;
-      }
-      if (!ckpt_rec.empty()) journal_.append(ckpt_rec, /*sync=*/false);
-      if (!done_rec.empty()) journal_.append(done_rec, /*sync=*/true);
-      metrics_.on_done(r);
-      // Job-completion post back to the owning loop(s): every parked
-      // result-wait for this id resolves now. Parked (drain) jobs stay
-      // un-woken — their waiters ride out the timeout, like v1's
-      // predicate never turning true.
-      if (completed) wake_waiters(id);
-    });
+SweepTask Server::task_of(const JobRecord& rec) const {
+  auto job = std::make_shared<SweepJob>(rec.job);
+  if (journal_.is_open() && opts_.checkpoint_every_chunks > 0) {
+    // Periodic resume points: bound how much simulation a SIGKILL can
+    // cost.
+    job->checkpoint_every_chunks = opts_.checkpoint_every_chunks;
+    job->checkpoint_sink = checkpoint_sink_;
   }
+  return {std::move(job), static_cast<std::size_t>(rec.id)};
+}
+
+bool Server::admit(std::vector<SweepTask> tasks, std::size_t limit,
+                   std::vector<SweepResult>& hits) {
+  const std::size_t n = tasks.size();
+  if (!runner_.admit(std::move(tasks), sink_, limit, hits)) return false;
+  if (hits.size() < n) metrics_.on_batch(n - hits.size());
+  return true;
+}
+
+void Server::on_started(std::uint64_t id) {
+  const std::lock_guard<std::mutex> lock(jobs_mu_);
+  const auto it = jobs_.find(id);
+  if (it == jobs_.end()) return;
+  it->second.state = JobState::kRunning;
+  ++running_;
+}
+
+void Server::complete(SweepResult&& r, bool sync) {
+  const std::uint64_t id = r.index;
+  const bool journaling = journal_.is_open();
+  std::string done_rec, ckpt_rec;
+  bool wake = false;
+  {
+    const std::lock_guard<std::mutex> lock(jobs_mu_);
+    const auto it = jobs_.find(id);
+    if (it == jobs_.end()) return;
+    JobRecord& rec = it->second;
+    if (rec.state == JobState::kRunning) --running_;
+    rec.result = r;
+    // A job cancelled by drain() (not by the user) is *parked*, not
+    // completed: its submit record stays outstanding in the journal —
+    // with a fresh checkpoint when it got far enough to have one — and
+    // the restarted server resumes it.
+    const bool parked = draining_.load() && !rec.user_cancelled &&
+                        r.status == SweepStatus::kCancelled;
+    if (parked) {
+      if (journaling && !r.checkpoint.empty())
+        ckpt_rec = ckpt_record(id, r.checkpoint);
+      rec.state = JobState::kQueued;
+    } else {
+      rec.state = JobState::kDone;
+      rec.result_json = to_json(rec.result, rec.job.cfg);
+      if (journaling)
+        done_rec = "{\"rec\":\"done\",\"id\":" + std::to_string(id) +
+                   ",\"result\":" + rec.result_json + "}";
+      // Parked (drain) jobs stay un-woken: their waiters ride out the
+      // timeout.
+      wake = waiters_.count(id) != 0;
+    }
+  }
+  if (!ckpt_rec.empty()) journal_.append(ckpt_rec, /*sync=*/false);
+  if (!done_rec.empty()) journal_.append(done_rec, sync);
+  metrics_.on_done(r);
+  // Job-completion post back to the owning loop(s): every parked
+  // result-wait for this id resolves now.
+  if (wake) wake_waiters(id);
 }
 
 std::string Server::handle_cache_stats() {
@@ -734,7 +699,7 @@ std::string Server::stats_json() const { return render(false); }
 std::string Server::metrics_text() const { return render(true); }
 
 std::string Server::render(bool prometheus) const {
-  const std::size_t depth = queue_.size();
+  const std::size_t depth = runner_.queued();
   std::size_t running, tracked;
   {
     const std::lock_guard<std::mutex> lock(jobs_mu_);

@@ -5,17 +5,17 @@
 // `io_threads` epoll event loops and decodes requests — both v1 JSON
 // (serve/protocol.hpp) and the negotiated binary protocol v2
 // (serve/protocol_v2.hpp), pipelined many-in-flight per connection —
-// which this server's op table handles inline on the loop thread. Submitted jobs are compiled on the
-// loop thread, admitted all-or-nothing into a bounded queue
-// (backpressure: a full queue rejects with a retry-after hint instead
-// of blocking), and drained by a dispatcher thread that coalesces
-// everything currently waiting — up to `batch_max` — into ONE
-// SweepRunner dispatch across the worker pool. A `result` wait never
-// blocks its loop: it parks as an async waiter that the dispatcher's
-// completion callback posts back to the owning loop. This is the
-// paper's latency-hiding argument applied to the host: bursty
-// heterogeneous arrivals keep the workers full because the dispatcher
-// always has a batch ready, while each simulation stays a pure
+// which this server's op table handles inline on the loop thread.
+// Submitted jobs are compiled on the loop thread and admitted
+// all-or-nothing into the SweepRunner's one queue (backpressure: a full
+// queue rejects with a retry-after hint instead of blocking). The
+// runner's persistent workers pull from that queue as they free up —
+// the oldest job plus any queued lane-compatible ones — so a job waits
+// for a free worker, never for the rest of another client's submit. A
+// `result` wait never blocks its loop: it parks as an async waiter that
+// the job's completion callback posts back to the owning loop. This is
+// the paper's latency-hiding argument applied to the host: no worker
+// idles while work is ready, while each simulation stays a pure
 // function of (config, program, seed), so results are bit-identical to
 // a serial run no matter how requests interleave.
 //
@@ -30,7 +30,6 @@
 #include <mutex>
 #include <optional>
 #include <string>
-#include <thread>
 #include <unordered_map>
 #include <utility>
 #include <vector>
@@ -39,7 +38,7 @@
 #include "serve/journal.hpp"
 #include "serve/metrics.hpp"
 #include "serve/protocol.hpp"
-#include "serve/queue.hpp"
+#include "sim/sweep.hpp"
 
 namespace masc::serve {
 
@@ -48,10 +47,9 @@ struct ServerOptions {
   std::uint16_t port = 0;
   /// SweepRunner worker threads; 0 = hardware concurrency.
   unsigned workers = 0;
-  /// Queue slots. Submits that do not fit entirely are rejected.
+  /// Queue slots: jobs admitted and not yet pulled by a worker.
+  /// Submits that do not fit entirely are rejected.
   std::size_t queue_capacity = 256;
-  /// Max jobs coalesced into one sweep dispatch.
-  std::size_t batch_max = 64;
   /// Server-side clamp on any job's cycle limit.
   Cycle max_cycles_cap = 1'000'000'000;
   /// Deadline applied to jobs that do not carry their own, in ms from
@@ -70,7 +68,7 @@ struct ServerOptions {
   /// With a cache, a submit whose jobs were all seen before completes
   /// at admission time — without taking queue slots, so repeat traffic
   /// is served even when the queue is saturated — and the SweepRunner
-  /// answers queued repeats and dedups identical jobs within a batch.
+  /// dedups identical jobs within a submit and answers queued repeats.
   std::size_t cache_bytes = 0;
   /// Lock shards of the cache (contention vs. memory granularity).
   unsigned cache_shards = 16;
@@ -112,7 +110,8 @@ class Server {
   Server(const Server&) = delete;
   Server& operator=(const Server&) = delete;
 
-  /// Bind, listen, and spawn the accept + dispatcher threads. Throws
+  /// Replay the journal, then bind, listen, and spawn the accept and
+  /// loop threads (the simulation workers already run). Throws
   /// ServeError if the port cannot be bound.
   void start();
 
@@ -169,7 +168,16 @@ class Server {
     json::Value request;
   };
 
-  void dispatch_loop();
+  /// runner_.admit() plus the batches counter; caller is not holding
+  /// jobs_mu_.
+  bool admit(std::vector<SweepTask> tasks, std::size_t limit,
+             std::vector<SweepResult>& hits);
+  /// The runner's copy of a record's job. Caller holds jobs_mu_.
+  SweepTask task_of(const JobRecord& rec) const;
+  void on_started(std::uint64_t id);
+  /// Record, journal (fsync'd when `sync`) and wake a job's result; a
+  /// drain-cancelled job is parked instead.
+  void complete(SweepResult&& r, bool sync);
 
   /// The op table, on the loop thread (FrontEnd::Handler).
   std::optional<std::string> handle_request(Request&& req,
@@ -209,17 +217,19 @@ class Server {
 
   ServerOptions opts_;
 
-  SweepRunner runner_;
-  BoundedQueue<std::uint64_t> queue_;
   ServeMetrics metrics_;
   /// Shared with runner_; null when opts_.cache_bytes == 0.
   std::shared_ptr<SweepResultCache> cache_;
 
   Journal journal_;                          ///< no-op unless journal_path set
+  /// Periodic resume points for running jobs, keyed by job id (set on
+  /// jobs when journaling with checkpoint_every_chunks > 0).
+  std::shared_ptr<const std::function<void(std::size_t, const std::string&)>>
+      checkpoint_sink_;
 
   mutable std::mutex jobs_mu_;
   std::map<std::uint64_t, JobRecord> jobs_;  ///< id → record
-  /// job id → parked result-waits, woken by the dispatcher's completion
+  /// job id → parked result-waits, woken by the job's completion
   /// callback (guarded by jobs_mu_).
   std::unordered_multimap<std::uint64_t, ResultWaiter> waiters_;
   std::uint64_t next_waiter_uid_ = 1;        ///< guarded by jobs_mu_
@@ -229,15 +239,19 @@ class Server {
   /// An entry is dropped once every one of its jobs is released.
   std::map<std::string, std::vector<std::uint64_t>> jobs_by_key_;
   std::atomic<std::uint64_t> next_id_{1};
-  std::size_t running_ = 0;                  ///< jobs in the current batch
+  std::size_t running_ = 0;                  ///< jobs pulled by a worker
 
-  std::thread dispatch_thread_;
   std::atomic<bool> started_{false};
   std::atomic<bool> stopping_{false};
   std::atomic<bool> draining_{false};        ///< drain() (vs stop()) shutdown
 
   /// Sessions: `io_threads` epoll loops behind one acceptor.
   FrontEnd front_;
+
+  std::shared_ptr<const SweepSink> sink_;  ///< reports into this server
+  /// The workers and their queue. Declared last: destroyed (closed and
+  /// joined) first, while everything its callbacks touch still exists.
+  SweepRunner runner_;
 };
 
 }  // namespace masc::serve

@@ -153,6 +153,10 @@ class Pipeline {
   unsigned ex_offset(const Instruction& in) const;
 
   MachineConfig cfg_;
+  /// Network depths, fixed by the config: consulted on every issue, so
+  /// computed once here rather than per instruction.
+  unsigned broadcast_latency_;
+  unsigned reduction_latency_;
   Scoreboard scoreboard_;
   Stats stats_;
   std::vector<ThreadIssueState> tstate_;
@@ -192,7 +196,10 @@ class Pipeline {
 
 template <typename D>
 Pipeline<D>::Pipeline(const MachineConfig& cfg)
-    : cfg_(validated(cfg)), scoreboard_(cfg, cfg.effective_threads()) {
+    : cfg_(validated(cfg)),
+      broadcast_latency_(cfg_.broadcast_latency()),
+      reduction_latency_(cfg_.reduction_latency()),
+      scoreboard_(cfg, cfg.effective_threads()) {
   tstate_.assign(cfg.effective_threads(), ThreadIssueState{});
   stats_.issued_by_thread.assign(cfg.effective_threads(), 0);
   stats_.thread_stalls.assign(cfg.effective_threads(), {});
@@ -260,8 +267,8 @@ const typename Pipeline<D>::DecodedEntry& Pipeline<D>::decoded(Addr pc) {
 
 template <typename D>
 unsigned Pipeline<D>::avail_offset(const Instruction& in) const {
-  const unsigned b = cfg_.broadcast_latency();
-  const unsigned r = cfg_.reduction_latency();
+  const unsigned b = broadcast_latency_;
+  const unsigned r = reduction_latency_;
   const unsigned w = cfg_.word_width;
 
   switch (in.instr_class()) {
@@ -302,13 +309,13 @@ template <typename D>
 unsigned Pipeline<D>::ex_offset(const Instruction& in) const {
   return in.instr_class() == InstrClass::kScalar
              ? 1
-             : cfg_.broadcast_latency() + 2;
+             : broadcast_latency_ + 2;
 }
 
 template <typename D>
 typename Pipeline<D>::HazardCheck Pipeline<D>::earliest_issue(
     ThreadId t, const DecodedEntry& de) {
-  const unsigned b = cfg_.broadcast_latency();
+  const unsigned b = broadcast_latency_;
   HazardCheck hc;
   hc.earliest = tstate_[t].ready_at;
 

@@ -4,7 +4,9 @@
 #include <atomic>
 #include <chrono>
 #include <mutex>
+#include <numeric>
 #include <sstream>
+#include <stdexcept>
 #include <thread>
 #include <unordered_map>
 
@@ -156,6 +158,19 @@ bool deterministic_outcome(const SweepResult& r) {
          r.error.empty();
 }
 
+/// Only a complete run made with no fault injector installed may be
+/// cached: an injector can kill chunks mid-run, and a poisoned entry
+/// would replay the fault forever.
+bool cacheable(const SweepResult& r) {
+  return deterministic_outcome(r) && fault::active() == nullptr;
+}
+
+/// The cacheable part of a result, as stored and fanned out.
+std::shared_ptr<const CachedSweepRun> cached_run_of(const SweepResult& r) {
+  return std::make_shared<const CachedSweepRun>(
+      CachedSweepRun{r.status, r.stats, r.fabric});
+}
+
 /// Log2 bucket for the batch-occupancy histogram: 0 for 0, else
 /// bucket b covers [2^(b-1), 2^b), saturating at the last bucket.
 std::size_t occupancy_bucket(std::uint64_t v) {
@@ -285,11 +300,28 @@ std::string to_json(const SweepBatchStats& s) {
   return os.str();
 }
 
-SweepRunner::SweepRunner(unsigned workers) : workers_(workers) {
-  if (workers_ == 0) {
-    workers_ = std::thread::hardware_concurrency();
-    if (workers_ == 0) workers_ = 1;
+SweepRunner::SweepRunner(unsigned workers) {
+  if (workers == 0) workers = std::max(1u, std::thread::hardware_concurrency());
+  pool_.reserve(workers);
+  try {
+    for (unsigned w = 0; w < workers; ++w)
+      pool_.emplace_back([this] { worker_loop(); });
+  } catch (...) {
+    close();  // join the workers already started
+    throw;
   }
+}
+
+SweepRunner::~SweepRunner() { close(); }
+
+void SweepRunner::close() {
+  {
+    const std::lock_guard<std::mutex> lock(mu_);
+    closed_ = true;
+  }
+  cv_.notify_all();
+  for (std::thread& th : pool_)
+    if (th.joinable()) th.join();
 }
 
 SweepBatchStats SweepRunner::batch_stats() const {
@@ -297,245 +329,256 @@ SweepBatchStats SweepRunner::batch_stats() const {
   return batch_stats_;
 }
 
-std::vector<SweepResult> SweepRunner::run(const std::vector<SweepJob>& jobs) const {
-  return run(jobs, nullptr);
+std::size_t SweepRunner::queued() const {
+  const std::lock_guard<std::mutex> lock(mu_);
+  return queued_jobs_;
+}
+
+bool SweepRunner::admit(std::vector<SweepTask> tasks,
+                        std::shared_ptr<const SweepSink> sink,
+                        std::size_t limit, std::vector<SweepResult>& hits) {
+  // Cache pre-pass: answer repeat jobs from the cache and group
+  // identical jobs of this admission behind one leader. An intra-call
+  // duplicate is neither a hit nor a miss — it rides on the leader.
+  SweepResultCache* const cache = cache_.get();
+  std::vector<Queued> leaders;
+  leaders.reserve(tasks.size());
+  std::vector<SweepResult> answered;
+  std::unordered_map<Hash128, std::size_t, Hash128Hasher> slot_of;
+  for (SweepTask& t : tasks) {
+    Queued q;
+    if (cache) {
+      const auto t0 = std::chrono::steady_clock::now();
+      q.key = sweep_cache_key(*t.job);
+      if (const auto it = slot_of.find(q.key); it != slot_of.end()) {
+        leaders[it->second].twins.push_back(std::move(t));
+        continue;
+      }
+      if (const auto hit = cache->lookup(q.key)) {
+        answered.push_back(materialize_cached(
+            *hit, *t.job, t.index,
+            std::chrono::duration<double>(std::chrono::steady_clock::now() - t0)
+                .count()));
+        continue;
+      }
+      slot_of.emplace(q.key, leaders.size());
+    }
+    // Lane grouping is fixed here, once per job, not at every pull.
+    const SweepJob& job = *t.job;
+    const std::uint32_t lanes = job.batch_lanes != 0 ? job.batch_lanes : batch_lanes_;
+    if (lanes > 1 && lane_batchable(job)) {
+      q.lanes = lanes;
+      q.lane_key = lane_batch_key(job);
+    }
+    q.task = std::move(t);
+    q.sink = sink;
+    q.cache = cache_;
+    leaders.push_back(std::move(q));
+  }
+
+  if (!leaders.empty()) {
+    const std::size_t n = tasks.size() - answered.size();
+    {
+      const std::lock_guard<std::mutex> lock(mu_);
+      if (closed_ || queued_jobs_ + n > limit) return false;
+      queued_jobs_ += n;
+      for (Queued& q : leaders) queue_.push_back(std::move(q));
+    }
+    cv_.notify_all();
+  }
+  for (SweepResult& r : answered) hits.push_back(std::move(r));
+  return true;
+}
+
+bool SweepRunner::pull(std::vector<Queued>& unit) {
+  unit.clear();
+  std::unique_lock<std::mutex> lock(mu_);
+  cv_.wait(lock, [&] { return closed_ || !queue_.empty(); });
+  if (queue_.empty()) return false;
+  unit.push_back(std::move(queue_.front()));
+  queue_.pop_front();
+  // Fill the oldest job's lanes with later compatible jobs, whichever
+  // admission they came from. A job whose cache key is already in the
+  // unit stays queued: it is answered by that member's flight later,
+  // and one worker must never wait on a flight it leads itself.
+  const std::uint32_t lanes = unit[0].lanes;
+  const Hash128 lane_key = unit[0].lane_key;
+  const auto keyed_in_unit = [&](const Queued& c) {
+    return c.cache && std::any_of(unit.begin(), unit.end(), [&](const Queued& m) {
+             return m.key == c.key;
+           });
+  };
+  for (auto it = queue_.begin(); lanes > 1 && it != queue_.end() &&
+                                 unit.size() < lanes;) {
+    if (it->lanes == lanes && it->lane_key == lane_key && !keyed_in_unit(*it)) {
+      unit.push_back(std::move(*it));
+      it = queue_.erase(it);
+    } else {
+      ++it;
+    }
+  }
+  for (const Queued& q : unit) queued_jobs_ -= 1 + q.twins.size();
+  return true;
+}
+
+void SweepRunner::worker_loop() {
+  std::vector<Queued> unit;
+  while (pull(unit)) {
+    // Fault-injection hook: a "failed dispatch" bounces the pulled unit
+    // back to the queue untouched, like a worker that died between pull
+    // and run. The injector's fault budget rules out a livelock.
+    if (auto* inj = fault::active(); inj && inj->on_dispatch()) {
+      {
+        const std::lock_guard<std::mutex> lock(mu_);
+        for (Queued& q : unit) {
+          queued_jobs_ += 1 + q.twins.size();
+          queue_.push_back(std::move(q));
+        }
+      }
+      cv_.notify_one();
+      continue;
+    }
+    run_unit(unit);
+  }
+}
+
+void SweepRunner::run_unit(std::vector<Queued>& unit) {
+  for (const Queued& q : unit) {
+    if (!q.sink->started) continue;
+    q.sink->started(q.task.index);
+    for (const SweepTask& t : q.twins) q.sink->started(t.index);
+  }
+  // Claim single-flights in key order: a worker waiting on a key then
+  // leads flights only for smaller keys, so two workers sharing a cache
+  // can never wait on each other. Lanes keep the unit's order.
+  std::vector<std::size_t> order(unit.size());
+  std::iota(order.begin(), order.end(), std::size_t{0});
+  std::sort(order.begin(), order.end(), [&](std::size_t a, std::size_t b) {
+    const Hash128& x = unit[a].key;
+    const Hash128& y = unit[b].key;
+    return x.hi != y.hi ? x.hi < y.hi : x.lo < y.lo;
+  });
+  // A flight (or the cache, filled since admission) may answer a job;
+  // a flight leader publishes its result for the others.
+  enum : std::uint8_t { kAnswered, kRun, kRunAndPublish };
+  std::vector<std::uint8_t> fate(unit.size(), kRun);
+  for (const std::size_t i : order) {
+    const Queued& q = unit[i];
+    if (!q.cache) continue;
+    bool leader = false;
+    const auto t0 = std::chrono::steady_clock::now();
+    const auto v = q.cache->begin_flight(q.key, &leader);
+    if (leader) fate[i] = kRunAndPublish;
+    if (!v) continue;
+    fate[i] = kAnswered;
+    q.sink->done(materialize_cached(
+        *v, *q.task.job, q.task.index,
+        std::chrono::duration<double>(std::chrono::steady_clock::now() - t0)
+            .count()));
+    for (const SweepTask& t : q.twins)
+      q.sink->done(materialize_cached(*v, *t.job, t.index, 0.0));
+  }
+  std::vector<LaneJob> lanes;
+  std::vector<std::size_t> members;
+  for (std::size_t i = 0; i < unit.size(); ++i) {
+    if (fate[i] == kAnswered) continue;
+    lanes.push_back({unit[i].task.job.get(), unit[i].task.index});
+    members.push_back(i);
+  }
+  if (members.empty()) return;
+  if (members.size() == 1) {
+    // Down to one lane (a singleton unit, or flight joins peeled the
+    // rest): the serial path.
+    const std::size_t i = members[0];
+    finish_leader(unit[i], run_sweep_job(*lanes[0].job, lanes[0].index),
+                  fate[i] == kRunAndPublish);
+    return;
+  }
+  LaneBatchReport rep;
+  std::vector<SweepResult> results = run_lane_batch(lanes, &rep);
+  {
+    const std::lock_guard<std::mutex> lock(batch_mu_);
+    ++batch_stats_.batch_flushes;
+    batch_stats_.batched_jobs += rep.lanes;
+    batch_stats_.replayed_jobs += rep.replayed;
+    batch_stats_.faulted_lanes += rep.faulted;
+    ++batch_stats_.occupancy[occupancy_bucket(rep.lanes)];
+  }
+  for (std::size_t x = 0; x < members.size(); ++x)
+    finish_leader(unit[members[x]], std::move(results[x]),
+                  fate[members[x]] == kRunAndPublish);
+}
+
+void SweepRunner::finish_leader(const Queued& q, SweepResult&& r,
+                                bool flight_leader) {
+  // publish() inserts and wakes the flight's waiters; an uncacheable
+  // stop aborts the flight so they rerun alone.
+  SweepResultCache* const cache = q.cache.get();
+  const auto entry =
+      cache && deterministic_outcome(r) ? cached_run_of(r) : nullptr;
+  if (entry && cacheable(r)) {
+    if (flight_leader)
+      cache->publish(q.key, entry, cached_run_bytes(*entry));
+    else
+      cache->insert(q.key, entry, cached_run_bytes(*entry));
+  } else if (flight_leader) {
+    cache->abort_flight(q.key);
+  }
+  q.sink->done(std::move(r));
+
+  for (const SweepTask& t : q.twins) {
+    if (entry) {
+      // Fan the leader's (deterministic, complete) result out to its
+      // twin. The copy costs nothing on the host, hence 0.0.
+      q.sink->done(materialize_cached(*entry, *t.job, t.index, 0.0));
+      continue;
+    }
+    // The leader was stopped by *its own* cancel token, deadline, or an
+    // injected fault — none of which this twin shares. Run it for real,
+    // under its own tokens.
+    SweepResult own = run_sweep_job(*t.job, t.index);
+    if (cache && cacheable(own)) {
+      const auto own_entry = cached_run_of(own);
+      cache->insert(q.key, own_entry, cached_run_bytes(*own_entry));
+    }
+    q.sink->done(std::move(own));
+  }
 }
 
 std::vector<SweepResult> SweepRunner::run(
     const std::vector<SweepJob>& jobs,
-    const std::function<void(const SweepResult&)>& on_done) const {
-  std::vector<SweepResult> results(jobs.size());
-  if (jobs.empty()) return results;
-
-  std::mutex done_mutex;
-  auto deliver = [&](const SweepResult& r) {
-    if (on_done) {
-      const std::lock_guard<std::mutex> lock(done_mutex);
-      on_done(r);
-    }
+    const std::function<void(const SweepResult&)>& on_done) {
+  struct Wait {
+    std::mutex mu;
+    std::condition_variable cv;
+    std::vector<SweepResult> results;
+    std::size_t left = 0;
   };
-
-  // Cache pre-pass: answer repeat jobs from the cache and group
-  // identical grid points behind one leader. `leaders[k]` is the job
-  // index that will actually simulate, `dups[k]` the indices that adopt
-  // its result, `keys[k]` the content hash for the post-run insert.
-  // Without a cache every job is its own leader and this collapses to
-  // the original shared-counter loop.
-  SweepResultCache* const cache = cache_.get();
-  std::vector<std::size_t> leaders;
-  std::vector<Hash128> keys;
-  std::vector<std::vector<std::size_t>> dups;
-  if (cache) {
-    std::unordered_map<Hash128, std::size_t, Hash128Hasher> slot_of;
-    slot_of.reserve(jobs.size());
-    for (std::size_t i = 0; i < jobs.size(); ++i) {
-      const auto t0 = std::chrono::steady_clock::now();
-      const Hash128 key = sweep_cache_key(jobs[i]);
-      if (const auto it = slot_of.find(key); it != slot_of.end()) {
-        // Intra-sweep duplicate: neither a hit nor a miss — it rides on
-        // the leader's run.
-        dups[it->second].push_back(i);
-        continue;
-      }
-      if (const auto hit = cache->lookup(key)) {
-        results[i] = materialize_cached(
-            *hit, jobs[i], i,
-            std::chrono::duration<double>(std::chrono::steady_clock::now() -
-                                          t0)
-                .count());
-        deliver(results[i]);
-        continue;
-      }
-      slot_of.emplace(key, leaders.size());
-      leaders.push_back(i);
-      keys.push_back(key);
-      dups.emplace_back();
-    }
-  } else {
-    leaders.resize(jobs.size());
-    for (std::size_t i = 0; i < jobs.size(); ++i) leaders[i] = i;
-    dups.resize(jobs.size());
-  }
-  if (leaders.empty()) return results;
-
-  // Only a run that completed with no fault injector installed may be
-  // inserted: an injector can kill chunks mid-run, and a poisoned entry
-  // would replay the fault forever.
-  auto maybe_insert = [&](const Hash128& key, const SweepResult& r) {
-    if (!cache || !deterministic_outcome(r) || fault::active() != nullptr)
-      return;
-    auto entry = std::make_shared<CachedSweepRun>();
-    entry->status = r.status;
-    entry->stats = r.stats;
-    entry->fabric = r.fabric;
-    const std::size_t bytes = cached_run_bytes(*entry);
-    cache->insert(key, std::move(entry), bytes);
+  auto w = std::make_shared<Wait>();
+  w->results.resize(jobs.size());
+  w->left = jobs.size();
+  auto deliver = [w, &on_done](SweepResult&& r) {
+    const std::lock_guard<std::mutex> lock(w->mu);
+    if (on_done) on_done(r);
+    const std::size_t i = r.index;
+    w->results[i] = std::move(r);
+    if (--w->left == 0) w->cv.notify_all();
   };
+  auto sink = std::make_shared<SweepSink>();
+  sink->done = deliver;
 
-  // Factored leader completion: publish/insert results[leaders[k]],
-  // deliver it, and fan out (or rerun) its intra-sweep duplicates. The
-  // serial path and every lane of a batch end here identically — that
-  // is what makes batching invisible to the cache and the dedup logic.
-  auto finish_leader = [&](std::size_t k, bool flight_leader) {
-    const std::size_t i = leaders[k];
-    if (cache && flight_leader) {
-      // publish() inserts when cacheable and always wakes waiters;
-      // an uncacheable stop aborts the flight so waiters rerun alone.
-      if (deterministic_outcome(results[i]) && fault::active() == nullptr) {
-        auto entry = std::make_shared<CachedSweepRun>();
-        entry->status = results[i].status;
-        entry->stats = results[i].stats;
-        entry->fabric = results[i].fabric;
-        const std::size_t bytes = cached_run_bytes(*entry);
-        cache->publish(keys[k], std::move(entry), bytes);
-      } else {
-        cache->abort_flight(keys[k]);
-      }
-    } else if (cache) {
-      maybe_insert(keys[k], results[i]);
-    }
-    deliver(results[i]);
-    const bool adoptable = deterministic_outcome(results[i]);
-    for (const std::size_t j : dups[k]) {
-      if (adoptable) {
-        // Fan the leader's (deterministic, complete) result out to its
-        // twin. The copy costs nothing on the host, hence 0.0.
-        results[j] = materialize_cached(
-            CachedSweepRun{results[i].status, results[i].stats,
-                           results[i].fabric},
-            jobs[j], j, 0.0);
-      } else {
-        // The leader was stopped by *its own* cancel token, deadline,
-        // or an injected fault — none of which this twin shares. Run
-        // it for real, under its own tokens.
-        results[j] = run_sweep_job(jobs[j], j);
-        if (cache) maybe_insert(keys[k], results[j]);
-      }
-      deliver(results[j]);
-    }
-  };
+  // Non-owning task pointers: this call outlives every queued job.
+  std::vector<SweepTask> tasks(jobs.size());
+  for (std::size_t i = 0; i < jobs.size(); ++i)
+    tasks[i] = {std::shared_ptr<const SweepJob>(std::shared_ptr<void>(), &jobs[i]), i};
+  std::vector<SweepResult> hits;
+  if (!admit(std::move(tasks), sink, SIZE_MAX, hits))
+    throw std::logic_error("SweepRunner::run after close()");
+  for (SweepResult& r : hits) deliver(std::move(r));
 
-  // Single-flight join attempt for leader k: another runner sharing
-  // this cache may already be simulating this exact key. True when the
-  // flight was joined and the result delivered (nothing left to run);
-  // otherwise *flight_leader says whether this runner must publish (or
-  // abort) so the other runner's twins can adopt ours.
-  auto try_join_flight = [&](std::size_t k, bool* flight_leader) {
-    *flight_leader = false;
-    if (!cache) return false;
-    const std::size_t i = leaders[k];
-    const auto t0 = std::chrono::steady_clock::now();
-    const auto v = cache->begin_flight(keys[k], flight_leader);
-    if (!v) return false;
-    results[i] = materialize_cached(
-        *v, jobs[i], i,
-        std::chrono::duration<double>(std::chrono::steady_clock::now() - t0)
-            .count());
-    deliver(results[i]);
-    for (const std::size_t j : dups[k]) {
-      results[j] = materialize_cached(*v, jobs[j], j, 0.0);
-      deliver(results[j]);
-    }
-    return true;
-  };
-
-  // Lane-batch formation (docs/PERF.md "Lane batching"): leaders whose
-  // jobs can run in lockstep — lane_batchable(), same lane_batch_key(),
-  // same effective width > 1 — are grouped into units of up to that
-  // width; everything else is a singleton unit, which is exactly the
-  // pre-batching serial path. Cache hits already peeled off in the
-  // pre-pass above, so only jobs that will actually simulate compete
-  // for lanes.
-  std::vector<std::vector<std::size_t>> units;
-  units.reserve(leaders.size());
-  {
-    std::unordered_map<Hash128, std::size_t, Hash128Hasher> group_of;
-    for (std::size_t k = 0; k < leaders.size(); ++k) {
-      const SweepJob& job = jobs[leaders[k]];
-      const std::uint32_t lanes =
-          job.batch_lanes != 0 ? job.batch_lanes : batch_lanes_;
-      if (lanes <= 1 || !lane_batchable(job)) {
-        units.push_back({k});
-        continue;
-      }
-      Fnv128 gh;
-      const Hash128 bk = lane_batch_key(job);
-      gh.u64(bk.hi).u64(bk.lo).u32(lanes);
-      const Hash128 gk = gh.digest();
-      auto it = group_of.find(gk);
-      if (it == group_of.end() || units[it->second].size() >= lanes) {
-        group_of[gk] = units.size();
-        units.emplace_back();
-        it = group_of.find(gk);
-      }
-      units[it->second].push_back(k);
-    }
-  }
-
-  // Work-stealing-free shared counter: each worker claims the next
-  // unclaimed unit. Results land in their job's slot, so output order
-  // is submission order no matter which worker finishes when.
-  std::atomic<std::size_t> next{0};
-
-  auto worker_loop = [&] {
-    std::vector<LaneJob> lanes;
-    std::vector<std::size_t> lane_ks;
-    std::vector<std::uint8_t> lane_led;
-    for (;;) {
-      const std::size_t u = next.fetch_add(1, std::memory_order_relaxed);
-      if (u >= units.size()) return;
-      const std::vector<std::size_t>& unit = units[u];
-
-      lanes.clear();
-      lane_ks.clear();
-      lane_led.clear();
-      for (const std::size_t k : unit) {
-        bool led = false;
-        if (try_join_flight(k, &led)) continue;
-        lanes.push_back({&jobs[leaders[k]], leaders[k]});
-        lane_ks.push_back(k);
-        lane_led.push_back(led ? 1 : 0);
-      }
-      if (lanes.empty()) continue;
-
-      if (lanes.size() == 1) {
-        // Down to one lane (singleton unit, or flight joins peeled the
-        // rest): the serial path, unchanged.
-        const std::size_t k = lane_ks[0];
-        results[leaders[k]] = run_sweep_job(jobs[leaders[k]], leaders[k]);
-        finish_leader(k, lane_led[0] != 0);
-        continue;
-      }
-
-      LaneBatchReport rep;
-      std::vector<SweepResult> lane_results = run_lane_batch(lanes, &rep);
-      {
-        const std::lock_guard<std::mutex> lock(batch_mu_);
-        ++batch_stats_.batch_flushes;
-        batch_stats_.batched_jobs += rep.lanes;
-        batch_stats_.replayed_jobs += rep.replayed;
-        batch_stats_.faulted_lanes += rep.faulted;
-        ++batch_stats_.occupancy[occupancy_bucket(rep.lanes)];
-      }
-      for (std::size_t x = 0; x < lane_ks.size(); ++x) {
-        const std::size_t k = lane_ks[x];
-        results[leaders[k]] = std::move(lane_results[x]);
-        finish_leader(k, lane_led[x] != 0);
-      }
-    }
-  };
-
-  const unsigned n =
-      static_cast<unsigned>(std::min<std::size_t>(workers_, units.size()));
-  if (n <= 1) {
-    worker_loop();
-    return results;
-  }
-  std::vector<std::thread> pool;
-  pool.reserve(n);
-  for (unsigned w = 0; w < n; ++w) pool.emplace_back(worker_loop);
-  for (auto& th : pool) th.join();
-  return results;
+  std::unique_lock<std::mutex> lock(w->mu);
+  w->cv.wait(lock, [&] { return w->left == 0; });
+  return std::move(w->results);
 }
 
 std::string to_json(const SweepResult& r, const MachineConfig& cfg) {

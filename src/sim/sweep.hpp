@@ -1,5 +1,6 @@
-// Multithreaded sweep runner: distributes independent (config × program
-// × seed) cycle-accurate simulations across a std::thread worker pool.
+// Multithreaded sweep runner: a persistent worker set that pulls
+// independent (config × program × seed) cycle-accurate simulations from
+// one queue, shared by masc-sweep, masc-served and the benchmarks.
 //
 // Regenerating the paper's artifacts (Figs. 4–6, Table 1) means running
 // grids of thousands of independent simulations; each one is
@@ -108,7 +109,8 @@ struct SweepJob {
   /// Emit a checkpoint to `checkpoint_sink` every N completed chunks
   /// (0 = never). Requires a sink.
   std::uint32_t checkpoint_every_chunks = 0;
-  /// Receives (job index, state blob); called from worker threads, so
+  /// Receives (the job's result index, state blob); called from worker
+  /// threads, so
   /// the callee synchronizes. Shared so job copies stay cheap.
   std::shared_ptr<const std::function<void(std::size_t, const std::string&)>>
       checkpoint_sink;
@@ -332,7 +334,7 @@ SweepResult materialize_cached(const CachedSweepRun& run, const SweepJob& job,
 /// use it as the reference run.
 SweepResult run_sweep_job(const SweepJob& job, std::size_t index);
 
-/// Lane-batching counters accumulated by SweepRunner::run across calls
+/// Lane-batching counters accumulated by a SweepRunner's workers
 /// (docs/PERF.md "Lane batching"); surfaced by masc-served as the
 /// `batch` section of /stats and the masc_served_batch_* Prometheus
 /// series. `occupancy` is a log2 histogram of lanes-per-flush: bucket 0
@@ -349,17 +351,48 @@ struct SweepBatchStats {
 };
 std::string to_json(const SweepBatchStats& s);
 
+/// One job offered to SweepRunner::admit() and the index its result
+/// reports (a position for run(), a job id for masc-served).
+struct SweepTask {
+  std::shared_ptr<const SweepJob> job;
+  std::size_t index = 0;
+};
+
+/// Where the runner reports a queued job's progress, from worker
+/// threads: `started` (optional) when a worker pulls it, `done` once
+/// with its result.
+struct SweepSink {
+  std::function<void(std::size_t index)> started;
+  std::function<void(SweepResult&& r)> done;
+};
+
+/// A work-conserving job scheduler: one persistent worker set pulling
+/// from one FIFO. The constructor starts the workers, which are the
+/// only simulation threads the runner ever starts; close() (or the
+/// destructor) drains the queue and joins them.
+///
+/// A worker pulls one *unit*: the oldest queued job plus up to L−1
+/// other queued jobs with the same lane_batch_key and lane width L,
+/// whichever submit they came from. A unit of several jobs runs in
+/// lockstep (docs/PERF.md "Lane batching"); a unit of one is the serial
+/// path. A job therefore waits only for a free worker, never for other
+/// jobs that happened to be admitted with it.
 class SweepRunner {
  public:
   /// `workers` = 0 selects std::thread::hardware_concurrency().
   explicit SweepRunner(unsigned workers = 0);
+  ~SweepRunner();  ///< close()
 
-  unsigned workers() const { return workers_; }
+  SweepRunner(const SweepRunner&) = delete;
+  SweepRunner& operator=(const SweepRunner&) = delete;
+
+  unsigned workers() const { return static_cast<unsigned>(pool_.size()); }
 
   /// Attach (or, with nullptr, detach) a shared result cache. With a
-  /// cache attached, run() answers repeat jobs from memory and dedups
-  /// identical grid points within one sweep (see run() docs); without
-  /// one, behavior is exactly the uncached fast path.
+  /// cache attached, admission answers repeat jobs from memory and
+  /// dedups identical jobs within one admission (see run() docs);
+  /// without one, behavior is exactly the uncached fast path. Applies
+  /// to jobs admitted afterwards.
   void set_cache(std::shared_ptr<SweepResultCache> cache) {
     cache_ = std::move(cache);
   }
@@ -367,9 +400,10 @@ class SweepRunner {
 
   /// Default lane-batching width for jobs that leave
   /// SweepJob::batch_lanes at 0. With an effective width of N > 1,
-  /// run() groups cache-missing compatible jobs (same lane_batch_key,
-  /// lane_batchable) into lockstep batches of up to N lanes; 1 keeps
-  /// every job on the serial path. Results are bit-identical either way.
+  /// compatible jobs (same lane_batch_key, lane_batchable) are pulled
+  /// in lockstep units of up to N lanes; 1 keeps every job on the
+  /// serial path. Results are bit-identical either way. Applies to jobs
+  /// admitted afterwards.
   void set_batch_lanes(std::uint32_t lanes) {
     batch_lanes_ = lanes == 0 ? 1 : lanes;
   }
@@ -378,11 +412,29 @@ class SweepRunner {
   /// Snapshot of the lane-batching counters accumulated so far.
   SweepBatchStats batch_stats() const;
 
-  /// Run every job to completion and return results ordered by job
-  /// index. Blocking; jobs are pulled by workers from a shared queue, so
-  /// wall time is roughly sum(job times) / min(workers, |jobs|) on an
-  /// unloaded machine. A job that throws is reported via
-  /// SweepResult::error rather than aborting the sweep.
+  /// Queue `tasks` for the workers, all or nothing. With a cache
+  /// attached, each job is first looked up by content hash: a hit is
+  /// complete at once and is appended to `hits` (index set, sink not
+  /// called), and a job identical to an earlier one of the same call
+  /// rides on that one's run. False — queueing nothing, answering
+  /// nothing — when the jobs that must queue would take the queue past
+  /// `limit` jobs not yet pulled, or after close(). Every queued job
+  /// reaches sink->done exactly once.
+  bool admit(std::vector<SweepTask> tasks, std::shared_ptr<const SweepSink> sink,
+             std::size_t limit, std::vector<SweepResult>& hits);
+
+  /// Jobs admitted and not yet pulled by a worker.
+  std::size_t queued() const;
+
+  /// Refuse further admissions, let the workers drain every queued job,
+  /// and join them. Idempotent.
+  void close();
+
+  /// Admit every job, wait for all of them, and return results ordered
+  /// by job index. A job that throws is reported via SweepResult::error
+  /// rather than aborting the sweep. `on_done`, when set, sees each
+  /// result as it finishes (from worker threads, serialized; completion
+  /// order, not index order).
   ///
   /// With a cache attached (set_cache), each job is first looked up by
   /// content hash — a hit returns the cached stats without simulating —
@@ -393,21 +445,41 @@ class SweepRunner {
   /// outcome is by construction the deterministic outcome. A leader
   /// stopped early (cancel/deadline/error) is NOT fanned out — each
   /// duplicate then runs individually under its own tokens.
-  std::vector<SweepResult> run(const std::vector<SweepJob>& jobs) const;
-
-  /// As above, with a progress callback invoked once per finished job
-  /// (from worker threads, serialized by an internal mutex; completion
-  /// order, not index order).
   std::vector<SweepResult> run(
       const std::vector<SweepJob>& jobs,
-      const std::function<void(const SweepResult&)>& on_done) const;
+      const std::function<void(const SweepResult&)>& on_done = nullptr);
 
  private:
-  unsigned workers_;
+  /// A queued job with its lane grouping, fixed at admission, and the
+  /// identical jobs of its admission that adopt its result.
+  struct Queued {
+    SweepTask task;
+    std::vector<SweepTask> twins;
+    std::shared_ptr<const SweepSink> sink;
+    std::shared_ptr<SweepResultCache> cache;  ///< as attached at admission
+    Hash128 key;                 ///< cache key (with a cache)
+    Hash128 lane_key;            ///< lane_batch_key (lanes > 1)
+    std::uint32_t lanes = 1;     ///< effective lane width; 1 = serial
+  };
+
+  void worker_loop();
+  /// Block for the next unit; false once closed and drained.
+  bool pull(std::vector<Queued>& unit);
+  void run_unit(std::vector<Queued>& unit);
+  /// Cache and deliver a job's result; fan it out to (or rerun) twins.
+  void finish_leader(const Queued& q, SweepResult&& r, bool flight_leader);
+
   std::shared_ptr<SweepResultCache> cache_;
   std::uint32_t batch_lanes_ = 1;
-  mutable std::mutex batch_mu_;  ///< guards batch_stats_ (run() is const)
-  mutable SweepBatchStats batch_stats_;
+  mutable std::mutex batch_mu_;  ///< guards batch_stats_
+  SweepBatchStats batch_stats_;
+
+  mutable std::mutex mu_;        ///< guards the queue below
+  std::condition_variable cv_;
+  std::deque<Queued> queue_;
+  std::size_t queued_jobs_ = 0;  ///< queue_ entries plus their twins
+  bool closed_ = false;
+  std::vector<std::thread> pool_;
 };
 
 /// JSON object for one sweep result (config name + label + stats), used

@@ -3,8 +3,9 @@
 //   masc-served [options]
 //     --port N            TCP port on 127.0.0.1; 0 = ephemeral (default 7733)
 //     --workers N         simulation worker threads; 0 = hardware (default 0)
-//     --batch-lanes N     run up to N homogeneous queued jobs in lockstep
-//                         on one worker for jobs that don't request their
+//     --batch-lanes N     a free worker pulls up to N homogeneous queued
+//                         jobs, across submits, and runs them in lockstep,
+//                         for jobs that don't request their
 //                         own "batch_lanes" (default 1; bit-identical —
 //                         docs/PERF.md "Lane batching"; inert with
 //                         --journal, whose jobs checkpoint on stop).
@@ -14,8 +15,9 @@
 //                         in {"op":"stats"} under "simd".
 //     --io-threads N      epoll event-loop threads serving connections
 //                         (default 2; docs/NET.md)
-//     --queue N           job queue capacity                     (default 256)
-//     --batch N           max jobs coalesced per dispatch        (default 64)
+//     --queue N           jobs queued and not yet pulled by a worker
+//                         (default 256)
+//     --batch N           ignored: workers pull jobs as they free up
 //     --max-cycles N      server-side cap on any job's cycle limit
 //     --deadline-ms N     default wall-clock deadline per job; 0 = none
 //     --cache-bytes N     result-cache byte budget; 0 = disabled (default 0).
@@ -63,7 +65,7 @@ void on_signal(int sig) { g_signal = sig; }
 int usage() {
   std::fprintf(stderr,
                "usage: masc-served [--port N] [--workers N] [--batch-lanes N|auto]\n"
-               "  [--io-threads N] [--queue N] [--batch N] "
+               "  [--io-threads N] [--queue N] "
                "[--max-cycles N] [--deadline-ms N] "
                "[--cache-bytes N] [--cache-shards N]\n  [--cache-dir PATH] "
                "[--cache-disk-bytes N] [--cache-segment-bytes N]\n"
@@ -104,8 +106,11 @@ int main(int argc, char** argv) {
     }
     else if (arg == "--queue")
       opts.queue_capacity = std::strtoul(next(), nullptr, 0);
-    else if (arg == "--batch")
-      opts.batch_max = std::strtoul(next(), nullptr, 0);
+    else if (arg == "--batch") {
+      next();
+      std::fprintf(stderr, "masc-served: --batch is ignored; workers pull "
+                           "queued jobs as they free up\n");
+    }
     else if (arg == "--max-cycles")
       opts.max_cycles_cap = std::strtoull(next(), nullptr, 0);
     else if (arg == "--deadline-ms")
@@ -136,7 +141,7 @@ int main(int argc, char** argv) {
     else
       return usage();
   }
-  if (opts.queue_capacity == 0 || opts.batch_max == 0) return usage();
+  if (opts.queue_capacity == 0) return usage();
 
   std::signal(SIGINT, on_signal);
   std::signal(SIGTERM, on_signal);

@@ -568,7 +568,6 @@ TEST(RouterBackpressureTest, DivertsAroundASaturatedOwner) {
   ServerOptions sopts;
   sopts.workers = 1;
   sopts.queue_capacity = 1;
-  sopts.batch_max = 1;
   Fleet fleet(3, sopts, test_router_options());
   Client c = fleet.connect();
 
@@ -606,7 +605,6 @@ TEST(RouterBackpressureTest, PropagatesQueueFullWhenTheWholeFleetIsSaturated) {
   ServerOptions sopts;
   sopts.workers = 1;
   sopts.queue_capacity = 1;
-  sopts.batch_max = 1;
   Fleet fleet(1, sopts, test_router_options());
   Client c = fleet.connect();
 

@@ -12,15 +12,27 @@
 //    lane of a batch the result bytes of its own serial run — lanes
 //    ejected on divergence and replayed, and lanes stopped by their own
 //    data faults, included — and a Machine resumed from a checkpoint at
-//    a random cycle must end on the straight run's blob. These suites
-//    also run as the asan_/ubsan_differential ctest gates.
+//    a random cycle must end on the straight run's blob.
+// 3. The same random programs sent through an in-process masc-served
+//    must come back byte-equal to their serial run_sweep_job record
+//    (host_seconds aside) in every state that serves them: a cold run,
+//    an L1 hit, an L2 hit after the cache directory is reopened, a
+//    journal replay of recorded results, and a journal resume of queued
+//    jobs after a drain. The cached-run codec round-trips random Stats.
+// These suites also run as the asan_/tsan_/ubsan_differential gates.
 #include <gtest/gtest.h>
+#include <unistd.h>
 
+#include <filesystem>
 #include <sstream>
 #include <vector>
 
 #include "common/bits.hpp"
+#include "common/json.hpp"
 #include "common/random.hpp"
+#include "serve/client.hpp"
+#include "serve/protocol.hpp"
+#include "serve/server.hpp"
 #include "sim/lane_batch.hpp"
 #include "sim/sweep.hpp"
 #include "test_util.hpp"
@@ -481,6 +493,247 @@ TEST_P(DifferentialEngine, PerLaneDataFaultsMatchSerialJobs) {
 
 INSTANTIATE_TEST_SUITE_P(Seeds, DifferentialEngine,
                          ::testing::Values(1u, 2u, 3u, 4u, 5u, 17u, 99u, 12345u));
+
+// --- served results ---------------------------------------------------
+
+/// A random multithreaded program with its own table, as a wire job on
+/// the 8-PE, 4-thread machine of mt_policy_config (the wire cannot set
+/// local memory, so the server's default size applies to both sides).
+std::string wire_job(Rng& rng, int n) {
+  Program prog = assemble(random_mt_program(rng));
+  prog.data.resize(kTableWords);
+  for (Word& w : prog.data) w = static_cast<Word>(rng.next_below(1u << 16));
+  const char* sched[] = {"fine", "coarse", "smt"};
+  std::ostringstream os;
+  os << "{\"config\":{\"pes\":8,\"threads\":4,\"width\":16,\"sched\":\""
+     << sched[n % 3] << "\"" << (n % 3 == 2 ? ",\"issue_width\":2" : "")
+     << "},\"label\":\"mt" << n << "\",\"max_cycles\":1000000"
+     << ",\"program\":{\"entry\":" << prog.entry << ",\"text\":[";
+  for (std::size_t i = 0; i < prog.text.size(); ++i)
+    os << (i ? "," : "") << prog.text[i];
+  os << "],\"data\":[";
+  for (std::size_t i = 0; i < prog.data.size(); ++i)
+    os << (i ? "," : "") << prog.data[i];
+  os << "]}}";
+  return os.str();
+}
+
+/// `record` with its host_seconds value replaced by 0.
+std::string zero_host_seconds(std::string record) {
+  const std::string field = "\"host_seconds\":";
+  const std::size_t at = record.find(field);
+  if (at == std::string::npos) return record;
+  const std::size_t from = at + field.size();
+  record.replace(from, record.find(',', from) - from, "0");
+  return record;
+}
+
+/// Serial references for a set of wire jobs: each job's run_sweep_job
+/// result, re-indexed per served id.
+struct SerialRecords {
+  std::vector<SweepJob> jobs;
+  std::vector<SweepResult> runs;
+
+  explicit SerialRecords(const std::vector<std::string>& wire) {
+    for (const std::string& w : wire) {
+      jobs.push_back(serve::job_from_json(parse_json(w)));
+      runs.push_back(run_sweep_job(jobs.back(), 0));
+    }
+  }
+  std::string record(std::size_t k, std::uint64_t id) const {
+    SweepResult r = runs[k];
+    r.index = static_cast<std::size_t>(id);
+    r.host_seconds = 0;
+    return to_json(r, jobs[k].cfg);
+  }
+};
+
+std::vector<std::uint64_t> submit_all(serve::Client& c,
+                                      const std::vector<std::string>& wire) {
+  std::string req = "{\"op\":\"submit\",\"jobs\":[";
+  for (std::size_t i = 0; i < wire.size(); ++i) req += (i ? "," : "") + wire[i];
+  const json::Value resp = c.request(req + "]}");
+  EXPECT_TRUE(resp.get_bool("ok", false)) << json::serialize(resp);
+  std::vector<std::uint64_t> ids;
+  if (const json::Value* arr = resp.find("ids"))
+    for (const json::Value& id : arr->as_array()) ids.push_back(id.as_uint());
+  return ids;
+}
+
+/// Every served result body of `ids` must equal its serial record.
+void expect_served_records(serve::Client& c,
+                           const std::vector<std::uint64_t>& ids,
+                           const SerialRecords& want, const char* state) {
+  ASSERT_EQ(ids.size(), want.runs.size()) << state;
+  for (std::size_t k = 0; k < ids.size(); ++k) {
+    const std::string raw = c.request_raw(
+        "{\"op\":\"result\",\"id\":" + std::to_string(ids[k]) +
+        ",\"wait\":true,\"timeout_ms\":20000}");
+    const std::string body(json::member_text(raw, "result"));
+    ASSERT_FALSE(body.empty()) << state << " job " << k << ": " << raw;
+    EXPECT_EQ(zero_host_seconds(body), want.record(k, ids[k]))
+        << state << " job " << k;
+  }
+}
+
+serve::ServerOptions served_options(const std::string& journal) {
+  serve::ServerOptions opts;
+  opts.port = 0;
+  opts.workers = 2;
+  opts.io_threads = 1;
+  opts.journal_path = journal;
+  return opts;
+}
+
+std::uint64_t cache_counter(const serve::Server& s, const char* name) {
+  return parse_json(s.stats_json()).find("cache")->get_uint(name, 0);
+}
+
+TEST(DifferentialServe, EveryServingStateMatchesTheSerialRecord) {
+  const std::string base = testing::TempDir() + "masc_diff_serve_" +
+                           std::to_string(::getpid());
+  std::filesystem::remove_all(base);
+  std::filesystem::create_directories(base);
+  Rng rng(2718);
+  std::vector<std::string> wire;
+  for (int n = 0; n < 9; ++n) wire.push_back(wire_job(rng, n));
+  const SerialRecords want(wire);
+  for (const SweepResult& r : want.runs)
+    ASSERT_EQ(r.status, SweepStatus::kFinished) << r.error;
+
+  serve::ServerOptions opts = served_options(base + "/cached.journal");
+  opts.cache_bytes = 16u << 20;
+  opts.cache_dir = base + "/cache";
+  std::vector<std::uint64_t> cold, l1;
+  {
+    serve::Server server(opts);
+    server.start();
+    serve::Client c;
+    c.connect("127.0.0.1", server.port());
+    cold = submit_all(c, wire);
+    expect_served_records(c, cold, want, "cold");
+    l1 = submit_all(c, wire);
+    expect_served_records(c, l1, want, "L1 hit");
+    EXPECT_GE(cache_counter(server, "l1_hits"), wire.size());
+    ASSERT_TRUE(c.request("{\"op\":\"cache_flush\"}").get_bool("ok", false));
+    server.stop();
+  }
+  {
+    // A restart on the same journal and cache directory: the recorded
+    // results replay from the journal, and a resubmit is served from
+    // the disk tier (the RAM tier starts empty).
+    serve::Server server(opts);
+    server.start();
+    serve::Client c;
+    c.connect("127.0.0.1", server.port());
+    expect_served_records(c, cold, want, "journal replay (cold)");
+    expect_served_records(c, l1, want, "journal replay (L1 hit)");
+    expect_served_records(c, submit_all(c, wire), want, "L2 hit");
+    EXPECT_GE(cache_counter(server, "l2_hits"), wire.size());
+    server.stop();
+  }
+
+  // Queued jobs parked by a drain resume after the restart.
+  const serve::ServerOptions queued = [&] {
+    serve::ServerOptions o = served_options(base + "/queued.journal");
+    o.workers = 1;
+    return o;
+  }();
+  std::vector<std::uint64_t> parked;
+  std::uint64_t blocker = 0;
+  {
+    serve::Server server(queued);
+    server.start();
+    serve::Client c;
+    c.connect("127.0.0.1", server.port());
+    blocker = submit_all(c, {"{\"program\":{\"source\":\"spin: j spin\\n\"}}"})[0];
+    for (int i = 0; i < 2000; ++i) {
+      const json::Value st = c.request("{\"op\":\"status\",\"id\":" +
+                                       std::to_string(blocker) + "}");
+      if (st.get_string("state", "") == "running") break;
+      std::this_thread::sleep_for(std::chrono::milliseconds(2));
+    }
+    parked = submit_all(c, wire);
+    server.drain();
+  }
+  {
+    serve::Server server(queued);
+    server.start();
+    serve::Client c;
+    c.connect("127.0.0.1", server.port());
+    c.request("{\"op\":\"cancel\",\"id\":" + std::to_string(blocker) + "}");
+    expect_served_records(c, parked, want, "journal resume");
+    server.stop();
+  }
+  std::filesystem::remove_all(base);
+}
+
+/// A random Stats with every field set, thread rows included.
+Stats random_stats(Rng& rng) {
+  auto v = [&] { return rng.next_u64() >> rng.next_below(64); };
+  Stats s;
+  s.cycles = v();
+  s.instructions = v();
+  for (auto& x : s.issued_by_class) x = v();
+  s.idle_cycles = v();
+  for (auto& x : s.idle_by_cause) x = v();
+  s.issued_by_thread.resize(rng.next_below(17));
+  for (auto& x : s.issued_by_thread) x = v();
+  s.thread_stalls.resize(rng.next_below(17));
+  for (auto& row : s.thread_stalls)
+    for (auto& x : row) x = v();
+  s.broadcast_ops = v();
+  s.reduction_ops = v();
+  s.thread_switches = v();
+  return s;
+}
+
+TEST(DifferentialCodec, CachedRunRoundTripsRandomStats) {
+  Rng rng(4711);
+  for (int round = 0; round < 500; ++round) {
+    CachedSweepRun run;
+    run.status = static_cast<SweepStatus>(
+        rng.next_below(static_cast<std::uint64_t>(SweepStatus::kDeadlineExceeded) + 1));
+    run.stats = random_stats(rng);
+    if (rng.next_below(2) != 0) {
+      fabric::FabricStats f;
+      f.rounds = rng.next_u64();
+      f.collectives = rng.next_u64();
+      for (auto& x : f.by_op) x = rng.next_u64();
+      f.payload_words = rng.next_u64();
+      f.flits = rng.next_u64();
+      f.hops = rng.next_u64();
+      f.link_busy_cycles = rng.next_u64();
+      f.max_latency = rng.next_u64();
+      for (auto& x : f.latency_hist) x = rng.next_u64();
+      run.fabric = f;
+    }
+    const std::string bytes = encode_cached_run(run);
+    CachedSweepRun back;
+    ASSERT_TRUE(decode_cached_run(bytes, back)) << "round " << round;
+    EXPECT_EQ(back.status, run.status) << "round " << round;
+    const Stats& a = run.stats;
+    const Stats& b = back.stats;
+    EXPECT_EQ(b.cycles, a.cycles);
+    EXPECT_EQ(b.instructions, a.instructions);
+    EXPECT_EQ(b.issued_by_class, a.issued_by_class);
+    EXPECT_EQ(b.idle_cycles, a.idle_cycles);
+    EXPECT_EQ(b.idle_by_cause, a.idle_by_cause);
+    EXPECT_EQ(b.issued_by_thread, a.issued_by_thread);
+    EXPECT_EQ(b.thread_stalls, a.thread_stalls);
+    EXPECT_EQ(b.broadcast_ops, a.broadcast_ops);
+    EXPECT_EQ(b.reduction_ops, a.reduction_ops);
+    EXPECT_EQ(b.thread_switches, a.thread_switches);
+    ASSERT_EQ(back.fabric.has_value(), run.fabric.has_value());
+    if (run.fabric) {
+      EXPECT_EQ(fabric::to_json(*back.fabric), fabric::to_json(*run.fabric));
+    }
+    EXPECT_EQ(encode_cached_run(back), bytes) << "round " << round;
+    // Any truncation is refused, never misread.
+    EXPECT_FALSE(decode_cached_run(
+        std::string_view(bytes).substr(0, rng.next_below(bytes.size())), back));
+  }
+}
 
 }  // namespace
 }  // namespace masc

@@ -109,7 +109,6 @@ ServerOptions test_options() {
   opts.port = 0;
   opts.workers = 2;
   opts.queue_capacity = 64;
-  opts.batch_max = 16;
   return opts;
 }
 
@@ -395,7 +394,6 @@ TEST(ProtocolV2, PipelinedResponsesArriveOutOfOrderMatchedById) {
   // request pipelined *after* it overtakes — out-of-order completion.
   ServerOptions opts = test_options();
   opts.workers = 1;
-  opts.batch_max = 1;
   Server server(opts);
   server.start();
   Client c;

@@ -13,7 +13,9 @@
 
 #include <atomic>
 #include <chrono>
+#include <condition_variable>
 #include <cstdio>
+#include <mutex>
 #include <stdexcept>
 #include <string>
 #include <thread>
@@ -29,7 +31,6 @@
 #include "fault/fault.hpp"
 #include "serve/client.hpp"
 #include "serve/protocol.hpp"
-#include "serve/queue.hpp"
 #include "serve/server.hpp"
 #include "sim/machine.hpp"
 #include "sim/sweep.hpp"
@@ -37,7 +38,6 @@
 namespace masc {
 namespace {
 
-using serve::BoundedQueue;
 using serve::Client;
 using serve::Server;
 using serve::ServerOptions;
@@ -152,26 +152,81 @@ std::string serial_stats_json(const JobSpec& spec) {
   return to_json(m.stats());
 }
 
-// --- bounded queue ----------------------------------------------------
+// --- the runner's queue -----------------------------------------------
+
+/// Records what a SweepRunner reports for admitted jobs.
+struct SinkLog {
+  std::mutex mu;
+  std::condition_variable cv;
+  std::vector<std::size_t> started, done;
+  std::shared_ptr<SweepSink> sink = std::make_shared<SweepSink>();
+
+  SinkLog() {
+    sink->started = [this](std::size_t i) {
+      const std::lock_guard<std::mutex> lock(mu);
+      started.push_back(i);
+      cv.notify_all();
+    };
+    sink->done = [this](SweepResult&& r) {
+      const std::lock_guard<std::mutex> lock(mu);
+      done.push_back(r.index);
+      cv.notify_all();
+    };
+  }
+  void await(const std::vector<std::size_t>& v, std::size_t n) {
+    std::unique_lock<std::mutex> lock(mu);
+    ASSERT_TRUE(cv.wait_for(lock, 10s, [&] { return v.size() >= n; }));
+  }
+};
+
+SweepTask task_for(const std::string& source, std::size_t index,
+                   CancelToken cancel = nullptr) {
+  auto job = std::make_shared<SweepJob>();
+  job->cfg.num_pes = 4;
+  job->cfg.num_threads = 1;
+  job->program = assemble(source);
+  job->cancel = std::move(cancel);
+  return {std::move(job), index};
+}
 
 TEST(ServeQueue, AdmissionIsAllOrNothing) {
-  BoundedQueue<int> q(3);
-  EXPECT_TRUE(q.try_push({1, 2}));
-  EXPECT_FALSE(q.try_push({3, 4}));  // only one slot free: reject both
-  EXPECT_TRUE(q.try_push({3}));
-  EXPECT_EQ(q.size(), 3u);
-  const auto batch = q.pop_batch(8);
-  EXPECT_EQ(batch, (std::vector<int>{1, 2, 3}));
+  SweepRunner runner(1);
+  SinkLog log;
+  std::vector<SweepResult> hits;  // stays empty: no cache attached
+  const CancelToken stop = make_cancel_token();
+  const std::string quick = reduction_kernel(2);
+  ASSERT_TRUE(runner.admit({task_for(kSpinForever, 0, stop)}, log.sink, 3,
+                           hits));
+  log.await(log.started, 1);  // the only worker is busy; the queue is empty
+  EXPECT_TRUE(runner.admit({task_for(quick, 1), task_for(quick, 2)}, log.sink,
+                           3, hits));
+  // Only one slot free: reject both.
+  EXPECT_FALSE(runner.admit({task_for(quick, 3), task_for(quick, 4)},
+                            log.sink, 3, hits));
+  EXPECT_TRUE(runner.admit({task_for(quick, 3)}, log.sink, 3, hits));
+  EXPECT_EQ(runner.queued(), 3u);
+  stop->store(true);
+  log.await(log.done, 4);
+  EXPECT_EQ(log.done, (std::vector<std::size_t>{0, 1, 2, 3}));
+  EXPECT_EQ(runner.queued(), 0u);
 }
 
 TEST(ServeQueue, CloseDrainsThenReturnsEmpty) {
-  BoundedQueue<int> q(4);
-  EXPECT_TRUE(q.try_push({7, 8}));
-  q.close();
-  EXPECT_FALSE(q.try_push({9}));
-  EXPECT_EQ(q.pop_batch(1), std::vector<int>{7});
-  EXPECT_EQ(q.pop_batch(8), std::vector<int>{8});
-  EXPECT_TRUE(q.pop_batch(8).empty());  // closed + drained, no block
+  SweepRunner runner(1);
+  SinkLog log;
+  std::vector<SweepResult> hits;  // stays empty: no cache attached
+  const CancelToken stop = make_cancel_token();
+  const std::string quick = reduction_kernel(2);
+  ASSERT_TRUE(runner.admit({task_for(kSpinForever, 7, stop)}, log.sink, 4,
+                           hits));
+  log.await(log.started, 1);
+  ASSERT_TRUE(runner.admit({task_for(quick, 8), task_for(quick, 9)}, log.sink,
+                           4, hits));
+  stop->store(true);
+  runner.close();  // the queued jobs still run before the workers exit
+  EXPECT_FALSE(runner.admit({task_for(quick, 10)}, log.sink, 4, hits));
+  EXPECT_EQ(log.done, (std::vector<std::size_t>{7, 8, 9}));
+  EXPECT_EQ(runner.queued(), 0u);
 }
 
 // --- protocol / JSON --------------------------------------------------
@@ -382,7 +437,6 @@ ServerOptions test_options() {
   opts.port = 0;        // ephemeral
   opts.workers = 2;
   opts.queue_capacity = 64;
-  opts.batch_max = 16;
   return opts;
 }
 
@@ -479,7 +533,6 @@ TEST(ServeServer, BackpressureRejectsWholeSubmitWithRetryAfter) {
   ServerOptions opts = test_options();
   opts.workers = 1;
   opts.queue_capacity = 2;
-  opts.batch_max = 1;  // the blocker occupies the only dispatch slot
   Server server(opts);
   server.start();
 
@@ -550,7 +603,6 @@ TEST(ServeServer, DeadlineExceededIsReportedAsSuch) {
 TEST(ServeServer, CancellationOfQueuedAndRunningJobs) {
   ServerOptions opts = test_options();
   opts.workers = 1;
-  opts.batch_max = 1;
   Server server(opts);
   server.start();
   Client c;
@@ -590,7 +642,6 @@ TEST(ServeServer, CancellationOfQueuedAndRunningJobs) {
 TEST(ServeServer, ResultWaitNotReadyAndRelease) {
   ServerOptions opts = test_options();
   opts.workers = 1;
-  opts.batch_max = 1;
   Server server(opts);
   server.start();
   Client c;
@@ -767,7 +818,6 @@ TEST(ServeServer, ConcurrentSubmitsOfSharedAndDistinctSourcesAreRaceFree) {
 TEST(ServeServer, BatchingCoalescesQueuedJobsIntoOneDispatch) {
   ServerOptions opts = test_options();
   opts.workers = 2;
-  opts.batch_max = 16;
   Server server(opts);
   server.start();
   Client c;
@@ -808,7 +858,6 @@ TEST(ServeServer, BatchingCoalescesQueuedJobsIntoOneDispatch) {
 TEST(ServeServer, LaneBatchingDefaultAppliesAndIsObservable) {
   ServerOptions opts = test_options();
   opts.workers = 2;
-  opts.batch_max = 16;
   opts.batch_lanes = 4;
   Server server(opts);
   server.start();
@@ -863,6 +912,95 @@ TEST(ServeServer, LaneBatchingDefaultAppliesAndIsObservable) {
   server.stop();
 }
 
+/// Work conservation: a short job submitted while another job's long
+/// spin holds one worker runs at once on the other worker, instead of
+/// waiting for the spin to finish.
+TEST(ServeServer, ShortJobIsNotHeldBehindALongOne) {
+  ServerOptions opts = test_options();
+  opts.workers = 2;
+  Server server(opts);
+  server.start();
+  Client c;
+  c.connect("127.0.0.1", server.port());
+
+  JobSpec spin;
+  spin.source = kSpinForever;
+  spin.pes = 4;
+  spin.threads = 1;
+  spin.label = "spin";
+  const auto spin_id =
+      submit_ok(c, {job_json(spin, "\"max_cycles\":100000000")})[0];
+  await_state(c, spin_id, "running");
+
+  JobSpec quick;
+  quick.source = "li r1, 1\naddi r1, r1, 1\nhalt\n";
+  quick.pes = 4;
+  quick.threads = 1;
+  quick.label = "quick";
+  const auto t0 = std::chrono::steady_clock::now();
+  const auto quick_id = submit_ok(c, {job_json(quick)})[0];
+  const std::string raw = c.request_raw(result_request(quick_id, true));
+  const auto waited = std::chrono::steady_clock::now() - t0;
+  EXPECT_NE(raw.find("\"status\":\"finished\""), std::string::npos) << raw;
+  EXPECT_LT(waited, 50ms)
+      << std::chrono::duration<double, std::milli>(waited).count() << " ms";
+
+  c.request("{\"op\":\"cancel\",\"id\":" + std::to_string(spin_id) + "}");
+  c.request_raw(result_request(spin_id, true));
+  server.stop();
+}
+
+/// Lane formation across submits: with one worker busy, two 4-job
+/// submits of one program queue up, and the worker then pulls all
+/// eight as ONE 8-lane lockstep flush.
+TEST(ServeServer, LanesFillAcrossSubmits) {
+  ServerOptions opts = test_options();
+  opts.workers = 1;
+  opts.batch_lanes = 8;
+  Server server(opts);
+  server.start();
+  Client c;
+  c.connect("127.0.0.1", server.port());
+
+  JobSpec spin;
+  spin.source = kSpinForever;
+  spin.label = "blocker";
+  const auto blocker_id = submit_ok(c, {job_json(spin)})[0];
+  await_state(c, blocker_id, "running");
+
+  std::vector<JobSpec> specs;
+  std::vector<std::uint64_t> ids;
+  for (int s = 0; s < 2; ++s) {
+    std::vector<std::string> jobs;
+    for (int j = 0; j < 4; ++j) {
+      JobSpec q;
+      q.source = reduction_kernel(4);
+      q.seed = static_cast<std::uint64_t>(4 * s + j);
+      q.label = "q" + std::to_string(q.seed);
+      specs.push_back(q);
+      jobs.push_back(job_json(q));
+    }
+    for (const auto id : submit_ok(c, jobs)) ids.push_back(id);
+  }
+  c.request("{\"op\":\"cancel\",\"id\":" + std::to_string(blocker_id) + "}");
+  for (std::size_t j = 0; j < ids.size(); ++j) {
+    const std::string raw = c.request_raw(result_request(ids[j], true));
+    EXPECT_NE(raw.find("\"stats\":" + serial_stats_json(specs[j])),
+              std::string::npos)
+        << raw;
+  }
+  c.request_raw(result_request(blocker_id, true));
+
+  const json::Value stats = parse_json(server.stats_json());
+  const json::Value* batch = stats.find("batch");
+  ASSERT_NE(batch, nullptr);
+  EXPECT_EQ(batch->get_uint("batch_flushes", 0), 1u);
+  EXPECT_EQ(batch->get_uint("batched_jobs", 0), 8u);
+  const auto& occupancy = batch->find("occupancy_log2")->as_array();
+  EXPECT_EQ(occupancy[4].as_uint(), 1u);  // bucket [8, 16)
+  server.stop();
+}
+
 TEST(ServeServer, MalformedRequestsGetErrorsNotDisconnects) {
   Server server(test_options());
   server.start();
@@ -906,7 +1044,6 @@ TEST(ServeServer, ShutdownOpRaisesTheFlag) {
 TEST(ServeServer, StopWhileJobsInFlightDischargesEverything) {
   ServerOptions opts = test_options();
   opts.workers = 1;
-  opts.batch_max = 1;
   Server server(opts);
   server.start();
   Client c;
@@ -1167,7 +1304,6 @@ TEST(ServeServer, ExtendResumesAnInterruptedJobFromItsCheckpoint) {
   std::remove(journal_path.c_str());
   ServerOptions opts = test_options();
   opts.workers = 1;
-  opts.batch_max = 1;
   opts.journal_path = journal_path;
   Server server(opts);
   server.start();
@@ -1239,7 +1375,6 @@ std::string result_stats_of(Client& c, std::uint64_t id) {
 TEST(ServeCache, RepeatSubmitServedFromCacheEvenWhenQueueIsFull) {
   ServerOptions opts = test_options();
   opts.workers = 1;
-  opts.batch_max = 1;
   opts.queue_capacity = 1;
   opts.cache_bytes = 16u << 20;
   Server server(opts);
