@@ -7,12 +7,13 @@
 #include <algorithm>
 #include <cerrno>
 #include <chrono>
+#include <cstring>
 #include <random>
 #include <sstream>
 
-#include "common/base64.hpp"
 #include "common/hash.hpp"
 #include "fault/fault.hpp"
+#include "serve/client.hpp"
 #include "serve/framing.hpp"
 #include "sim/sweep.hpp"
 
@@ -20,7 +21,6 @@ namespace masc::cluster {
 
 using serve::Client;
 using serve::error_json;
-using serve::PooledClient;
 using serve::require_id;
 using serve::ServeError;
 using serve::submitted_json;
@@ -33,8 +33,9 @@ using Clock = std::chrono::steady_clock;
 /// A result round is forwarded with a wait of at most this long, so a
 /// failover mid-wait is noticed between rounds.
 constexpr std::uint64_t kRoundWaitMs = 2'000;
-/// A backend that has not answered a round this long past its forwarded
-/// wait is hung: its channel is dropped and the round retried.
+/// Every round must be answered this long after it was sent (a result
+/// round gets it on top of its forwarded wait). A backend that misses it
+/// is hung: its channel is reset and every round on it fails.
 constexpr std::uint64_t kRoundSlackMs = 2'000;
 
 std::string id_member(std::uint64_t rid) {
@@ -46,24 +47,33 @@ std::string result_json(std::uint64_t rid, std::string_view body) {
          ",\"result\":" + std::string(body) + "}";
 }
 
-/// Start a nonblocking connect to `be` for a loop-owned channel; -1 when
-/// it failed outright. A host name is resolved here, on the loop thread,
-/// so fleets should name backends by address.
-int connect_async(const BackendSpec& be) {
+/// Resolve a backend's address; throws ServeError when it does not.
+sockaddr_in resolve(const BackendSpec& be) {
   addrinfo hints{};
   hints.ai_family = AF_INET;
   hints.ai_socktype = SOCK_STREAM;
   addrinfo* res = nullptr;
   if (::getaddrinfo(be.host.c_str(), std::to_string(be.port).c_str(), &hints,
-                    &res) != 0)
-    return -1;
+                    &res) != 0 ||
+      res == nullptr)
+    throw ServeError("cannot resolve backend \"" + be.name() + "\"");
+  sockaddr_in addr{};
+  std::memcpy(&addr, res->ai_addr, sizeof addr);
+  ::freeaddrinfo(res);
+  return addr;
+}
+
+/// Start a nonblocking connect for a loop-owned channel; -1 when it
+/// failed outright.
+int connect_async(const sockaddr_in& addr) {
   int fd = ::socket(AF_INET, SOCK_STREAM | SOCK_NONBLOCK | SOCK_CLOEXEC, 0);
-  if (fd >= 0 && ::connect(fd, res->ai_addr, res->ai_addrlen) < 0 &&
+  if (fd >= 0 &&
+      ::connect(fd, reinterpret_cast<const sockaddr*>(&addr), sizeof addr) <
+          0 &&
       errno != EINPROGRESS) {
     ::close(fd);
     fd = -1;
   }
-  ::freeaddrinfo(res);
   if (fd >= 0) serve::set_nodelay(fd);
   return fd;
 }
@@ -80,6 +90,49 @@ void rewrite_id(json::Value& v, std::uint64_t id) {
     val.is_integer = true;
     return;
   }
+}
+
+/// A round's JSON answer, or a null Value when the round failed or the
+/// backend answered garbage or no boolean "ok" (all read as "not ok").
+json::Value answer_json(const v2::Frame* f) {
+  if (f == nullptr) return {};
+  try {
+    json::Value v = parse_json(std::string(f->body));
+    const json::Value* ok = v.find("ok");
+    if (ok && ok->is_bool()) return v;
+  } catch (const std::exception&) {
+  }
+  return {};
+}
+
+/// What every alive backend's stats add up to.
+struct FleetTotals {
+  std::uint64_t submitted = 0, rejected = 0, queue_depth = 0, in_flight = 0,
+                cache_hits = 0, cache_misses = 0, cycles = 0;
+};
+
+/// Add one backend's stats document to `fleet`; false, leaving it as it
+/// was, when a member has the wrong type.
+bool add_to_fleet(const json::Value& stats, FleetTotals& fleet) {
+  FleetTotals t = fleet;
+  try {
+    t.queue_depth += stats.get_uint("queue_depth", 0);
+    t.in_flight += stats.get_uint("in_flight", 0);
+    if (const json::Value* c = stats.find("counters")) {
+      t.submitted += c->get_uint("submitted", 0);
+      t.rejected += c->get_uint("rejected", 0);
+    }
+    if (const json::Value* c = stats.find("cache")) {
+      t.cache_hits += c->get_uint("hits", 0);
+      t.cache_misses += c->get_uint("misses", 0);
+    }
+    if (const json::Value* a = stats.find("aggregate"))
+      t.cycles += a->get_uint("cycles", 0);
+  } catch (const JsonError&) {
+    return false;
+  }
+  fleet = t;
+  return true;
 }
 
 /// Decode one fetched peer-cache blob and render the result object the
@@ -108,17 +161,58 @@ std::string submit_payload(const std::string& fleet_key,
   return ps.str();
 }
 
+/// The "ids" of an ok submit answer; empty when it has none.
 std::vector<std::uint64_t> ids_from_response(const json::Value& resp) {
-  const json::Value* ids_v = resp.find("ids");
-  if (!ids_v || !ids_v->is_array())
-    throw JsonError("backend submit response lacks \"ids\"");
   std::vector<std::uint64_t> ids;
-  ids.reserve(ids_v->as_array().size());
-  for (const auto& e : ids_v->as_array()) ids.push_back(e.as_uint());
+  const json::Value* ids_v = resp.find("ids");
+  if (!ids_v || !ids_v->is_array()) return ids;
+  try {
+    for (const auto& e : ids_v->as_array()) ids.push_back(e.as_uint());
+  } catch (const std::exception&) {
+    ids.clear();
+  }
   return ids;
 }
 
+std::vector<std::string> backend_names(const std::vector<BackendSpec>& bs) {
+  std::vector<std::string> names;
+  names.reserve(bs.size());
+  for (const auto& b : bs) names.push_back(b.name());
+  return names;
+}
+
 }  // namespace
+
+/// One client submit on its way to a backend, on the client's loop.
+struct Router::SubmitCall {
+  serve::Reply reply;
+  std::string client_key;
+  std::uint64_t deadline_ms = 0;
+  std::string jobs_json;
+  std::string fleet_key;
+  std::string payload;  ///< the backend submit
+  Hash128 route_key;
+  std::vector<Hash128> job_keys;
+  /// The parsed jobs: peer read-through materializes its answers from them.
+  std::shared_ptr<const std::vector<SweepJob>> jobs;
+  std::vector<std::size_t> candidates;
+  std::size_t rank = 0;  ///< next candidate to try
+  bool peer_tried = false;
+  bool saw_queue_full = false;
+  std::uint64_t retry_hint = 0;
+  std::string last_error = "no alive backend";
+};
+
+/// One group being (re)placed, on the loop that claimed it.
+struct Router::PlaceCall {
+  net::EventLoop* loop = nullptr;
+  std::size_t group = 0;
+  std::size_t pending = 0;   ///< unfinished jobs when claimed
+  std::size_t expected = 0;  ///< jobs in the group
+  std::string payload;
+  std::vector<std::size_t> candidates;
+  std::size_t rank = 0;
+};
 
 BackendSpec BackendSpec::parse(const std::string& s) {
   BackendSpec spec;
@@ -138,26 +232,17 @@ BackendSpec BackendSpec::parse(const std::string& s) {
   return spec;
 }
 
-namespace {
-std::vector<std::string> backend_names(const std::vector<BackendSpec>& bs) {
-  std::vector<std::string> names;
-  names.reserve(bs.size());
-  for (const auto& b : bs) names.push_back(b.name());
-  return names;
-}
-}  // namespace
-
 Router::Router(RouterOptions opts)
     : opts_(std::move(opts)),
       ring_(backend_names(opts_.backends)),
       health_(opts_.backends.size(), opts_.breaker),
-      pool_(opts_.connect_timeout_ms, opts_.io_timeout_ms),
-      // Client-face frames are never throttled (io timeout 0).
+      // Client-face frames are never throttled (frame timeout 0).
       front_(opts_.port, opts_.io_threads, opts_.idle_timeout_ms, 0,
              [this](serve::Request&& req, const serve::Reply& reply) {
                return handle_request(std::move(req), reply);
              }) {
   if (opts_.backends.empty()) throw ServeError("router needs >= 1 backend");
+  for (const BackendSpec& be : opts_.backends) addrs_.push_back(resolve(be));
   for (std::size_t i = 0; i < front_.loops().size(); ++i)
     channels_[&front_.loops().at(i)].resize(opts_.backends.size());
   std::random_device rd;
@@ -167,15 +252,14 @@ Router::Router(RouterOptions opts)
         on_breaker_transition(i, from, to);
       });
   health_.set_probe([this](std::size_t i) {
-    // A probe is a fresh short-deadline connection, not a pooled one: a
-    // hung backend must cost the prober one bounded round, never a
-    // parked socket that a request path could inherit.
+    // The prober's own thread and its own fresh short-deadline
+    // connection: a hung backend costs it one bounded round.
     try {
       const auto& be = opts_.backends[i];
       Client c;
       c.connect(be.host, be.port,
                 opts_.connect_timeout_ms ? opts_.connect_timeout_ms : 1'000);
-      c.set_io_timeout_ms(1'000);
+      c.set_frame_timeout_ms(1'000);
       return c.request("{\"op\":\"ping\"}").get_bool("ok", false);
     } catch (const std::exception&) {
       return false;
@@ -187,7 +271,6 @@ Router::~Router() { stop(); }
 
 void Router::start() {
   if (started_.exchange(true)) throw ServeError("router already started");
-  handlers_.start();
   front_.start();
   if (opts_.probe_interval_ms > 0) health_.start(opts_.probe_interval_ms);
 }
@@ -197,13 +280,10 @@ void Router::stop() {
   if (stopping_.exchange(true)) return;
   health_.stop();
   front_.stop_accepting();
-  // Pool tasks see stopping_ and finish fast; their responses (and the
-  // outcome of any in-flight keyed submit, which answers its parked
-  // resends) are posted to the loops, which are still running.
-  handlers_.stop();
-  // Answer every result round parked on a backend channel with
-  // shutting_down, then stop the loops: the posted resets run before
-  // each loop's teardown hangs up its sessions.
+  // Fail every round in flight (a parked result-wait answers
+  // shutting_down, a keyed submit publishes to its parked resends),
+  // then stop the loops: the posted resets run before each loop's
+  // teardown hangs up its sessions.
   for (auto& [loop, row] : channels_)
     loop->post([this, loop = loop] {
       for (std::size_t b = 0; b < opts_.backends.size(); ++b)
@@ -214,7 +294,8 @@ void Router::stop() {
 
 std::optional<std::string> Router::handle_request(serve::Request&& req,
                                                   const serve::Reply& reply) {
-  if (req.op == "result") {
+  const std::string& op = req.op;
+  if (op == "result") {
     auto call = std::make_shared<ResultCall>();
     call->reply = reply;
     call->rid = require_id(req.body);
@@ -225,145 +306,482 @@ std::optional<std::string> Router::handle_request(serve::Request&& req,
     result_round(call);
     return std::nullopt;
   }
-  if (req.op == "metrics_text")
+  if (op == "submit") {
+    handle_submit(req.body, reply);
+    return std::nullopt;
+  }
+  if (op == "cache_get") {
+    handle_cache_get(req.key, reply);
+    return std::nullopt;
+  }
+  if (op == "status" || op == "cancel" || op == "extend")
+    return forward_by_id(req.body, op, reply);
+  if (op == "stats") {
+    stats(reply.loop(), [reply](const std::string& doc) {
+      reply.send("{\"ok\":true,\"type\":\"stats\",\"stats\":" + doc + "}");
+    });
+    return std::nullopt;
+  }
+  if (op == "metrics_text")
     return "{\"ok\":true,\"type\":\"metrics_text\",\"text\":\"" +
            json_escape(metrics_text()) + "\"}";
-  // Every other op blocks on a backend round trip (stats on one per
-  // backend), so it runs on the pool; the Reply posts the response back
-  // to the connection's loop.
-  handlers_.submit([this, req = std::move(req), reply] {
-    reply.answer([&]() -> std::optional<std::string> {
-      const std::string& op = req.op;
-      if (op == "submit") return handle_submit(req.body, reply);
-      if (op == "cache_get") return handle_cache_get(req.key, reply);
-      if (op == "stats")
-        return "{\"ok\":true,\"type\":\"stats\",\"stats\":" + stats_json() +
-               "}";
-      if (op == "status" || op == "cancel" || op == "extend")
-        return forward_by_id(req.body, op);
-      return error_json("unknown_op", "unrecognized \"op\" \"" + op + "\"");
-    });
-  });
-  return std::nullopt;
+  return error_json("unknown_op", "unrecognized \"op\" \"" + op + "\"");
 }
+
+// --- rounds --------------------------------------------------------------
+// Every backend op is a round: one pipelined v2 request on the channel
+// from the client's loop to the backend, answered by request id. The
+// answer (or the channel's loss, or the round's deadline) re-enters that
+// loop through the round's callback. Nothing here blocks.
 
 std::optional<std::string> Router::admit(std::size_t b) {
   const BackendSpec& be = opts_.backends[b];
   if (!health_.allow(b)) return "breaker open for backend " + be.name();
-  if (auto* inj = fault::active(); inj && inj->on_backend_request()) {
+  if (auto* inj = fault::active(); inj && inj->on_backend_round()) {
     health_.on_failure(b);
     return "injected fault: request to " + be.name() + " failed";
   }
   return std::nullopt;
 }
 
-json::Value Router::backend_request(std::size_t b, const std::string& payload,
-                                    std::optional<v2::Op> hot) {
-  const BackendSpec& be = opts_.backends[b];
-  if (const auto refused = admit(b)) throw ServeError(*refused);
-  try {
-    PooledClient lease(pool_, be.host, be.port);
-    json::Value resp;
-    try {
-      // Hot ops ride protocol v2 (backends speak it without a hello):
-      // the same JSON in a binary envelope, answered bit-identically.
-      resp = parse_json(hot ? lease->request_v2_raw(*hot, payload)
-                            : lease->request_raw(payload));
-    } catch (...) {
-      lease.discard();
-      throw;
+void Router::send_round(net::EventLoop& loop, std::size_t b, v2::Op op,
+                        std::string_view body, std::uint64_t deadline_ms,
+                        RoundDone done, bool peer) {
+  if (stopping_.load()) return done(nullptr, "router stopping");
+  if (!peer)
+    if (const auto refused = admit(b)) return done(nullptr, *refused);
+  Channel& ch = channels_.at(&loop)[b];
+  net::Conn* c = ch.conn ? loop.find(ch.conn) : nullptr;
+  if (c == nullptr) {
+    auto on_frame = [this, lp = &loop, b](net::Conn& conn, std::string&& p) {
+      on_channel_frame(*lp, b, conn.id(), p);
+    };
+    auto on_close = [this, lp = &loop, b](net::Conn& conn) {
+      if (channels_.at(lp)[b].conn == conn.id())
+        reset_channel(*lp, b, "lost connection to " + opts_.backends[b].name(),
+                      /*from_close=*/true);
+    };
+    const int fd = connect_async(addrs_[b]);
+    ch.conn = fd < 0 ? 0 : loop.attach(fd, on_frame, on_close);
+    c = ch.conn ? loop.find(ch.conn) : nullptr;
+    if (c == nullptr) {
+      if (!peer) health_.on_failure(b);
+      return done(nullptr, "cannot connect to " + opts_.backends[b].name());
     }
-    health_.on_success(b);
-    return resp;
-  } catch (const ServeError&) {
-    health_.on_failure(b);
-    throw;
-  } catch (const std::exception& e) {
-    // e.g. JsonError: the backend answered garbage — that connection is
-    // as dead as a reset, and the caller only understands ServeError.
-    health_.on_failure(b);
-    throw ServeError(e.what());
+  }
+  const std::uint32_t tag = ch.next_tag++;
+  Round& round = ch.rounds[tag];
+  round.done = std::move(done);
+  round.peer = peer;
+  round.timer = loop.add_timer(deadline_ms, [this, lp = &loop, b, tag, peer] {
+    if (!peer)
+      return reset_channel(*lp, b,
+                           opts_.backends[b].name() + " did not answer");
+    // A late peer round is abandoned, not its channel: the channel is
+    // shared, and a slow cache owes the breaker nothing.
+    Channel& pch = channels_.at(lp)[b];
+    const auto it = pch.rounds.find(tag);
+    if (it == pch.rounds.end()) return;
+    const RoundDone late = std::move(it->second.done);
+    pch.rounds.erase(it);
+    late(nullptr, "peer cache round timed out");
+  });
+  c->send_frame(v2::encode(op, v2::Kind::kRequest, tag, body));
+}
+
+void Router::on_channel_frame(net::EventLoop& loop, std::size_t b,
+                              std::uint64_t conn_id,
+                              const std::string& payload) {
+  Channel& ch = channels_.at(&loop)[b];
+  if (ch.conn != conn_id) return;  // a dropped channel's late bytes
+  v2::Frame f;
+  try {
+    f = v2::decode(payload);
+  } catch (const v2::V2Error&) {
+    return reset_channel(loop, b, "bad frame from " + opts_.backends[b].name());
+  }
+  const auto it = ch.rounds.find(f.request_id);
+  if (it == ch.rounds.end()) return;  // its round was abandoned
+  const Round round = std::move(it->second);
+  ch.rounds.erase(it);
+  loop.cancel_timer(round.timer);
+  if (!round.peer) health_.on_success(b);
+  try {
+    round.done(&f, {});
+  } catch (const JsonError& e) {
+    // A member of the wrong JSON type: the answer is as good as none.
+    // Every caller reads what it needs from an answer before it acts on
+    // it, so its failure path can still run.
+    round.done(nullptr, "garbled answer from " + opts_.backends[b].name() +
+                            ": " + e.what());
   }
 }
 
-std::optional<std::vector<std::string>> Router::peer_results(
-    std::size_t b, const std::vector<Hash128>& keys,
-    const std::vector<SweepJob>& jobs, std::vector<std::uint64_t>& rids) {
-  // Like the health prober, a peer read is a fresh short-deadline
-  // connection: a hung peer costs one bounded round, never a parked
-  // pooled socket. It also bypasses the breaker on purpose — a failed
-  // optimization must not generate failure events that could open a
-  // breaker and trigger a real failover.
+void Router::reset_channel(net::EventLoop& loop, std::size_t b,
+                           const std::string& what, bool from_close) {
+  Channel& ch = channels_.at(&loop)[b];
+  if (net::Conn* c = ch.conn && !from_close ? loop.find(ch.conn) : nullptr) {
+    // Hard close: a hung backend may never drain what is queued to it.
+    ::shutdown(c->fd(), SHUT_RDWR);
+    c->close();
+  }
+  ch.conn = 0;
+  auto rounds = std::make_shared<std::unordered_map<std::uint32_t, Round>>(
+      std::move(ch.rounds));
+  ch.rounds.clear();
+  for (const auto& [tag, round] : *rounds) {
+    (void)tag;
+    loop.cancel_timer(round.timer);
+    // Every admitted round owes the breaker one observation.
+    if (!round.peer && !stopping_.load()) health_.on_failure(b);
+  }
+  auto fail = [rounds, what] {
+    for (const auto& [tag, round] : *rounds) round.done(nullptr, what);
+  };
+  if (from_close)
+    loop.post(fail);
+  else
+    fail();
+}
+
+// --- submit ----------------------------------------------------------------
+
+void Router::handle_submit(const json::Value& req, const serve::Reply& reply) {
+  const json::Value* jobs_v = req.find("jobs");
+  if (!jobs_v || !jobs_v->is_array() || jobs_v->as_array().empty())
+    throw JsonError("submit needs a non-empty \"jobs\" array");
+  if (stopping_.load())
+    return reply.send(error_json("shutting_down", "router stopping"));
+  auto call = std::make_shared<SubmitCall>();
+  call->reply = reply;
+  call->client_key = req.get_string("key", "");
+
+  // Router-level idempotency on the client's key: a repeat gets the
+  // original router ids; a concurrent repeat parks its reply behind the
+  // first attempt instead of double-submitting.
+  if (!call->client_key.empty()) {
+    std::optional<std::string> dup;
+    {
+      const std::lock_guard<std::mutex> lock(state_mu_);
+      const auto it = by_client_key_.find(call->client_key);
+      if (it == by_client_key_.end())
+        by_client_key_.emplace(call->client_key, KeyedSubmit{});  // reserve
+      else if (it->second.ids.empty())
+        return it->second.parked.push_back(reply);
+      else
+        dup = submitted_json(it->second.ids, true);
+    }
+    if (dup) return reply.send(*dup);
+  }
+
+  try {
+    call->deadline_ms = req.get_uint("deadline_ms", 0);
+    // Fleet-wide lane-batching default: inject top-level "batch_lanes"
+    // into each job (docs/PERF.md "Lane batching") that doesn't set its
+    // own, before validation/serialization so backends and failover
+    // resubmits all see the same payload. Results and cache keys are
+    // unaffected — the knob is excluded from sweep_cache_key — so
+    // affinity routing still lands repeats on their cached backend.
+    json::Value jobs_owned;
+    if (opts_.default_batch_lanes > 1) {
+      json::Value lanes;
+      lanes.kind = json::Value::Kind::kNumber;
+      lanes.number = static_cast<double>(opts_.default_batch_lanes);
+      lanes.integer = static_cast<std::int64_t>(opts_.default_batch_lanes);
+      lanes.is_integer = true;
+      jobs_owned = *jobs_v;
+      for (json::Value& elem : jobs_owned.array)
+        if (elem.is_object() && elem.find("batch_lanes") == nullptr)
+          elem.object.emplace_back("batch_lanes", lanes);
+      jobs_v = &jobs_owned;
+    }
+
+    // Validate every job with the backend's own parser and fold the
+    // jobs' content hashes (the exact keys the backend ResultCache will
+    // use) into the route key. A submit that cannot parse is refused
+    // here — identically to every backend — without spending network on
+    // it. The parsed jobs and per-job keys are kept: peer read-through
+    // needs the keys to ask a cache and the jobs to materialize answers.
+    Fnv128 key_hash;
+    auto jobs = std::make_shared<std::vector<SweepJob>>();
+    jobs->reserve(jobs_v->as_array().size());
+    std::ostringstream js;
+    js << "[";
+    for (const auto& elem : jobs_v->as_array()) {
+      jobs->push_back(serve::job_from_json(elem));
+      const Hash128 k = sweep_cache_key(jobs->back());
+      key_hash.u64(k.hi).u64(k.lo);
+      call->job_keys.push_back(k);
+      // Serialized once: this exact payload is what failover resubmits,
+      // so a re-landed group is byte-identical to the original.
+      js << (jobs->size() > 1 ? "," : "") << json::serialize(elem);
+    }
+    js << "]";
+    call->jobs = std::move(jobs);
+    call->jobs_json = js.str();
+    call->route_key = key_hash.digest();
+  } catch (const std::exception& e) {
+    return finish_submit(call, error_json("bad_request", e.what()), {});
+  }
+  if (call->client_key.empty()) {
+    // Reserve the key atomically: the sequence advances at generation
+    // time, so two concurrent keyless submits can never mint the same
+    // fleet key (the backend dedups purely on key — a collision would
+    // hand one client the other's results).
+    std::ostringstream ks;
+    const std::lock_guard<std::mutex> lock(state_mu_);
+    ks << "r:" << std::hex << key_prefix_ << ":" << std::dec << fleet_seq_++;
+    call->fleet_key = ks.str();
+  } else {
+    // Derive the fleet key from the client's so the SAME key reaches
+    // whichever backend ends up running the jobs — the client can even
+    // bypass the router and still dedup against routed work.
+    call->fleet_key = "c:" + call->client_key;
+  }
+  call->payload =
+      submit_payload(call->fleet_key, call->deadline_ms, call->jobs_json);
+  call->candidates = placement(call->route_key);
+  forward_submit(call);
+}
+
+void Router::forward_submit(const SubmitPtr& call) {
+  if (stopping_.load())
+    return finish_submit(call, error_json("shutting_down", "router stopping"),
+                         {});
+  if (call->rank == call->candidates.size()) {
+    {
+      const std::lock_guard<std::mutex> lock(state_mu_);
+      ++counters_.submits_rejected;
+    }
+    if (call->saw_queue_full)
+      return finish_submit(
+          call,
+          error_json("queue_full", "every alive backend is saturated",
+                     "\"retry_after_ms\":" +
+                         std::to_string(call->retry_hint ? call->retry_hint
+                                                         : 100)),
+          {});
+    return finish_submit(
+        call,
+        error_json("unavailable", call->last_error,
+                   "\"retry_after_ms\":" +
+                       std::to_string(opts_.breaker.open_cooldown_ms)),
+        {});
+  }
+  net::EventLoop& loop = call->reply.loop();
+  const std::size_t owner = call->candidates[0];
+  // Tier-3 peer read-through (docs/CACHE.md): rank > 0 means the ring
+  // owner refused or failed and this submit is about to be simulated on
+  // a non-owner — but a repeat diverted off its affinity home is exactly
+  // the submit whose answer the owner's cache already holds. One
+  // tight-deadline cache round against the owner (while its breaker is
+  // not open) before paying for a simulation elsewhere; any
+  // miss/timeout/decode failure falls through to the normal submission,
+  // so this path can delay a submit by at most peer_timeout_ms, never
+  // fail it.
+  if (call->rank > 0 && !call->peer_tried && opts_.affinity &&
+      opts_.peer_read_through && health_.alive(owner)) {
+    call->peer_tried = true;
+    return peer_results(
+        loop, owner, call->job_keys, call->jobs, {},
+        [this, call](std::optional<std::vector<std::string>> bodies,
+                     std::vector<std::uint64_t> rids) {
+          if (!bodies) return forward_submit(call);
+          add_group(*call, npos, {}, rids, std::move(*bodies));
+          {
+            const std::lock_guard<std::mutex> lock(state_mu_);
+            ++counters_.peer_hits;
+            counters_.peer_jobs_served += rids.size();
+          }
+          finish_submit(call, submitted_json(rids, false), rids);
+        });
+  }
+  const bool diverted = call->rank > 0;
+  const std::size_t b = call->candidates[call->rank++];
+  send_round(
+      loop, b, v2::Op::kSubmit, call->payload, kRoundSlackMs,
+      [this, call, b, diverted](const v2::Frame* f, const std::string& error) {
+        const BackendSpec& be = opts_.backends[b];
+        if (f == nullptr) {
+          call->last_error = error;
+          return forward_submit(call);
+        }
+        const json::Value resp = answer_json(f);
+        if (!resp.get_bool("ok", false)) {
+          const std::string err = resp.get_string("error", "");
+          if (err == "queue_full" || err == "shutting_down" || err.empty()) {
+            // Saturation (or a draining backend, or garbage): divert to
+            // the next candidate; remember the earliest honest hint.
+            if (err == "queue_full") {
+              const std::uint64_t hint = resp.get_uint("retry_after_ms", 0);
+              call->saw_queue_full = true;
+              if (hint > 0 && (!call->retry_hint || hint < call->retry_hint))
+                call->retry_hint = hint;
+            }
+            call->last_error =
+                (err.empty() ? "bad answer" : err) + " from " + be.name();
+            return forward_submit(call);
+          }
+          // Any other refusal (bad_request despite our parse, a cap
+          // mismatch...) would be refused by every backend: forward it.
+          return finish_submit(call, std::string(f->body), {});
+        }
+        std::vector<std::uint64_t> backend_ids = ids_from_response(resp);
+        if (backend_ids.size() != call->job_keys.size()) {
+          call->last_error = "backend " + be.name() + " returned " +
+                             std::to_string(backend_ids.size()) + " ids for " +
+                             std::to_string(call->job_keys.size()) + " jobs";
+          // A fresh acceptance we refuse to track would run as orphans:
+          // cancel it best-effort. A duplicate reply maps to jobs some
+          // earlier submit legitimately owns — leave those alone.
+          if (!resp.get_bool("duplicate", false))
+            cancel_backend_ids(call->reply.loop(), b, backend_ids);
+          return forward_submit(call);
+        }
+        const std::vector<std::uint64_t> ids =
+            add_group(*call, b, std::move(backend_ids), {}, {});
+        if (diverted) {  // diverted around saturation
+          const std::lock_guard<std::mutex> lock(state_mu_);
+          counters_.jobs_rerouted += ids.size();
+        }
+        finish_submit(call, submitted_json(ids, false), ids);
+      });
+}
+
+std::vector<std::uint64_t> Router::add_group(
+    SubmitCall& call, std::size_t backend,
+    std::vector<std::uint64_t> backend_ids, std::vector<std::uint64_t> rids,
+    std::vector<std::string> bodies) {
+  const std::size_t njobs = call.job_keys.size();
+  auto group = std::make_unique<SubmitGroup>();
+  group->jobs_json = std::move(call.jobs_json);
+  group->deadline_ms = call.deadline_ms;
+  group->fleet_key = std::move(call.fleet_key);
+  group->client_key = call.client_key;
+  group->route_key = call.route_key;
+  group->job_keys = std::move(call.job_keys);  // for failover peer reads
+  group->backend = backend;  // npos: fully served, never (re)submitted
+  group->backend_ids = std::move(backend_ids);
+  group->unreleased = njobs;
+  const std::lock_guard<std::mutex> lock(state_mu_);
+  const std::size_t gidx = groups_.size();
+  while (rids.size() < njobs) rids.push_back(next_router_id_++);
+  for (std::size_t i = 0; i < njobs; ++i)
+    jobs_.emplace(rids[i], JobEntry{gidx, i,
+                                    bodies.empty() ? std::string()
+                                                   : std::move(bodies[i])});
+  group->router_ids = rids;
+  groups_.push_back(std::move(group));
+  ++counters_.submits_routed;
+  counters_.jobs_routed += njobs;
+  return rids;
+}
+
+void Router::finish_submit(const SubmitPtr& call, const std::string& resp,
+                           const std::vector<std::uint64_t>& ids) {
+  // Publish the outcome: success keeps the key's ids for later resends,
+  // failure frees the key. Either way every parked resend gets it now.
+  std::vector<serve::Reply> parked;
+  if (!call->client_key.empty()) {
+    const std::lock_guard<std::mutex> lock(state_mu_);
+    const auto it = by_client_key_.find(call->client_key);
+    if (it != by_client_key_.end()) {
+      parked = std::move(it->second.parked);
+      if (ids.empty())
+        by_client_key_.erase(it);
+      else
+        it->second.ids = ids;
+    }
+  }
+  call->reply.send(resp);
+  const std::string dup = ids.empty() ? resp : submitted_json(ids, true);
+  for (const serve::Reply& r : parked) r.send(dup);
+}
+
+void Router::peer_results(net::EventLoop& loop, std::size_t b,
+                          const std::vector<Hash128>& keys,
+                          std::shared_ptr<const std::vector<SweepJob>> jobs,
+                          std::vector<std::uint64_t> rids, PeerDone done) {
+  // Every key's cache_get is pipelined before the first answer arrives,
+  // so the whole lookup costs one RTT and zero base64/JSON, which keeps
+  // peer_timeout_ms honest for large groups (docs/NET.md "Pipelining").
+  struct Lookup {
+    std::vector<std::string> blobs;
+    std::size_t unanswered = 0;
+    bool over = false;  ///< done has run
+    Clock::time_point t0 = Clock::now();
+    std::shared_ptr<const std::vector<SweepJob>> jobs;
+    std::vector<std::uint64_t> rids;
+    PeerDone done;
+  };
+  auto st = std::make_shared<Lookup>();
+  st->blobs.resize(keys.size());
+  st->unanswered = keys.size();
+  st->jobs = std::move(jobs);
+  st->rids = std::move(rids);
+  st->done = std::move(done);
   {
     const std::lock_guard<std::mutex> lock(state_mu_);
     ++counters_.peer_lookups;
   }
-  const auto t0 = Clock::now();
-  bool miss = false;
-  std::vector<std::string> blobs;
-  try {
-    const BackendSpec& be = opts_.backends[b];
-    const std::uint64_t budget =
-        opts_.peer_timeout_ms ? opts_.peer_timeout_ms : 250;
-    Client c;
-    c.connect(be.host, be.port, budget);
-    c.set_io_timeout_ms(budget);
-    blobs.reserve(keys.size());
-    // Pipeline every binary cache_get before reading the first response
-    // — the whole round costs one RTT and zero base64/JSON, which is
-    // what keeps peer_timeout_ms honest for large groups (docs/NET.md
-    // "Pipelining"). Backends speak v2 without a hello.
-    std::vector<std::uint32_t> ids;
-    ids.reserve(keys.size());
-    for (const Hash128& k : keys)
-      ids.push_back(c.send_v2(
-          v2::Op::kCacheGet,
-          std::string_view(v2::encode_cache_get_request(0, k))
-              .substr(v2::kHeaderBytes)));
-    std::map<std::uint32_t, Client::V2Response> got;
-    for (std::size_t i = 0; i < keys.size(); ++i) {
-      Client::V2Response r = c.recv_v2();
-      got.emplace(r.request_id, std::move(r));
-    }
-    for (std::size_t i = 0; i < keys.size() && !miss; ++i) {
-      const auto it = got.find(ids[i]);
-      std::string rec;
-      if (it == got.end() || !it->second.ok ||
-          !v2::decode_cache_get_response(it->second.body, ids[i], &rec))
-        miss = true;  // a single absent key abandons the whole round
-      else
-        blobs.push_back(std::move(rec));
-    }
-  } catch (const std::exception&) {
-    const std::lock_guard<std::mutex> lock(state_mu_);
-    ++counters_.peer_errors;
-    return std::nullopt;
-  }
-  {
-    const std::lock_guard<std::mutex> lock(state_mu_);
-    if (miss) {
-      ++counters_.peer_misses;
-      return std::nullopt;
-    }
-    while (rids.size() < jobs.size()) rids.push_back(next_router_id_++);
-  }
-  // Bill the round's wall time across the jobs, as a backend bills its
-  // cache-lookup time to each admitted hit.
-  const double secs = std::chrono::duration<double>(Clock::now() - t0).count() /
-                      static_cast<double>(jobs.size());
-  std::vector<std::string> bodies;
-  for (std::size_t i = 0; i < jobs.size(); ++i) {
-    bodies.push_back(result_from_blob(blobs[i], jobs[i], rids[i], secs));
-    if (bodies.back().empty()) {
-      // Fetched but undecodable (version skew, torn frame): count it and
-      // simulate — a peer's garbage must never become our error.
+  // A single absent key (or failed round) abandons the whole lookup.
+  auto give_up = [this](Lookup& s, bool miss) {
+    s.over = true;
+    {
       const std::lock_guard<std::mutex> lock(state_mu_);
-      ++counters_.peer_errors;
-      return std::nullopt;
+      ++(miss ? counters_.peer_misses : counters_.peer_errors);
     }
+    s.done(std::nullopt, {});
+  };
+  const std::uint64_t budget =
+      opts_.peer_timeout_ms ? opts_.peer_timeout_ms : 250;
+  for (std::size_t i = 0; i < keys.size() && !st->over; ++i) {
+    const std::string req = v2::encode_cache_get_request(0, keys[i]);
+    send_round(
+        loop, b, v2::Op::kCacheGet,
+        std::string_view(req).substr(v2::kHeaderBytes), budget,
+        [this, st, i, give_up](const v2::Frame* f, const std::string&) {
+          if (st->over) return;
+          if (f == nullptr) return give_up(*st, false);
+          bool hit = false;
+          try {
+            hit = f->kind == v2::Kind::kOk &&
+                  v2::decode_cache_get_response(f->body, f->request_id,
+                                                &st->blobs[i]);
+          } catch (const v2::V2Error&) {
+            return give_up(*st, false);
+          }
+          if (!hit) return give_up(*st, true);
+          if (--st->unanswered > 0) return;
+          st->over = true;
+          {
+            const std::lock_guard<std::mutex> lock(state_mu_);
+            while (st->rids.size() < st->jobs->size())
+              st->rids.push_back(next_router_id_++);
+          }
+          // Bill the lookup's wall time across the jobs, as a backend
+          // bills its cache-lookup time to each admitted hit.
+          const double secs =
+              std::chrono::duration<double>(Clock::now() - st->t0).count() /
+              static_cast<double>(st->jobs->size());
+          std::vector<std::string> bodies;
+          for (std::size_t k = 0; k < st->jobs->size(); ++k) {
+            bodies.push_back(result_from_blob(st->blobs[k], (*st->jobs)[k],
+                                              st->rids[k], secs));
+            if (bodies.back().empty()) {
+              // Fetched but undecodable (version skew, torn frame): count
+              // it and simulate — a peer's garbage must never become our
+              // error.
+              return give_up(*st, false);
+            }
+          }
+          st->done(std::move(bodies), std::move(st->rids));
+        },
+        /*peer=*/true);
   }
-  return bodies;
 }
+
+// --- placement and failover --------------------------------------------------
 
 std::vector<std::size_t> Router::outstanding_by_backend() {
   std::vector<std::size_t> counts(opts_.backends.size(), 0);
@@ -400,375 +818,124 @@ std::vector<std::size_t> Router::placement(const Hash128& key,
   return out;
 }
 
-std::optional<std::string> Router::handle_submit(const json::Value& req,
-                                                 const serve::Reply& reply) {
-  const json::Value* jobs_v = req.find("jobs");
-  if (!jobs_v || !jobs_v->is_array() || jobs_v->as_array().empty())
-    throw JsonError("submit needs a non-empty \"jobs\" array");
-  if (stopping_.load()) return error_json("shutting_down", "router stopping");
-  const std::string client_key = req.get_string("key", "");
-
-  // Router-level idempotency on the client's key: a repeat gets the
-  // original router ids; a concurrent repeat parks its reply behind the
-  // first attempt instead of double-submitting (or holding a thread).
-  if (!client_key.empty()) {
-    const std::lock_guard<std::mutex> lock(state_mu_);
-    const auto it = by_client_key_.find(client_key);
-    if (it != by_client_key_.end()) {
-      if (!it->second.ids.empty())
-        return submitted_json(it->second.ids, true);
-      it->second.parked.push_back(reply);
-      return std::nullopt;
-    }
-    by_client_key_.emplace(client_key, KeyedSubmit{});  // reserve
-  }
-  std::vector<std::uint64_t> ids;
-  std::string resp;
-  try {
-    resp = forward_submit(req, client_key, ids);
-  } catch (const std::exception& e) {
-    resp = error_json("bad_request", e.what());
-  }
-  if (client_key.empty()) return resp;
-
-  // Publish the outcome: success keeps the key's ids for later resends,
-  // failure frees the key. Either way every parked resend gets it now.
-  std::vector<serve::Reply> parked;
-  {
-    const std::lock_guard<std::mutex> lock(state_mu_);
-    const auto it = by_client_key_.find(client_key);
-    if (it != by_client_key_.end()) {
-      parked = std::move(it->second.parked);
-      if (ids.empty())
-        by_client_key_.erase(it);
-      else
-        it->second.ids = ids;
-    }
-  }
-  const std::string dup = ids.empty() ? resp : submitted_json(ids, true);
-  for (const serve::Reply& r : parked) r.send(dup);
-  return resp;
-}
-
-std::string Router::forward_submit(const json::Value& req,
-                                   const std::string& client_key,
-                                   std::vector<std::uint64_t>& ids) {
-  const json::Value* jobs_v = req.find("jobs");
-  const std::uint64_t deadline_ms = req.get_uint("deadline_ms", 0);
-
-  // Fleet-wide lane-batching default: inject top-level "batch_lanes"
-  // into each job (docs/PERF.md "Lane batching") that doesn't set its
-  // own, before validation/serialization so backends and failover
-  // resubmits all see the same payload. Results and cache keys are
-  // unaffected — the knob is excluded from sweep_cache_key — so affinity
-  // routing still lands repeats on their cached backend.
-  json::Value jobs_owned;
-  if (opts_.default_batch_lanes > 1) {
-    json::Value lanes;
-    lanes.kind = json::Value::Kind::kNumber;
-    lanes.number = static_cast<double>(opts_.default_batch_lanes);
-    lanes.integer = static_cast<std::int64_t>(opts_.default_batch_lanes);
-    lanes.is_integer = true;
-    jobs_owned = *jobs_v;
-    for (json::Value& elem : jobs_owned.array)
-      if (elem.is_object() && elem.find("batch_lanes") == nullptr)
-        elem.object.emplace_back("batch_lanes", lanes);
-    jobs_v = &jobs_owned;
-  }
-
-  // Validate every job with the backend's own parser and fold the jobs'
-  // content hashes (the exact keys the backend ResultCache will use)
-  // into the route key. A submit that cannot parse is refused here —
-  // identically to every backend — without spending network on it. The
-  // parsed jobs and per-job keys are kept: peer read-through needs the
-  // keys to ask a cache and the jobs to materialize its answers.
-  Fnv128 key_hash;
-  const std::size_t njobs = jobs_v->as_array().size();
-  std::vector<SweepJob> parsed;
-  std::vector<Hash128> job_keys;
-  parsed.reserve(njobs);
-  job_keys.reserve(njobs);
-  for (const auto& elem : jobs_v->as_array()) {
-    parsed.push_back(serve::job_from_json(elem));
-    const Hash128 k = sweep_cache_key(parsed.back());
-    key_hash.u64(k.hi).u64(k.lo);
-    job_keys.push_back(k);
-  }
-  const Hash128 route_key = key_hash.digest();
-
-  // Serialize the jobs array once: this exact payload is what failover
-  // resubmits, so a re-landed group is byte-identical to the original.
-  std::string jobs_json;
-  std::string fleet_key;
-  {
-    std::ostringstream js;
-    js << "[";
-    for (std::size_t i = 0; i < njobs; ++i) {
-      if (i) js << ",";
-      js << json::serialize(jobs_v->as_array()[i]);
-    }
-    js << "]";
-    jobs_json = js.str();
-  }
-  if (client_key.empty()) {
-    // Reserve the key atomically: the sequence advances at generation
-    // time, so two concurrent keyless submits can never mint the same
-    // fleet key (the backend dedups purely on key — a collision would
-    // hand one client the other's results).
-    std::ostringstream ks;
-    const std::lock_guard<std::mutex> lock(state_mu_);
-    ks << "r:" << std::hex << key_prefix_ << ":" << std::dec << fleet_seq_++;
-    fleet_key = ks.str();
-  } else {
-    // Derive the fleet key from the client's so the SAME key reaches
-    // whichever backend ends up running the jobs — the client can even
-    // bypass the router and still dedup against routed work.
-    fleet_key = "c:" + client_key;
-  }
-
-  const std::string payload = submit_payload(fleet_key, deadline_ms, jobs_json);
-
-  const std::vector<std::size_t> candidates = placement(route_key);
-  bool saw_queue_full = false;
-  bool peer_tried = false;
-  std::uint64_t retry_hint = 0;
-  std::string last_error = "no alive backend";
-  for (std::size_t rank = 0; rank < candidates.size(); ++rank) {
-    const std::size_t b = candidates[rank];
-    // Tier-3 peer read-through (docs/CACHE.md): rank > 0 means the ring
-    // owner refused or failed and this submit is about to be simulated
-    // on a non-owner — but a repeat diverted off its affinity home is
-    // exactly the submit whose answer the owner's cache already holds.
-    // One tight-deadline cache round against the owner before paying
-    // for a simulation elsewhere; any miss/timeout/decode failure falls
-    // through to the normal submission below, so this path can delay a
-    // submit by at most peer_timeout_ms, never fail it.
-    if (rank > 0 && !peer_tried && opts_.affinity && opts_.peer_read_through) {
-      peer_tried = true;
-      std::vector<std::uint64_t> rids;
-      if (auto bodies = peer_results(candidates[0], job_keys, parsed, rids)) {
-        auto group = std::make_unique<SubmitGroup>();
-        group->jobs_json = std::move(jobs_json);
-        group->deadline_ms = deadline_ms;
-        group->fleet_key = std::move(fleet_key);
-        group->client_key = client_key;
-        group->route_key = route_key;
-        group->job_keys = std::move(job_keys);
-        group->backend = npos;  // fully served: never (re)submitted
-        group->router_ids = rids;
-        group->unreleased = njobs;
-        {
-          const std::lock_guard<std::mutex> lock(state_mu_);
-          const std::size_t gidx = groups_.size();
-          for (std::size_t i = 0; i < njobs; ++i)
-            jobs_.emplace(rids[i], JobEntry{gidx, i, std::move((*bodies)[i])});
-          groups_.push_back(std::move(group));
-          ++counters_.submits_routed;
-          counters_.jobs_routed += njobs;
-          ++counters_.peer_hits;
-          counters_.peer_jobs_served += njobs;
-        }
-        ids = rids;
-        return submitted_json(rids, false);
-      }
-    }
-    json::Value resp;
-    try {
-      resp = backend_request(b, payload, v2::Op::kSubmit);
-    } catch (const ServeError& e) {
-      last_error = e.what();
-      continue;
-    }
-    if (!resp.get_bool("ok", false)) {
-      const std::string err = resp.get_string("error", "");
-      if (err == "queue_full" || err == "shutting_down") {
-        // Saturation (or a draining backend): divert to the next
-        // candidate; remember the earliest honest retry hint.
-        if (err == "queue_full") {
-          saw_queue_full = true;
-          const std::uint64_t hint = resp.get_uint("retry_after_ms", 0);
-          if (hint > 0 && (retry_hint == 0 || hint < retry_hint))
-            retry_hint = hint;
-        }
-        last_error = err + " from " + opts_.backends[b].name();
-        continue;
-      }
-      // Any other refusal (bad_request despite our parse, a cap
-      // mismatch...) would be refused by every backend: forward it.
-      return json::serialize(resp);
-    }
-    std::vector<std::uint64_t> backend_ids;
-    try {
-      backend_ids = ids_from_response(resp);
-    } catch (const std::exception& e) {
-      // ok:true without a usable "ids" array: treat it as a candidate
-      // failure (as place_group does).
-      last_error = "backend " + opts_.backends[b].name() + ": " + e.what();
-      continue;
-    }
-    if (backend_ids.size() != njobs) {
-      last_error = "backend " + opts_.backends[b].name() +
-                   " returned " + std::to_string(backend_ids.size()) +
-                   " ids for " + std::to_string(njobs) + " jobs";
-      // A fresh acceptance we refuse to track would run as orphans:
-      // cancel it best-effort. A duplicate reply maps to jobs some
-      // earlier submit legitimately owns — leave those alone.
-      if (!resp.get_bool("duplicate", false))
-        cancel_backend_ids(b, backend_ids);
-      continue;
-    }
-    auto group = std::make_unique<SubmitGroup>();
-    group->jobs_json = std::move(jobs_json);
-    group->deadline_ms = deadline_ms;
-    group->fleet_key = std::move(fleet_key);
-    group->client_key = client_key;
-    group->route_key = route_key;
-    group->job_keys = job_keys;  // kept for failover peer read-through
-    group->backend = b;
-    group->backend_ids = std::move(backend_ids);
-    group->unreleased = njobs;
-    std::vector<std::uint64_t> router_ids;
-    router_ids.reserve(njobs);
-    {
-      const std::lock_guard<std::mutex> lock(state_mu_);
-      const std::size_t gidx = groups_.size();
-      for (std::size_t i = 0; i < njobs; ++i) {
-        const std::uint64_t rid = next_router_id_++;
-        jobs_.emplace(rid, JobEntry{gidx, i, {}});
-        router_ids.push_back(rid);
-      }
-      group->router_ids = router_ids;
-      groups_.push_back(std::move(group));
-      ++counters_.submits_routed;
-      counters_.jobs_routed += njobs;
-      if (rank > 0) counters_.jobs_rerouted += njobs;  // diverted around saturation
-    }
-    ids = router_ids;
-    return submitted_json(router_ids, false);
-  }
-
-  {
-    const std::lock_guard<std::mutex> lock(state_mu_);
-    ++counters_.submits_rejected;
-  }
-  if (saw_queue_full) {
-    if (retry_hint == 0) retry_hint = 100;
-    return error_json("queue_full",
-                      "every alive backend is saturated",
-                      "\"retry_after_ms\":" + std::to_string(retry_hint));
-  }
-  return error_json("unavailable", last_error,
-                    "\"retry_after_ms\":" +
-                        std::to_string(opts_.breaker.open_cooldown_ms));
-}
-
-bool Router::place_group(std::size_t group_idx, std::size_t exclude) {
-  std::string payload;
-  std::string jobs_json;
+void Router::place_group(net::EventLoop& loop, std::size_t group_idx,
+                         std::size_t from, std::size_t exclude) {
+  if (stopping_.load()) return;
+  auto call = std::make_shared<PlaceCall>();
+  call->loop = &loop;
+  call->group = group_idx;
   Hash128 key;
   std::vector<Hash128> job_keys;
+  std::string jobs_json;
   std::vector<std::uint64_t> router_ids;
-  std::size_t pending = 0;
-  std::size_t expected = 0;
   {
     const std::lock_guard<std::mutex> lock(state_mu_);
-    const SubmitGroup* g = groups_[group_idx].get();
-    if (!g) return true;  // fully released and reclaimed: no move
+    SubmitGroup* g = groups_[group_idx].get();
+    // Reclaimed, moved meanwhile, or someone else is placing it.
+    if (!g || g->placing || g->backend != from) return;
     for (const std::uint64_t rid : g->router_ids) {
       const auto it = jobs_.find(rid);
-      if (it != jobs_.end() && it->second.result_json.empty()) ++pending;
+      if (it != jobs_.end() && it->second.result_json.empty()) ++call->pending;
     }
-    if (pending == 0) return true;  // fully served (or released): no move
-    payload = submit_payload(g->fleet_key, g->deadline_ms, g->jobs_json);
-    jobs_json = g->jobs_json;
+    if (call->pending == 0) return;  // fully served (or released): no move
+    g->placing = true;
+    g->backend = npos;  // result-waits poll until it lands
+    call->payload = submit_payload(g->fleet_key, g->deadline_ms, g->jobs_json);
+    call->expected = g->router_ids.size();
     key = g->route_key;
     job_keys = g->job_keys;
+    jobs_json = g->jobs_json;
     router_ids = g->router_ids;
-    expected = g->router_ids.size();
   }
+  call->candidates = placement(key, exclude);
   // Tier-3 peer read-through on re-placement (docs/CACHE.md): a group
   // being re-landed may already be answered somewhere in the fleet —
   // notably when its owner crashed after finishing the work but before
   // the client fetched it, and restarted on a durable --cache-dir. One
   // bounded cache round against the best-placed survivor beats
   // re-simulating the whole group; any miss or failure proceeds to the
-  // normal resubmission below.
-  if (opts_.affinity && opts_.peer_read_through &&
-      job_keys.size() == expected) {
-    const std::vector<std::size_t> cands = placement(key, exclude);
-    std::vector<SweepJob> jobs;
+  // normal resubmission.
+  if (opts_.affinity && opts_.peer_read_through && !call->candidates.empty() &&
+      job_keys.size() == call->expected) {
+    auto jobs = std::make_shared<std::vector<SweepJob>>();
     try {
       const json::Value jv = parse_json(jobs_json);
       for (const auto& elem : jv.as_array())
-        jobs.push_back(serve::job_from_json(elem));
+        jobs->push_back(serve::job_from_json(elem));
     } catch (const std::exception&) {
-      jobs.clear();  // unreachable for our own serialization: resubmit
+      jobs->clear();  // unreachable for our own serialization: resubmit
     }
-    std::optional<std::vector<std::string>> bodies;
-    if (!cands.empty() && jobs.size() == expected)
-      bodies = peer_results(cands[0], job_keys, jobs, router_ids);
-    if (bodies) {
-      const std::lock_guard<std::mutex> lock(state_mu_);
-      if (SubmitGroup* g = groups_[group_idx].get()) {
-        g->backend = npos;  // fully served: nothing left to place
-        for (std::size_t i = 0; i < expected; ++i) {
-          const auto it = jobs_.find(router_ids[i]);
-          if (it != jobs_.end() && it->second.result_json.empty())
-            it->second.result_json = std::move((*bodies)[i]);
+    if (jobs->size() == call->expected)
+      return peer_results(
+          loop, call->candidates[0], job_keys, jobs, router_ids,
+          [this, call](std::optional<std::vector<std::string>> bodies,
+                       std::vector<std::uint64_t> rids) {
+            if (!bodies) return place_next(call);
+            const std::lock_guard<std::mutex> lock(state_mu_);
+            SubmitGroup* g = groups_[call->group].get();
+            if (!g) return;
+            g->placing = false;  // fully served: nothing left to place
+            for (std::size_t i = 0; i < rids.size(); ++i) {
+              const auto it = jobs_.find(rids[i]);
+              if (it != jobs_.end() && it->second.result_json.empty())
+                it->second.result_json = std::move((*bodies)[i]);
+            }
+            ++counters_.peer_hits;
+            counters_.peer_jobs_served += call->pending;
+          });
+  }
+  place_next(call);
+}
+
+void Router::place_next(const PlacePtr& call) {
+  if (call->rank == call->candidates.size()) {
+    // Nowhere to land right now (whole fleet down or saturated). Leave it
+    // unplaced: result waiters keep polling and the next breaker-close or
+    // not_found retry will try again.
+    const std::lock_guard<std::mutex> lock(state_mu_);
+    if (SubmitGroup* g = groups_[call->group].get()) g->placing = false;
+    return;
+  }
+  const std::size_t b = call->candidates[call->rank++];
+  send_round(
+      *call->loop, b, v2::Op::kSubmit, call->payload, kRoundSlackMs,
+      [this, call, b](const v2::Frame* f, const std::string&) {
+        const json::Value resp = answer_json(f);
+        // Failed, full or draining: the next candidate.
+        if (!resp.get_bool("ok", false)) return place_next(call);
+        std::vector<std::uint64_t> ids = ids_from_response(resp);
+        const bool duplicate = resp.get_bool("duplicate", false);
+        if (ids.size() != call->expected) {
+          // The backend accepted (or remembered) the group in a different
+          // shape than it admitted it. A fresh acceptance we walk away
+          // from would run as orphans, so cancel it best-effort; a
+          // duplicate reply maps to jobs another submit may own, so
+          // leave it alone and just skip this candidate.
+          if (!duplicate) cancel_backend_ids(*call->loop, b, ids);
+          return place_next(call);
         }
-        ++counters_.peer_hits;
-        counters_.peer_jobs_served += pending;
-        return true;
-      }
-    }
-  }
-  for (const std::size_t b : placement(key, exclude)) {
-    json::Value resp;
-    try {
-      resp = backend_request(b, payload, v2::Op::kSubmit);
-    } catch (const ServeError&) {
-      continue;
-    }
-    if (!resp.get_bool("ok", false)) continue;  // full/draining: next
-    std::vector<std::uint64_t> ids;
-    try {
-      ids = ids_from_response(resp);
-    } catch (const std::exception&) {
-      continue;
-    }
-    const bool duplicate = resp.get_bool("duplicate", false);
-    if (ids.size() != expected) {
-      // The backend accepted (or remembered) the group in a different
-      // shape than it admitted it. A fresh acceptance we walk away from
-      // would run as orphans, so cancel it best-effort; a duplicate
-      // reply maps to jobs another submit may own, so leave it alone
-      // and just skip this candidate.
-      if (!duplicate) cancel_backend_ids(b, ids);
-      continue;
-    }
-    bool claimed = false;
-    {
-      const std::lock_guard<std::mutex> lock(state_mu_);
-      if (SubmitGroup* g = groups_[group_idx].get()) {
-        g->backend = b;
-        g->backend_ids = std::move(ids);
-        counters_.jobs_rerouted += pending;
-        claimed = true;
-      }
-    }
-    if (!claimed) {
-      // Every job was fetched-and-released while we were resubmitting:
-      // nobody will ever collect this copy, so unwind it best-effort.
-      if (!duplicate) cancel_backend_ids(b, ids);
-    }
-    return true;
-  }
-  // Nowhere to land right now (whole fleet down or saturated). Leave it
-  // unplaced: result waiters keep polling and the next breaker-close or
-  // not_found retry will try again.
-  const std::lock_guard<std::mutex> lock(state_mu_);
-  if (groups_[group_idx]) groups_[group_idx]->backend = npos;
-  return false;
+        bool claimed = false;
+        {
+          const std::lock_guard<std::mutex> lock(state_mu_);
+          if (SubmitGroup* g = groups_[call->group].get()) {
+            g->placing = false;
+            g->backend = b;
+            g->backend_ids = ids;
+            counters_.jobs_rerouted += call->pending;
+            claimed = true;
+          }
+        }
+        if (!claimed) {
+          // Every job was fetched-and-released while we were
+          // resubmitting: nobody will ever collect this copy, so unwind
+          // it best-effort.
+          if (!duplicate) cancel_backend_ids(*call->loop, b, ids);
+          return;
+        }
+        // A breaker that opened while the group was in flight found it
+        // unplaced and passed it by: move it on now.
+        if (!health_.alive(b)) place_group(*call->loop, call->group, b, b);
+      });
 }
 
 void Router::release_job_locked(
@@ -785,42 +952,36 @@ void Router::release_job_locked(
   groups_[gidx].reset();
 }
 
-void Router::cancel_backend_ids(std::size_t b,
+void Router::cancel_backend_ids(net::EventLoop& loop, std::size_t b,
                                 const std::vector<std::uint64_t>& ids) {
-  for (const std::uint64_t id : ids) {
-    try {
-      backend_request(b, "{\"op\":\"cancel\",\"id\":" + std::to_string(id) +
-                             "}");
-    } catch (const std::exception&) {
-      // Best effort: the breaker already heard about transport failures.
-    }
-  }
+  // Fire and forget: the breaker hears about transport failures anyway.
+  for (const std::uint64_t id : ids)
+    send_round(loop, b, v2::Op::kJson,
+               "{\"op\":\"cancel\",\"id\":" + std::to_string(id) + "}",
+               kRoundSlackMs, [](const v2::Frame*, const std::string&) {});
 }
 
 void Router::fail_over(std::size_t dead) {
-  if (stopping_.load()) return;
-  const std::lock_guard<std::mutex> lock(failover_mu_);
-  pool_.clear(opts_.backends[dead].host, opts_.backends[dead].port);
   std::vector<std::size_t> affected;
   {
-    const std::lock_guard<std::mutex> slock(state_mu_);
+    const std::lock_guard<std::mutex> lock(state_mu_);
     for (std::size_t g = 0; g < groups_.size(); ++g)
       if (groups_[g] && groups_[g]->backend == dead) affected.push_back(g);
   }
-  for (const std::size_t g : affected) place_group(g, dead);
+  for (const std::size_t g : affected)
+    place_group(front_.loops().at(0), g, dead, dead);
 }
 
-bool Router::reroute_group(std::size_t group_idx, bool allow_current) {
-  if (stopping_.load()) return false;
-  const std::lock_guard<std::mutex> lock(failover_mu_);
+void Router::reroute_group(net::EventLoop& loop, std::size_t group_idx,
+                           bool allow_current) {
   std::size_t current;
   {
-    const std::lock_guard<std::mutex> slock(state_mu_);
+    const std::lock_guard<std::mutex> lock(state_mu_);
     const SubmitGroup* g = groups_[group_idx].get();
-    if (!g) return true;  // fully released and reclaimed: nothing to move
+    if (!g) return;  // fully released and reclaimed: nothing to move
     current = g->backend;
   }
-  return place_group(group_idx, allow_current ? npos : current);
+  place_group(loop, group_idx, current, allow_current ? npos : current);
 }
 
 void Router::on_breaker_transition(std::size_t i, BreakerState from,
@@ -835,16 +996,16 @@ void Router::on_breaker_transition(std::size_t i, BreakerState from,
     const std::lock_guard<std::mutex> lock(state_mu_);
     ++counters_.ring_moves;
   }
-  // Re-landing groups blocks on backend round trips, and transitions are
-  // reported from loop threads too: the pool does it.
+  // Transitions are reported from any thread (loops, the prober): the
+  // re-placement runs on loop 0.
   if (to == BreakerState::kOpen && !stopping_.load())
-    handlers_.submit([this, i] { fail_over(i); });
+    front_.loops().at(0).post([this, i] { fail_over(i); });
 }
 
 // --- the result path ---------------------------------------------------
-// A `result` holds no thread: each round is one pipelined v2 request on
-// the client loop's channel to the job's backend, and its reply (or the
-// channel's loss) re-enters that loop to answer, re-issue, or reroute.
+// A `result` holds no thread: each round is one kResult round to the
+// job's backend, and its answer (or failure) re-enters the client's loop
+// to answer, re-issue, or reroute.
 
 void Router::result_round(const CallPtr& call) {
   const std::uint64_t rid = call->rid;
@@ -872,6 +1033,14 @@ void Router::result_round(const CallPtr& call) {
       ++counters_.results_served;
     }
   }
+  auto forward = [&](const std::string& payload, std::uint64_t wait_ms) {
+    send_round(call->reply.loop(), b, v2::Op::kResult, payload,
+               wait_ms + kRoundSlackMs,
+               [this, call, b](const v2::Frame* f, const std::string& error) {
+                 if (f == nullptr) return round_failed(call, error);
+                 on_result_answer(call, b, *f);
+               });
+  };
   if (!cached.empty()) {
     // An earlier fetch without release left the backend's record in
     // place: release it there too, best effort (a backend that died or
@@ -879,15 +1048,14 @@ void Router::result_round(const CallPtr& call) {
     if (!call->release || !has_bid)
       return call->reply.send(result_json(rid, cached));
     call->cached = std::move(cached);
-    return send_round(call, b,
-                      "{\"op\":\"result\",\"id\":" + std::to_string(bid) +
-                          ",\"release\":true}",
-                      0);
+    return forward("{\"op\":\"result\",\"id\":" + std::to_string(bid) +
+                       ",\"release\":true}",
+                   0);
   }
 
   const std::uint64_t now = net::EventLoop::now_ms();
   if (b == npos) {
-    // Unplaced (mid-failover with no survivor yet): poll for a home.
+    // Unplaced (mid-failover, or no survivor yet): poll for a home.
     if (!call->wait || now >= call->deadline_ms)
       return call->fail("not_ready",
                         "job " + std::to_string(rid) + " is awaiting rerouting",
@@ -910,71 +1078,18 @@ void Router::result_round(const CallPtr& call) {
     ps << ",\"wait\":true,\"timeout_ms\":" << wait_ms;
   }
   ps << "}";
-  send_round(call, b, ps.str(), wait_ms);
+  forward(ps.str(), wait_ms);
 }
 
-void Router::send_round(const CallPtr& call, std::size_t b,
-                        const std::string& payload, std::uint64_t wait_ms) {
-  if (const auto refused = admit(b)) return round_failed(call, *refused);
-  net::EventLoop* loop = &call->reply.loop();
-  Channel& ch = channels_.at(loop)[b];
-  net::Conn* c = ch.conn ? loop->find(ch.conn) : nullptr;
-  if (c == nullptr) {
-    auto on_frame = [this, loop, b](net::Conn& conn, std::string&& p) {
-      on_channel_frame(*loop, b, conn.id(), p);
-    };
-    auto on_close = [this, loop, b](net::Conn& conn) {
-      if (channels_.at(loop)[b].conn == conn.id())
-        reset_channel(*loop, b,
-                      "lost connection to " + opts_.backends[b].name());
-    };
-    const int fd = connect_async(opts_.backends[b]);
-    ch.conn = fd < 0 ? 0 : loop->attach(fd, on_frame, on_close);
-    c = ch.conn ? loop->find(ch.conn) : nullptr;
-    if (c == nullptr) {
-      health_.on_failure(b);
-      return round_failed(call, "cannot connect to " + opts_.backends[b].name());
-    }
-  }
-  const std::uint32_t tag = ch.next_tag++;
-  ch.calls.emplace(tag, call);
-  // The forwarded timeout bounds a healthy backend's answer; this timer
-  // catches a hung one.
-  call->timer = loop->add_timer(wait_ms + kRoundSlackMs, [this, loop, b] {
-    reset_channel(*loop, b, opts_.backends[b].name() + " did not answer");
-  });
-  c->send_frame(v2::encode(v2::Op::kResult, v2::Kind::kRequest, tag, payload));
-}
-
-void Router::on_channel_frame(net::EventLoop& loop, std::size_t b,
-                              std::uint64_t conn_id,
-                              const std::string& payload) {
-  Channel& ch = channels_.at(&loop)[b];
-  if (ch.conn != conn_id) return;  // a dropped channel's late bytes
-  v2::Frame f;
-  try {
-    f = v2::decode(payload);
-  } catch (const v2::V2Error&) {
-    return reset_channel(loop, b, "bad frame from " + opts_.backends[b].name());
-  }
-  const auto it = ch.calls.find(f.request_id);
-  if (it == ch.calls.end()) return;  // its round was abandoned
-  const CallPtr call = std::move(it->second);
-  ch.calls.erase(it);
-  loop.cancel_timer(call->timer);
-  call->timer = 0;
+void Router::on_result_answer(const CallPtr& call, std::size_t b,
+                              const v2::Frame& f) {
   const std::uint64_t rid = call->rid;
-  json::Value resp;
-  try {
-    resp = parse_json(std::string(f.body));
-  } catch (const std::exception& e) {
-    // The backend answered garbage: as dead as a reset.
-    health_.on_failure(b);
-    return round_failed(call, e.what());
-  }
-  health_.on_success(b);
   if (!call->cached.empty())
     return call->reply.send(result_json(rid, call->cached));
+  json::Value resp = answer_json(&f);
+  if (resp.is_null())
+    return round_failed(call,
+                        "garbled answer from " + opts_.backends[b].name());
   if (resp.get_bool("ok", false) && resp.get_string("type", "") == "result") {
     // The backend's own bytes, spliced verbatim: a routed result is
     // byte-equal to the same job's direct one (docs/CLUSTER.md).
@@ -1029,12 +1144,10 @@ void Router::on_channel_frame(net::EventLoop& loop, std::size_t b,
 }
 
 void Router::round_failed(const CallPtr& call, const std::string& what) {
-  // Never sends a round synchronously: this runs inside a channel's
-  // close callback, where the loop must not open a new conn.
   if (!call->cached.empty())  // the release was best effort
     return call->reply.send(result_json(call->rid, call->cached));
   if (stopping_.load()) return call->fail("shutting_down", "router stopping");
-  // The breaker heard about it; if it opened, the pool is re-landing the
+  // The breaker heard about it; if it opened, loop 0 is re-landing the
   // group. Re-read the mapping shortly, until the deadline (or attempt
   // budget).
   if (call->wait ? net::EventLoop::now_ms() >= call->deadline_ms
@@ -1045,71 +1158,60 @@ void Router::round_failed(const CallPtr& call, const std::string& what) {
 
 void Router::retry_after(const CallPtr& call, std::uint64_t delay_ms,
                          bool reroute) {
-  if (reroute) {
-    // Re-placing the group blocks on backend round trips: the pool does
-    // it, then the next round runs back on the loop.
-    handlers_.submit([this, call, delay_ms] {
-      reroute_group(call->group, /*allow_current=*/true);
-      call->reply.loop().post(
-          [this, call, delay_ms] { retry_after(call, delay_ms, false); });
-    });
-  } else if (delay_ms == 0) {
-    result_round(call);
-  } else {
-    call->timer = call->reply.loop().add_timer(delay_ms, [this, call] {
-      call->timer = 0;
-      result_round(call);
-    });
-  }
+  if (reroute)
+    reroute_group(call->reply.loop(), call->group, /*allow_current=*/true);
+  if (delay_ms == 0) return result_round(call);
+  call->reply.loop().add_timer(delay_ms, [this, call] { result_round(call); });
 }
 
-void Router::reset_channel(net::EventLoop& loop, std::size_t b,
-                           const std::string& what) {
-  Channel& ch = channels_.at(&loop)[b];
-  if (net::Conn* c = ch.conn ? loop.find(ch.conn) : nullptr) c->close();
-  ch.conn = 0;
-  const auto calls = std::move(ch.calls);
-  ch.calls.clear();
-  for (const auto& [tag, call] : calls) {
-    (void)tag;
-    loop.cancel_timer(call->timer);
-    call->timer = 0;
-    // Every admitted round owes the breaker one observation.
-    if (!stopping_.load()) health_.on_failure(b);
-    round_failed(call, what);
-  }
-}
+// --- cache_get, status/cancel/extend, stats ---------------------------------
 
-std::optional<std::string> Router::handle_cache_get(
-    const Hash128& key, const serve::Reply& reply) {
-  // Fleet cache lookup: the key IS the content hash affinity routes
-  // by, so under affinity the first candidate is exactly the backend
-  // whose cache would hold it. Scan the remaining alive backends only
-  // on a miss (bounded by fleet size; a cache probe is cheap).
-  const std::string request =
-      "{\"op\":\"cache_get\",\"key\":\"" + to_hex(key) + "\"}";
-  bool missed = false;  // a definite miss from a live cache
-  for (const std::size_t b : placement(key)) {
-    json::Value resp;
-    try {
-      resp = backend_request(b, request);
-    } catch (const ServeError&) {
-      continue;
+void Router::handle_cache_get(const Hash128& key, const serve::Reply& reply) {
+  // Fleet cache lookup: the key IS the content hash affinity routes by,
+  // so under affinity the first candidate is exactly the backend whose
+  // cache would hold it. The remaining alive backends are asked only on
+  // a miss (bounded by fleet size; a cache probe is cheap).
+  struct Walk {
+    serve::Reply reply;
+    std::string request;
+    std::vector<std::size_t> candidates;
+    std::size_t rank = 0;
+    bool missed = false;  ///< a definite miss from a live cache
+    std::function<void(const std::shared_ptr<Walk>&)> next;
+  };
+  auto walk = std::make_shared<Walk>();
+  walk->reply = reply;
+  walk->request = v2::encode_cache_get_request(0, key).substr(v2::kHeaderBytes);
+  walk->candidates = placement(key);
+  walk->next = [this](const std::shared_ptr<Walk>& w) {
+    if (w->rank == w->candidates.size()) {
+      if (!w->missed)
+        return w->reply.send(error_json("unavailable", "no alive backend"));
+      return w->reply.send_cache_record(std::nullopt);
     }
-    if (!resp.get_bool("ok", false)) continue;
-    if (resp.get_bool("found", false)) {
-      reply.send_cache_record(base64_decode(resp.get_string("payload", "")));
-      return std::nullopt;
-    }
-    missed = true;
-  }
-  if (!missed) return error_json("unavailable", "no alive backend");
-  reply.send_cache_record(std::nullopt);
-  return std::nullopt;
+    const std::size_t b = w->candidates[w->rank++];
+    send_round(w->reply.loop(), b, v2::Op::kCacheGet, w->request,
+               kRoundSlackMs,
+               [w](const v2::Frame* f, const std::string&) {
+                 std::string record;
+                 try {
+                   if (f && f->kind == v2::Kind::kOk) {
+                     if (v2::decode_cache_get_response(f->body, f->request_id,
+                                                       &record))
+                       return w->reply.send_cache_record(std::move(record));
+                     w->missed = true;
+                   }
+                 } catch (const v2::V2Error&) {
+                 }
+                 w->next(w);
+               });
+  };
+  walk->next(walk);
 }
 
-std::string Router::forward_by_id(const json::Value& req,
-                                  const std::string& op) {
+std::optional<std::string> Router::forward_by_id(const json::Value& req,
+                                                 const std::string& op,
+                                                 const serve::Reply& reply) {
   const std::uint64_t rid = require_id(req);
   const bool status = op == "status";
   std::string cached;
@@ -1151,27 +1253,32 @@ std::string Router::forward_by_id(const json::Value& req,
   if (op == "extend" && req.find("deadline_ms"))
     ps << ",\"deadline_ms\":" << req.get_uint("deadline_ms", 0);
   ps << "}";
-  json::Value resp;
-  try {
-    resp = backend_request(b, ps.str());
-  } catch (const ServeError& e) {
-    return error_json("unavailable", e.what(), id_member(rid));
-  }
-  if (status && !resp.get_bool("ok", false) &&
-      resp.get_string("error", "") == "not_found") {
-    // Amnesiac backend: kick a reroute and report the honest state.
-    reroute_group(gidx, /*allow_current=*/true);
-    return rerouting;
-  }
-  if (op == "extend" && resp.get_bool("ok", false)) {
-    // The backend requeued the job: drop our stale cached result so the
-    // next result fetch waits for the extension's outcome.
-    const std::lock_guard<std::mutex> lock(state_mu_);
-    const auto it = jobs_.find(rid);
-    if (it != jobs_.end()) it->second.result_json.clear();
-  }
-  rewrite_id(resp, rid);
-  return json::serialize(resp);
+  send_round(
+      reply.loop(), b, v2::Op::kJson, ps.str(), kRoundSlackMs,
+      [this, reply, rid, gidx, op, rerouting](const v2::Frame* f,
+                                              const std::string& error) {
+        json::Value resp = answer_json(f);
+        if (resp.is_null())
+          return reply.send(error_json(
+              "unavailable", f ? "garbled answer" : error, id_member(rid)));
+        const bool ok = resp.get_bool("ok", false);
+        if (op == "status" && !ok &&
+            resp.get_string("error", "") == "not_found") {
+          // Amnesiac backend: kick a reroute and report the honest state.
+          reroute_group(reply.loop(), gidx, /*allow_current=*/true);
+          return reply.send(rerouting);
+        }
+        if (op == "extend" && ok) {
+          // The backend requeued the job: drop our stale cached result so
+          // the next result fetch waits for the extension's outcome.
+          const std::lock_guard<std::mutex> lock(state_mu_);
+          const auto it = jobs_.find(rid);
+          if (it != jobs_.end()) it->second.result_json.clear();
+        }
+        rewrite_id(resp, rid);
+        reply.send(json::serialize(resp));
+      });
+  return std::nullopt;
 }
 
 Router::Counters Router::counters() const {
@@ -1183,87 +1290,93 @@ Router::Counters Router::counters() const {
   return n;
 }
 
-std::string Router::stats_json() {
-  const Counters n = counters();
-  const BreakerCounts trans = health_.totals();
-  const std::vector<std::size_t> outstanding = outstanding_by_backend();
+void Router::stats(net::EventLoop& loop,
+                   std::function<void(const std::string&)> done) {
+  // One kStats round per alive backend, joined by a counter; a backend
+  // that is down or misses its deadline reports "up":false.
+  struct Fanout {
+    std::vector<json::Value> answers;
+    std::vector<std::string> errors;
+    std::size_t waiting = 1;  ///< rounds in flight, plus the sender
+    std::function<void(const std::string&)> done;
+  };
+  auto fan = std::make_shared<Fanout>();
+  fan->answers.resize(opts_.backends.size());
+  fan->errors.resize(opts_.backends.size());
+  fan->done = std::move(done);
+  auto render = [this, fan] {
+    const Counters n = counters();
+    const BreakerCounts trans = health_.totals();
+    const std::vector<std::size_t> outstanding = outstanding_by_backend();
+    std::ostringstream os;
+    os << "{\"router\":{";
+    os << "\"backends\":" << opts_.backends.size();
+    os << ",\"alive\":" << health_.alive_count();
+    os << ",\"mode\":\"" << (opts_.affinity ? "affinity" : "least_queued")
+       << "\"";
+    os << ",\"submits_routed\":" << n.submits_routed;
+    os << ",\"jobs_routed\":" << n.jobs_routed;
+    os << ",\"jobs_rerouted\":" << n.jobs_rerouted;
+    os << ",\"submits_rejected\":" << n.submits_rejected;
+    os << ",\"results_served\":" << n.results_served;
+    os << ",\"ring_moves\":" << n.ring_moves;
+    os << ",\"jobs_tracked\":" << n.jobs_tracked;
+    os << ",\"groups_live\":" << n.groups_live;
+    os << ",\"peer_cache\":{\"lookups\":" << n.peer_lookups
+       << ",\"hits\":" << n.peer_hits
+       << ",\"jobs_served\":" << n.peer_jobs_served
+       << ",\"misses\":" << n.peer_misses << ",\"errors\":" << n.peer_errors
+       << "}";
+    os << ",\"breaker\":{\"opened\":" << trans.opened
+       << ",\"half_opened\":" << trans.half_opened
+       << ",\"closed\":" << trans.closed << "}";
+    os << "}";
 
-  std::ostringstream os;
-  os << "{\"router\":{";
-  os << "\"backends\":" << opts_.backends.size();
-  os << ",\"alive\":" << health_.alive_count();
-  os << ",\"mode\":\"" << (opts_.affinity ? "affinity" : "least_queued")
-     << "\"";
-  os << ",\"submits_routed\":" << n.submits_routed;
-  os << ",\"jobs_routed\":" << n.jobs_routed;
-  os << ",\"jobs_rerouted\":" << n.jobs_rerouted;
-  os << ",\"submits_rejected\":" << n.submits_rejected;
-  os << ",\"results_served\":" << n.results_served;
-  os << ",\"ring_moves\":" << n.ring_moves;
-  os << ",\"jobs_tracked\":" << n.jobs_tracked;
-  os << ",\"groups_live\":" << n.groups_live;
-  os << ",\"peer_cache\":{\"lookups\":" << n.peer_lookups
-     << ",\"hits\":" << n.peer_hits << ",\"jobs_served\":" << n.peer_jobs_served
-     << ",\"misses\":" << n.peer_misses << ",\"errors\":" << n.peer_errors
-     << "}";
-  os << ",\"breaker\":{\"opened\":" << trans.opened
-     << ",\"half_opened\":" << trans.half_opened
-     << ",\"closed\":" << trans.closed << "}";
-  os << "}";
-
-  // Per-backend roll-call with each one's own stats document; the fleet
-  // totals below sum what was reachable (a down backend contributes
-  // nothing — honest, if momentarily lopsided).
-  std::uint64_t fleet_submitted = 0, fleet_rejected = 0, fleet_depth = 0,
-                fleet_in_flight = 0, fleet_cache_hits = 0,
-                fleet_cache_misses = 0, fleet_cycles = 0;
-  os << ",\"backends\":[";
-  for (std::size_t i = 0; i < opts_.backends.size(); ++i) {
-    if (i) os << ",";
-    os << "{\"endpoint\":\"" << json_escape(opts_.backends[i].name()) << "\"";
-    os << ",\"breaker\":\"" << to_string(health_.state(i)) << "\"";
-    os << ",\"outstanding\":" << outstanding[i];
-    if (!health_.alive(i)) {
-      os << ",\"up\":false}";
-      continue;
-    }
-    try {
-      const json::Value resp =
-          backend_request(i, "{\"op\":\"stats\"}", v2::Op::kStats);
+    // Per-backend roll-call with each one's own stats document; the fleet
+    // totals below sum what was reachable (a down backend contributes
+    // nothing — honest, if momentarily lopsided).
+    FleetTotals fleet;
+    os << ",\"backends\":[";
+    for (std::size_t i = 0; i < opts_.backends.size(); ++i) {
+      if (i) os << ",";
+      os << "{\"endpoint\":\"" << json_escape(opts_.backends[i].name())
+         << "\"";
+      os << ",\"breaker\":\"" << to_string(health_.state(i)) << "\"";
+      os << ",\"outstanding\":" << outstanding[i];
+      const json::Value& resp = fan->answers[i];
       const json::Value* stats = resp.find("stats");
-      if (resp.get_bool("ok", false) && stats) {
+      if (resp.get_bool("ok", false) && stats && add_to_fleet(*stats, fleet)) {
         os << ",\"up\":true,\"stats\":" << json::serialize(*stats);
-        fleet_depth += stats->get_uint("queue_depth", 0);
-        fleet_in_flight += stats->get_uint("in_flight", 0);
-        if (const json::Value* c = stats->find("counters")) {
-          fleet_submitted += c->get_uint("submitted", 0);
-          fleet_rejected += c->get_uint("rejected", 0);
-        }
-        if (const json::Value* c = stats->find("cache")) {
-          fleet_cache_hits += c->get_uint("hits", 0);
-          fleet_cache_misses += c->get_uint("misses", 0);
-        }
-        if (const json::Value* a = stats->find("aggregate"))
-          fleet_cycles += a->get_uint("cycles", 0);
       } else {
         os << ",\"up\":false";
+        if (!fan->errors[i].empty())
+          os << ",\"error\":\"" << json_escape(fan->errors[i]) << "\"";
       }
-    } catch (const std::exception& e) {
-      os << ",\"up\":false,\"error\":\"" << json_escape(e.what()) << "\"";
+      os << "}";
     }
-    os << "}";
+    os << "]";
+    os << ",\"fleet\":{";
+    os << "\"submitted\":" << fleet.submitted;
+    os << ",\"rejected\":" << fleet.rejected;
+    os << ",\"queue_depth\":" << fleet.queue_depth;
+    os << ",\"in_flight\":" << fleet.in_flight;
+    os << ",\"cache_hits\":" << fleet.cache_hits;
+    os << ",\"cache_misses\":" << fleet.cache_misses;
+    os << ",\"cycles\":" << fleet.cycles;
+    os << "}}";
+    fan->done(os.str());
+  };
+  for (std::size_t i = 0; i < opts_.backends.size(); ++i) {
+    if (!health_.alive(i)) continue;
+    ++fan->waiting;
+    send_round(loop, i, v2::Op::kStats, "{\"op\":\"stats\"}", kRoundSlackMs,
+               [fan, i, render](const v2::Frame* f, const std::string& error) {
+                 fan->answers[i] = answer_json(f);
+                 fan->errors[i] = f ? std::string() : error;
+                 if (--fan->waiting == 0) render();
+               });
   }
-  os << "]";
-  os << ",\"fleet\":{";
-  os << "\"submitted\":" << fleet_submitted;
-  os << ",\"rejected\":" << fleet_rejected;
-  os << ",\"queue_depth\":" << fleet_depth;
-  os << ",\"in_flight\":" << fleet_in_flight;
-  os << ",\"cache_hits\":" << fleet_cache_hits;
-  os << ",\"cache_misses\":" << fleet_cache_misses;
-  os << ",\"cycles\":" << fleet_cycles;
-  os << "}}";
-  return os.str();
+  if (--fan->waiting == 0) render();
 }
 
 std::string Router::metrics_text() {

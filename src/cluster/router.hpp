@@ -2,9 +2,10 @@
 //
 // The router speaks the masc-served wire protocol on both faces: to
 // clients it *is* a masc-served (the same serve::FrontEnd, so
-// masc-client points at it unchanged); to backends it is a pooled
-// client, plus one pipelined v2 channel per event loop that carries
-// every `result` without holding a thread. Three responsibilities
+// masc-client points at it unchanged); to backends it keeps one
+// pipelined v2 channel per event loop, and every backend op is a round
+// on the channel of the loop that owns the client's connection. No op
+// holds a thread while a backend answers. Three responsibilities
 // (docs/CLUSTER.md):
 //
 //  1. Cache-affinity routing. A submit's jobs are decoded and hashed
@@ -34,8 +35,11 @@
 // was rerouted.
 #pragma once
 
+#include <netinet/in.h>
+
 #include <atomic>
 #include <cstdint>
+#include <functional>
 #include <map>
 #include <memory>
 #include <mutex>
@@ -47,8 +51,6 @@
 #include "cluster/health.hpp"
 #include "cluster/ring.hpp"
 #include "net/event_loop.hpp"
-#include "net/task_pool.hpp"
-#include "serve/client.hpp"
 #include "serve/front_end.hpp"
 #include "serve/protocol.hpp"
 #include "serve/protocol_v2.hpp"
@@ -76,10 +78,8 @@ struct RouterOptions {
   /// Background health-ping period; 0 disables the prober (breakers
   /// then learn only from live traffic — unit-test mode).
   std::uint64_t probe_interval_ms = 200;
-  /// TCP connect budget per backend connection.
+  /// TCP connect budget of the health prober's connections.
   std::uint64_t connect_timeout_ms = 2'000;
-  /// Per-frame I/O budget on backend connections; 0 = none.
-  std::uint64_t io_timeout_ms = 0;
   /// Reap client sessions idle this long, ms; 0 = never.
   std::uint64_t idle_timeout_ms = 0;
   /// When > 1, inject top-level "batch_lanes": N into each submitted
@@ -95,18 +95,19 @@ struct RouterOptions {
   /// router. Strictly an optimization: any miss, timeout, or decode
   /// failure falls back to a normal submission. Affinity mode only.
   bool peer_read_through = true;
-  /// Whole-connection budget (connect and per-frame I/O) for one peer
-  /// cache round. Tight by design: a slow peer must cost less than the
-  /// simulation it might save.
+  /// Budget for one peer cache round. Tight by design: a slow peer must
+  /// cost less than the simulation it might save.
   std::uint64_t peer_timeout_ms = 250;
   /// Event-loop threads multiplexing client sessions (docs/NET.md);
   /// 0 = 1. Each loop also owns one pipelined v2 channel per backend,
-  /// on which every `result` request of its sessions is forwarded.
+  /// on which every backend op of its sessions is forwarded.
   unsigned io_threads = 2;
 };
 
 class Router {
  public:
+  /// Resolves every backend address once. Throws ServeError for an
+  /// empty fleet or a backend host that does not resolve.
   explicit Router(RouterOptions opts);
   ~Router();  ///< calls stop()
 
@@ -116,17 +117,16 @@ class Router {
   /// Bind, listen, spawn the accept thread and the health prober.
   /// Throws ServeError if the port cannot be bound.
   void start();
-  /// Refuse new connections, answer parked result-waits with
-  /// shutting_down, hang up sessions, join all threads. Backends are
-  /// left running — the router owns no backend lifecycle.
+  /// Refuse new connections, fail every round in flight (parked
+  /// result-waits answer shutting_down), hang up sessions, join all
+  /// threads. Backends are left running — the router owns no backend
+  /// lifecycle.
   void stop();
 
   std::uint16_t port() const { return front_.port(); }
 
   bool shutdown_requested() const { return front_.shutdown_requested(); }
 
-  /// The same JSON served to {"op":"stats"} (for embedding/tests).
-  std::string stats_json();
   /// Prometheus text exposition of the router counters.
   std::string metrics_text();
 
@@ -154,6 +154,9 @@ class Router {
     std::size_t backend = npos;   ///< current owner (index into backends)
     std::vector<std::uint64_t> backend_ids;  ///< parallel to router_ids
     std::size_t unreleased = 0;   ///< jobs not yet fetched-and-released
+    /// A placement is in flight (backend is npos meanwhile): nobody else
+    /// may place the group until it lands or gives up.
+    bool placing = false;
   };
 
   struct JobEntry {
@@ -183,7 +186,6 @@ class Router {
     std::uint64_t deadline_ms = 0; ///< on net::EventLoop::now_ms()'s clock
     unsigned attempts = 0;
     std::size_t group = 0;         ///< the job's group, as last read
-    net::TimerId timer = 0;        ///< round or retry timer
     /// Set when the router already holds the body: the round in flight
     /// is a best-effort backend release, and any outcome answers this.
     std::string cached;
@@ -197,63 +199,101 @@ class Router {
   };
   using CallPtr = std::shared_ptr<ResultCall>;
 
+  struct SubmitCall;
+  struct PlaceCall;
+  using SubmitPtr = std::shared_ptr<SubmitCall>;
+  using PlacePtr = std::shared_ptr<PlaceCall>;
+
+  /// A round's outcome, on the channel's loop: the backend's answer
+  /// frame, or nullptr and why the round failed (breaker refusal, lost
+  /// connection, deadline).
+  using RoundDone =
+      std::function<void(const serve::v2::Frame* answer,
+                         const std::string& error)>;
+  /// Peer read-through's outcome: one result body per job, or nullopt
+  /// on any miss or failure.
+  using PeerDone =
+      std::function<void(std::optional<std::vector<std::string>> bodies,
+                         std::vector<std::uint64_t> rids)>;
+
+  struct Round {
+    RoundDone done;
+    net::TimerId timer = 0;
+    /// Peer read-through: never feeds the breaker, and its deadline
+    /// abandons the round instead of resetting the shared channel.
+    bool peer = false;
+  };
+
   /// One pipelined protocol-v2 connection from a router loop to a
-  /// backend. Rounds are matched to their calls by v2 request id.
+  /// backend. Rounds are matched to their answers by v2 request id.
   struct Channel {
     std::uint64_t conn = 0;  ///< 0 = none open
     std::uint32_t next_tag = 1;
-    std::unordered_map<std::uint32_t, CallPtr> calls;
+    std::unordered_map<std::uint32_t, Round> rounds;
   };
 
   /// The op table, on the loop thread (serve::FrontEnd::Handler).
   std::optional<std::string> handle_request(serve::Request&& req,
                                             const serve::Reply& reply);
 
-  /// Pool thread. The response, or nullopt when the reply parked behind
-  /// an in-flight submit with the same key.
-  std::optional<std::string> handle_submit(const json::Value& req,
-                                           const serve::Reply& reply);
-  /// Everything after the key reservation: place the group and return
-  /// the client's response; `ids` gets the router ids on success.
-  std::string forward_submit(const json::Value& req,
-                             const std::string& client_key,
-                             std::vector<std::uint64_t>& ids);
-  /// Answers hits and misses itself (nullopt); returns errors.
-  std::optional<std::string> handle_cache_get(const Hash128& key,
-                                              const serve::Reply& reply);
-  /// status, cancel or extend, forwarded to the job's backend by its
-  /// backend id (status answers from the router's copy when it has one).
-  std::string forward_by_id(const json::Value& req, const std::string& op);
-
-  // The result path: loop thread only, never blocks.
-  /// Re-read the job's mapping and answer, or forward one round.
-  void result_round(const CallPtr& call);
-  void send_round(const CallPtr& call, std::size_t b,
-                  const std::string& payload, std::uint64_t wait_ms);
+  // --- rounds: loop thread only, never block --------------------------
+  /// Send one v2 request to backend `b` on `loop`'s channel; `done`
+  /// runs once, on the loop. A non-peer round is gated by admit() and
+  /// observed by the breaker; if no answer comes within `deadline_ms`
+  /// the channel is reset.
+  void send_round(net::EventLoop& loop, std::size_t b, serve::v2::Op op,
+                  std::string_view body, std::uint64_t deadline_ms,
+                  RoundDone done, bool peer = false);
   void on_channel_frame(net::EventLoop& loop, std::size_t b,
                         std::uint64_t conn_id, const std::string& payload);
+  /// Drop `loop`'s channel to `b`: every round on it fails, and each
+  /// non-peer one counts against the breaker. From the channel's own
+  /// close callback the failures are posted, since a failed round may
+  /// open a new connection and the loop must not do that there.
+  void reset_channel(net::EventLoop& loop, std::size_t b,
+                     const std::string& what, bool from_close = false);
+
+  /// Breaker gate plus the FaultPlan::backend_fail hook: the refusal
+  /// reason, or nullopt when the round may go (it then owes the breaker
+  /// one on_success/on_failure). An injected fault counts as a failure.
+  std::optional<std::string> admit(std::size_t b);
+
+  // --- ops -------------------------------------------------------------
+  /// Key reservation and parking, then forward_submit.
+  void handle_submit(const json::Value& req, const serve::Reply& reply);
+  /// Try the call's next candidate (or peer cache) for its group.
+  void forward_submit(const SubmitPtr& call);
+  /// Answer the submit, and publish its outcome to parked resends.
+  void finish_submit(const SubmitPtr& call, const std::string& resp,
+                     const std::vector<std::uint64_t>& ids);
+  /// Register a placed (or peer-served) group, taking the call's group
+  /// fields; returns its router ids.
+  std::vector<std::uint64_t> add_group(SubmitCall& call,
+                                       std::size_t backend,
+                                       std::vector<std::uint64_t> backend_ids,
+                                       std::vector<std::uint64_t> rids,
+                                       std::vector<std::string> bodies);
+  /// Walks the placement(key) candidates until one cache answers.
+  void handle_cache_get(const Hash128& key, const serve::Reply& reply);
+  /// status, cancel or extend, forwarded to the job's backend by its
+  /// backend id (status answers from the router's copy when it has one).
+  std::optional<std::string> forward_by_id(const json::Value& req,
+                                           const std::string& op,
+                                           const serve::Reply& reply);
+  /// One kStats round per alive backend, joined into the stats document.
+  void stats(net::EventLoop& loop,
+             std::function<void(const std::string&)> done);
+
+  // The result path.
+  /// Re-read the job's mapping and answer, or forward one round.
+  void result_round(const CallPtr& call);
+  void on_result_answer(const CallPtr& call, std::size_t b,
+                        const serve::v2::Frame& f);
   /// The round could not reach its backend: retry or give up.
   void round_failed(const CallPtr& call, const std::string& what);
   /// Run another round after `delay_ms`, re-placing the call's group
   /// first when `reroute`.
   void retry_after(const CallPtr& call, std::uint64_t delay_ms, bool reroute);
-  /// Drop `loop`'s channel to `b`: every round on it fails.
-  void reset_channel(net::EventLoop& loop, std::size_t b,
-                     const std::string& what);
-
-  /// Breaker gate plus the FaultPlan::backend_fail hook, shared by
-  /// backend_request and channel rounds: the refusal reason, or nullopt
-  /// when the request may go (the caller then owes the breaker one
-  /// on_success/on_failure). An injected fault is reported as a failure.
-  std::optional<std::string> admit(std::size_t b);
-
-  /// One request/response round-trip to backend `b` through the pool,
-  /// gated by admit() and observed by the breaker. Throws ServeError
-  /// when the gate refuses or the transport fails (after reporting the
-  /// failure). When `hot` names a protocol-v2 op, the request rides a
-  /// v2 frame (same JSON in, same JSON out).
-  json::Value backend_request(std::size_t b, const std::string& payload,
-                              std::optional<serve::v2::Op> hot = std::nullopt);
 
   /// Candidate backends for (re)placing `key`, best first: ring order
   /// under affinity, ascending outstanding-jobs otherwise; only alive
@@ -261,28 +301,34 @@ class Router {
   std::vector<std::size_t> placement(const Hash128& key,
                                      std::size_t exclude = npos);
 
-  /// Resubmit every unfinished group mapped to `dead` onto survivors.
-  /// Serialized internally; blocks, so it runs on the handler pool.
+  // --- failover: on the loops --------------------------------------------
+  /// Re-place every unfinished group mapped to `dead` (loop 0).
   void fail_over(std::size_t dead);
-  /// Resubmit one group (e.g. its backend forgot it after an
+  /// Re-place one group (e.g. its backend forgot it after an
   /// unjournaled restart). `allow_current` keeps the current backend as
-  /// a candidate. Returns true when the group is replaced somewhere.
-  bool reroute_group(std::size_t group_idx, bool allow_current);
-  /// Shared core of fail_over/reroute_group: push `group` at the first
-  /// candidate that accepts it. Caller must NOT hold state_mu_.
-  bool place_group(std::size_t group_idx, std::size_t exclude);
+  /// a candidate.
+  void reroute_group(net::EventLoop& loop, std::size_t group_idx,
+                     bool allow_current);
+  /// Claim group `group_idx` when it still sits on `from` and nobody is
+  /// placing it, then land it on the first candidate (never `exclude`)
+  /// that accepts it, trying a peer cache first.
+  void place_group(net::EventLoop& loop, std::size_t group_idx,
+                   std::size_t from, std::size_t exclude);
+  void place_next(const PlacePtr& call);
+  /// The placement ended: on `b`, or nowhere (npos).
+  void place_done(const PlacePtr& call, std::size_t b);
 
   /// Tier-3 peer read-through (docs/CACHE.md): fetch every key from
-  /// backend `b`'s result cache over one fresh short-deadline
-  /// connection (the prober pattern — never the pool, never the
-  /// breaker: an optimization must not poison the request path). Only
-  /// when EVERY key was found and decodes: the result bodies for router
-  /// ids `rids` (allocated here when empty), materialized from `jobs`
-  /// as a backend does on its own cache hit. nullopt on any miss or
-  /// failure.
-  std::optional<std::vector<std::string>> peer_results(
-      std::size_t b, const std::vector<Hash128>& keys,
-      const std::vector<SweepJob>& jobs, std::vector<std::uint64_t>& rids);
+  /// backend `b`'s result cache in pipelined kCacheGet rounds bounded
+  /// by peer_timeout_ms. Never the breaker: an optimization must not
+  /// poison the request path. Only when EVERY key was found and
+  /// decodes: the result bodies for router ids `rids` (allocated here
+  /// when empty), materialized from `jobs` as a backend does on its own
+  /// cache hit.
+  void peer_results(net::EventLoop& loop, std::size_t b,
+                    const std::vector<Hash128>& keys,
+                    std::shared_ptr<const std::vector<SweepJob>> jobs,
+                    std::vector<std::uint64_t> rids, PeerDone done);
 
   /// Router-tracked unfinished jobs per backend (for least-queued).
   std::vector<std::size_t> outstanding_by_backend();
@@ -296,20 +342,17 @@ class Router {
 
   /// Best-effort cancel of backend-side jobs the router refuses to
   /// track (e.g. an id-count mismatch), bounding orphaned work.
-  void cancel_backend_ids(std::size_t b,
+  void cancel_backend_ids(net::EventLoop& loop, std::size_t b,
                           const std::vector<std::uint64_t>& ids);
 
   void on_breaker_transition(std::size_t i, BreakerState from,
                              BreakerState to);
 
-  /// Threads running the ops that block on a backend round trip
-  /// (submit, status, cancel, extend, cache_get, stats) and failover.
-  static constexpr std::size_t kHandlerThreads = 8;
-
   RouterOptions opts_;
+  /// Backend addresses, resolved once at construction.
+  std::vector<sockaddr_in> addrs_;
   RendezvousRing ring_;
   HealthMonitor health_;
-  serve::ClientPool pool_;
 
   mutable std::mutex state_mu_;
   std::vector<std::unique_ptr<SubmitGroup>> groups_;
@@ -318,10 +361,6 @@ class Router {
   std::uint64_t next_router_id_ = 1;
   std::uint64_t key_prefix_ = 0;  ///< randomizes generated fleet keys
   std::uint64_t fleet_seq_ = 1;   ///< reserves generated fleet keys
-
-  /// Serializes fail_over/reroute storms. A breaker that opens while a
-  /// group is being placed queues its own fail_over on the pool.
-  std::mutex failover_mu_;
 
   /// Router counters (transitions live in health_).
   struct Counters {
@@ -347,12 +386,11 @@ class Router {
   /// A consistent copy of counters_, with the snapshot-only fields set.
   Counters counters() const;
 
-  net::TaskPool handlers_{kHandlerThreads};
   std::atomic<bool> started_{false};
   std::atomic<bool> stopping_{false};
 
-  /// Sessions on `io_threads` epoll loops. Blocking work never runs on a
-  /// loop — it runs on handlers_.
+  /// Sessions on `io_threads` epoll loops; every op runs on its
+  /// session's loop and never blocks it.
   serve::FrontEnd front_;
   /// Per loop, one channel per backend; each row is touched only by its
   /// own loop (the map itself is fixed at construction).

@@ -123,7 +123,7 @@ bool FaultInjector::on_chunk() {
   return false;
 }
 
-bool FaultInjector::on_backend_request() {
+bool FaultInjector::on_backend_round() {
   const std::lock_guard<std::mutex> lock(mu_);
   const std::uint64_t index = ++backend_counter_;
   // Unlike chunk_kill_at, *every* request from the trigger index on

@@ -107,8 +107,8 @@ class FaultInjector {
   /// Advances the global chunk counter; true when this chunk must die.
   bool on_chunk();
   /// Advances the backend-request counter; true when the router must
-  /// treat this backend request as failed (see FaultPlan::backend_fail).
-  bool on_backend_request();
+  /// treat this backend round as failed (see FaultPlan::backend_fail).
+  bool on_backend_round();
   /// Advances the cache-disk-write counter; true when the cache store
   /// must fail this append (see FaultPlan::cache_disk_fail).
   bool on_cache_disk_write();

@@ -479,11 +479,11 @@ void EventLoop::update_timers(Conn& c) {
   // io timer: forward-progress watchdog while a frame is in flight in
   // either direction. Re-armed only when progress happened since the
   // last arm; firing without progress reaps the conn.
-  if ((mid_frame || writing) && cfg_.io_timeout_ms > 0) {
+  if ((mid_frame || writing) && cfg_.frame_timeout_ms > 0) {
     if (!c.io_timer_) {
       c.io_progress_snapshot_ = c.progress_;
       const std::uint64_t id = c.id_;
-      c.io_timer_ = add_timer(cfg_.io_timeout_ms, [this, id] {
+      c.io_timer_ = add_timer(cfg_.frame_timeout_ms, [this, id] {
         Conn* cc = find(id);
         if (!cc) return;
         cc->io_timer_ = 0;

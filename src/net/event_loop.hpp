@@ -106,7 +106,7 @@ struct LoopConfig {
   std::uint64_t idle_timeout_ms = 0;
   /// Budget for forward progress once a frame started (stalled reader
   /// or writer). 0 = none.
-  std::uint64_t io_timeout_ms = 0;
+  std::uint64_t frame_timeout_ms = 0;
   /// Hard cap on one inbound frame's payload; oversized frames drop the
   /// connection, mirroring serve::read_frame.
   std::size_t max_frame_bytes = 16u << 20;

@@ -64,7 +64,7 @@ Client::Client(Client&& other) noexcept
       host_(std::move(other.host_)),
       port_(other.port_),
       connect_timeout_ms_(other.connect_timeout_ms_),
-      io_timeout_ms_(other.io_timeout_ms_),
+      frame_timeout_ms_(other.frame_timeout_ms_),
       protocol_(other.protocol_),
       negotiated_(other.negotiated_),
       pipelining_(other.pipelining_),
@@ -82,7 +82,7 @@ Client& Client::operator=(Client&& other) noexcept {
     host_ = std::move(other.host_);
     port_ = other.port_;
     connect_timeout_ms_ = other.connect_timeout_ms_;
-    io_timeout_ms_ = other.io_timeout_ms_;
+    frame_timeout_ms_ = other.frame_timeout_ms_;
     protocol_ = other.protocol_;
     negotiated_ = other.negotiated_;
     pipelining_ = other.pipelining_;
@@ -183,17 +183,17 @@ void Client::close() {
 }
 
 bool Client::fill_rbuf() {
-  if (io_timeout_ms_ != 0) {
+  if (frame_timeout_ms_ != 0) {
     pollfd p{};
     p.fd = fd_;
     p.events = POLLIN;
     int rc;
     do {
-      rc = ::poll(&p, 1, static_cast<int>(io_timeout_ms_));
+      rc = ::poll(&p, 1, static_cast<int>(frame_timeout_ms_));
     } while (rc < 0 && errno == EINTR);
     if (rc == 0)
       throw ServeTimeout("recv: timed out after " +
-                         std::to_string(io_timeout_ms_) + " ms");
+                         std::to_string(frame_timeout_ms_) + " ms");
     if (rc < 0) throw ServeError(std::string("poll: ") + std::strerror(errno));
   }
   // The buffer only ever grows: its bytes past rlen_ are scratch space,
@@ -248,7 +248,7 @@ bool Client::read_frame_buffered(std::string& payload) {
 std::string Client::request_raw(const std::string& payload) {
   if (fd_ < 0) throw ServeError("client not connected");
   flush_v2();  // preserve send order behind any batched v2 frames
-  write_frame(fd_, payload, io_timeout_ms_);
+  write_frame(fd_, payload, frame_timeout_ms_);
   std::string response;
   if (!read_frame_buffered(response))
     throw ServeError("server closed the connection");
@@ -280,7 +280,7 @@ void Client::set_pipelining(bool on) {
 
 void Client::flush_v2() {
   if (obuf_.empty()) return;
-  write_buffer(fd_, obuf_, io_timeout_ms_);
+  write_buffer(fd_, obuf_, frame_timeout_ms_);
   obuf_.clear();
 }
 
@@ -292,7 +292,7 @@ std::uint32_t Client::send_v2(v2::Op op, std::string_view body) {
     // Per-frame sends: the plain path, and the only one an installed
     // fault injector sees (drops/truncations stay frame-accurate).
     flush_v2();
-    write_frame(fd_, msg, io_timeout_ms_);
+    write_frame(fd_, msg, frame_timeout_ms_);
   } else {
     append_frame(obuf_, msg);
     constexpr std::size_t kFlushBytes = 256u << 10;
@@ -344,50 +344,6 @@ bool Client::cache_get_v2(const Hash128& key, std::string* record) {
                      err.get_string("error", "unknown"));
   }
   return v2::decode_cache_get_response(r.body, r.request_id, record);
-}
-
-namespace {
-
-std::string endpoint_key(const std::string& host, std::uint16_t port) {
-  return host + ":" + std::to_string(port);
-}
-
-}  // namespace
-
-Client ClientPool::acquire(const std::string& host, std::uint16_t port) {
-  {
-    const std::lock_guard<std::mutex> lock(mu_);
-    const auto it = idle_.find(endpoint_key(host, port));
-    if (it != idle_.end() && !it->second.empty()) {
-      Client c = std::move(it->second.back());
-      it->second.pop_back();
-      return c;
-    }
-  }
-  Client c;
-  c.set_io_timeout_ms(io_timeout_ms_);
-  c.connect(host, port, connect_timeout_ms_);
-  return c;
-}
-
-void ClientPool::release(const std::string& host, std::uint16_t port,
-                         Client client) {
-  if (!client.connected()) return;  // broken: let it close
-  const std::lock_guard<std::mutex> lock(mu_);
-  auto& parked = idle_[endpoint_key(host, port)];
-  if (parked.size() < kMaxIdlePerEndpoint) parked.push_back(std::move(client));
-}
-
-void ClientPool::clear(const std::string& host, std::uint16_t port) {
-  const std::lock_guard<std::mutex> lock(mu_);
-  idle_.erase(endpoint_key(host, port));
-}
-
-std::size_t ClientPool::idle_count() const {
-  const std::lock_guard<std::mutex> lock(mu_);
-  std::size_t n = 0;
-  for (const auto& [ep, parked] : idle_) n += parked.size();
-  return n;
 }
 
 json::Value Client::request_with_retry(const std::string& payload,

@@ -11,8 +11,6 @@
 #pragma once
 
 #include <cstdint>
-#include <map>
-#include <mutex>
 #include <string>
 #include <vector>
 
@@ -41,8 +39,6 @@ struct RetryPolicy {
 std::uint64_t backoff_delay_ms(const RetryPolicy& policy, unsigned attempt,
                                std::uint64_t hint_ms, Rng& rng);
 
-class ClientPool;
-
 class Client {
  public:
   Client() = default;
@@ -63,7 +59,7 @@ class Client {
   void close();
 
   /// Bound each subsequent request's socket reads/writes (0 = none).
-  void set_io_timeout_ms(std::uint64_t ms) { io_timeout_ms_ = ms; }
+  void set_frame_timeout_ms(std::uint64_t ms) { frame_timeout_ms_ = ms; }
 
   /// Send one request payload, return the raw response payload.
   /// Throws ServeError on transport failure (including server close)
@@ -92,8 +88,7 @@ class Client {
   unsigned negotiate(unsigned max_version = 2);
   /// The negotiated version: 1 until negotiate() succeeds with 2.
   unsigned protocol() const { return protocol_; }
-  /// True once negotiate() ran on this connection (either outcome) —
-  /// lets a pool skip re-negotiating a reused connection.
+  /// True once negotiate() ran on this connection (either outcome).
   bool negotiated() const { return negotiated_; }
 
   /// Pipelining primitives: queue one v2 request frame (returns its
@@ -146,7 +141,7 @@ class Client {
   std::string host_;
   std::uint16_t port_ = 0;
   std::uint64_t connect_timeout_ms_ = 0;
-  std::uint64_t io_timeout_ms_ = 0;
+  std::uint64_t frame_timeout_ms_ = 0;
   unsigned protocol_ = 1;          ///< negotiated wire version
   bool negotiated_ = false;        ///< hello already exchanged
   bool pipelining_ = false;        ///< batch send_v2 frames (flush_v2)
@@ -156,78 +151,6 @@ class Client {
   std::size_t rlen_ = 0;           ///< bytes received into rbuf_
   std::size_t rpos_ = 0;           ///< parse cursor into rbuf_
   Rng retry_rng_{0x6d617363'72747279ULL};  // jitter stream; see RetryPolicy
-};
-
-/// Reusable connections to many endpoints. A Client is single-threaded,
-/// but a process that talks to a whole fleet (masc-routerd, fan-out
-/// tests) wants to amortize TCP handshakes across requests and
-/// sessions: acquire() hands out an idle connection to "host:port" —
-/// opening a fresh one only when none is parked — and release() parks
-/// it again for the next caller. Thread-safe; the handed-out Client
-/// itself is used by one thread at a time as usual.
-///
-/// Broken connections are simply not release()d (or are release()d
-/// closed, which drops them), so the pool never resurrects a socket
-/// that already failed mid-request.
-class ClientPool {
- public:
-  /// Budgets applied to every connection the pool opens.
-  explicit ClientPool(std::uint64_t connect_timeout_ms = 0,
-                      std::uint64_t io_timeout_ms = 0)
-      : connect_timeout_ms_(connect_timeout_ms),
-        io_timeout_ms_(io_timeout_ms) {}
-
-  ClientPool(const ClientPool&) = delete;
-  ClientPool& operator=(const ClientPool&) = delete;
-
-  /// An idle pooled connection to the endpoint, or a freshly connected
-  /// one. Throws ServeError/ServeTimeout when a fresh connect fails.
-  Client acquire(const std::string& host, std::uint16_t port);
-
-  /// Park a still-usable connection for reuse. Disconnected clients are
-  /// silently dropped. At most `kMaxIdlePerEndpoint` are kept per
-  /// endpoint; extras are closed.
-  void release(const std::string& host, std::uint16_t port, Client client);
-
-  /// Drop every idle connection (e.g. after an endpoint was observed
-  /// down, so no caller inherits a half-dead socket).
-  void clear(const std::string& host, std::uint16_t port);
-
-  std::size_t idle_count() const;
-
-  static constexpr std::size_t kMaxIdlePerEndpoint = 8;
-
- private:
-  mutable std::mutex mu_;
-  std::map<std::string, std::vector<Client>> idle_;  ///< "host:port" → parked
-  std::uint64_t connect_timeout_ms_;
-  std::uint64_t io_timeout_ms_;
-};
-
-/// RAII lease on a pooled connection: returns the client to the pool on
-/// destruction unless discard()ed (the response path discards leases
-/// whose request threw — the socket state is unknown).
-class PooledClient {
- public:
-  PooledClient(ClientPool& pool, const std::string& host, std::uint16_t port)
-      : pool_(&pool), host_(host), port_(port),
-        client_(pool.acquire(host, port)) {}
-  ~PooledClient() {
-    if (pool_ && !discarded_) pool_->release(host_, port_, std::move(client_));
-  }
-  PooledClient(const PooledClient&) = delete;
-  PooledClient& operator=(const PooledClient&) = delete;
-
-  Client& operator*() { return client_; }
-  Client* operator->() { return &client_; }
-  void discard() { discarded_ = true; }
-
- private:
-  ClientPool* pool_;
-  std::string host_;
-  std::uint16_t port_;
-  Client client_;
-  bool discarded_ = false;
 };
 
 }  // namespace masc::serve

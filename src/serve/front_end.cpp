@@ -93,8 +93,8 @@ void Reply::send(std::string response) const {
 
 void Reply::send_cache_record(std::optional<std::string> record) const {
   // The fully binary op on v2 (docs/NET.md "cache_get"); JSON with a
-  // base64 payload on v1.
-  if (v2_)
+  // base64 payload on v1 and in a v2 json-op envelope.
+  if (v2_ && op_ == v2::Op::kCacheGet)
     return deliver(record ? v2::encode_cache_get_hit(v2_id_, *record)
                           : v2::encode_cache_get_miss(v2_id_));
   send(record ? "{\"ok\":true,\"type\":\"cache_get\",\"found\":true,"
@@ -130,7 +130,7 @@ FrontEnd::FrontEnd(std::uint16_t port, unsigned io_threads,
     : port_(port), handler_(std::move(handler)), on_close_(std::move(on_close)) {
   net::LoopConfig cfg;
   cfg.idle_timeout_ms = idle_timeout_ms;
-  cfg.io_timeout_ms = io_timeout_ms;
+  cfg.frame_timeout_ms = io_timeout_ms;
   cfg.max_frame_bytes = kMaxFrameBytes;
   cfg.on_frame = [this](net::Conn& c, std::string&& payload) {
     on_frame(c, std::move(payload));
@@ -219,6 +219,7 @@ void FrontEnd::on_frame(net::Conn& c, std::string&& payload) {
         case v2::Op::kSubmit: req.op = "submit"; break;
         case v2::Op::kResult: req.op = "result"; break;
         case v2::Op::kStats: req.op = "stats"; break;
+        case v2::Op::kJson: break;  // the body's "op" names it
         case v2::Op::kCacheGet:
           req.op = "cache_get";
           req.key = v2::decode_cache_get_key(f.body, f.request_id);

@@ -55,7 +55,8 @@ class Reply {
   /// posted to that loop.
   void send(std::string response) const;
   /// Answer a cache_get: the encoded cache record, or nullopt for a
-  /// miss. v2 gets the binary body, v1 the JSON+base64 form.
+  /// miss. The binary v2 op gets the binary body, anything else the
+  /// JSON+base64 form.
   void send_cache_record(std::optional<std::string> record) const;
   /// Drop the connection (a transport-level failure mid-request).
   void close() const;

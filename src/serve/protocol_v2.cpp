@@ -63,7 +63,7 @@ Frame decode(std::string_view payload) {
   // Error frames echo the offending request's op byte verbatim — which
   // may be exactly what was wrong with it — so only validate the op
   // range on request/ok frames.
-  if ((p[2] < 1 || p[2] > 4) && p[3] != static_cast<unsigned char>(Kind::kError))
+  if ((p[2] < 1 || p[2] > 5) && p[3] != static_cast<unsigned char>(Kind::kError))
     throw V2Error("unknown_op", "unknown v2 op " + std::to_string(p[2]),
                   /*is_fatal=*/false, id);
   Frame f;

@@ -10,7 +10,8 @@
 //   0       1     magic 0xB2 (never a JSON start byte; '{' = 0x7B
 //                 means the payload is a v1 JSON message)
 //   1       1     version (2)
-//   2       1     op: 1 submit, 2 result, 3 stats, 4 cache_get
+//   2       1     op: 1 submit, 2 result, 3 stats, 4 cache_get,
+//                 5 json (any other op, named by its JSON "op")
 //   3       1     kind: 0 request, 1 ok-response, 2 error-response
 //   4       4     request id, little-endian (echoed in the response;
 //                 responses to pipelined requests may arrive out of
@@ -18,8 +19,8 @@
 //   8       ...   body (op-specific, see below)
 //
 // Bodies are raw blobs, never base64:
-//   submit/result/stats request  — the v1 JSON request object, verbatim
-//   submit/result/stats ok       — the v1 JSON response, verbatim
+//   submit/result/stats/json req — the v1 JSON request object, verbatim
+//   submit/result/stats/json ok  — the v1 JSON response, verbatim
 //                                  (bit-identical to what the same
 //                                  request would get over v1)
 //   any error-response           — the v1 error JSON, verbatim
@@ -55,6 +56,9 @@ enum class Op : std::uint8_t {
   kResult = 2,
   kStats = 3,
   kCacheGet = 4,
+  /// Any v1 JSON request (status, cancel, extend...), dispatched by its
+  /// "op" member and answered exactly as over v1.
+  kJson = 5,
 };
 
 enum class Kind : std::uint8_t {

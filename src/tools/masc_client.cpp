@@ -169,7 +169,7 @@ int main(int argc, char** argv) {
 
   try {
     serve::Client client;
-    client.set_io_timeout_ms(io_timeout_ms);
+    client.set_frame_timeout_ms(io_timeout_ms);
     try {
       client.connect(host, port, connect_timeout_ms);
     } catch (const serve::ServeError&) {

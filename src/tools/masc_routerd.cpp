@@ -25,14 +25,16 @@
 //                          (default 500)
 //     --probe-ms N         background health-ping period; 0 = disabled
 //                          (default 200)
-//     --connect-timeout-ms N  backend TCP connect budget    (default 2000)
-//     --io-timeout-ms N    per-frame budget on backend connections; 0 = none
+//     --connect-timeout-ms N  health-probe TCP connect budget (default 2000)
+//     --io-timeout-ms N    ignored: every backend round has a fixed deadline
 //     --idle-timeout-ms N  reap client sessions idle this long; 0 = never
 //     --fault SPEC         deterministic fault injector, e.g.
 //                          "seed=7,backend_fail=0.2,max_faults=3" (testing)
 //
 // Clients speak the masc-served protocol to the router unchanged
-// (masc-client just points at it). Prints "masc-routerd listening on
+// (masc-client just points at it). Every backend op is a round on a
+// pipelined v2 channel of the client's event loop, so no client's
+// request waits on another's backend. Prints "masc-routerd listening on
 // 127.0.0.1:PORT" once ready; runs until {"op":"shutdown"} or
 // SIGINT/SIGTERM. Topology, hashing, and breaker policy: docs/CLUSTER.md.
 #include <csignal>
@@ -59,8 +61,8 @@ int usage() {
                "  [--io-threads N]\n"
                "  [--no-peer-cache] [--peer-timeout-ms N] "
                "[--fail-threshold N] [--cooldown-ms N] [--probe-ms N]\n"
-               "  [--connect-timeout-ms N] [--io-timeout-ms N] "
-               "[--idle-timeout-ms N]\n  [--fault SPEC]\n");
+               "  [--connect-timeout-ms N] [--idle-timeout-ms N] "
+               "[--fault SPEC]\n");
   return 2;
 }
 
@@ -110,8 +112,11 @@ int main(int argc, char** argv) {
         opts.probe_interval_ms = std::strtoull(next(), nullptr, 0);
       else if (arg == "--connect-timeout-ms")
         opts.connect_timeout_ms = std::strtoull(next(), nullptr, 0);
-      else if (arg == "--io-timeout-ms")
-        opts.io_timeout_ms = std::strtoull(next(), nullptr, 0);
+      else if (arg == "--io-timeout-ms") {
+        next();
+        std::fprintf(stderr, "masc-routerd: --io-timeout-ms is ignored; every "
+                             "backend round has a fixed deadline\n");
+      }
       else if (arg == "--idle-timeout-ms")
         opts.idle_timeout_ms = std::strtoull(next(), nullptr, 0);
       else if (arg == "--io-threads")

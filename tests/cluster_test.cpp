@@ -7,9 +7,10 @@
 // keyed-submit idempotency, diversion around a saturated owner, honest
 // fleet-wide backpressure, fault-injected breaker trips with
 // exactly-once failover, transport-failure failover when a backend
-// stops, the Prometheus rendering of the router counters, and parked
+// stops, the Prometheus rendering of the router counters, parked
 // result-waits and keyed resends that hold no thread (a client that
-// waits never stalls another).
+// waits never stalls another), a hung backend that stalls no other
+// client, and backends named by host.
 #include <arpa/inet.h>
 #include <gtest/gtest.h>
 #include <netinet/in.h>
@@ -20,6 +21,7 @@
 #include <cstdint>
 #include <map>
 #include <memory>
+#include <optional>
 #include <string>
 #include <string_view>
 #include <thread>
@@ -1141,10 +1143,10 @@ class V1Conn {
   V1Conn& operator=(const V1Conn&) = delete;
 
   void send(const std::string& payload) { serve::write_frame(fd_, payload); }
-  /// Next response; throws ServeError on hang-up or after 60 s.
-  std::string recv() {
+  /// Next response; throws ServeError on hang-up or after `timeout_ms`.
+  std::string recv(std::uint64_t timeout_ms = 60'000) {
     std::string payload;
-    if (!serve::read_frame(fd_, payload, 60'000, 60'000))
+    if (!serve::read_frame(fd_, payload, timeout_ms, timeout_ms))
       throw ServeError("router hung up");
     return payload;
   }
@@ -1160,17 +1162,24 @@ std::string wait_request(std::uint64_t id, std::uint64_t timeout_ms) {
 
 /// The backend the router's affinity ring places this submit on,
 /// derived exactly as the router derives it.
-std::size_t route_owner(const Fleet& fleet,
+std::size_t route_owner(const std::vector<BackendSpec>& backends,
                         const std::vector<std::string>& jobs) {
   std::vector<std::string> names;
-  for (const auto& s : fleet.servers)
-    names.push_back(BackendSpec{"127.0.0.1", s->port()}.name());
+  for (const BackendSpec& b : backends) names.push_back(b.name());
   Fnv128 route;
   for (const std::string& job : jobs) {
     const Hash128 k = sweep_cache_key(serve::job_from_json(parse_json(job)));
     route.u64(k.hi).u64(k.lo);
   }
   return RendezvousRing(names).ranked(route.digest())[0];
+}
+
+std::size_t route_owner(const Fleet& fleet,
+                        const std::vector<std::string>& jobs) {
+  std::vector<BackendSpec> backends;
+  for (const auto& s : fleet.servers)
+    backends.push_back(BackendSpec{"127.0.0.1", s->port()});
+  return route_owner(backends, jobs);
 }
 
 TEST(RouterParkedWaitTest, ThirtyTwoParkedWaitsLeavePingFast) {
@@ -1364,6 +1373,175 @@ TEST(RouterIdempotencyTest, ConcurrentResendsParkBehindTheFirstAttempt) {
   EXPECT_EQ(server_submitted(backend), 1u);
   router.stop();
   backend.stop();
+}
+
+
+// --- a hung backend stalls no other client -----------------------------
+
+/// A bare listening socket on an ephemeral port: connections complete in
+/// the kernel's backlog, and nothing ever reads or answers them.
+class HungBackend {
+ public:
+  HungBackend() {
+    fd_ = ::socket(AF_INET, SOCK_STREAM, 0);
+    sockaddr_in addr{};
+    addr.sin_family = AF_INET;
+    addr.sin_addr.s_addr = htonl(INADDR_LOOPBACK);
+    EXPECT_EQ(
+        ::bind(fd_, reinterpret_cast<const sockaddr*>(&addr), sizeof addr), 0);
+    EXPECT_EQ(::listen(fd_, 64), 0);
+    socklen_t len = sizeof addr;
+    ::getsockname(fd_, reinterpret_cast<sockaddr*>(&addr), &len);
+    port_ = ntohs(addr.sin_port);
+  }
+  ~HungBackend() { ::close(fd_); }
+  HungBackend(const HungBackend&) = delete;
+  HungBackend& operator=(const HungBackend&) = delete;
+
+  std::uint16_t port() const { return port_; }
+
+ private:
+  int fd_ = -1;
+  std::uint16_t port_ = 0;
+};
+
+/// The next response on `conn` within `timeout_ms`, or nullopt.
+std::optional<std::string> recv_within(V1Conn& conn, std::uint64_t timeout_ms) {
+  try {
+    return conn.recv(timeout_ms);
+  } catch (const ServeError&) {
+    return std::nullopt;
+  }
+}
+
+TEST(RouterHungBackendTest, AHungBackendStallsNoOtherClient) {
+  // Backend 0 accepts connections and never reads them; backend 1 is a
+  // real masc-served. Every backend op is a round with a deadline on a
+  // loop's channel, so 64 submits stuck on backend 0 hold no thread:
+  // pings, backend 1's submits and stats answer meanwhile, and the stuck
+  // submits move to backend 1 once their rounds time out.
+  ServerOptions sopts;
+  sopts.workers = 2;
+  sopts.port = 0;
+  Server backend(sopts);
+  backend.start();
+  // Declared before the hung listener, so the listener closes first even
+  // when an assertion ends the test early: a router that parks threads
+  // on the hung backend could not stop while they wait.
+  std::unique_ptr<Router> router;
+  HungBackend hung;
+  RouterOptions ropts = test_router_options();
+  ropts.backends = {BackendSpec{"127.0.0.1", hung.port()},
+                    BackendSpec{"127.0.0.1", backend.port()}};
+  router = std::make_unique<Router>(ropts);
+  router->start();
+
+  constexpr std::size_t kStuck = 64;
+  std::vector<unsigned> stuck;  // loop bounds of the jobs backend 0 owns
+  std::string healthy_job;
+  unsigned healthy_n = 0;
+  for (unsigned n = 2000; n < 4000; ++n) {
+    const std::string job = job_json(counting_kernel(n), "h");
+    if (route_owner(ropts.backends, {job}) == 0) {
+      if (stuck.size() < kStuck) stuck.push_back(n);
+    } else if (healthy_job.empty()) {
+      healthy_job = job;
+      healthy_n = n;
+    }
+    if (stuck.size() == kStuck && !healthy_job.empty()) break;
+  }
+  ASSERT_EQ(stuck.size(), kStuck);
+  ASSERT_FALSE(healthy_job.empty());
+
+  V1Conn flood(router->port());
+  for (const unsigned n : stuck)
+    flood.send("{\"op\":\"submit\",\"jobs\":[" +
+               job_json(counting_kernel(n), "h") + "]}");
+  std::this_thread::sleep_for(100ms);  // every submit is stuck on backend 0
+
+  V1Conn probe(router->port());
+  auto t0 = std::chrono::steady_clock::now();
+  probe.send("{\"op\":\"ping\"}");
+  const std::optional<std::string> pong = recv_within(probe, 5'000);
+  ASSERT_TRUE(pong) << "ping was never answered";
+  EXPECT_LT(std::chrono::steady_clock::now() - t0, 50ms);
+
+  t0 = std::chrono::steady_clock::now();
+  probe.send("{\"op\":\"submit\",\"jobs\":[" + healthy_job + "]}");
+  const std::optional<std::string> hsub = recv_within(probe, 5'000);
+  ASSERT_TRUE(hsub) << "the submit owned by backend 1 was never answered";
+  const json::Value hsub_v = parse_json(*hsub);
+  ASSERT_TRUE(hsub_v.get_bool("ok", false)) << *hsub;
+  probe.send(wait_request(ids_of(hsub_v)[0], 5'000));
+  const std::optional<std::string> hres = recv_within(probe, 5'000);
+  ASSERT_TRUE(hres) << "the result owned by backend 1 was never answered";
+  EXPECT_LT(std::chrono::steady_clock::now() - t0, 1s);
+  EXPECT_EQ(result_stats(*hres), serial_stats_json(counting_kernel(healthy_n)));
+
+  // Stats waits at most one round deadline (2 s) for backend 0.
+  t0 = std::chrono::steady_clock::now();
+  probe.send("{\"op\":\"stats\"}");
+  const std::optional<std::string> stats = recv_within(probe, 10'000);
+  ASSERT_TRUE(stats) << "stats was never answered";
+  EXPECT_LT(std::chrono::steady_clock::now() - t0, 3s);
+  const json::Value stats_v = parse_json(*stats);
+  const json::Value& b0 =
+      stats_v.find("stats")->find("backends")->as_array()[0];
+  EXPECT_FALSE(b0.get_bool("up", true)) << *stats;
+
+  // Every stuck submit ends ok on backend 1, its result bit-identical.
+  std::vector<std::uint64_t> ids;
+  for (std::size_t i = 0; i < kStuck; ++i) {
+    const std::optional<std::string> sub = recv_within(flood, 10'000);
+    ASSERT_TRUE(sub) << "stuck submit " << i << " was never answered";
+    const json::Value sub_v = parse_json(*sub);
+    ASSERT_TRUE(sub_v.get_bool("ok", false)) << "stuck submit " << i << ": "
+                                             << *sub;
+    ids.push_back(ids_of(sub_v)[0]);
+  }
+  for (const std::uint64_t id : ids) flood.send(wait_request(id, 10'000));
+  for (std::size_t i = 0; i < kStuck; ++i) {
+    const std::optional<std::string> res = recv_within(flood, 15'000);
+    ASSERT_TRUE(res) << "stuck result " << i << " was never answered";
+    EXPECT_EQ(result_stats(*res), serial_stats_json(counting_kernel(stuck[i])))
+        << "stuck job " << i;
+  }
+  EXPECT_EQ(server_submitted(backend), kStuck + 1);
+}
+
+// --- backends named by host ----------------------------------------------
+
+TEST(RouterResolveTest, BackendsNamedByHostSubmitAndFetch) {
+  // Names are resolved once, when the router is built; every channel
+  // connect after that uses the stored address.
+  ServerOptions sopts;
+  sopts.workers = 1;
+  sopts.port = 0;
+  Server backend(sopts);
+  backend.start();
+  RouterOptions ropts = test_router_options();
+  ropts.backends = {
+      BackendSpec::parse("localhost:" + std::to_string(backend.port()))};
+  Router router(ropts);
+  router.start();
+  Client c;
+  c.connect("127.0.0.1", router.port(), 5000);
+  const json::Value sub = c.request("{\"op\":\"submit\",\"jobs\":[" +
+                                    job_json(counting_kernel(100), "named") +
+                                    "]}");
+  ASSERT_TRUE(sub.get_bool("ok", false)) << json::serialize(sub);
+  EXPECT_EQ(result_stats(await_result_raw(c, ids_of(sub)[0])),
+            serial_stats_json(counting_kernel(100)));
+  router.stop();
+  backend.stop();
+}
+
+TEST(RouterResolveTest, AnUnresolvableBackendFailsConstruction) {
+  // A 64-character label is not a valid DNS name, so the lookup fails
+  // without leaving the host.
+  RouterOptions ropts = test_router_options();
+  ropts.backends = {BackendSpec{std::string(64, 'x') + ".invalid", 7734}};
+  EXPECT_THROW(Router router(ropts), ServeError);
 }
 
 }  // namespace

@@ -19,17 +19,26 @@
 //    an L1 hit, an L2 hit after the cache directory is reopened, a
 //    journal replay of recorded results, and a journal resume of queued
 //    jobs after a drain. The cached-run codec round-trips random Stats.
+// 4. The same programs sent through an in-process masc-routerd in front
+//    of two backends, over v1 and over v2, must come back byte-equal to
+//    the same records on every routed path: from the ring owner, from
+//    the owner's cache by peer read-through on a diverted submit, and
+//    from the survivor after a failover re-placement.
 // These suites also run as the asan_/tsan_/ubsan_differential gates.
 #include <gtest/gtest.h>
 #include <unistd.h>
 
 #include <filesystem>
+#include <memory>
+#include <optional>
 #include <sstream>
 #include <vector>
 
+#include "cluster/router.hpp"
 #include "common/bits.hpp"
 #include "common/json.hpp"
 #include "common/random.hpp"
+#include "fault/fault.hpp"
 #include "serve/client.hpp"
 #include "serve/protocol.hpp"
 #include "serve/server.hpp"
@@ -666,6 +675,126 @@ TEST(DifferentialServe, EveryServingStateMatchesTheSerialRecord) {
     server.stop();
   }
   std::filesystem::remove_all(base);
+}
+
+// --- routed results ---------------------------------------------------
+
+/// `record` with its leading "index" (the id that served it) set to 0.
+/// A routed result carries the answering backend's job id when the
+/// router splices the backend's bytes, and the router id when the
+/// router materialized it from a peer's cache.
+std::string zero_index(std::string record) {
+  const std::string field = "{\"index\":";
+  if (record.rfind(field, 0) != 0) return record;
+  record.replace(field.size(), record.find(',') - field.size(), "0");
+  return record;
+}
+
+/// A submit or result request and its JSON response, over v1 or v2.
+std::string routed_request(serve::Client& c, bool v2, serve::v2::Op op,
+                           const std::string& req) {
+  return v2 ? c.request_v2_raw(op, req) : c.request_raw(req);
+}
+
+std::vector<std::uint64_t> routed_submit(serve::Client& c, bool v2,
+                                         const std::vector<std::string>& wire) {
+  std::string req = "{\"op\":\"submit\",\"jobs\":[";
+  for (std::size_t i = 0; i < wire.size(); ++i) req += (i ? "," : "") + wire[i];
+  const json::Value resp =
+      parse_json(routed_request(c, v2, serve::v2::Op::kSubmit, req + "]}"));
+  EXPECT_TRUE(resp.get_bool("ok", false)) << json::serialize(resp);
+  std::vector<std::uint64_t> ids;
+  if (const json::Value* arr = resp.find("ids"))
+    for (const json::Value& id : arr->as_array()) ids.push_back(id.as_uint());
+  return ids;
+}
+
+/// Every routed result body of `ids` must equal its serial record.
+void expect_routed_records(serve::Client& c, bool v2,
+                           const std::vector<std::uint64_t>& ids,
+                           const SerialRecords& want,
+                           const std::string& state) {
+  ASSERT_EQ(ids.size(), want.runs.size()) << state;
+  for (std::size_t k = 0; k < ids.size(); ++k) {
+    const std::string raw = routed_request(
+        c, v2, serve::v2::Op::kResult,
+        "{\"op\":\"result\",\"id\":" + std::to_string(ids[k]) +
+            ",\"wait\":true,\"timeout_ms\":20000}");
+    const std::string body(json::member_text(raw, "result"));
+    ASSERT_FALSE(body.empty()) << state << " job " << k << ": " << raw;
+    EXPECT_EQ(zero_index(zero_host_seconds(body)), want.record(k, 0))
+        << state << " job " << k;
+  }
+}
+
+std::uint64_t served_jobs(const serve::Server& s) {
+  return parse_json(s.stats_json()).find("counters")->get_uint("submitted", 0);
+}
+
+TEST(DifferentialRouter, EveryRoutedPathMatchesTheSerialRecord) {
+  Rng rng(31415);
+  std::vector<std::string> wire;
+  for (int n = 0; n < 6; ++n) wire.push_back(wire_job(rng, n));
+  const SerialRecords want(wire);
+  for (const SweepResult& r : want.runs)
+    ASSERT_EQ(r.status, SweepStatus::kFinished) << r.error;
+
+  for (const bool v2 : {false, true}) {
+    const std::string proto = v2 ? "v2 " : "v1 ";
+    // Two cache-enabled backends behind a router.
+    std::optional<fault::ScopedInjector> injector;
+    serve::ServerOptions sopts = served_options("");
+    sopts.cache_bytes = 16u << 20;
+    std::vector<std::unique_ptr<serve::Server>> servers;
+    cluster::RouterOptions ropts;
+    ropts.probe_interval_ms = 0;
+    ropts.breaker.open_cooldown_ms = 60'000;  // a dead owner stays dead
+    for (int i = 0; i < 2; ++i) {
+      servers.push_back(std::make_unique<serve::Server>(sopts));
+      servers.back()->start();
+      ropts.backends.push_back(
+          cluster::BackendSpec{"127.0.0.1", servers.back()->port()});
+    }
+    cluster::Router router(ropts);
+    router.start();
+    serve::Client c;
+    c.connect("127.0.0.1", router.port());
+    if (v2) ASSERT_EQ(c.negotiate(), 2u);
+
+    // The ring owner runs the group; the router splices its bytes.
+    expect_routed_records(c, v2, routed_submit(c, v2, wire), want,
+                          proto + "ring owner");
+    const std::size_t owner = served_jobs(*servers[0]) > 0 ? 0 : 1;
+    ASSERT_EQ(served_jobs(*servers[owner]), wire.size());
+
+    // One failed round to the owner diverts the repeat, which the router
+    // serves itself from the owner's cache. The injector lives until the
+    // servers are stopped: a backend thread may still hold the global
+    // pointer after the round it faulted.
+    fault::FaultPlan plan;
+    plan.backend_fail_at = 1;
+    plan.max_faults = 1;
+    injector.emplace(plan);
+    const std::vector<std::uint64_t> diverted = routed_submit(c, v2, wire);
+    const json::Value stats = parse_json(routed_request(
+        c, v2, serve::v2::Op::kStats, "{\"op\":\"stats\"}"));
+    EXPECT_EQ(stats.find("stats")->find("router")->find("peer_cache")
+                  ->get_uint("hits", 0),
+              1u)
+        << proto;
+    expect_routed_records(c, v2, diverted, want, proto + "peer read-through");
+
+    // The owner dies with a fresh group on it: failover re-places the
+    // group on the survivor, which simulates it.
+    const std::vector<std::uint64_t> moved = routed_submit(c, v2, wire);
+    ASSERT_EQ(served_jobs(*servers[owner]), 2 * wire.size());
+    servers[owner]->stop();
+    expect_routed_records(c, v2, moved, want, proto + "failover");
+    EXPECT_EQ(served_jobs(*servers[1 - owner]), wire.size()) << proto;
+
+    router.stop();
+    for (auto& s : servers) s->stop();
+  }
 }
 
 /// A random Stats with every field set, thread rows included.

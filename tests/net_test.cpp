@@ -18,7 +18,6 @@
 #include <vector>
 
 #include "net/event_loop.hpp"
-#include "net/task_pool.hpp"
 #include "net/timer_wheel.hpp"
 #include "serve/framing.hpp"
 
@@ -248,7 +247,7 @@ TEST(EventLoopTest, IdleTimeoutReapsSilentConnsOnly) {
 
 TEST(EventLoopTest, IoTimeoutReapsAConnStalledMidFrame) {
   LoopConfig cfg = echo_config();
-  cfg.io_timeout_ms = 120;
+  cfg.frame_timeout_ms = 120;
   LoopFixture fx(cfg);
   const int fd = fx.adopt_pair();
   // A frame that starts but never finishes: header promising 100 bytes,
@@ -358,19 +357,6 @@ TEST(LoopGroupTest, RoundRobinSpreadsConnsAcrossLoops) {
   group.stop();
   group.stop();  // idempotent
   for (int fd : fds) ::close(fd);
-}
-
-// --- task pool --------------------------------------------------------
-
-TEST(TaskPoolTest, RunsSubmittedTasksAndDrainsOnStop) {
-  net::TaskPool pool(3);
-  pool.start();
-  std::atomic<int> ran{0};
-  for (int i = 0; i < 50; ++i) pool.submit([&] { ran.fetch_add(1); });
-  pool.stop();  // drains the queue before joining
-  EXPECT_EQ(ran.load(), 50);
-  pool.submit([&] { ran.fetch_add(1); });  // after stop: dropped
-  EXPECT_EQ(ran.load(), 50);
 }
 
 }  // namespace

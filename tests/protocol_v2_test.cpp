@@ -2,7 +2,8 @@
 // hello negotiation, the headline bit-identity contract (a v2 response
 // body is byte-for-byte the v1 response to the same request), binary
 // cache_get against the JSON+base64 op, pipelining with out-of-order
-// completion matched by request id, a hostile-frame fuzz corpus
+// completion matched by request id, the json op (5) answering as v1
+// does, a hostile-frame fuzz corpus
 // (truncated headers, bad version/op/kind bytes, oversized payloads,
 // interleaved v1/v2), a pipelined multi-client stress run checked
 // against serial ground truth, and the router speaking v2 on both
@@ -383,6 +384,83 @@ TEST(ProtocolV2, BinaryCacheGetMatchesTheJsonOp) {
   // Unknown key: an honest miss on both protocols.
   std::string none;
   EXPECT_FALSE(c.cache_get_v2(Hash128{0, 0}, &none));
+  server.stop();
+}
+
+TEST(ProtocolV2, JsonOpAnswersExactlyAsTheSameV1Request) {
+  // Op 5 carries any v1 JSON request, dispatched by its "op" member (the
+  // router forwards status, cancel and extend on it). Every answer is
+  // the v1 answer's bytes, in an envelope of the matching kind.
+  ServerOptions opts = test_options();
+  opts.cache_bytes = 16u << 20;
+  Server server(opts);
+  server.start();
+  Client c;
+  c.connect("127.0.0.1", server.port());
+
+  JobSpec done;
+  done.source = reduction_kernel(3);
+  done.label = "done";
+  JobSpec spin;
+  spin.source = "loop: j loop\n";
+  spin.label = "spin";
+  const json::Value sub =
+      c.request(submit_request({job_json(done), job_json(spin)}));
+  ASSERT_TRUE(sub.get_bool("ok", false));
+  const std::uint64_t done_id = sub.find("ids")->as_array()[0].as_uint();
+  const std::uint64_t spin_id = sub.find("ids")->as_array()[1].as_uint();
+  ASSERT_TRUE(parse_json(c.request_raw(result_request(done_id, true)))
+                  .get_bool("ok", false));
+  const std::string spin_status =
+      "{\"op\":\"status\",\"id\":" + std::to_string(spin_id) + "}";
+  for (int i = 0; i < 2000; ++i) {
+    if (parse_json(c.request_raw(spin_status)).get_string("state", "") ==
+        "running")
+      break;
+    std::this_thread::sleep_for(2ms);
+  }
+
+  const std::string key =
+      to_hex(sweep_cache_key(serve::job_from_json(parse_json(job_json(done)))));
+  const std::string d = std::to_string(done_id);
+  const std::string requests[] = {
+      "{\"op\":\"status\",\"id\":" + d + "}",
+      spin_status,
+      "{\"op\":\"status\",\"id\":424242}",
+      "{\"op\":\"cancel\",\"id\":" + d + "}",
+      "{\"op\":\"cancel\",\"id\":424242}",
+      "{\"op\":\"extend\",\"id\":" + d + ",\"deadline_ms\":1000}",
+      "{\"op\":\"extend\",\"id\":" + std::to_string(spin_id) + "}",
+      "{\"op\":\"extend\",\"id\":424242}",
+      "{\"op\":\"cache_get\",\"key\":\"" + key + "\"}",
+      "{\"op\":\"ping\"}",
+      "{\"op\":\"flub\"}",
+  };
+  for (const std::string& req : requests) {
+    const std::string v1 = c.request_raw(req);
+    const std::uint32_t tag = c.send_v2(v2::Op::kJson, req);
+    const Client::V2Response r = c.recv_v2();
+    EXPECT_EQ(r.request_id, tag) << req;
+    EXPECT_EQ(r.op, v2::Op::kJson) << req;
+    EXPECT_EQ(r.ok, !v2::is_error_body(v1)) << req;
+    EXPECT_EQ(r.body, v1) << req;
+  }
+  EXPECT_EQ(parse_json(c.request_raw("{\"op\":\"flub\"}"))
+                .get_string("error", ""),
+            "unknown_op");
+
+  // An op byte past the table still earns an in-band error.
+  RawConn raw(server.port());
+  serve::write_frame(raw.fd(), raw_v2(v2::kMagic, 2, 6, 0, 77, spin_status));
+  std::string answer;
+  ASSERT_TRUE(serve::read_frame(raw.fd(), answer, 5000, 5000));
+  const v2::Frame f = v2::decode(answer);
+  EXPECT_EQ(f.kind, v2::Kind::kError);
+  EXPECT_EQ(f.request_id, 77u);
+  EXPECT_EQ(parse_json(std::string(f.body)).get_string("error", ""),
+            "unknown_op");
+
+  c.request("{\"op\":\"cancel\",\"id\":" + std::to_string(spin_id) + "}");
   server.stop();
 }
 

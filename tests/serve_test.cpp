@@ -815,7 +815,7 @@ TEST(ServeServer, ConcurrentSubmitsOfSharedAndDistinctSourcesAreRaceFree) {
   server.stop();
 }
 
-TEST(ServeServer, BatchingCoalescesQueuedJobsIntoOneDispatch) {
+TEST(ServeServer, EachAdmissionCountsOneBatchHoweverWorkersSplitIt) {
   ServerOptions opts = test_options();
   opts.workers = 2;
   Server server(opts);
@@ -846,7 +846,8 @@ TEST(ServeServer, BatchingCoalescesQueuedJobsIntoOneDispatch) {
   }
   c.request_raw(result_request(gate_id, true));
 
-  // ...and are drained in ONE dispatch: gate batch + coalesced batch.
+  // ...and each admission counts one batch, however the workers split
+  // its jobs: the gate's submit plus the six quick jobs' submit.
   const json::Value stats = parse_json(server.stats_json());
   EXPECT_EQ(stats.find("counters")->get_uint("batches", 0), 2u);
   server.stop();
@@ -1201,7 +1202,7 @@ TEST(ServeFault, DroppedFrameIsSurvivedByTimeoutAndRetry) {
   server.start();
   Client c;
   c.connect("127.0.0.1", server.port());
-  c.set_io_timeout_ms(300);
+  c.set_frame_timeout_ms(300);
 
   // Exactly one fault: the next frame sent (the client's request) is
   // silently swallowed. The client times out waiting for a response,
@@ -1228,7 +1229,7 @@ TEST(ServeFault, TruncatedFrameIsSurvivedByReconnectAndRetry) {
   server.start();
   Client c;
   c.connect("127.0.0.1", server.port());
-  c.set_io_timeout_ms(300);
+  c.set_frame_timeout_ms(300);
 
   fault::FaultPlan plan;
   plan.seed = 12;
