@@ -30,6 +30,9 @@ namespace {
 
 using Clock = std::chrono::steady_clock;
 
+/// Every Prometheus family of masc-routerd starts with this.
+constexpr const char* kMetricPrefix = "masc_routerd_";
+
 /// A result round is forwarded with a wait of at most this long, so a
 /// failover mid-wait is noticed between rounds.
 constexpr std::uint64_t kRoundWaitMs = 2'000;
@@ -1305,66 +1308,9 @@ void Router::stats(net::EventLoop& loop,
   fan->errors.resize(opts_.backends.size());
   fan->done = std::move(done);
   auto render = [this, fan] {
-    const Counters n = counters();
-    const BreakerCounts trans = health_.totals();
-    const std::vector<std::size_t> outstanding = outstanding_by_backend();
-    std::ostringstream os;
-    os << "{\"router\":{";
-    os << "\"backends\":" << opts_.backends.size();
-    os << ",\"alive\":" << health_.alive_count();
-    os << ",\"mode\":\"" << (opts_.affinity ? "affinity" : "least_queued")
-       << "\"";
-    os << ",\"submits_routed\":" << n.submits_routed;
-    os << ",\"jobs_routed\":" << n.jobs_routed;
-    os << ",\"jobs_rerouted\":" << n.jobs_rerouted;
-    os << ",\"submits_rejected\":" << n.submits_rejected;
-    os << ",\"results_served\":" << n.results_served;
-    os << ",\"ring_moves\":" << n.ring_moves;
-    os << ",\"jobs_tracked\":" << n.jobs_tracked;
-    os << ",\"groups_live\":" << n.groups_live;
-    os << ",\"peer_cache\":{\"lookups\":" << n.peer_lookups
-       << ",\"hits\":" << n.peer_hits
-       << ",\"jobs_served\":" << n.peer_jobs_served
-       << ",\"misses\":" << n.peer_misses << ",\"errors\":" << n.peer_errors
-       << "}";
-    os << ",\"breaker\":{\"opened\":" << trans.opened
-       << ",\"half_opened\":" << trans.half_opened
-       << ",\"closed\":" << trans.closed << "}";
-    os << "}";
-
-    // Per-backend roll-call with each one's own stats document; the fleet
-    // totals below sum what was reachable (a down backend contributes
-    // nothing — honest, if momentarily lopsided).
-    FleetTotals fleet;
-    os << ",\"backends\":[";
-    for (std::size_t i = 0; i < opts_.backends.size(); ++i) {
-      if (i) os << ",";
-      os << "{\"endpoint\":\"" << json_escape(opts_.backends[i].name())
-         << "\"";
-      os << ",\"breaker\":\"" << to_string(health_.state(i)) << "\"";
-      os << ",\"outstanding\":" << outstanding[i];
-      const json::Value& resp = fan->answers[i];
-      const json::Value* stats = resp.find("stats");
-      if (resp.get_bool("ok", false) && stats && add_to_fleet(*stats, fleet)) {
-        os << ",\"up\":true,\"stats\":" << json::serialize(*stats);
-      } else {
-        os << ",\"up\":false";
-        if (!fan->errors[i].empty())
-          os << ",\"error\":\"" << json_escape(fan->errors[i]) << "\"";
-      }
-      os << "}";
-    }
-    os << "]";
-    os << ",\"fleet\":{";
-    os << "\"submitted\":" << fleet.submitted;
-    os << ",\"rejected\":" << fleet.rejected;
-    os << ",\"queue_depth\":" << fleet.queue_depth;
-    os << ",\"in_flight\":" << fleet.in_flight;
-    os << ",\"cache_hits\":" << fleet.cache_hits;
-    os << ",\"cache_misses\":" << fleet.cache_misses;
-    os << ",\"cycles\":" << fleet.cycles;
-    os << "}}";
-    fan->done(os.str());
+    metrics::Registry r(metrics::Format::kJson, kMetricPrefix);
+    describe(r, fan->answers, fan->errors);
+    fan->done(r.str());
   };
   for (std::size_t i = 0; i < opts_.backends.size(); ++i) {
     if (!health_.alive(i)) continue;
@@ -1380,67 +1326,96 @@ void Router::stats(net::EventLoop& loop,
 }
 
 std::string Router::metrics_text() {
+  const std::size_t n = opts_.backends.size();
+  metrics::Registry r(metrics::Format::kPrometheus, kMetricPrefix);
+  describe(r, std::vector<json::Value>(n), std::vector<std::string>(n));
+  return r.str();
+}
+
+void Router::describe(metrics::Registry& r,
+                      const std::vector<json::Value>& answers,
+                      const std::vector<std::string>& errors) {
   const Counters n = counters();
   const BreakerCounts trans = health_.totals();
   const std::vector<std::size_t> outstanding = outstanding_by_backend();
+  r.begin("router");
+  r.gauge("backends", opts_.backends.size(), "backends", "Configured backends");
+  r.gauge("alive", health_.alive_count(), "backends_alive",
+          "Backends whose breaker is not open");
+  r.text("mode", opts_.affinity ? "affinity" : "least_queued");
+  r.counter("submits_routed", n.submits_routed, "submits_routed_total",
+            "Client submits placed on a backend");
+  r.counter("jobs_routed", n.jobs_routed, "jobs_routed_total",
+            "Jobs in placed submits");
+  r.counter("jobs_rerouted", n.jobs_rerouted, "jobs_rerouted_total",
+            "Jobs re-landed by failover or diverted around saturation");
+  r.counter("submits_rejected", n.submits_rejected, "submits_rejected_total",
+            "Submits refused fleet-wide (queue_full/unavailable)");
+  r.counter("results_served", n.results_served, "results_served_total",
+            "Result responses returned to clients");
+  r.counter("ring_moves", n.ring_moves, "ring_moves_total",
+            "Routable-set changes (backend died or recovered)");
+  r.gauge("jobs_tracked", n.jobs_tracked, "jobs_tracked",
+          "Jobs the router still tracks (unfetched or unreleased)");
+  r.gauge("groups_live", n.groups_live, "groups_live",
+          "Submit groups not yet fully released");
+  r.begin("peer_cache");
+  r.counter("lookups", n.peer_lookups, "peer_cache_lookups_total",
+            "Peer cache read-through rounds attempted");
+  r.counter("hits", n.peer_hits, "peer_cache_hits_total",
+            "Submit groups served whole from a peer's result cache");
+  r.counter("jobs_served", n.peer_jobs_served, "peer_cache_jobs_served_total",
+            "Jobs answered from a peer cache instead of re-simulating");
+  r.counter("misses", n.peer_misses, "peer_cache_misses_total",
+            "Peer cache rounds abandoned on a missing key");
+  r.counter("errors", n.peer_errors, "peer_cache_errors_total",
+            "Peer cache rounds abandoned on transport or decode failure");
+  r.end();
+  r.begin("breaker");
+  r.counter("opened", trans.opened, "breaker_opened_total",
+            "Breaker transitions to open");
+  r.counter("half_opened", trans.half_opened, "breaker_half_opened_total",
+            "Breaker transitions to half-open");
+  r.counter("closed", trans.closed, "breaker_closed_total",
+            "Breaker recoveries to closed");
+  r.end();
+  r.end();
 
-  std::ostringstream os;
-  auto gauge = [&](const char* name, auto value, const char* help) {
-    os << "# HELP " << name << " " << help << "\n# TYPE " << name
-       << " gauge\n" << name << " " << value << "\n";
-  };
-  auto counter = [&](const char* name, auto value, const char* help) {
-    os << "# HELP " << name << " " << help << "\n# TYPE " << name
-       << " counter\n" << name << " " << value << "\n";
-  };
-  gauge("masc_routerd_backends", opts_.backends.size(),
-        "Configured backends");
-  gauge("masc_routerd_backends_alive", health_.alive_count(),
-        "Backends whose breaker is not open");
-  counter("masc_routerd_submits_routed_total", n.submits_routed,
-          "Client submits placed on a backend");
-  counter("masc_routerd_jobs_routed_total", n.jobs_routed,
-          "Jobs in placed submits");
-  counter("masc_routerd_jobs_rerouted_total", n.jobs_rerouted,
-          "Jobs re-landed by failover or diverted around saturation");
-  counter("masc_routerd_submits_rejected_total", n.submits_rejected,
-          "Submits refused fleet-wide (queue_full/unavailable)");
-  counter("masc_routerd_results_served_total", n.results_served,
-          "Result responses returned to clients");
-  counter("masc_routerd_ring_moves_total", n.ring_moves,
-          "Routable-set changes (backend died or recovered)");
-  counter("masc_routerd_peer_cache_lookups_total", n.peer_lookups,
-          "Peer cache read-through rounds attempted");
-  counter("masc_routerd_peer_cache_hits_total", n.peer_hits,
-          "Submit groups served whole from a peer's result cache");
-  counter("masc_routerd_peer_cache_jobs_served_total", n.peer_jobs_served,
-          "Jobs answered from a peer cache instead of re-simulating");
-  counter("masc_routerd_peer_cache_misses_total", n.peer_misses,
-          "Peer cache rounds abandoned on a missing key");
-  counter("masc_routerd_peer_cache_errors_total", n.peer_errors,
-          "Peer cache rounds abandoned on transport or decode failure");
-  gauge("masc_routerd_jobs_tracked", n.jobs_tracked,
-        "Jobs the router still tracks (unfetched or unreleased)");
-  gauge("masc_routerd_groups_live", n.groups_live,
-        "Submit groups not yet fully released");
-  counter("masc_routerd_breaker_opened_total", trans.opened,
-          "Breaker transitions to open");
-  counter("masc_routerd_breaker_half_opened_total", trans.half_opened,
-          "Breaker transitions to half-open");
-  counter("masc_routerd_breaker_closed_total", trans.closed,
-          "Breaker recoveries to closed");
-  os << "# HELP masc_routerd_backend_up 1 when the backend's breaker is "
-        "not open\n# TYPE masc_routerd_backend_up gauge\n";
-  for (std::size_t i = 0; i < opts_.backends.size(); ++i)
-    os << "masc_routerd_backend_up{backend=\""
-       << opts_.backends[i].name() << "\"} " << (health_.alive(i) ? 1 : 0)
-       << "\n";
-  os << "# HELP masc_routerd_backend_outstanding Router-tracked unfinished "
-        "jobs per backend\n# TYPE masc_routerd_backend_outstanding gauge\n";
-  for (std::size_t i = 0; i < opts_.backends.size(); ++i)
-    os << "masc_routerd_backend_outstanding{backend=\""
-       << opts_.backends[i].name() << "\"} " << outstanding[i] << "\n";
-  return os.str();
+  // Per-backend roll-call with each one's own stats document; the fleet
+  // totals below sum what was reachable (a down backend contributes
+  // nothing — honest, if momentarily lopsided).
+  FleetTotals fleet;
+  r.begin_array("backends");
+  for (std::size_t i = 0; i < opts_.backends.size(); ++i) {
+    const std::string name = opts_.backends[i].name();
+    r.begin();
+    r.text("endpoint", name);
+    r.text("breaker", to_string(health_.state(i)));
+    r.gauge("outstanding", outstanding[i], "backend_outstanding",
+            "Router-tracked unfinished jobs per backend", {"backend", name});
+    r.gauge({}, health_.alive(i), "backend_up",
+            "1 when the backend's breaker is not open", {"backend", name});
+    const json::Value* stats = answers[i].find("stats");
+    if (answers[i].get_bool("ok", false) && stats &&
+        add_to_fleet(*stats, fleet)) {
+      r.value("up", true);
+      r.raw("stats", json::serialize(*stats));
+    } else {
+      r.value("up", false);
+      if (!errors[i].empty()) r.text("error", errors[i]);
+    }
+    r.end();
+  }
+  r.end();
+  r.begin("fleet");
+  r.value("submitted", fleet.submitted);
+  r.value("rejected", fleet.rejected);
+  r.value("queue_depth", fleet.queue_depth);
+  r.value("in_flight", fleet.in_flight);
+  r.value("cache_hits", fleet.cache_hits);
+  r.value("cache_misses", fleet.cache_misses);
+  r.value("cycles", fleet.cycles);
+  r.end();
 }
 
 }  // namespace masc::cluster

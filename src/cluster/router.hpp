@@ -50,6 +50,7 @@
 
 #include "cluster/health.hpp"
 #include "cluster/ring.hpp"
+#include "common/metrics.hpp"
 #include "net/event_loop.hpp"
 #include "serve/front_end.hpp"
 #include "serve/protocol.hpp"
@@ -283,6 +284,11 @@ class Router {
   /// One kStats round per alive backend, joined into the stats document.
   void stats(net::EventLoop& loop,
              std::function<void(const std::string&)> done);
+  /// Declare the router's counters and its per-backend roll-call into
+  /// `r`. `answers[i]`/`errors[i]` are backend i's kStats answer and
+  /// round error, which only the JSON document embeds.
+  void describe(metrics::Registry& r, const std::vector<json::Value>& answers,
+                const std::vector<std::string>& errors);
 
   // The result path.
   /// Re-read the job's mapping and answer, or forward one round.

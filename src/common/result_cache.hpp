@@ -49,9 +49,6 @@ struct CacheStats {
   unsigned shards = 0;
 };
 
-/// JSON object for /stats exposure (serve/metrics.cpp embeds it).
-std::string to_json(const CacheStats& s);
-
 template <typename Value>
 class ResultCache {
  public:

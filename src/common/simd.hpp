@@ -14,7 +14,8 @@
 #pragma once
 
 #include <cstdint>
-#include <string>
+
+#include "common/metrics.hpp"
 
 namespace masc {
 
@@ -38,16 +39,14 @@ constexpr SimdInfo host_simd() {
 #endif
 }
 
-/// The lane count `--batch-lanes auto` resolves to on this build.
-constexpr std::uint32_t auto_batch_lanes() { return host_simd().auto_lanes; }
-
-/// The `"simd"` object surfaced in /stats:
+/// The members of the `"simd"` object in /stats:
 ///   {"isa":"avx2","width_bits":256,"auto_lanes":16}
-inline std::string simd_stats_json() {
-  const SimdInfo info = host_simd();
-  return std::string("{\"isa\":\"") + info.isa +
-         "\",\"width_bits\":" + std::to_string(info.width_bits) +
-         ",\"auto_lanes\":" + std::to_string(info.auto_lanes) + "}";
+inline void describe(metrics::Registry& r, const SimdInfo& s) {
+  r.text("isa", s.isa);
+  r.gauge("width_bits", s.width_bits, "simd_width_bits",
+          "Host SIMD register width detected at build time");
+  r.gauge("auto_lanes", s.auto_lanes, "auto_batch_lanes",
+          "Lane count --batch-lanes auto resolves to on this build");
 }
 
 }  // namespace masc

@@ -169,7 +169,7 @@ void install(FaultInjector* injector) {
 }
 
 FaultInjector* active() {
-  return g_injector.load(std::memory_order_relaxed);
+  return g_injector.load(std::memory_order_acquire);
 }
 
 }  // namespace masc::fault

@@ -136,7 +136,9 @@ class FaultInjector {
 void install(FaultInjector* injector);
 
 /// The installed injector, or nullptr. Hook sites call this first; the
-/// nullptr fast path is a single relaxed atomic load.
+/// nullptr fast path is a single acquire load (a plain load on x86),
+/// which pairs with install()'s release store so a hook on another
+/// thread never sees the injector before its construction.
 FaultInjector* active();
 
 /// RAII installation for tests: installs an injector built from `plan`

@@ -347,7 +347,8 @@ bool Client::cache_get_v2(const Hash128& key, std::string* record) {
 }
 
 json::Value Client::request_with_retry(const std::string& payload,
-                                       const RetryPolicy& policy) {
+                                       const RetryPolicy& policy,
+                                       std::string* raw) {
   // A non-zero policy seed pins the jitter stream (reproducible tests);
   // seed 0 draws from the client's ongoing stream.
   Rng seeded(policy.seed);
@@ -360,7 +361,9 @@ json::Value Client::request_with_retry(const std::string& payload,
         if (host_.empty()) throw ServeError("client was never connected");
         connect(host_, port_, connect_timeout_ms_);
       }
-      json::Value resp = request(payload);
+      std::string bytes = request_raw(payload);
+      json::Value resp = parse_json(bytes);
+      if (raw) *raw = std::move(bytes);
       const bool retryable_reject =
           !resp.get_bool("ok", true) &&
           resp.get_string("error", "") == "queue_full";

@@ -76,8 +76,10 @@ class Client {
   /// between attempts. Throws the last transport error once the policy
   /// is exhausted. NOTE: resending is safe for idempotent requests
   /// (everything but an un-keyed "submit"); give submits a "key".
+  /// `raw`, when given, receives the returned response's bytes as sent.
   json::Value request_with_retry(const std::string& payload,
-                                 const RetryPolicy& policy);
+                                 const RetryPolicy& policy,
+                                 std::string* raw = nullptr);
 
   // --- Protocol v2 (serve/protocol_v2.hpp, docs/NET.md) --------------------
 

@@ -11,8 +11,8 @@
 #include <array>
 #include <cstdint>
 #include <mutex>
-#include <string>
 
+#include "common/metrics.hpp"
 #include "sim/stats.hpp"
 #include "sim/sweep.hpp"
 
@@ -36,28 +36,17 @@ class ServeMetrics {
   /// Mean host seconds of completed jobs; `dflt` until the first one.
   double mean_job_seconds(double dflt) const;
 
-  /// One JSON object. Queue depth, in-flight count and the number of job
-  /// records the server still tracks (submitted and not yet released)
-  /// are owned by the server (they are live state, not counters) and
-  /// passed in, as is the
-  /// result-cache snapshot (null when the cache is disabled — the
-  /// "cache" field then reports {"enabled":false}) and the runner's
-  /// lane-batching snapshot (null omits the "batch" field entirely).
-  std::string to_json(std::size_t queue_depth, std::size_t in_flight,
-                      std::size_t queue_capacity, std::size_t jobs_tracked,
-                      const TieredCacheStats* cache = nullptr,
-                      const SweepBatchStats* batch = nullptr) const;
-
-  /// The same counters in Prometheus text exposition format (served by
-  /// {"op":"metrics_text"}; metric names documented in docs/SERVER.md).
-  /// Counter names end in _total; the host-time histogram is exposed as
-  /// a cumulative masc_served_job_host_ms histogram, and the
-  /// lane-batching occupancy as masc_served_batch_occupancy.
-  std::string to_prometheus(std::size_t queue_depth, std::size_t in_flight,
-                            std::size_t queue_capacity,
-                            std::size_t jobs_tracked,
-                            const TieredCacheStats* cache = nullptr,
-                            const SweepBatchStats* batch = nullptr) const;
+  /// Declare the whole /stats object, which is also the whole Prometheus
+  /// exposition (docs/SERVER.md "Prometheus metrics"). Queue depth,
+  /// in-flight count and the number of job records the server still
+  /// tracks (submitted and not yet released) are owned by the server
+  /// (they are live state, not counters) and passed in, as are the
+  /// result-cache snapshot (null when the cache is disabled) and the
+  /// runner's lane-batching snapshot.
+  void describe(metrics::Registry& r, std::size_t queue_depth,
+                std::size_t in_flight, std::size_t queue_capacity,
+                std::size_t jobs_tracked, const TieredCacheStats* cache,
+                const SweepBatchStats& batch) const;
 
  private:
   mutable std::mutex mu_;

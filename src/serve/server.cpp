@@ -12,6 +12,9 @@ namespace {
 
 using Clock = std::chrono::steady_clock;
 
+/// Every Prometheus family of masc-served starts with this.
+constexpr const char* kMetricPrefix = "masc_served_";
+
 const char* to_string(bool b) { return b ? "true" : "false"; }
 
 /// Inverse of masc::to_string(SweepStatus), for journal replay.
@@ -676,11 +679,11 @@ void Server::complete(SweepResult&& r, bool sync) {
 }
 
 std::string Server::handle_cache_stats() {
-  std::string cache_json = "{\"enabled\":false}";
-  if (cache_)
-    cache_json =
-        "{\"enabled\":true," + masc::to_json(cache_->stats()).substr(1);
-  return "{\"ok\":true,\"type\":\"cache_stats\",\"cache\":" + cache_json + "}";
+  std::optional<TieredCacheStats> cs;
+  if (cache_) cs = cache_->stats();
+  metrics::Registry r(metrics::Format::kJson, kMetricPrefix);
+  describe(r, cs ? &*cs : nullptr);
+  return "{\"ok\":true,\"type\":\"cache_stats\",\"cache\":" + r.str() + "}";
 }
 
 std::string Server::handle_cache_flush() {
@@ -709,12 +712,12 @@ std::string Server::render(bool prometheus) const {
   const SweepBatchStats bs = runner_.batch_stats();
   std::optional<TieredCacheStats> cs;
   if (cache_) cs = cache_->stats();
-  const TieredCacheStats* c = cs ? &*cs : nullptr;
-  return prometheus ? metrics_.to_prometheus(depth, running,
-                                             opts_.queue_capacity, tracked,
-                                             c, &bs)
-                    : metrics_.to_json(depth, running, opts_.queue_capacity,
-                                       tracked, c, &bs);
+  metrics::Registry r(
+      prometheus ? metrics::Format::kPrometheus : metrics::Format::kJson,
+      kMetricPrefix);
+  metrics_.describe(r, depth, running, opts_.queue_capacity, tracked,
+                    cs ? &*cs : nullptr, bs);
+  return r.str();
 }
 
 }  // namespace masc::serve

@@ -171,17 +171,6 @@ std::shared_ptr<const CachedSweepRun> cached_run_of(const SweepResult& r) {
       CachedSweepRun{r.status, r.stats, r.fabric});
 }
 
-/// Log2 bucket for the batch-occupancy histogram: 0 for 0, else
-/// bucket b covers [2^(b-1), 2^b), saturating at the last bucket.
-std::size_t occupancy_bucket(std::uint64_t v) {
-  std::size_t b = 0;
-  while (v > 0 && b < 16) {
-    v >>= 1;
-    ++b;
-  }
-  return b;
-}
-
 }  // namespace
 
 SweepResult materialize_cached(const CachedSweepRun& run, const SweepJob& job,
@@ -285,19 +274,19 @@ const char* to_string(SweepStatus s) {
   return "?status";
 }
 
-std::string to_json(const SweepBatchStats& s) {
-  std::ostringstream os;
-  os << "{\"batch_flushes\":" << s.batch_flushes;
-  os << ",\"batched_jobs\":" << s.batched_jobs;
-  os << ",\"replayed_jobs\":" << s.replayed_jobs;
-  os << ",\"faulted_lanes\":" << s.faulted_lanes;
-  os << ",\"occupancy_log2\":[";
-  for (std::size_t i = 0; i < s.occupancy.size(); ++i) {
-    if (i) os << ",";
-    os << s.occupancy[i];
-  }
-  os << "]}";
-  return os.str();
+void describe(metrics::Registry& r, const SweepBatchStats& s) {
+  // One flush = one lockstep dispatch of `occupancy` homogeneous jobs
+  // on one worker (docs/PERF.md "Lane batching").
+  r.counter("batch_flushes", s.batch_flushes, "batch_flushes_total",
+            "Lane-batched lockstep dispatches");
+  r.counter("batched_jobs", s.batched_jobs, "batch_jobs_total",
+            "Jobs entered into a lane batch");
+  r.counter("replayed_jobs", s.replayed_jobs, "batch_replayed_jobs_total",
+            "Lanes ejected to a serial replay (control divergence)");
+  r.counter("faulted_lanes", s.faulted_lanes, "batch_faulted_lanes_total",
+            "Lanes masked out by a per-lane data fault");
+  r.histogram("occupancy_log2", s.occupancy, metrics::Edge::kPow2Minus1,
+              s.batched_jobs, "batch_occupancy", "Lanes per batch flush");
 }
 
 SweepRunner::SweepRunner(unsigned workers) {
@@ -502,7 +491,9 @@ void SweepRunner::run_unit(std::vector<Queued>& unit) {
     batch_stats_.batched_jobs += rep.lanes;
     batch_stats_.replayed_jobs += rep.replayed;
     batch_stats_.faulted_lanes += rep.faulted;
-    ++batch_stats_.occupancy[occupancy_bucket(rep.lanes)];
+    ++batch_stats_.occupancy[metrics::log2_bucket(
+        static_cast<double>(rep.lanes), metrics::Edge::kPow2Minus1,
+        batch_stats_.occupancy.size())];
   }
   for (std::size_t x = 0; x < members.size(); ++x)
     finish_leader(unit[members[x]], std::move(results[x]),

@@ -39,6 +39,7 @@
 #include "common/cache_store.hpp"
 #include "common/config.hpp"
 #include "common/hash.hpp"
+#include "common/metrics.hpp"
 #include "common/result_cache.hpp"
 #include "fabric/fabric.hpp"
 #include "sim/stats.hpp"
@@ -181,7 +182,9 @@ struct TieredCacheStats : CacheStats {
   bool disk_open_failed = false;      ///< --cache-dir was set but unusable
   CacheStoreStats disk;               ///< zeroed unless disk_enabled
 };
-std::string to_json(const TieredCacheStats& s);
+/// The members of the "cache" object of /stats and cache_stats; a null
+/// `s` (no cache configured) is {"enabled":false}.
+void describe(metrics::Registry& r, const TieredCacheStats* s);
 
 /// The tiered result cache (docs/CACHE.md): a sharded in-RAM LRU (L1,
 /// common/result_cache.hpp) over an optional crash-durable on-disk
@@ -349,7 +352,8 @@ struct SweepBatchStats {
   std::uint64_t faulted_lanes = 0;  ///< lanes stopped by per-lane data faults
   std::array<std::uint64_t, 17> occupancy{};
 };
-std::string to_json(const SweepBatchStats& s);
+/// The members of the "batch" object of /stats.
+void describe(metrics::Registry& r, const SweepBatchStats& s);
 
 /// One job offered to SweepRunner::admit() and the index its result
 /// reports (a position for run(), a job id for masc-served).

@@ -1,7 +1,6 @@
 // Tiered result cache implementation (SweepResultCache, docs/CACHE.md):
 // L1 RAM LRU + L2 disk segment store + write-behind demotion +
 // single-flight. The SweepRunner integration lives in sweep.cpp.
-#include <sstream>
 
 #include "common/binio.hpp"
 #include "sim/sweep.hpp"
@@ -277,38 +276,83 @@ TieredCacheStats SweepResultCache::stats() const {
   return out;
 }
 
-std::string to_json(const TieredCacheStats& s) {
-  std::ostringstream os;
-  os << "{\"hits\":" << s.hits << ",\"misses\":" << s.misses
-     << ",\"insertions\":" << s.insertions << ",\"evictions\":" << s.evictions
-     << ",\"entries\":" << s.entries << ",\"bytes\":" << s.bytes
-     << ",\"capacity_bytes\":" << s.capacity_bytes
-     << ",\"shards\":" << s.shards << ",\"l1_hits\":" << s.l1_hits
-     << ",\"l2_hits\":" << s.l2_hits << ",\"promotions\":" << s.promotions
-     << ",\"demotions\":" << s.demotions
-     << ",\"demote_drops\":" << s.demote_drops
-     << ",\"decode_failures\":" << s.decode_failures << ",\"flights\":{\"led\":"
-     << s.flights_led << ",\"joined\":" << s.flights_joined
-     << ",\"served\":" << s.flights_served << "},\"l2\":{\"enabled\":"
-     << (s.disk_enabled ? "true" : "false") << ",\"open_failed\":"
-     << (s.disk_open_failed ? "true" : "false");
-  if (s.disk_enabled) {
-    const CacheStoreStats& d = s.disk;
-    os << ",\"entries\":" << d.entries << ",\"bytes\":" << d.bytes
-       << ",\"segments\":" << d.segments
-       << ",\"capacity_bytes\":" << d.capacity_bytes << ",\"gets\":" << d.gets
-       << ",\"hits\":" << d.hits << ",\"puts\":" << d.puts
-       << ",\"put_failures\":" << d.put_failures
-       << ",\"corrupt_skipped\":" << d.corrupt_skipped
-       << ",\"torn_truncated\":" << d.torn_truncated
-       << ",\"segments_created\":" << d.segments_created
-       << ",\"segments_retired\":" << d.segments_retired
-       << ",\"records_evicted\":" << d.records_evicted
-       << ",\"records_salvaged\":" << d.records_salvaged
-       << ",\"degraded\":" << (d.degraded ? "true" : "false");
+void describe(metrics::Registry& r, const TieredCacheStats* s) {
+  r.gauge("enabled", s != nullptr, "cache_enabled",
+          "1 when the result cache is configured");
+  if (!s) return;
+  r.counter("hits", s->hits, "cache_hits_total", "Result cache hits");
+  r.counter("misses", s->misses, "cache_misses_total", "Result cache misses");
+  r.counter("insertions", s->insertions, "cache_insertions_total",
+            "Result cache insertions");
+  r.counter("evictions", s->evictions, "cache_evictions_total",
+            "Result cache LRU evictions");
+  r.gauge("entries", s->entries, "cache_entries", "Live result cache entries");
+  r.gauge("bytes", s->bytes, "cache_bytes", "Live result cache charged bytes");
+  r.gauge("capacity_bytes", s->capacity_bytes, "cache_capacity_bytes",
+          "Result cache byte budget");
+  r.value("shards", s->shards);
+  // Tier breakdown (docs/CACHE.md): L1 = RAM LRU, L2 = disk segment
+  // store; `hits` above is the combined outcome.
+  r.counter("l1_hits", s->l1_hits, "cache_l1_hits_total",
+            "Lookups served from the RAM tier");
+  r.counter("l2_hits", s->l2_hits, "cache_l2_hits_total",
+            "Lookups served by promoting a disk record");
+  r.counter("promotions", s->promotions, "cache_promotions_total",
+            "L2 -> L1 promotions");
+  r.counter("demotions", s->demotions, "cache_demotions_total",
+            "Records written behind to the disk tier");
+  r.counter("demote_drops", s->demote_drops, "cache_demote_drops_total",
+            "Write-behind records shed on queue overflow");
+  r.counter("decode_failures", s->decode_failures,
+            "cache_decode_failures_total",
+            "Disk records that failed to decode (served as misses)");
+  r.begin("flights");
+  r.counter("led", s->flights_led, "cache_flights_led_total",
+            "Single-flight computations claimed");
+  r.counter("joined", s->flights_joined, "cache_flights_joined_total",
+            "Lookups that waited behind an in-progress flight");
+  r.counter("served", s->flights_served, "cache_flights_served_total",
+            "Waits resolved by the flight leader's publish");
+  r.end();
+  r.begin("l2");
+  r.gauge("enabled", s->disk_enabled, "cache_l2_enabled",
+          "1 when a disk tier is attached");
+  r.gauge("open_failed", s->disk_open_failed, "cache_l2_open_failed",
+          "1 when --cache-dir was configured but could not be opened");
+  if (s->disk_enabled) {
+    const CacheStoreStats& d = s->disk;
+    r.gauge("entries", d.entries, "cache_l2_entries",
+            "Live records in the disk tier");
+    r.gauge("bytes", d.bytes, "cache_l2_bytes", "Disk tier segment bytes");
+    r.gauge("segments", d.segments, "cache_l2_segments",
+            "Disk tier segment files");
+    r.gauge("capacity_bytes", d.capacity_bytes, "cache_l2_capacity_bytes",
+            "Disk tier byte budget");
+    r.counter("gets", d.gets, "cache_l2_gets_total", "Disk tier reads");
+    r.counter("hits", d.hits, "cache_l2_read_hits_total",
+              "Disk tier reads that found a valid record");
+    r.counter("puts", d.puts, "cache_l2_puts_total",
+              "Records appended to the disk tier");
+    r.counter("put_failures", d.put_failures, "cache_l2_put_failures_total",
+              "Disk writes refused or failed (degraded path)");
+    r.counter("corrupt_skipped", d.corrupt_skipped,
+              "cache_l2_corrupt_skipped_total",
+              "Checksum-failed records skipped");
+    r.counter("torn_truncated", d.torn_truncated,
+              "cache_l2_torn_truncated_total",
+              "Torn segment tails cut during recovery");
+    r.value("segments_created", d.segments_created);
+    r.value("segments_retired", d.segments_retired);
+    r.counter("records_evicted", d.records_evicted,
+              "cache_l2_records_evicted_total",
+              "Live records lost with retired segments");
+    r.counter("records_salvaged", d.records_salvaged,
+              "cache_l2_records_salvaged_total",
+              "Live records recompacted before segment retirement");
+    r.gauge("degraded", d.degraded, "cache_l2_degraded",
+            "1 when disk writes are disabled after a hard failure");
   }
-  os << "}}";
-  return os.str();
+  r.end();
 }
 
 }  // namespace masc

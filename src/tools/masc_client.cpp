@@ -177,8 +177,11 @@ int main(int argc, char** argv) {
       // request_with_retry reconnects with backoff. Without, fail now.
       if (policy.max_attempts <= 1) throw;
     }
+    // The bytes of the last response, printed as received: re-serializing
+    // the parsed value would re-render its floats at 17 digits.
+    std::string raw;
     auto do_request = [&](const std::string& payload) {
-      return client.request_with_retry(payload, policy);
+      return client.request_with_retry(payload, policy, &raw);
     };
     // Watch loops hold the ONE connection above open across samples; a
     // transport failure reopens it with jittered backoff (note on
@@ -192,7 +195,8 @@ int main(int argc, char** argv) {
       for (unsigned attempt = 0;; ++attempt) {
         try {
           if (!client.connected()) client.connect(host, port, connect_timeout_ms);
-          return client.request(payload);
+          raw = client.request_raw(payload);
+          return parse_json(raw);
         } catch (const serve::ServeError& e) {
           client.close();
           const std::uint64_t delay_ms = serve::backoff_delay_ms(
@@ -208,7 +212,7 @@ int main(int argc, char** argv) {
     if (cmd == "ping" || cmd == "shutdown") {
       if (args.size() != 1) return usage();
       const json::Value resp = do_request("{\"op\":\"" + cmd + "\"}");
-      return print_response(resp, json::serialize(resp)) ? 0 : 3;
+      return print_response(resp, raw) ? 0 : 3;
     }
 
     if (cmd == "stats" || cmd == "metrics") {
@@ -227,7 +231,7 @@ int main(int argc, char** argv) {
         if (cmd == "metrics" && resp.get_bool("ok", false)) {
           std::fputs(resp.get_string("text", "").c_str(), stdout);
         } else {
-          std::printf("%s\n", json::serialize(resp).c_str());
+          std::printf("%s\n", raw.c_str());
         }
         std::fflush(stdout);
         return resp.get_bool("ok", false);
@@ -264,7 +268,7 @@ int main(int argc, char** argv) {
       else
         return usage();
       const json::Value resp = do_request(payload);
-      return print_response(resp, json::serialize(resp)) ? 0 : 3;
+      return print_response(resp, raw) ? 0 : 3;
     }
 
     if (cmd == "status" || cmd == "result" || cmd == "cancel" ||
@@ -283,7 +287,7 @@ int main(int argc, char** argv) {
       }
       os << "}";
       const json::Value resp = do_request(os.str());
-      return print_response(resp, json::serialize(resp)) ? 0 : 3;
+      return print_response(resp, raw) ? 0 : 3;
     }
 
     if (cmd == "submit") {
@@ -348,13 +352,13 @@ int main(int argc, char** argv) {
         const auto t0 = std::chrono::steady_clock::now();
         const json::Value resp = do_request(os.str());
         bool ok = quiet ? resp.get_bool("ok", false)
-                        : print_response(resp, json::serialize(resp));
+                        : print_response(resp, raw);
         if (ok && wait) {
           for (const auto& id : resp.find("ids")->as_array()) {
             const json::Value rresp = do_request(
                 "{\"op\":\"result\",\"id\":" + std::to_string(id.as_uint()) +
                 ",\"wait\":true,\"timeout_ms\":600000}");
-            if (!quiet) std::printf("%s\n", json::serialize(rresp).c_str());
+            if (!quiet) std::printf("%s\n", raw.c_str());
             if (!rresp.get_bool("ok", false)) ok = false;
           }
         }

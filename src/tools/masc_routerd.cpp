@@ -26,7 +26,6 @@
 //     --probe-ms N         background health-ping period; 0 = disabled
 //                          (default 200)
 //     --connect-timeout-ms N  health-probe TCP connect budget (default 2000)
-//     --io-timeout-ms N    ignored: every backend round has a fixed deadline
 //     --idle-timeout-ms N  reap client sessions idle this long; 0 = never
 //     --fault SPEC         deterministic fault injector, e.g.
 //                          "seed=7,backend_fail=0.2,max_faults=3" (testing)
@@ -112,11 +111,6 @@ int main(int argc, char** argv) {
         opts.probe_interval_ms = std::strtoull(next(), nullptr, 0);
       else if (arg == "--connect-timeout-ms")
         opts.connect_timeout_ms = std::strtoull(next(), nullptr, 0);
-      else if (arg == "--io-timeout-ms") {
-        next();
-        std::fprintf(stderr, "masc-routerd: --io-timeout-ms is ignored; every "
-                             "backend round has a fixed deadline\n");
-      }
       else if (arg == "--idle-timeout-ms")
         opts.idle_timeout_ms = std::strtoull(next(), nullptr, 0);
       else if (arg == "--io-threads")

@@ -17,7 +17,6 @@
 //                         (default 2; docs/NET.md)
 //     --queue N           jobs queued and not yet pulled by a worker
 //                         (default 256)
-//     --batch N           ignored: workers pull jobs as they free up
 //     --max-cycles N      server-side cap on any job's cycle limit
 //     --deadline-ms N     default wall-clock deadline per job; 0 = none
 //     --cache-bytes N     result-cache byte budget; 0 = disabled (default 0).
@@ -106,11 +105,6 @@ int main(int argc, char** argv) {
     }
     else if (arg == "--queue")
       opts.queue_capacity = std::strtoul(next(), nullptr, 0);
-    else if (arg == "--batch") {
-      next();
-      std::fprintf(stderr, "masc-served: --batch is ignored; workers pull "
-                           "queued jobs as they free up\n");
-    }
     else if (arg == "--max-cycles")
       opts.max_cycles_cap = std::strtoull(next(), nullptr, 0);
     else if (arg == "--deadline-ms")

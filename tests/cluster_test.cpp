@@ -664,6 +664,10 @@ TEST(RouterFailoverTest, InjectedFaultsOpenTheBreakerAndRerouteExactlyOnce) {
   RouterOptions ropts = test_router_options();
   ropts.breaker.failure_threshold = 3;
   ropts.breaker.open_cooldown_ms = 60'000;  // stays open for the test
+  // Declared before the fleet so it is destroyed only after every
+  // backend thread has joined: a backend worker can still call through
+  // the global injector pointer after the injected faults are spent.
+  std::optional<fault::ScopedInjector> inj;
   Fleet fleet(2, sopts, ropts);
   Client c = fleet.connect();
 
@@ -684,14 +688,14 @@ TEST(RouterFailoverTest, InjectedFaultsOpenTheBreakerAndRerouteExactlyOnce) {
     fault::FaultPlan plan;
     plan.backend_fail_at = 1;
     plan.max_faults = ropts.breaker.failure_threshold;
-    fault::ScopedInjector inj(plan);
+    inj.emplace(plan);
     for (unsigned i = 0; i < ropts.breaker.failure_threshold; ++i) {
       const json::Value resp =
           c.request("{\"op\":\"status\",\"id\":" + std::to_string(id) + "}");
       EXPECT_FALSE(resp.get_bool("ok", true))
           << "status " << i << " ignored the injected fault";
     }
-    EXPECT_EQ(inj->counts().backend_requests_failed,
+    EXPECT_EQ((*inj)->counts().backend_requests_failed,
               std::uint64_t{ropts.breaker.failure_threshold});
   }
   EXPECT_EQ(fleet.router->backend_state(owner), BreakerState::kOpen);
@@ -932,6 +936,51 @@ TEST(RouterMetricsTest, ExposesRouterAndBackendPrometheusSeries) {
   const std::string backend_text = fleet.servers[0]->metrics_text();
   EXPECT_NE(backend_text.find("masc_served_"), std::string::npos);
   EXPECT_EQ(backend_text.find("masc_routerd_"), std::string::npos);
+}
+
+TEST(RouterMetricsTest, StatsPinTheRouterObjectAndTheBackendRollCall) {
+  ServerOptions sopts;
+  sopts.workers = 1;
+  sopts.cache_bytes = 1 << 20;
+  Fleet fleet(2, sopts, test_router_options());
+  Client c = fleet.connect();
+
+  const std::string kernel = counting_kernel(100);
+  const json::Value sub = c.request("{\"op\":\"submit\",\"jobs\":[" +
+                                    job_json(kernel, "pin") + "]}");
+  ASSERT_TRUE(sub.get_bool("ok", false));
+  await_result_raw(c, ids_of(sub)[0]);
+
+  const std::string raw = c.request_raw("{\"op\":\"stats\"}");
+  const std::string_view stats = json::member_text(raw, "stats");
+  EXPECT_EQ(json::member_text(stats, "router"),
+            "{\"backends\":2,\"alive\":2,\"mode\":\"affinity\","
+            "\"submits_routed\":1,\"jobs_routed\":1,\"jobs_rerouted\":0,"
+            "\"submits_rejected\":0,\"results_served\":1,\"ring_moves\":0,"
+            "\"jobs_tracked\":1,\"groups_live\":1,"
+            "\"peer_cache\":{\"lookups\":0,\"hits\":0,\"jobs_served\":0,"
+            "\"misses\":0,\"errors\":0},"
+            "\"breaker\":{\"opened\":0,\"half_opened\":0,\"closed\":0}}")
+      << raw;
+  // Each backend's members, then its own stats document.
+  const std::string_view backends = json::member_text(stats, "backends");
+  for (std::size_t i = 0; i < fleet.servers.size(); ++i) {
+    const std::string head =
+        std::string(i ? ",{" : "[{") + "\"endpoint\":\"127.0.0.1:" +
+        std::to_string(fleet.servers[i]->port()) +
+        "\",\"breaker\":\"closed\",\"outstanding\":0,\"up\":true,"
+        "\"stats\":{\"queue_depth\":0,";
+    EXPECT_NE(backends.find(head), std::string_view::npos) << head << "\n"
+                                                           << raw;
+  }
+  const std::uint64_t cycles =
+      parse_json(serial_stats_json(kernel)).get_uint("cycles", 0);
+  EXPECT_EQ(json::member_text(stats, "fleet"),
+            "{\"submitted\":1,\"rejected\":0,\"queue_depth\":0,"
+            "\"in_flight\":0,\"cache_hits\":0,\"cache_misses\":1,"
+            "\"cycles\":" +
+                std::to_string(cycles) + "}")
+      << raw;
 }
 
 TEST(RouterConcurrencyTest, ConcurrentKeylessSubmitsGetDistinctFleetKeys) {

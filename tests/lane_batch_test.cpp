@@ -660,7 +660,9 @@ TEST(SweepRunnerBatch, BatchStatsJsonShape) {
   s.batch_flushes = 1;
   s.batched_jobs = 4;
   s.occupancy[3] = 1;
-  const std::string j = to_json(s);
+  metrics::Registry r(metrics::Format::kJson, "");
+  describe(r, s);
+  const std::string j = r.str();
   EXPECT_NE(j.find("\"batch_flushes\":1"), std::string::npos);
   EXPECT_NE(j.find("\"batched_jobs\":4"), std::string::npos);
   EXPECT_NE(j.find("\"replayed_jobs\":0"), std::string::npos);

@@ -189,7 +189,7 @@ SweepTask task_for(const std::string& source, std::size_t index,
   return {std::move(job), index};
 }
 
-TEST(ServeQueue, AdmissionIsAllOrNothing) {
+TEST(SweepRunnerQueue, AdmissionIsAllOrNothing) {
   SweepRunner runner(1);
   SinkLog log;
   std::vector<SweepResult> hits;  // stays empty: no cache attached
@@ -211,7 +211,7 @@ TEST(ServeQueue, AdmissionIsAllOrNothing) {
   EXPECT_EQ(runner.queued(), 0u);
 }
 
-TEST(ServeQueue, CloseDrainsThenReturnsEmpty) {
+TEST(SweepRunnerQueue, CloseDrainsThenReturnsEmpty) {
   SweepRunner runner(1);
   SinkLog log;
   std::vector<SweepResult> hits;  // stays empty: no cache attached
@@ -1619,6 +1619,56 @@ TEST(ServeFuzz, CacheOpCorpusGetsErrorsNotDisconnects) {
   Client c;
   c.connect("127.0.0.1", server.port());
   EXPECT_TRUE(c.request("{\"op\":\"ping\"}").get_bool("ok", false));
+  server.stop();
+}
+
+// --- masc-client ------------------------------------------------------
+
+TEST(ServeClientCli, SubmitWaitPrintsTheServedRecordBytes) {
+  ServerOptions opts;
+  opts.port = 0;
+  opts.workers = 1;
+  Server server(opts);
+  server.start();
+  const std::string path = testing::TempDir() + "masc_cli_" +
+                           std::to_string(::getpid()) + ".s";
+  {
+    std::FILE* f = std::fopen(path.c_str(), "w");
+    ASSERT_NE(f, nullptr);
+    std::fputs(reduction_kernel(6).c_str(), f);
+    std::fclose(f);
+  }
+  const std::string cmd = std::string(MASC_CLIENT_BIN) + " --port " +
+                          std::to_string(server.port()) + " submit " + path +
+                          " --pes 8 --threads 4 --seeds 2 --wait";
+  std::FILE* p = ::popen(cmd.c_str(), "r");
+  ASSERT_NE(p, nullptr);
+  std::vector<std::string> lines;
+  std::string line;
+  for (int ch; (ch = std::fgetc(p)) != EOF;) {
+    if (ch != '\n') {
+      line += static_cast<char>(ch);
+      continue;
+    }
+    lines.push_back(line);
+    line.clear();
+  }
+  EXPECT_EQ(::pclose(p), 0);
+  std::remove(path.c_str());
+
+  // The submit response, then one result per job, each exactly the
+  // bytes the server sends for that record.
+  ASSERT_EQ(lines.size(), 3u);
+  const json::Value sub = parse_json(lines[0]);
+  ASSERT_TRUE(sub.get_bool("ok", false)) << lines[0];
+  Client c;
+  c.connect("127.0.0.1", server.port());
+  const auto& ids = sub.find("ids")->as_array();
+  ASSERT_EQ(ids.size(), 2u);
+  for (std::size_t i = 0; i < ids.size(); ++i)
+    EXPECT_EQ(lines[1 + i],
+              c.request_raw("{\"op\":\"result\",\"id\":" +
+                            std::to_string(ids[i].as_uint()) + "}"));
   server.stop();
 }
 
