@@ -45,11 +45,6 @@ std::string id_member(std::uint64_t rid) {
   return "\"id\":" + std::to_string(rid);
 }
 
-std::string result_json(std::uint64_t rid, std::string_view body) {
-  return "{\"ok\":true,\"type\":\"result\"," + id_member(rid) +
-         ",\"result\":" + std::string(body) + "}";
-}
-
 /// Resolve a backend's address; throws ServeError when it does not.
 sockaddr_in resolve(const BackendSpec& be) {
   addrinfo hints{};
@@ -81,26 +76,24 @@ int connect_async(const sockaddr_in& addr) {
   return fd;
 }
 
-/// Rewrite the top-level "id" member of a backend response in place, so
-/// the client only ever sees router ids.
-void rewrite_id(json::Value& v, std::uint64_t id) {
-  for (auto& [key, val] : v.object) {
-    if (key != "id") continue;
-    val = json::Value{};
-    val.kind = json::Value::Kind::kNumber;
-    val.number = static_cast<double>(id);
-    val.integer = static_cast<std::int64_t>(id);
-    val.is_integer = true;
-    return;
-  }
+/// A backend's JSON object with its top-level member `key` set to router
+/// id `rid`, spliced into the backend's own bytes: the client only ever
+/// sees router ids — an answer's "id", a result body's "index".
+std::string with_id(std::string_view text, std::string_view key,
+                    std::uint64_t rid) {
+  const std::string_view v = json::member_text(text, key);
+  if (v.empty()) return std::string(text);
+  const auto at = static_cast<std::size_t>(v.data() - text.data());
+  return std::string(text.substr(0, at)) + std::to_string(rid) +
+         std::string(text.substr(at + v.size()));
 }
 
-/// A round's JSON answer, or a null Value when the round failed or the
-/// backend answered garbage or no boolean "ok" (all read as "not ok").
-json::Value answer_json(const v2::Frame* f) {
-  if (f == nullptr) return {};
+/// A round's JSON answer, or a null Value when the round failed (an
+/// empty body) or the backend answered garbage or no boolean "ok" (all
+/// read as "not ok").
+json::Value answer_json(std::string_view body) {
   try {
-    json::Value v = parse_json(std::string(f->body));
+    json::Value v = parse_json(body);
     const json::Value* ok = v.find("ok");
     if (ok && ok->is_bool()) return v;
   } catch (const std::exception&) {
@@ -153,15 +146,36 @@ std::string result_from_blob(const std::string& blob, const SweepJob& job,
 }
 
 /// The backend submit a group is (re)placed with: one fixed payload, so a
-/// re-landed group is byte-identical to the original.
+/// re-landed group is byte-identical to the original. The jobs are the
+/// client's own text; the fleet's lane width rides once, for backends to
+/// apply to jobs that set none.
 std::string submit_payload(const std::string& fleet_key,
                            std::uint64_t deadline_ms,
-                           const std::string& jobs_json) {
-  std::ostringstream ps;
-  ps << "{\"op\":\"submit\",\"key\":\"" << json_escape(fleet_key) << "\"";
-  if (deadline_ms > 0) ps << ",\"deadline_ms\":" << deadline_ms;
-  ps << ",\"jobs\":" << jobs_json << "}";
-  return ps.str();
+                           std::uint32_t batch_lanes,
+                           std::string_view jobs_text) {
+  std::string ps =
+      "{\"op\":\"submit\",\"key\":\"" + json_escape(fleet_key) + "\"";
+  if (deadline_ms > 0) ps += ",\"deadline_ms\":" + std::to_string(deadline_ms);
+  if (batch_lanes > 1) ps += ",\"batch_lanes\":" + std::to_string(batch_lanes);
+  ps.append(",\"jobs\":").append(jobs_text);
+  ps += '}';
+  return ps;
+}
+
+/// The jobs of a backend submit, decoded as a backend decodes them, or
+/// nullptr when one does not decode. Only the paths that need a SweepJob
+/// (peer read-through) pay for this.
+std::shared_ptr<const std::vector<SweepJob>> decode_jobs(
+    std::string_view payload) {
+  auto jobs = std::make_shared<std::vector<SweepJob>>();
+  try {
+    for (const std::string_view elem :
+         json::array_elements(json::member_text(payload, "jobs")))
+      jobs->push_back(serve::job_from_json(parse_json(elem)));
+  } catch (const std::exception&) {
+    return nullptr;
+  }
+  return jobs;
 }
 
 /// The "ids" of an ok submit answer; empty when it has none.
@@ -186,18 +200,19 @@ std::vector<std::string> backend_names(const std::vector<BackendSpec>& bs) {
 
 }  // namespace
 
+Hash128 route_key(const std::vector<std::string_view>& jobs) {
+  Fnv128 h;
+  for (const std::string_view job : jobs) h.str(job);
+  return h.digest();
+}
+
 /// One client submit on its way to a backend, on the client's loop.
 struct Router::SubmitCall {
   serve::Reply reply;
   std::string client_key;
-  std::uint64_t deadline_ms = 0;
-  std::string jobs_json;
-  std::string fleet_key;
   std::string payload;  ///< the backend submit
+  std::size_t njobs = 0;
   Hash128 route_key;
-  std::vector<Hash128> job_keys;
-  /// The parsed jobs: peer read-through materializes its answers from them.
-  std::shared_ptr<const std::vector<SweepJob>> jobs;
   std::vector<std::size_t> candidates;
   std::size_t rank = 0;  ///< next candidate to try
   bool peer_tried = false;
@@ -298,27 +313,29 @@ void Router::stop() {
 std::optional<std::string> Router::handle_request(serve::Request&& req,
                                                   const serve::Reply& reply) {
   const std::string& op = req.op;
-  if (op == "result") {
-    auto call = std::make_shared<ResultCall>();
-    call->reply = reply;
-    call->rid = require_id(req.body);
-    call->wait = req.body.get_bool("wait", false);
-    call->release = req.body.get_bool("release", false);
-    call->deadline_ms =
-        net::EventLoop::now_ms() + req.body.get_uint("timeout_ms", 60'000);
-    result_round(call);
-    return std::nullopt;
-  }
   if (op == "submit") {
-    handle_submit(req.body, reply);
+    handle_submit(req.text, reply);
     return std::nullopt;
   }
   if (op == "cache_get") {
     handle_cache_get(req.key, reply);
     return std::nullopt;
   }
+  // Every other op's request is small: parse it (refusing malformed text).
+  const json::Value& body = req.body();
+  if (op == "result") {
+    auto call = std::make_shared<ResultCall>();
+    call->reply = reply;
+    call->rid = require_id(body);
+    call->wait = body.get_bool("wait", false);
+    call->release = body.get_bool("release", false);
+    call->deadline_ms =
+        net::EventLoop::now_ms() + body.get_uint("timeout_ms", 60'000);
+    result_round(call);
+    return std::nullopt;
+  }
   if (op == "status" || op == "cancel" || op == "extend")
-    return forward_by_id(req.body, op, reply);
+    return forward_by_id(body, op, reply);
   if (op == "stats") {
     stats(reply.loop(), [reply](const std::string& doc) {
       reply.send("{\"ok\":true,\"type\":\"stats\",\"stats\":" + doc + "}");
@@ -449,19 +466,37 @@ void Router::reset_channel(net::EventLoop& loop, std::size_t b,
 
 // --- submit ----------------------------------------------------------------
 
-void Router::handle_submit(const json::Value& req, const serve::Reply& reply) {
-  const json::Value* jobs_v = req.find("jobs");
-  if (!jobs_v || !jobs_v->is_array() || jobs_v->as_array().empty())
+void Router::handle_submit(std::string_view text, const serve::Reply& reply) {
+  // One checking pass over the request that builds nothing: the jobs are
+  // routed by a hash of their bytes and forwarded as the client wrote
+  // them. A job that does not decode is refused by the backend, whose
+  // bad_request the client gets byte for byte.
+  std::string_view jobs_text, key_text, deadline_text;
+  const std::string_view doc = text.empty() ? "{}" : text;
+  for (const auto& [key, value] : json::object_members(doc)) {
+    std::string_view* slot = key == "jobs"          ? &jobs_text
+                             : key == "key"         ? &key_text
+                             : key == "deadline_ms" ? &deadline_text
+                                                    : nullptr;
+    if (slot && slot->empty()) *slot = value;  // the first one, as find() does
+  }
+  const std::vector<std::string_view> jobs =
+      jobs_text.starts_with('[') ? json::array_elements(jobs_text)
+                                 : std::vector<std::string_view>{};
+  if (jobs.empty())
     throw JsonError("submit needs a non-empty \"jobs\" array");
+  const std::uint64_t deadline_ms =
+      deadline_text.empty() ? 0 : parse_json(deadline_text).as_uint();
   if (stopping_.load())
     return reply.send(error_json("shutting_down", "router stopping"));
   auto call = std::make_shared<SubmitCall>();
   call->reply = reply;
-  call->client_key = req.get_string("key", "");
+  if (!key_text.empty()) call->client_key = parse_json(key_text).as_string();
 
   // Router-level idempotency on the client's key: a repeat gets the
   // original router ids; a concurrent repeat parks its reply behind the
   // first attempt instead of double-submitting.
+  std::string fleet_key;
   if (!call->client_key.empty()) {
     std::optional<std::string> dup;
     {
@@ -475,58 +510,11 @@ void Router::handle_submit(const json::Value& req, const serve::Reply& reply) {
         dup = submitted_json(it->second.ids, true);
     }
     if (dup) return reply.send(*dup);
-  }
-
-  try {
-    call->deadline_ms = req.get_uint("deadline_ms", 0);
-    // Fleet-wide lane-batching default: inject top-level "batch_lanes"
-    // into each job (docs/PERF.md "Lane batching") that doesn't set its
-    // own, before validation/serialization so backends and failover
-    // resubmits all see the same payload. Results and cache keys are
-    // unaffected — the knob is excluded from sweep_cache_key — so
-    // affinity routing still lands repeats on their cached backend.
-    json::Value jobs_owned;
-    if (opts_.default_batch_lanes > 1) {
-      json::Value lanes;
-      lanes.kind = json::Value::Kind::kNumber;
-      lanes.number = static_cast<double>(opts_.default_batch_lanes);
-      lanes.integer = static_cast<std::int64_t>(opts_.default_batch_lanes);
-      lanes.is_integer = true;
-      jobs_owned = *jobs_v;
-      for (json::Value& elem : jobs_owned.array)
-        if (elem.is_object() && elem.find("batch_lanes") == nullptr)
-          elem.object.emplace_back("batch_lanes", lanes);
-      jobs_v = &jobs_owned;
-    }
-
-    // Validate every job with the backend's own parser and fold the
-    // jobs' content hashes (the exact keys the backend ResultCache will
-    // use) into the route key. A submit that cannot parse is refused
-    // here — identically to every backend — without spending network on
-    // it. The parsed jobs and per-job keys are kept: peer read-through
-    // needs the keys to ask a cache and the jobs to materialize answers.
-    Fnv128 key_hash;
-    auto jobs = std::make_shared<std::vector<SweepJob>>();
-    jobs->reserve(jobs_v->as_array().size());
-    std::ostringstream js;
-    js << "[";
-    for (const auto& elem : jobs_v->as_array()) {
-      jobs->push_back(serve::job_from_json(elem));
-      const Hash128 k = sweep_cache_key(jobs->back());
-      key_hash.u64(k.hi).u64(k.lo);
-      call->job_keys.push_back(k);
-      // Serialized once: this exact payload is what failover resubmits,
-      // so a re-landed group is byte-identical to the original.
-      js << (jobs->size() > 1 ? "," : "") << json::serialize(elem);
-    }
-    js << "]";
-    call->jobs = std::move(jobs);
-    call->jobs_json = js.str();
-    call->route_key = key_hash.digest();
-  } catch (const std::exception& e) {
-    return finish_submit(call, error_json("bad_request", e.what()), {});
-  }
-  if (call->client_key.empty()) {
+    // Derive the fleet key from the client's so the SAME key reaches
+    // whichever backend ends up running the jobs — the client can even
+    // bypass the router and still dedup against routed work.
+    fleet_key = "c:" + call->client_key;
+  } else {
     // Reserve the key atomically: the sequence advances at generation
     // time, so two concurrent keyless submits can never mint the same
     // fleet key (the backend dedups purely on key — a collision would
@@ -534,15 +522,14 @@ void Router::handle_submit(const json::Value& req, const serve::Reply& reply) {
     std::ostringstream ks;
     const std::lock_guard<std::mutex> lock(state_mu_);
     ks << "r:" << std::hex << key_prefix_ << ":" << std::dec << fleet_seq_++;
-    call->fleet_key = ks.str();
-  } else {
-    // Derive the fleet key from the client's so the SAME key reaches
-    // whichever backend ends up running the jobs — the client can even
-    // bypass the router and still dedup against routed work.
-    call->fleet_key = "c:" + call->client_key;
+    fleet_key = ks.str();
   }
-  call->payload =
-      submit_payload(call->fleet_key, call->deadline_ms, call->jobs_json);
+  call->njobs = jobs.size();
+  call->route_key = route_key(jobs);
+  // This exact payload is what failover resubmits, so a re-landed group
+  // is byte-identical to the original.
+  call->payload = submit_payload(fleet_key, deadline_ms,
+                                 opts_.default_batch_lanes, jobs_text);
   call->candidates = placement(call->route_key);
   forward_submit(call);
 }
@@ -581,23 +568,25 @@ void Router::forward_submit(const SubmitPtr& call) {
   // not open) before paying for a simulation elsewhere; any
   // miss/timeout/decode failure falls through to the normal submission,
   // so this path can delay a submit by at most peer_timeout_ms, never
-  // fail it.
+  // fail it. Only here are the jobs decoded: a peer's answers are
+  // materialized from them.
   if (call->rank > 0 && !call->peer_tried && opts_.affinity &&
       opts_.peer_read_through && health_.alive(owner)) {
     call->peer_tried = true;
-    return peer_results(
-        loop, owner, call->job_keys, call->jobs, {},
-        [this, call](std::optional<std::vector<std::string>> bodies,
-                     std::vector<std::uint64_t> rids) {
-          if (!bodies) return forward_submit(call);
-          add_group(*call, npos, {}, rids, std::move(*bodies));
-          {
-            const std::lock_guard<std::mutex> lock(state_mu_);
-            ++counters_.peer_hits;
-            counters_.peer_jobs_served += rids.size();
-          }
-          finish_submit(call, submitted_json(rids, false), rids);
-        });
+    if (auto jobs = decode_jobs(call->payload))
+      return peer_results(
+          loop, owner, std::move(jobs), {},
+          [this, call](std::optional<std::vector<std::string>> bodies,
+                       std::vector<std::uint64_t> rids) {
+            if (!bodies) return forward_submit(call);
+            add_group(*call, npos, {}, rids, std::move(*bodies));
+            {
+              const std::lock_guard<std::mutex> lock(state_mu_);
+              ++counters_.peer_hits;
+              counters_.peer_jobs_served += rids.size();
+            }
+            finish_submit(call, submitted_json(rids, false), rids);
+          });
   }
   const bool diverted = call->rank > 0;
   const std::size_t b = call->candidates[call->rank++];
@@ -609,7 +598,7 @@ void Router::forward_submit(const SubmitPtr& call) {
           call->last_error = error;
           return forward_submit(call);
         }
-        const json::Value resp = answer_json(f);
+        const json::Value resp = answer_json(f ? f->body : "");
         if (!resp.get_bool("ok", false)) {
           const std::string err = resp.get_string("error", "");
           if (err == "queue_full" || err == "shutting_down" || err.empty()) {
@@ -625,15 +614,15 @@ void Router::forward_submit(const SubmitPtr& call) {
                 (err.empty() ? "bad answer" : err) + " from " + be.name();
             return forward_submit(call);
           }
-          // Any other refusal (bad_request despite our parse, a cap
-          // mismatch...) would be refused by every backend: forward it.
+          // Any other refusal (a job that does not decode, a cap
+          // mismatch...) would be refused by every backend: relay it.
           return finish_submit(call, std::string(f->body), {});
         }
         std::vector<std::uint64_t> backend_ids = ids_from_response(resp);
-        if (backend_ids.size() != call->job_keys.size()) {
+        if (backend_ids.size() != call->njobs) {
           call->last_error = "backend " + be.name() + " returned " +
                              std::to_string(backend_ids.size()) + " ids for " +
-                             std::to_string(call->job_keys.size()) + " jobs";
+                             std::to_string(call->njobs) + " jobs";
           // A fresh acceptance we refuse to track would run as orphans:
           // cancel it best-effort. A duplicate reply maps to jobs some
           // earlier submit legitimately owns — leave those alone.
@@ -655,14 +644,11 @@ std::vector<std::uint64_t> Router::add_group(
     SubmitCall& call, std::size_t backend,
     std::vector<std::uint64_t> backend_ids, std::vector<std::uint64_t> rids,
     std::vector<std::string> bodies) {
-  const std::size_t njobs = call.job_keys.size();
+  const std::size_t njobs = call.njobs;
   auto group = std::make_unique<SubmitGroup>();
-  group->jobs_json = std::move(call.jobs_json);
-  group->deadline_ms = call.deadline_ms;
-  group->fleet_key = std::move(call.fleet_key);
+  group->payload = std::move(call.payload);
   group->client_key = call.client_key;
   group->route_key = call.route_key;
-  group->job_keys = std::move(call.job_keys);  // for failover peer reads
   group->backend = backend;  // npos: fully served, never (re)submitted
   group->backend_ids = std::move(backend_ids);
   group->unreleased = njobs;
@@ -702,7 +688,6 @@ void Router::finish_submit(const SubmitPtr& call, const std::string& resp,
 }
 
 void Router::peer_results(net::EventLoop& loop, std::size_t b,
-                          const std::vector<Hash128>& keys,
                           std::shared_ptr<const std::vector<SweepJob>> jobs,
                           std::vector<std::uint64_t> rids, PeerDone done) {
   // Every key's cache_get is pipelined before the first answer arrives,
@@ -717,6 +702,8 @@ void Router::peer_results(net::EventLoop& loop, std::size_t b,
     std::vector<std::uint64_t> rids;
     PeerDone done;
   };
+  std::vector<Hash128> keys;
+  for (const SweepJob& job : *jobs) keys.push_back(sweep_cache_key(job));
   auto st = std::make_shared<Lookup>();
   st->blobs.resize(keys.size());
   st->unanswered = keys.size();
@@ -828,8 +815,6 @@ void Router::place_group(net::EventLoop& loop, std::size_t group_idx,
   call->loop = &loop;
   call->group = group_idx;
   Hash128 key;
-  std::vector<Hash128> job_keys;
-  std::string jobs_json;
   std::vector<std::uint64_t> router_ids;
   {
     const std::lock_guard<std::mutex> lock(state_mu_);
@@ -843,11 +828,9 @@ void Router::place_group(net::EventLoop& loop, std::size_t group_idx,
     if (call->pending == 0) return;  // fully served (or released): no move
     g->placing = true;
     g->backend = npos;  // result-waits poll until it lands
-    call->payload = submit_payload(g->fleet_key, g->deadline_ms, g->jobs_json);
+    call->payload = g->payload;
     call->expected = g->router_ids.size();
     key = g->route_key;
-    job_keys = g->job_keys;
-    jobs_json = g->jobs_json;
     router_ids = g->router_ids;
   }
   call->candidates = placement(key, exclude);
@@ -858,19 +841,11 @@ void Router::place_group(net::EventLoop& loop, std::size_t group_idx,
   // bounded cache round against the best-placed survivor beats
   // re-simulating the whole group; any miss or failure proceeds to the
   // normal resubmission.
-  if (opts_.affinity && opts_.peer_read_through && !call->candidates.empty() &&
-      job_keys.size() == call->expected) {
-    auto jobs = std::make_shared<std::vector<SweepJob>>();
-    try {
-      const json::Value jv = parse_json(jobs_json);
-      for (const auto& elem : jv.as_array())
-        jobs->push_back(serve::job_from_json(elem));
-    } catch (const std::exception&) {
-      jobs->clear();  // unreachable for our own serialization: resubmit
-    }
-    if (jobs->size() == call->expected)
+  if (opts_.affinity && opts_.peer_read_through && !call->candidates.empty())
+    if (auto jobs = decode_jobs(call->payload);
+        jobs && jobs->size() == call->expected)
       return peer_results(
-          loop, call->candidates[0], job_keys, jobs, router_ids,
+          loop, call->candidates[0], std::move(jobs), router_ids,
           [this, call](std::optional<std::vector<std::string>> bodies,
                        std::vector<std::uint64_t> rids) {
             if (!bodies) return place_next(call);
@@ -886,7 +861,6 @@ void Router::place_group(net::EventLoop& loop, std::size_t group_idx,
             ++counters_.peer_hits;
             counters_.peer_jobs_served += call->pending;
           });
-  }
   place_next(call);
 }
 
@@ -903,7 +877,7 @@ void Router::place_next(const PlacePtr& call) {
   send_round(
       *call->loop, b, v2::Op::kSubmit, call->payload, kRoundSlackMs,
       [this, call, b](const v2::Frame* f, const std::string&) {
-        const json::Value resp = answer_json(f);
+        const json::Value resp = answer_json(f ? f->body : "");
         // Failed, full or draining: the next candidate.
         if (!resp.get_bool("ok", false)) return place_next(call);
         std::vector<std::uint64_t> ids = ids_from_response(resp);
@@ -1049,7 +1023,7 @@ void Router::result_round(const CallPtr& call) {
     // place: release it there too, best effort (a backend that died or
     // forgot the job has nothing left to reclaim), then answer.
     if (!call->release || !has_bid)
-      return call->reply.send(result_json(rid, cached));
+      return call->reply.send(serve::result_answer(rid, cached));
     call->cached = std::move(cached);
     return forward("{\"op\":\"result\",\"id\":" + std::to_string(bid) +
                        ",\"release\":true}",
@@ -1088,18 +1062,17 @@ void Router::on_result_answer(const CallPtr& call, std::size_t b,
                               const v2::Frame& f) {
   const std::uint64_t rid = call->rid;
   if (!call->cached.empty())
-    return call->reply.send(result_json(rid, call->cached));
-  json::Value resp = answer_json(&f);
-  if (resp.is_null())
-    return round_failed(call,
-                        "garbled answer from " + opts_.backends[b].name());
-  if (resp.get_bool("ok", false) && resp.get_string("type", "") == "result") {
-    // The backend's own bytes, spliced verbatim: a routed result is
-    // byte-equal to the same job's direct one (docs/CLUSTER.md).
-    const std::string_view body = json::member_text(f.body, "result");
-    if (body.empty())
-      return call->reply.send(
-          error_json("bad_gateway", "backend result lacks body"));
+    return call->reply.send(serve::result_answer(rid, call->cached));
+  // A finished job's answer is known by masc-served's fixed prefix and
+  // spliced unparsed: the backend's own bytes with the router's ids, so
+  // a routed result is byte-equal to the same job's direct one
+  // (docs/CLUSTER.md). Any other answer is parsed.
+  std::string_view body = serve::result_answer_body(f.body);
+  const json::Value resp = body.empty() ? answer_json(f.body) : json::Value{};
+  if (resp.get_bool("ok", false) && resp.get_string("type", "") == "result")
+    body = json::member_text(f.body, "result");
+  if (!body.empty()) {
+    std::string record = with_id(body, "index", rid);
     {
       const std::lock_guard<std::mutex> lock(state_mu_);
       const auto job = jobs_.find(rid);
@@ -1107,12 +1080,15 @@ void Router::on_result_answer(const CallPtr& call, std::size_t b,
         if (call->release)
           release_job_locked(job);
         else
-          job->second.result_json = std::string(body);
+          job->second.result_json = record;
       }
       ++counters_.results_served;
     }
-    return call->reply.send(result_json(rid, body));
+    return call->reply.send(serve::result_answer(rid, record));
   }
+  if (resp.is_null())
+    return round_failed(call,
+                        "garbled answer from " + opts_.backends[b].name());
   const std::string err = resp.get_string("error", "");
   const bool expired = net::EventLoop::now_ms() >= call->deadline_ms;
   if (err == "not_ready") {
@@ -1142,13 +1118,12 @@ void Router::on_result_answer(const CallPtr& call, std::size_t b,
       return call->fail("unavailable", "backend draining");
     return result_round(call);
   }
-  rewrite_id(resp, rid);
-  call->reply.send(json::serialize(resp));
+  call->reply.send(with_id(f.body, "id", rid));
 }
 
 void Router::round_failed(const CallPtr& call, const std::string& what) {
   if (!call->cached.empty())  // the release was best effort
-    return call->reply.send(result_json(call->rid, call->cached));
+    return call->reply.send(serve::result_answer(call->rid, call->cached));
   if (stopping_.load()) return call->fail("shutting_down", "router stopping");
   // The breaker heard about it; if it opened, loop 0 is re-landing the
   // group. Re-read the mapping shortly, until the deadline (or attempt
@@ -1237,13 +1212,10 @@ std::optional<std::string> Router::forward_by_id(const json::Value& req,
                                 ",\"state\":\"queued\",\"rerouting\":true}";
   if (status && !cached.empty()) {
     // Served from the router's copy; mirror the backend's shape.
-    std::string st = "finished";
-    try {
-      st = parse_json(cached).get_string("status", "finished");
-    } catch (const std::exception&) {
-    }
+    const std::string_view st = json::member_text(cached, "status");
     return "{\"ok\":true,\"type\":\"status\"," + id_member(rid) +
-           ",\"state\":\"done\",\"status\":\"" + json_escape(st) + "\"}";
+           ",\"state\":\"done\",\"status\":" +
+           (st.empty() ? "\"finished\"" : std::string(st)) + "}";
   }
   if (b == npos)
     return status ? rerouting
@@ -1260,7 +1232,7 @@ std::optional<std::string> Router::forward_by_id(const json::Value& req,
       reply.loop(), b, v2::Op::kJson, ps.str(), kRoundSlackMs,
       [this, reply, rid, gidx, op, rerouting](const v2::Frame* f,
                                               const std::string& error) {
-        json::Value resp = answer_json(f);
+        json::Value resp = answer_json(f ? f->body : "");
         if (resp.is_null())
           return reply.send(error_json(
               "unavailable", f ? "garbled answer" : error, id_member(rid)));
@@ -1278,8 +1250,7 @@ std::optional<std::string> Router::forward_by_id(const json::Value& req,
           const auto it = jobs_.find(rid);
           if (it != jobs_.end()) it->second.result_json.clear();
         }
-        rewrite_id(resp, rid);
-        reply.send(json::serialize(resp));
+        reply.send(with_id(f->body, "id", rid));
       });
   return std::nullopt;
 }
@@ -1298,7 +1269,7 @@ void Router::stats(net::EventLoop& loop,
   // One kStats round per alive backend, joined by a counter; a backend
   // that is down or misses its deadline reports "up":false.
   struct Fanout {
-    std::vector<json::Value> answers;
+    std::vector<std::string> answers;
     std::vector<std::string> errors;
     std::size_t waiting = 1;  ///< rounds in flight, plus the sender
     std::function<void(const std::string&)> done;
@@ -1317,7 +1288,7 @@ void Router::stats(net::EventLoop& loop,
     ++fan->waiting;
     send_round(loop, i, v2::Op::kStats, "{\"op\":\"stats\"}", kRoundSlackMs,
                [fan, i, render](const v2::Frame* f, const std::string& error) {
-                 fan->answers[i] = answer_json(f);
+                 fan->answers[i] = f ? std::string(f->body) : std::string();
                  fan->errors[i] = f ? std::string() : error;
                  if (--fan->waiting == 0) render();
                });
@@ -1328,12 +1299,12 @@ void Router::stats(net::EventLoop& loop,
 std::string Router::metrics_text() {
   const std::size_t n = opts_.backends.size();
   metrics::Registry r(metrics::Format::kPrometheus, kMetricPrefix);
-  describe(r, std::vector<json::Value>(n), std::vector<std::string>(n));
+  describe(r, std::vector<std::string>(n), std::vector<std::string>(n));
   return r.str();
 }
 
 void Router::describe(metrics::Registry& r,
-                      const std::vector<json::Value>& answers,
+                      const std::vector<std::string>& answers,
                       const std::vector<std::string>& errors) {
   const Counters n = counters();
   const BreakerCounts trans = health_.totals();
@@ -1395,11 +1366,12 @@ void Router::describe(metrics::Registry& r,
             "Router-tracked unfinished jobs per backend", {"backend", name});
     r.gauge({}, health_.alive(i), "backend_up",
             "1 when the backend's breaker is not open", {"backend", name});
-    const json::Value* stats = answers[i].find("stats");
-    if (answers[i].get_bool("ok", false) && stats &&
-        add_to_fleet(*stats, fleet)) {
+    const json::Value resp = answer_json(answers[i]);
+    const json::Value* stats = resp.find("stats");
+    if (resp.get_bool("ok", false) && stats && add_to_fleet(*stats, fleet)) {
       r.value("up", true);
-      r.raw("stats", json::serialize(*stats));
+      // The backend's own bytes: a re-render would reprint its doubles.
+      r.raw("stats", json::member_text(answers[i], "stats"));
     } else {
       r.value("up", false);
       if (!errors[i].empty()) r.text("error", errors[i]);

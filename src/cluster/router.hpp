@@ -8,12 +8,13 @@
 // holds a thread while a backend answers. Three responsibilities
 // (docs/CLUSTER.md):
 //
-//  1. Cache-affinity routing. A submit's jobs are decoded and hashed
-//     with the same canonical content hash the result cache uses
-//     (sweep_cache_key), and the combined key picks the owning backend
-//     on a rendezvous ring — identical work always lands where its
-//     cached result already lives. Fleets without caches can route by
-//     least-outstanding instead.
+//  1. Cache-affinity routing. A submit's jobs are hashed as the client
+//     wrote them (route_key) and the key picks the owning backend on a
+//     rendezvous ring — a repeated submit always lands where its cached
+//     result already lives. The jobs are forwarded as sent and the
+//     backend's answers spliced, not re-rendered: the router decodes a
+//     job only to materialize a peer cache's answer. Fleets without
+//     caches can route by least-outstanding instead.
 //  2. Health-checked failover. Per-backend circuit breakers (fed by
 //     both live traffic and a background ping prober) stop the router
 //     from burning timeouts on a dead backend; the moment a breaker
@@ -45,6 +46,7 @@
 #include <mutex>
 #include <optional>
 #include <string>
+#include <string_view>
 #include <unordered_map>
 #include <vector>
 
@@ -83,11 +85,11 @@ struct RouterOptions {
   std::uint64_t connect_timeout_ms = 2'000;
   /// Reap client sessions idle this long, ms; 0 = never.
   std::uint64_t idle_timeout_ms = 0;
-  /// When > 1, inject top-level "batch_lanes": N into each submitted
-  /// job that does not set its own, so a whole fleet can be switched to
-  /// SIMD-over-jobs lane batching at the router (docs/PERF.md "Lane
-  /// batching"). A host knob excluded from result-cache keys, so
-  /// affinity and cache hits are unaffected.
+  /// When > 1, send "batch_lanes": N with every submit, which backends
+  /// apply to each job that does not set its own, so a whole fleet can
+  /// be switched to SIMD-over-jobs lane batching at the router
+  /// (docs/PERF.md "Lane batching"). A host knob excluded from
+  /// result-cache keys, so cache hits are unaffected.
   std::uint32_t default_batch_lanes = 1;
   /// Tier-3 peer cache read-through (docs/CACHE.md). When a submit is
   /// diverted off its ring owner (saturation/drain) or a group is
@@ -104,6 +106,11 @@ struct RouterOptions {
   /// on which every backend op of its sessions is forwarded.
   unsigned io_threads = 2;
 };
+
+/// The affinity key of a submit: FNV-128 over the exact text of each
+/// of its jobs. Byte-equal submits always share an owner; jobs equal in
+/// meaning but written differently may not (docs/CLUSTER.md).
+Hash128 route_key(const std::vector<std::string_view>& jobs);
 
 class Router {
  public:
@@ -143,14 +150,11 @@ class Router {
   /// One client submit, forwarded whole to one backend (admission is
   /// all-or-nothing on the backend, so a group never splits).
   struct SubmitGroup {
-    std::string jobs_json;        ///< serialized "jobs" array, for resubmits
-    std::uint64_t deadline_ms = 0;
-    std::string fleet_key;        ///< idempotency key used toward backends
+    /// The backend submit, under the fleet's idempotency key: every
+    /// (re)placement sends these bytes.
+    std::string payload;
     std::string client_key;       ///< router-level key ("" for keyless)
-    Hash128 route_key;            ///< combined content hash of the jobs
-    /// Per-job cache keys (parallel to router_ids), kept so a failover
-    /// re-placement can try a peer cache before resubmitting.
-    std::vector<Hash128> job_keys;
+    Hash128 route_key;            ///< route_key() of the jobs
     std::vector<std::uint64_t> router_ids;
     std::size_t backend = npos;   ///< current owner (index into backends)
     std::vector<std::uint64_t> backend_ids;  ///< parallel to router_ids
@@ -163,8 +167,9 @@ class Router {
   struct JobEntry {
     std::size_t group = 0;  ///< index into groups_
     std::size_t pos = 0;    ///< position within the group
-    /// Serialized result object, cached on first successful fetch; a
-    /// job with a cached result is done and never resubmitted.
+    /// Result object (its "index" the router id), cached on first
+    /// successful fetch; a job with a cached result is done and never
+    /// resubmitted.
     std::string result_json;
   };
 
@@ -261,7 +266,7 @@ class Router {
 
   // --- ops -------------------------------------------------------------
   /// Key reservation and parking, then forward_submit.
-  void handle_submit(const json::Value& req, const serve::Reply& reply);
+  void handle_submit(std::string_view text, const serve::Reply& reply);
   /// Try the call's next candidate (or peer cache) for its group.
   void forward_submit(const SubmitPtr& call);
   /// Answer the submit, and publish its outcome to parked resends.
@@ -285,9 +290,9 @@ class Router {
   void stats(net::EventLoop& loop,
              std::function<void(const std::string&)> done);
   /// Declare the router's counters and its per-backend roll-call into
-  /// `r`. `answers[i]`/`errors[i]` are backend i's kStats answer and
+  /// `r`. `answers[i]`/`errors[i]` are backend i's kStats answer text and
   /// round error, which only the JSON document embeds.
-  void describe(metrics::Registry& r, const std::vector<json::Value>& answers,
+  void describe(metrics::Registry& r, const std::vector<std::string>& answers,
                 const std::vector<std::string>& errors);
 
   // The result path.
@@ -321,18 +326,15 @@ class Router {
   void place_group(net::EventLoop& loop, std::size_t group_idx,
                    std::size_t from, std::size_t exclude);
   void place_next(const PlacePtr& call);
-  /// The placement ended: on `b`, or nowhere (npos).
-  void place_done(const PlacePtr& call, std::size_t b);
 
-  /// Tier-3 peer read-through (docs/CACHE.md): fetch every key from
-  /// backend `b`'s result cache in pipelined kCacheGet rounds bounded
-  /// by peer_timeout_ms. Never the breaker: an optimization must not
-  /// poison the request path. Only when EVERY key was found and
+  /// Tier-3 peer read-through (docs/CACHE.md): fetch every job's cache
+  /// key from backend `b`'s result cache in pipelined kCacheGet rounds
+  /// bounded by peer_timeout_ms. Never the breaker: an optimization must
+  /// not poison the request path. Only when EVERY key was found and
   /// decodes: the result bodies for router ids `rids` (allocated here
   /// when empty), materialized from `jobs` as a backend does on its own
   /// cache hit.
   void peer_results(net::EventLoop& loop, std::size_t b,
-                    const std::vector<Hash128>& keys,
                     std::shared_ptr<const std::vector<SweepJob>> jobs,
                     std::vector<std::uint64_t> rids, PeerDone done);
 

@@ -1,11 +1,13 @@
 #include "common/json.hpp"
 
 #include <algorithm>
+#include <bit>
 #include <cctype>
 #include <cerrno>
 #include <cmath>
 #include <cstdio>
 #include <cstdlib>
+#include <cstring>
 #include <limits>
 
 namespace masc {
@@ -251,168 +253,304 @@ std::string_view member_text(std::string_view doc, std::string_view key) {
 
 namespace {
 
+using json::skip_ws;
 using json::Value;
 
-/// Recursive-descent parser over the whole document in memory. Wire
-/// frames are size-capped well below anything that could make this
-/// slow; depth is capped so crafted input cannot blow the C++ stack.
-class Parser {
- public:
-  explicit Parser(const std::string& text) : s_(text) {}
+[[noreturn]] void fail_at(std::size_t at, const char* what) {
+  throw JsonError("JSON parse error at offset " + std::to_string(at) + ": " +
+                  what);
+}
 
-  Value parse_document() {
-    Value v = parse_value(0);
-    skip_ws();
-    if (pos_ != s_.size()) fail("trailing characters after JSON document");
-    return v;
+/// How many of the eight bytes at `p` lead as plain string characters,
+/// before a quote, backslash or control character: eight at a time.
+std::size_t plain_bytes(const char* p) {
+  constexpr std::uint64_t kOnes = 0x0101010101010101ULL;
+  constexpr std::uint64_t kHighs = 0x8080808080808080ULL;
+  std::uint64_t x = 0;
+  std::memcpy(&x, p, sizeof x);
+  // A byte below n sets its high bit in (x - n*kOnes) & ~x (n <= 0x80);
+  // the lowest such bit is always a true one.
+  const auto below = [](std::uint64_t v, std::uint64_t n) {
+    return (v - n * kOnes) & ~v & kHighs;
+  };
+  const std::uint64_t stop = below(x, 0x20) | below(x ^ ('"' * kOnes), 1) |
+                             below(x ^ ('\\' * kOnes), 1);
+  if (stop == 0) return 8;
+  if constexpr (std::endian::native == std::endian::little)
+    return static_cast<std::size_t>(std::countr_zero(stop)) / 8;
+  return 0;  // the caller goes on byte by byte
+}
+
+/// One past the run of plain string characters from `i`.
+std::size_t plain_run(std::string_view s, std::size_t i) {
+  while (i + 8 <= s.size()) {
+    const std::size_t n = plain_bytes(s.data() + i);
+    i += n;
+    if (n < 8) break;
+  }
+  while (i < s.size() && static_cast<unsigned char>(s[i]) >= 0x20 &&
+         s[i] != '"' && s[i] != '\\')
+    ++i;
+  return i;
+}
+
+/// One past the run of number characters (digits, sign, '.', exponent)
+/// from `i`.
+std::size_t number_end(std::string_view s, std::size_t i) {
+  while (i < s.size() && ((s[i] >= '0' && s[i] <= '9') || s[i] == '.' ||
+                          s[i] == 'e' || s[i] == 'E' || s[i] == '+' ||
+                          s[i] == '-'))
+    ++i;
+  return i;
+}
+
+/// The number of digits of `tok` when it is one or more digits after an
+/// optional '-', else 0.
+std::size_t plain_integer_digits(std::string_view tok) {
+  if (tok.starts_with('-')) tok.remove_prefix(1);
+  for (const char c : tok)
+    if (c < '0' || c > '9') return 0;
+  return tok.size();
+}
+
+/// The value of hex digit `c`, or -1 when it is not one.
+int hex_digit(char c) {
+  if (c >= '0' && c <= '9') return c - '0';
+  const char lower = static_cast<char>(c | 0x20);
+  return lower >= 'a' && lower <= 'f' ? lower - 'a' + 10 : -1;
+}
+
+/// The one JSON grammar check: walks text without building anything,
+/// each step returning one past what it checked and throwing JsonError
+/// on the first fault. Nesting is bounded so crafted input cannot blow
+/// the C++ stack.
+class Scanner {
+ public:
+  explicit Scanner(std::string_view text) : s_(text) {}
+
+  /// The text is one JSON document.
+  void check() { end(value(0, 0)); }
+
+  /// The text is one object (or, with open '[', array); on_item(key,
+  /// value) sees each member (or element, with an empty key).
+  template <typename OnItem>
+  void document(char open, OnItem&& on_item) {
+    const std::size_t i = skip_ws(s_, 0);
+    if (i >= s_.size() || s_[i] != open)
+      fail_at(i, open == '{' ? "expected '{'" : "expected '['");
+    end(items(i, 0, on_item));
   }
 
  private:
   static constexpr int kMaxDepth = 64;
 
-  [[noreturn]] void fail(const std::string& what) const {
-    throw JsonError("JSON parse error at offset " + std::to_string(pos_) +
-                    ": " + what);
+  void end(std::size_t i) const {
+    if (skip_ws(s_, i) != s_.size())
+      fail_at(i, "trailing characters after JSON document");
   }
 
-  void skip_ws() {
-    while (pos_ < s_.size()) {
-      const char c = s_[pos_];
-      if (c != ' ' && c != '\t' && c != '\n' && c != '\r') break;
-      ++pos_;
+  void expect(std::size_t i, char c) const {
+    if (i >= s_.size() || s_[i] != c)
+      fail_at(i, c == ':' ? "expected ':'" : c == '}' ? "expected '}'"
+                                                      : "expected ']'");
+  }
+
+  std::size_t value(std::size_t i, int depth) {
+    if (depth > kMaxDepth) fail_at(i, "nesting too deep");
+    i = skip_ws(s_, i);
+    if (i >= s_.size()) fail_at(i, "unexpected end of input");
+    switch (s_[i]) {
+      case '{': case '[':
+        return items(i, depth, [](std::string_view, std::string_view) {});
+      case '"': return string(i);
+      case 't': return literal(i, "true");
+      case 'f': return literal(i, "false");
+      case 'n': return literal(i, "null");
+      default: return number(i);
     }
   }
 
-  char peek() {
-    if (pos_ >= s_.size()) fail("unexpected end of input");
-    return s_[pos_];
-  }
-
-  void expect(char c) {
-    if (pos_ >= s_.size() || s_[pos_] != c)
-      fail(std::string("expected '") + c + "'");
-    ++pos_;
-  }
-
-  bool consume_literal(const char* lit) {
-    std::size_t n = 0;
-    while (lit[n] != '\0') ++n;
-    if (s_.compare(pos_, n, lit) != 0) return false;
-    pos_ += n;
-    return true;
-  }
-
-  Value parse_value(int depth) {
-    if (depth > kMaxDepth) fail("nesting too deep");
-    skip_ws();
-    const char c = peek();
-    switch (c) {
-      case '{': return parse_object(depth);
-      case '[': return parse_array(depth);
-      case '"': {
-        Value v;
-        v.kind = Value::Kind::kString;
-        v.string = parse_string();
-        return v;
+  /// The object or array opening at `i`; on_item sees each member or
+  /// element, its value trimmed of whitespace.
+  template <typename OnItem>
+  std::size_t items(std::size_t i, int depth, OnItem&& on_item) {
+    const bool object = s_[i] == '{';
+    const char close = object ? '}' : ']';
+    i = skip_ws(s_, i + 1);
+    if (i < s_.size() && s_[i] == close) return i + 1;
+    for (;;) {
+      std::string_view key;
+      if (object) {
+        i = skip_ws(s_, i);
+        if (i >= s_.size() || s_[i] != '"') fail_at(i, "expected '\"'");
+        const std::size_t key_end = string(i);
+        key = s_.substr(i + 1, key_end - i - 2);
+        i = skip_ws(s_, key_end);
+        expect(i, ':');
+        ++i;
       }
-      case 't':
-        if (!consume_literal("true")) fail("bad literal");
-        return make_bool(true);
-      case 'f':
-        if (!consume_literal("false")) fail("bad literal");
-        return make_bool(false);
-      case 'n':
-        if (!consume_literal("null")) fail("bad literal");
-        return Value{};
-      default:
-        return parse_number();
+      const std::size_t start = skip_ws(s_, i);
+      i = value(start, depth + 1);
+      on_item(key, s_.substr(start, i - start));
+      i = skip_ws(s_, i);
+      if (i < s_.size() && s_[i] == ',') {
+        ++i;
+        continue;
+      }
+      expect(i, close);
+      return i + 1;
     }
   }
 
-  static Value make_bool(bool b) {
-    Value v;
-    v.kind = Value::Kind::kBool;
-    v.boolean = b;
+  std::size_t literal(std::size_t i, std::string_view lit) const {
+    if (s_.compare(i, lit.size(), lit) != 0) fail_at(i, "bad literal");
+    return i + lit.size();
+  }
+
+  std::size_t string(std::size_t i) const {
+    for (++i;;) {
+      i = plain_run(s_, i);
+      if (i >= s_.size()) fail_at(i, "unterminated string");
+      const char c = s_[i++];
+      if (c == '"') return i;
+      if (c != '\\') fail_at(i - 1, "raw control character in string");
+      if (i >= s_.size()) fail_at(i, "unterminated escape");
+      switch (s_[i++]) {
+        case '"': case '\\': case '/': case 'b': case 'f': case 'n':
+        case 'r': case 't': break;
+        case 'u': i = unicode_escape(i); break;
+        default: fail_at(i - 1, "bad escape character");
+      }
+    }
+  }
+
+  /// The four hex digits of a unicode escape at `i`, with a high
+  /// surrogate paired with the low one that must follow.
+  std::size_t unicode_escape(std::size_t i) const {
+    const std::uint32_t cp = hex4(i);
+    i += 4;
+    if (cp >= 0xD800 && cp <= 0xDBFF) {
+      if (i + 1 >= s_.size() || s_[i] != '\\' || s_[i + 1] != 'u')
+        fail_at(i, "lone high surrogate");
+      const std::uint32_t lo = hex4(i + 2);
+      if (lo < 0xDC00 || lo > 0xDFFF) fail_at(i, "invalid low surrogate");
+      return i + 6;
+    }
+    if (cp >= 0xDC00 && cp <= 0xDFFF) fail_at(i, "lone low surrogate");
+    return i;
+  }
+
+  std::uint32_t hex4(std::size_t i) const {
+    std::uint32_t v = 0;
+    for (std::size_t k = i; k < i + 4; ++k) {
+      if (k >= s_.size()) fail_at(k, "unterminated \\u escape");
+      const int d = hex_digit(s_[k]);
+      if (d < 0) fail_at(k, "bad hex digit in \\u escape");
+      v = v << 4 | static_cast<std::uint32_t>(d);
+    }
     return v;
   }
 
-  Value parse_object(int depth) {
-    Value v;
-    v.kind = Value::Kind::kObject;
-    expect('{');
-    skip_ws();
-    if (peek() == '}') { ++pos_; return v; }
-    for (;;) {
-      skip_ws();
-      std::string key = parse_string();
-      skip_ws();
-      expect(':');
-      v.object.emplace_back(std::move(key), parse_value(depth + 1));
-      skip_ws();
-      if (peek() == ',') { ++pos_; continue; }
-      expect('}');
-      return v;
+  /// A run of number characters that holds a digit and reads whole as a
+  /// double.
+  std::size_t number(std::size_t i) const {
+    const std::size_t end = number_end(s_, i);
+    if (plain_integer_digits(s_.substr(i, end - i)) > 0) return end;
+    const std::string tok(s_.substr(i, end - i));
+    char* stop = nullptr;
+    std::strtod(tok.c_str(), &stop);
+    if (tok.find_first_of("0123456789") == std::string::npos ||
+        stop != tok.c_str() + tok.size())
+      fail_at(i, "bad number");
+    return end;
+  }
+
+  std::string_view s_;
+};
+
+/// Decodes the Value of text the Scanner accepted, so it checks nothing.
+class Decoder {
+ public:
+  explicit Decoder(std::string_view text) : s_(text) {}
+
+  /// Fills `v` (a fresh Value) with the value at the cursor.
+  void value(Value& v) {
+    pos_ = skip_ws(s_, pos_);
+    switch (s_[pos_]) {
+      case '{': case '[': {
+        const bool object = s_[pos_] == '{';
+        v.kind = object ? Value::Kind::kObject : Value::Kind::kArray;
+        pos_ = skip_ws(s_, pos_ + 1);
+        if (s_[pos_] == (object ? '}' : ']')) {
+          ++pos_;
+          return;
+        }
+        for (;;) {
+          if (object) {
+            pos_ = skip_ws(s_, pos_);
+            std::string key = string();
+            pos_ = skip_ws(s_, pos_) + 1;  // the ':'
+            value(v.object.emplace_back(std::move(key), Value{}).second);
+          } else {
+            value(v.array.emplace_back());
+          }
+          pos_ = skip_ws(s_, pos_);
+          if (s_[pos_++] != ',') return;  // the closing bracket
+        }
+      }
+      case '"':
+        v.kind = Value::Kind::kString;
+        v.string = string();
+        return;
+      case 't': case 'f':
+        v.kind = Value::Kind::kBool;
+        v.boolean = s_[pos_] == 't';
+        pos_ += v.boolean ? 4 : 5;
+        return;
+      case 'n':
+        pos_ += 4;
+        return;
+      default:
+        number(v);
     }
   }
 
-  Value parse_array(int depth) {
-    Value v;
-    v.kind = Value::Kind::kArray;
-    expect('[');
-    skip_ws();
-    if (peek() == ']') { ++pos_; return v; }
-    for (;;) {
-      v.array.push_back(parse_value(depth + 1));
-      skip_ws();
-      if (peek() == ',') { ++pos_; continue; }
-      expect(']');
-      return v;
-    }
-  }
-
-  std::string parse_string() {
-    expect('"');
+ private:
+  std::string string() {
     std::string out;
-    for (;;) {
-      if (pos_ >= s_.size()) fail("unterminated string");
-      const char c = s_[pos_++];
-      if (c == '"') return out;
-      if (static_cast<unsigned char>(c) < 0x20)
-        fail("raw control character in string");
-      if (c != '\\') { out += c; continue; }
-      if (pos_ >= s_.size()) fail("unterminated escape");
-      const char e = s_[pos_++];
-      switch (e) {
-        case '"': out += '"'; break;
-        case '\\': out += '\\'; break;
-        case '/': out += '/'; break;
+    for (++pos_;;) {
+      const std::size_t run = plain_run(s_, pos_);
+      out.append(s_.substr(pos_, run - pos_));
+      pos_ = run;
+      if (s_[pos_++] == '"') return out;
+      switch (const char e = s_[pos_++]) {  // after a backslash
         case 'b': out += '\b'; break;
         case 'f': out += '\f'; break;
         case 'n': out += '\n'; break;
         case 'r': out += '\r'; break;
         case 't': out += '\t'; break;
-        case 'u': out += parse_unicode_escape(); break;
-        default: fail("bad escape character");
+        case 'u': append_utf8(out, code_point()); break;
+        default: out += e;  // '"', '\\' or '/'
       }
     }
   }
 
-  /// \uXXXX escapes, with surrogate pairs, encoded back to UTF-8.
-  std::string parse_unicode_escape() {
-    std::uint32_t cp = parse_hex4();
-    if (cp >= 0xD800 && cp <= 0xDBFF) {
-      if (pos_ + 1 < s_.size() && s_[pos_] == '\\' && s_[pos_ + 1] == 'u') {
-        pos_ += 2;
-        const std::uint32_t lo = parse_hex4();
-        if (lo < 0xDC00 || lo > 0xDFFF) fail("invalid low surrogate");
-        cp = 0x10000 + ((cp - 0xD800) << 10) + (lo - 0xDC00);
-      } else {
-        fail("lone high surrogate");
-      }
-    } else if (cp >= 0xDC00 && cp <= 0xDFFF) {
-      fail("lone low surrogate");
-    }
-    std::string out;
+  std::uint32_t hex4() {
+    std::uint32_t v = 0;
+    for (int k = 0; k < 4; ++k)
+      v = v << 4 | static_cast<std::uint32_t>(hex_digit(s_[pos_++]));
+    return v;
+  }
+
+  /// A unicode escape's code point, a surrogate pair joined.
+  std::uint32_t code_point() {
+    const std::uint32_t cp = hex4();
+    if (cp < 0xD800 || cp > 0xDBFF) return cp;
+    pos_ += 2;  // the low half's "\u"
+    return 0x10000 + ((cp - 0xD800) << 10) + (hex4() - 0xDC00);
+  }
+
+  static void append_utf8(std::string& out, std::uint32_t cp) {
     if (cp < 0x80) {
       out += static_cast<char>(cp);
     } else if (cp < 0x800) {
@@ -428,65 +566,73 @@ class Parser {
       out += static_cast<char>(0x80 | ((cp >> 6) & 0x3F));
       out += static_cast<char>(0x80 | (cp & 0x3F));
     }
-    return out;
   }
 
-  std::uint32_t parse_hex4() {
-    std::uint32_t v = 0;
-    for (int i = 0; i < 4; ++i) {
-      if (pos_ >= s_.size()) fail("unterminated \\u escape");
-      const char c = s_[pos_++];
-      v <<= 4;
-      if (c >= '0' && c <= '9') v |= static_cast<std::uint32_t>(c - '0');
-      else if (c >= 'a' && c <= 'f') v |= static_cast<std::uint32_t>(c - 'a' + 10);
-      else if (c >= 'A' && c <= 'F') v |= static_cast<std::uint32_t>(c - 'A' + 10);
-      else fail("bad hex digit in \\u escape");
-    }
-    return v;
-  }
-
-  Value parse_number() {
+  /// Every number as a double; one with no '.' or exponent that fits
+  /// int64 also exactly.
+  void number(Value& v) {
     const std::size_t start = pos_;
-    if (pos_ < s_.size() && s_[pos_] == '-') ++pos_;
-    bool saw_digit = false;
-    bool integral = true;
-    while (pos_ < s_.size()) {
-      const char c = s_[pos_];
-      if (c >= '0' && c <= '9') { saw_digit = true; ++pos_; continue; }
-      if (c == '.' || c == 'e' || c == 'E' || c == '+' || c == '-') {
-        if (c == '.' || c == 'e' || c == 'E') integral = false;
-        ++pos_;
-        continue;
-      }
-      break;
-    }
-    if (!saw_digit) fail("bad number");
-    const std::string tok = s_.substr(start, pos_ - start);
-    Value v;
+    pos_ = number_end(s_, pos_);
+    const std::string_view text = s_.substr(start, pos_ - start);
     v.kind = Value::Kind::kNumber;
-    errno = 0;
-    char* end = nullptr;
-    v.number = std::strtod(tok.c_str(), &end);
-    if (end != tok.c_str() + tok.size()) fail("bad number");
-    if (integral) {
+    // Up to 18 digits fit int64, and the double nearest that integer is
+    // the one strtod reads (the sign of a "-0" included).
+    if (const std::size_t n = plain_integer_digits(text); n > 0 && n <= 18) {
+      std::uint64_t u = 0;
+      for (const char c : text.substr(text.size() - n))
+        u = u * 10 + static_cast<std::uint64_t>(c - '0');
+      const bool negative = text[0] == '-';
+      v.integer = negative ? -static_cast<std::int64_t>(u)
+                           : static_cast<std::int64_t>(u);
+      v.is_integer = true;
+      v.number = negative ? -static_cast<double>(u) : static_cast<double>(u);
+      return;
+    }
+    const std::string tok(text);
+    v.number = std::strtod(tok.c_str(), nullptr);
+    if (tok.find_first_of(".eE") == std::string::npos) {
       errno = 0;
+      char* end = nullptr;
       const long long i = std::strtoll(tok.c_str(), &end, 10);
       if (errno == 0 && end == tok.c_str() + tok.size()) {
         v.integer = i;
         v.is_integer = true;
       }
     }
-    return v;
   }
 
-  const std::string& s_;
+  std::string_view s_;
   std::size_t pos_ = 0;
 };
 
 }  // namespace
 
-json::Value parse_json(const std::string& text) {
-  return Parser(text).parse_document();
+namespace json {
+
+std::vector<std::pair<std::string_view, std::string_view>> object_members(
+    std::string_view doc) {
+  std::vector<std::pair<std::string_view, std::string_view>> out;
+  Scanner(doc).document('{', [&](std::string_view k, std::string_view v) {
+    out.emplace_back(k, v);
+  });
+  return out;
+}
+
+std::vector<std::string_view> array_elements(std::string_view doc) {
+  std::vector<std::string_view> out;
+  Scanner(doc).document('[', [&](std::string_view, std::string_view v) {
+    out.push_back(v);
+  });
+  return out;
+}
+
+}  // namespace json
+
+json::Value parse_json(std::string_view text) {
+  Scanner(text).check();
+  json::Value v;
+  Decoder(text).value(v);
+  return v;
 }
 
 }  // namespace masc

@@ -89,11 +89,23 @@ std::string serialize(const Value& v);
 /// re-serializing it.
 std::string_view member_text(std::string_view doc, std::string_view key);
 
+/// Each top-level member of the JSON object `doc`: its key as written
+/// (escapes left undecoded) and the exact text of its value. Unlike
+/// member_text, this checks as it goes and builds no Value: it throws
+/// JsonError unless `doc` is one document parse_json() would accept.
+std::vector<std::pair<std::string_view, std::string_view>> object_members(
+    std::string_view doc);
+
+/// The exact text of each element of the JSON array `doc`, whitespace
+/// around it trimmed. Checks `doc` as object_members() does. Lets a proxy
+/// hash and forward a request's elements without parsing them.
+std::vector<std::string_view> array_elements(std::string_view doc);
+
 }  // namespace json
 
 /// Parse one JSON document (throws JsonError on malformed input or
 /// trailing garbage). Depth is bounded to keep malicious wire input
 /// from overflowing the stack.
-json::Value parse_json(const std::string& text);
+json::Value parse_json(std::string_view text);
 
 }  // namespace masc

@@ -45,6 +45,48 @@ std::string submitted_json(const std::vector<std::uint64_t>& ids,
 }
 
 namespace {
+constexpr std::string_view kResultHead =
+    "{\"ok\":true,\"type\":\"result\",\"id\":";
+constexpr std::string_view kResultMid = ",\"result\":";
+}  // namespace
+
+std::string result_answer(std::uint64_t id, std::string_view body) {
+  const std::string ids = std::to_string(id);
+  std::string out;
+  out.reserve(kResultHead.size() + ids.size() + kResultMid.size() +
+              body.size() + 1);
+  out.append(kResultHead).append(ids).append(kResultMid).append(body);
+  out += '}';
+  return out;
+}
+
+std::string_view result_answer_body(std::string_view answer) {
+  if (!answer.starts_with(kResultHead) || !answer.ends_with('}')) return {};
+  std::size_t i = kResultHead.size();
+  while (i < answer.size() && answer[i] >= '0' && answer[i] <= '9') ++i;
+  if (i == kResultHead.size() || !answer.substr(i).starts_with(kResultMid))
+    return {};
+  i += kResultMid.size();
+  return answer.substr(i, answer.size() - 1 - i);
+}
+
+const json::Value& Request::body() const {
+  if (!body_) body_ = parse_json(text.empty() ? "{}" : text);
+  return *body_;
+}
+
+namespace {
+
+/// The "op" member of a request, read without parsing the rest of it
+/// when it is a plain string; otherwise through the full parse, which
+/// refuses malformed text.
+std::string op_of(const Request& req) {
+  const std::string_view op = json::member_text(req.text, "op");
+  if (op.size() >= 2 && op.front() == '"' && op.back() == '"' &&
+      op.find_first_of("\\\"", 1) == op.size() - 1)
+    return std::string(op.substr(1, op.size() - 2));
+  return req.body().get_string("op", "");
+}
 
 /// Per-connection protocol state, attached to net::Conn::ctx. v1
 /// responses go out strictly in request order (slots); v2 responses are
@@ -205,8 +247,7 @@ void FrontEnd::on_frame(net::Conn& c, std::string&& payload) {
   reply.loop_ = &c.loop();
   reply.conn_id_ = c.id();
   Request req;
-  const std::string* text = &payload;  // the JSON to parse
-  std::string v2_body;
+  bool json_text = true;  // false for the fully binary cache_get
   if (v2::is_v2(payload)) {
     reply.v2_ = true;
     try {
@@ -223,13 +264,10 @@ void FrontEnd::on_frame(net::Conn& c, std::string&& payload) {
         case v2::Op::kCacheGet:
           req.op = "cache_get";
           req.key = v2::decode_cache_get_key(f.body, f.request_id);
-          text = nullptr;  // the fully binary op: no JSON
+          json_text = false;
           break;
       }
-      if (text) {
-        v2_body = std::string(f.body);
-        text = &v2_body;
-      }
+      if (json_text) req.text = std::string(f.body);
     } catch (const v2::V2Error& e) {
       if (e.fatal()) return c.close();  // the stream can't be trusted
       reply.op_ = static_cast<v2::Op>(static_cast<std::uint8_t>(payload[2]));
@@ -240,18 +278,22 @@ void FrontEnd::on_frame(net::Conn& c, std::string&& payload) {
     ConnState& st = conn_state(c);
     reply.v1_slot_ = st.next_slot++;
     st.v1_q.emplace_back(reply.v1_slot_, std::nullopt);
+    req.text = std::move(payload);
   }
   // A ServeError (transport failure or an injected frame fault) drops
   // the connection: the stream may be desynced. Anything else — a
   // JsonError, ConfigError, AssemblyError... — means the request was
   // ill-formed but the connection is fine: answer bad_request.
+  // The JSON is parsed only where it is read: the handler decides.
   reply.answer([&]() -> std::optional<std::string> {
-    if (text) {
-      req.body = parse_json(text->empty() ? "{}" : *text);
-      if (req.op.empty()) req.op = req.body.get_string("op", "");
+    if (json_text) {
+      if (req.op.empty()) req.op = op_of(req);
       if (req.op == "cache_get" &&
-          !hash128_from_hex(req.body.get_string("key", ""), req.key))
+          !hash128_from_hex(req.body().get_string("key", ""), req.key))
         throw JsonError("cache_get needs a 32-hex-digit \"key\"");
+      // The ops answered here refuse malformed text like every other op.
+      if (req.op == "ping" || req.op == "hello" || req.op == "shutdown")
+        req.body();
     }
     if (req.op == "ping") return "{\"ok\":true,\"type\":\"pong\"}";
     if (req.op == "hello") {
@@ -259,7 +301,8 @@ void FrontEnd::on_frame(net::Conn& c, std::string&& payload) {
       // version both sides speak. v2 frames are accepted regardless —
       // hello is how a *client* learns it may send them.
       unsigned best = 1;
-      if (const json::Value* v = req.body.find("versions"); v && v->is_array())
+      if (const json::Value* v = req.body().find("versions");
+          v && v->is_array())
         for (const auto& e : v->as_array())
           if (e.is_number() && e.as_uint() == 2) best = 2;
       return "{\"ok\":true,\"type\":\"hello\",\"version\":" +

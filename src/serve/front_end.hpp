@@ -11,6 +11,7 @@
 #include <memory>
 #include <optional>
 #include <string>
+#include <string_view>
 #include <thread>
 #include <vector>
 
@@ -32,15 +33,30 @@ std::uint64_t require_id(const json::Value& req);
 /// {"ok":true,"type":"submitted","ids":[...],"duplicate":b}
 std::string submitted_json(const std::vector<std::uint64_t>& ids,
                            bool duplicate);
+/// {"ok":true,"type":"result","id":id,"result":body}: the answer to a
+/// result request for a finished job.
+std::string result_answer(std::uint64_t id, std::string_view body);
+/// The body of an answer result_answer() rendered, found by its fixed
+/// prefix without parsing; empty for any other answer.
+std::string_view result_answer_body(std::string_view answer);
 
-/// One decoded client request.
+/// One decoded client request. Its JSON is parsed on first use, so a
+/// handler that forwards the text never pays for a parse.
 struct Request {
   /// The op: a v2 header's op wins over the JSON "op" member.
   std::string op;
-  /// The v1 JSON request (or v2 body); empty for a binary cache_get.
-  json::Value body;
+  /// The v1 JSON request (or v2 body) as it arrived; empty for a binary
+  /// cache_get.
+  std::string text;
   /// cache_get only: the key, from either wire form.
   Hash128 key{};
+
+  /// `text` parsed ("{}" when empty), on the first call. Throws
+  /// JsonError when it is malformed.
+  const json::Value& body() const;
+
+ private:
+  mutable std::optional<json::Value> body_;
 };
 
 /// Completion handle for one request: where its response must go. Cheap

@@ -168,7 +168,7 @@ Program program_from_json(const json::Value& v) {
   return prog;
 }
 
-SweepJob job_from_json(const json::Value& v) {
+SweepJob job_from_json(const json::Value& v, std::uint32_t batch_lanes) {
   if (!v.is_object()) throw JsonError("job must be an object");
   SweepJob job;
   if (const json::Value* cfg = v.find("config"))
@@ -184,7 +184,7 @@ SweepJob job_from_json(const json::Value& v) {
   // Host-execution knob: 0 inherits the server's --batch-lanes default,
   // 1 forces serial; never part of cache keys.
   job.batch_lanes =
-      static_cast<std::uint32_t>(v.get_uint("batch_lanes", job.batch_lanes));
+      static_cast<std::uint32_t>(v.get_uint("batch_lanes", batch_lanes));
   return job;
 }
 

@@ -58,9 +58,9 @@ struct ProgramMemoStats {
 ProgramMemoStats program_memo_stats();
 
 /// Decode one job object: "config" (object), "program" (object),
-/// "label", "seed", "max_cycles", "batch_lanes". Deadline and
-/// cancellation are attached by the server (they need the submission
-/// timestamp).
-SweepJob job_from_json(const json::Value& v);
+/// "label", "seed", "max_cycles", "batch_lanes" (`batch_lanes` when the
+/// job sets none: a submit-level value). Deadline and cancellation are
+/// attached by the server (they need the submission timestamp).
+SweepJob job_from_json(const json::Value& v, std::uint32_t batch_lanes = 0);
 
 }  // namespace masc::serve

@@ -247,7 +247,6 @@ void Server::on_conn_close(net::EventLoop& loop, std::uint64_t conn_id) {
 std::optional<std::string> Server::handle_request(Request&& req,
                                                   const Reply& reply) {
   const std::string& op = req.op;
-  if (op == "result") return handle_result(req.body, &reply);
   if (op == "cache_get") {
     // Peer read-through (docs/CACHE.md tier L3): the router asks this
     // backend — the ring owner for the key — before letting another
@@ -258,10 +257,14 @@ std::optional<std::string> Server::handle_request(Request&& req,
                                    : std::nullopt);
     return std::nullopt;
   }
-  if (op == "submit") return handle_submit(req.body);
-  if (op == "status") return handle_status(req.body);
-  if (op == "cancel") return handle_cancel(req.body);
-  if (op == "extend") return handle_extend(req.body);
+  // Every other op's request is parsed (and a malformed one refused)
+  // here, whether the op reads it or not.
+  const json::Value& body = req.body();
+  if (op == "result") return handle_result(body, &reply);
+  if (op == "submit") return handle_submit(body);
+  if (op == "status") return handle_status(body);
+  if (op == "cancel") return handle_cancel(body);
+  if (op == "extend") return handle_extend(body);
   if (op == "stats")
     return "{\"ok\":true,\"type\":\"stats\",\"stats\":" + stats_json() + "}";
   if (op == "cache_stats") return handle_cache_stats();
@@ -279,6 +282,10 @@ std::string Server::handle_submit(const json::Value& req) {
   const std::uint64_t request_deadline_ms =
       req.get_uint("deadline_ms", opts_.default_deadline_ms);
   const std::string key = req.get_string("key", "");
+  // masc-routerd --batch-lanes sends the fleet's lane width once per
+  // submit; it fills in each job that does not set its own.
+  const auto submit_lanes =
+      static_cast<std::uint32_t>(req.get_uint("batch_lanes", 0));
   const bool journaling = journal_.is_open();
 
   // Compile/validate every job before admitting any: a submit either
@@ -288,7 +295,7 @@ std::string Server::handle_submit(const json::Value& req) {
   std::vector<std::uint64_t> deadlines;  // per job, ms; journaled
   parsed.reserve(jobs_v->as_array().size());
   for (const auto& elem : jobs_v->as_array()) {
-    SweepJob job = job_from_json(elem);
+    SweepJob job = job_from_json(elem, submit_lanes);
     job.max_cycles = std::min(job.max_cycles, opts_.max_cycles_cap);
     job.cancel = make_cancel_token();
     // With a journal, an interrupted run is worth saving: ask the sweep
@@ -469,8 +476,7 @@ std::optional<std::string> Server::handle_result(const json::Value& req,
   const std::string body = !rec.result_json.empty()
                                ? rec.result_json
                                : to_json(rec.result, rec.job.cfg);
-  std::string response = "{\"ok\":true,\"type\":\"result\",\"id\":" +
-                         std::to_string(id) + ",\"result\":" + body + "}";
+  std::string response = result_answer(id, body);
   if (release) {
     release_job_locked(it);
     lock.unlock();

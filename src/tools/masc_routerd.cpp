@@ -7,10 +7,11 @@
 //     --least-queued       route by fewest outstanding jobs instead of
 //                          cache-affinity rendezvous hashing (for fleets
 //                          running with --cache-bytes 0)
-//     --batch-lanes N      inject "batch_lanes": N into each job that
-//                          doesn't set its own — fleet-wide SIMD-over-jobs
-//                          lane batching default (docs/PERF.md "Lane
-//                          batching"); results and cache keys are unchanged.
+//     --batch-lanes N      send "batch_lanes": N with every submit, which
+//                          backends apply to each job that doesn't set its
+//                          own — fleet-wide SIMD-over-jobs lane batching
+//                          default (docs/PERF.md "Lane batching"); job text,
+//                          results and cache keys are unchanged.
 //                          "auto" picks N from the SIMD ISA this binary
 //                          was compiled for (common/simd.hpp) and logs it
 //     --io-threads N       epoll event-loop threads serving client

@@ -73,12 +73,40 @@ const char* kLongKernel =
     "bne r2, r0, outer\n"
     "halt\n";
 
-/// Runs until cancelled (within the server's cycle cap).
-std::string spin_job_json(const std::string& label) {
+/// Runs until cancelled or `max_cycles` (within the server's cycle cap).
+std::string spin_job_json(const std::string& label,
+                          std::uint64_t max_cycles = 1'000'000'000) {
   return "{\"config\":{\"pes\":8,\"threads\":4,\"width\":16},"
          "\"program\":{\"source\":\"loop: j loop\\n\"},"
-         "\"max_cycles\":1000000000,\"label\":\"" +
-         label + "\"}";
+         "\"max_cycles\":" +
+         std::to_string(max_cycles) + ",\"label\":\"" + label + "\"}";
+}
+
+/// A spin job's cycle cap for failover tests: ~0.1 s of host time in an
+/// optimized build, so a backend stopped just after the job starts
+/// interrupts it, while the re-landed run (and the serial reference)
+/// still end soon under a sanitizer.
+constexpr std::uint64_t kSpinCap = 5'000'000;
+
+/// The serial run of wire job `job` as the record a server returns for
+/// job id `id`, host_seconds zeroed.
+std::string serial_record(const std::string& job, std::uint64_t id) {
+  const SweepJob j = serve::job_from_json(parse_json(job));
+  SweepResult r = run_sweep_job(j, static_cast<std::size_t>(id));
+  r.host_seconds = 0;
+  return to_json(r, j.cfg);
+}
+
+/// The result body of a result answer, host_seconds zeroed.
+std::string result_record(const std::string& raw) {
+  std::string body(json::member_text(raw, "result"));
+  const std::string field = "\"host_seconds\":";
+  const std::size_t at = body.find(field);
+  if (at != std::string::npos) {
+    const std::size_t from = at + field.size();
+    body.replace(from, body.find(',', from) - from, "0");
+  }
+  return body;
 }
 
 /// Distinct loop bounds give distinct cache keys on demand.
@@ -374,6 +402,24 @@ RouterOptions test_router_options() {
   return ropts;
 }
 
+/// The backend the router's affinity ring places this submit on,
+/// derived exactly as the router derives it.
+std::size_t route_owner(const std::vector<BackendSpec>& backends,
+                        const std::vector<std::string>& jobs) {
+  std::vector<std::string> names;
+  for (const BackendSpec& b : backends) names.push_back(b.name());
+  const std::vector<std::string_view> texts(jobs.begin(), jobs.end());
+  return RendezvousRing(names).ranked(cluster::route_key(texts))[0];
+}
+
+std::size_t route_owner(const Fleet& fleet,
+                        const std::vector<std::string>& jobs) {
+  std::vector<BackendSpec> backends;
+  for (const auto& s : fleet.servers)
+    backends.push_back(BackendSpec{"127.0.0.1", s->port()});
+  return route_owner(backends, jobs);
+}
+
 json::Value router_stats(Client& c) {
   const json::Value resp = c.request("{\"op\":\"stats\"}");
   EXPECT_TRUE(resp.get_bool("ok", false));
@@ -511,9 +557,11 @@ TEST(RouterAffinityTest, RepeatSubmitsLandOnTheOwnersCache) {
   EXPECT_EQ(stats.find("fleet")->get_uint("cache_hits", 0), 3u);
 
   // An old client's config may still carry "sim_threads", a removed host
-  // knob. It is ignored: every job keeps its cache key, so the whole
-  // submit routes to the same owner and hits its cache, with the same
-  // result bytes — through the router and directly at the backend.
+  // knob. It is ignored: every job keeps its cache key and its result
+  // bytes, through the router and directly at the backend. The router
+  // routes on the jobs' text, though, and this text differs: the submit
+  // lands on its own ring owner, which is the cache's owner only by
+  // chance (docs/CLUSTER.md "Cache-affinity routing").
   const std::string width = "\"width\":16}";
   const std::string legacy_width = "\"width\":16,\"sim_threads\":4}";
   std::string legacy_submit = submit;
@@ -526,6 +574,16 @@ TEST(RouterAffinityTest, RepeatSubmitsLandOnTheOwnersCache) {
                   legacy_req.find("jobs")->as_array()[i])),
               sweep_cache_key(serve::job_from_json(
                   parse_json(job_json(kernels[i], "aff-" + std::to_string(i))))));
+  const auto jobs_of = [](const std::string& req) {
+    std::vector<std::string> out;
+    for (const std::string_view job :
+         json::array_elements(json::member_text(req, "jobs")))
+      out.emplace_back(job);
+    return out;
+  };
+  ASSERT_EQ(route_owner(fleet, jobs_of(submit)), with_hits);
+  const bool lands_on_owner =
+      route_owner(fleet, jobs_of(legacy_submit)) == with_hits;
   const json::Value routed = c.request(legacy_submit);
   ASSERT_TRUE(routed.get_bool("ok", false)) << legacy_submit;
   EXPECT_EQ(result_stats(await_result_raw(c, ids_of(routed)[0])),
@@ -536,7 +594,8 @@ TEST(RouterAffinityTest, RepeatSubmitsLandOnTheOwnersCache) {
   ASSERT_TRUE(local.get_bool("ok", false)) << legacy_submit;
   EXPECT_EQ(result_stats(await_result_raw(direct, ids_of(local)[0])),
             serial_stats_json(kernels[0]));
-  EXPECT_EQ(server_cache_hits(*fleet.servers[with_hits]), 9u);
+  EXPECT_EQ(server_cache_hits(*fleet.servers[with_hits]),
+            lands_on_owner ? 9u : 6u);
 }
 
 TEST(RouterIdempotencyTest, KeyedSubmitReturnsTheOriginalRouterIds) {
@@ -731,8 +790,9 @@ TEST(RouterFailoverTest, BackendStopMidRunFailsOverBitIdentically) {
   Fleet fleet(2, sopts, ropts);
   Client c = fleet.connect();
 
-  const json::Value sub = c.request("{\"op\":\"submit\",\"jobs\":[" +
-                                    job_json(kLongKernel, "stop-fo") + "]}");
+  const std::string job = spin_job_json("stop-fo", kSpinCap);
+  const json::Value sub =
+      c.request("{\"op\":\"submit\",\"jobs\":[" + job + "]}");
   ASSERT_TRUE(sub.get_bool("ok", false));
   const std::uint64_t id = ids_of(sub)[0];
   await_running(c, id);
@@ -740,11 +800,11 @@ TEST(RouterFailoverTest, BackendStopMidRunFailsOverBitIdentically) {
   ASSERT_NE(owner, kNpos);
 
   // Stop the owner mid-simulation: the next forward fails, the breaker
-  // opens, and the group is resubmitted to the survivor.
+  // opens, and the group is resubmitted to the survivor, where it runs
+  // to its cycle cap.
   fleet.servers[owner]->stop();
   const std::string raw = await_result_raw(c, id);
-  EXPECT_EQ(result_stats(raw),
-            serial_stats_json(kLongKernel))
+  EXPECT_EQ(result_record(raw), serial_record(job, id))
       << "failed-over result diverged from the serial run";
   EXPECT_NE(raw.find("\"label\":\"stop-fo\""), std::string::npos);
 
@@ -871,8 +931,9 @@ TEST(RouterPeerCacheTest, FailoverPeerMissStillRecomputesBitIdentically) {
   Fleet fleet(2, sopts, ropts);
   Client c = fleet.connect();
 
-  const json::Value sub = c.request("{\"op\":\"submit\",\"jobs\":[" +
-                                    job_json(kLongKernel, "peer-fo") + "]}");
+  const std::string job = spin_job_json("peer-fo", kSpinCap);
+  const json::Value sub =
+      c.request("{\"op\":\"submit\",\"jobs\":[" + job + "]}");
   ASSERT_TRUE(sub.get_bool("ok", false));
   const std::uint64_t id = ids_of(sub)[0];
   await_running(c, id);
@@ -885,8 +946,7 @@ TEST(RouterPeerCacheTest, FailoverPeerMissStillRecomputesBitIdentically) {
   // and nothing else.
   fleet.servers[owner]->stop();
   const std::string raw = await_result_raw(c, id);
-  EXPECT_EQ(result_stats(raw),
-            serial_stats_json(kLongKernel));
+  EXPECT_EQ(result_record(raw), serial_record(job, id));
 
   const json::Value stats = router_stats(c);
   EXPECT_EQ(router_counter(stats, "jobs_rerouted"), 1u);
@@ -1207,28 +1267,6 @@ class V1Conn {
 std::string wait_request(std::uint64_t id, std::uint64_t timeout_ms) {
   return "{\"op\":\"result\",\"id\":" + std::to_string(id) +
          ",\"wait\":true,\"timeout_ms\":" + std::to_string(timeout_ms) + "}";
-}
-
-/// The backend the router's affinity ring places this submit on,
-/// derived exactly as the router derives it.
-std::size_t route_owner(const std::vector<BackendSpec>& backends,
-                        const std::vector<std::string>& jobs) {
-  std::vector<std::string> names;
-  for (const BackendSpec& b : backends) names.push_back(b.name());
-  Fnv128 route;
-  for (const std::string& job : jobs) {
-    const Hash128 k = sweep_cache_key(serve::job_from_json(parse_json(job)));
-    route.u64(k.hi).u64(k.lo);
-  }
-  return RendezvousRing(names).ranked(route.digest())[0];
-}
-
-std::size_t route_owner(const Fleet& fleet,
-                        const std::vector<std::string>& jobs) {
-  std::vector<BackendSpec> backends;
-  for (const auto& s : fleet.servers)
-    backends.push_back(BackendSpec{"127.0.0.1", s->port()});
-  return route_owner(backends, jobs);
 }
 
 TEST(RouterParkedWaitTest, ThirtyTwoParkedWaitsLeavePingFast) {
@@ -1556,6 +1594,172 @@ TEST(RouterHungBackendTest, AHungBackendStallsNoOtherClient) {
         << "stuck job " << i;
   }
   EXPECT_EQ(server_submitted(backend), kStuck + 1);
+}
+
+// --- the router forwards bytes (docs/CLUSTER.md "Cache-affinity routing")
+
+/// A listening socket that accepts one connection and answers the first
+/// v2 request on it with `answer`, keeping the request's body.
+class FakeBackend {
+ public:
+  explicit FakeBackend(std::string answer) : answer_(std::move(answer)) {
+    fd_ = ::socket(AF_INET, SOCK_STREAM, 0);
+    sockaddr_in addr{};
+    addr.sin_family = AF_INET;
+    addr.sin_addr.s_addr = htonl(INADDR_LOOPBACK);
+    EXPECT_EQ(
+        ::bind(fd_, reinterpret_cast<const sockaddr*>(&addr), sizeof addr), 0);
+    EXPECT_EQ(::listen(fd_, 4), 0);
+    socklen_t len = sizeof addr;
+    ::getsockname(fd_, reinterpret_cast<sockaddr*>(&addr), &len);
+    port_ = ntohs(addr.sin_port);
+    thread_ = std::thread([this] {
+      const int conn = ::accept(fd_, nullptr, nullptr);
+      if (conn < 0) return;
+      std::string payload;
+      if (serve::read_frame(conn, payload, 10'000, 10'000)) {
+        const serve::v2::Frame f = serve::v2::decode(payload);
+        request_ = std::string(f.body);
+        serve::write_frame(conn, serve::v2::encode(f.op, serve::v2::Kind::kOk,
+                                                   f.request_id, answer_));
+      }
+      ::close(conn);
+    });
+  }
+  ~FakeBackend() {
+    ::shutdown(fd_, SHUT_RDWR);
+    if (thread_.joinable()) thread_.join();
+    ::close(fd_);
+  }
+  FakeBackend(const FakeBackend&) = delete;
+  FakeBackend& operator=(const FakeBackend&) = delete;
+
+  std::uint16_t port() const { return port_; }
+  /// The request body the router sent, once the backend has hung up.
+  const std::string& request() {
+    if (thread_.joinable()) thread_.join();
+    return request_;
+  }
+
+ private:
+  std::string answer_;
+  int fd_ = -1;
+  std::uint16_t port_ = 0;
+  std::thread thread_;
+  std::string request_;
+};
+
+TEST(RouterProxyTest, ForwardsTheClientsJobTextVerbatim) {
+  FakeBackend backend(
+      "{\"ok\":true,\"type\":\"submitted\",\"ids\":[7,8],"
+      "\"duplicate\":false}");
+  RouterOptions ropts = test_router_options();
+  ropts.backends = {BackendSpec{"127.0.0.1", backend.port()}};
+  ropts.default_batch_lanes = 4;
+  Router router(ropts);
+  router.start();
+
+  // Odd whitespace, members in an unusual order, an escape a re-render
+  // would spell differently, and a job that sets its own batch_lanes.
+  const std::string jobs =
+      "[ {\"label\" : \"odd\\u0041\",\n\t\"program\":{ \"source\":\"halt\\n\" },"
+      "\"config\":{\"width\":16, \"pes\":8}}  ,\r\n"
+      "{\"batch_lanes\":1,\"program\":{\"source\":\"halt\\n\"},\"seed\":3} ]";
+  Client c;
+  c.connect("127.0.0.1", router.port(), 5000);
+  const json::Value sub = c.request(
+      "{ \"jobs\" : " + jobs + " , \"op\":\"submit\",\"deadline_ms\":900}");
+  ASSERT_TRUE(sub.get_bool("ok", false)) << json::serialize(sub);
+  EXPECT_EQ(ids_of(sub).size(), 2u);
+  router.stop();
+
+  // The backend got the client's jobs byte for byte, and the fleet's
+  // lane width once, beside them.
+  const std::string& req = backend.request();
+  EXPECT_EQ(json::member_text(req, "jobs"), jobs) << req;
+  EXPECT_EQ(json::member_text(req, "batch_lanes"), "4") << req;
+  EXPECT_EQ(json::member_text(req, "deadline_ms"), "900") << req;
+  EXPECT_EQ(json::member_text(req, "op"), "\"submit\"") << req;
+}
+
+TEST(RouterProxyTest, RelaysTheBackendsRefusalOfAJobThatDoesNotAssemble) {
+  ServerOptions sopts;
+  sopts.workers = 1;
+  RouterOptions ropts = test_router_options();
+  ropts.breaker.failure_threshold = 2;
+  Fleet fleet(1, sopts, ropts);
+  Client c = fleet.connect();
+  Client direct;
+  direct.connect("127.0.0.1", fleet.servers[0]->port(), 5000);
+
+  // The router does not decode jobs: the backend refuses this one, and
+  // the client gets that refusal byte for byte — an answer, so the
+  // breaker stays closed however often it comes.
+  const std::string bad =
+      "{\"op\":\"submit\",\"jobs\":[" + job_json("frob r1, r2\n", "bad") + "]}";
+  const std::string want = direct.request_raw(bad);
+  EXPECT_NE(want.find("\"error\":\"bad_request\""), std::string::npos) << want;
+  for (unsigned i = 0; i <= ropts.breaker.failure_threshold; ++i)
+    EXPECT_EQ(c.request_raw(bad), want) << "attempt " << i;
+  EXPECT_EQ(fleet.router->backend_state(0), BreakerState::kClosed);
+
+  const json::Value stats = router_stats(c);
+  EXPECT_EQ(router_counter(stats, "submits_routed"), 0u);
+  EXPECT_EQ(router_counter(stats, "submits_rejected"), 0u);
+  const json::Value good = c.request("{\"op\":\"submit\",\"jobs\":[" +
+                                     job_json(counting_kernel(5), "good") +
+                                     "]}");
+  ASSERT_TRUE(good.get_bool("ok", false)) << json::serialize(good);
+  EXPECT_EQ(result_stats(await_result_raw(c, ids_of(good)[0])),
+            serial_stats_json(counting_kernel(5)));
+}
+
+TEST(RouterRouteKeyTest, HashesEachJobAsWritten) {
+  // Byte-equal jobs share a route key; jobs equal in meaning but written
+  // differently do not, though the result cache keys them alike. The
+  // router trades that away for never decoding a job it forwards.
+  const std::string job = job_json(counting_kernel(9), "k");
+  const std::string spaced = "{ " + job.substr(1);
+  EXPECT_EQ(cluster::route_key({job}), cluster::route_key({std::string(job)}));
+  EXPECT_NE(cluster::route_key({job}), cluster::route_key({spaced}));
+  EXPECT_EQ(sweep_cache_key(serve::job_from_json(parse_json(job))),
+            sweep_cache_key(serve::job_from_json(parse_json(spaced))));
+  // Each job is hashed whole: splitting the text differently changes the key.
+  EXPECT_NE(cluster::route_key({job, job}), cluster::route_key({job + job}));
+}
+
+TEST(RouterMetricsTest, BackendStatsAreTheBackendsOwnBytes) {
+  ServerOptions sopts;
+  sopts.workers = 1;
+  Fleet fleet(2, sopts, test_router_options());
+  Client c = fleet.connect();
+  for (const unsigned n : {100u, 200u, 300u}) {
+    const json::Value sub = c.request("{\"op\":\"submit\",\"jobs\":[" +
+                                      job_json(counting_kernel(n), "own") +
+                                      "]}");
+    ASSERT_TRUE(sub.get_bool("ok", false));
+    await_result_raw(c, ids_of(sub)[0]);
+  }
+
+  // The roll-call splices each backend's stats document: its doubles
+  // read exactly as the backend printed them, never re-rendered.
+  const std::string raw = c.request_raw("{\"op\":\"stats\"}");
+  const std::vector<std::string_view> backends = json::array_elements(
+      json::member_text(json::member_text(raw, "stats"), "backends"));
+  ASSERT_EQ(backends.size(), fleet.servers.size()) << raw;
+  bool ran = false;
+  for (std::size_t i = 0; i < backends.size(); ++i) {
+    const std::string own = fleet.servers[i]->stats_json();
+    const std::string_view routed = json::member_text(backends[i], "stats");
+    EXPECT_EQ(json::member_text(routed, "host_seconds"),
+              json::member_text(own, "host_seconds"))
+        << "backend " << i;
+    EXPECT_EQ(json::member_text(routed, "aggregate"),
+              json::member_text(own, "aggregate"))
+        << "backend " << i;
+    ran = ran || json::member_text(own, "host_seconds") != "0";
+  }
+  EXPECT_TRUE(ran) << raw;
 }
 
 // --- backends named by host ----------------------------------------------

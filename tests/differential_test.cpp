@@ -679,17 +679,6 @@ TEST(DifferentialServe, EveryServingStateMatchesTheSerialRecord) {
 
 // --- routed results ---------------------------------------------------
 
-/// `record` with its leading "index" (the id that served it) set to 0.
-/// A routed result carries the answering backend's job id when the
-/// router splices the backend's bytes, and the router id when the
-/// router materialized it from a peer's cache.
-std::string zero_index(std::string record) {
-  const std::string field = "{\"index\":";
-  if (record.rfind(field, 0) != 0) return record;
-  record.replace(field.size(), record.find(',') - field.size(), "0");
-  return record;
-}
-
 /// A submit or result request and its JSON response, over v1 or v2.
 std::string routed_request(serve::Client& c, bool v2, serve::v2::Op op,
                            const std::string& req) {
@@ -709,7 +698,8 @@ std::vector<std::uint64_t> routed_submit(serve::Client& c, bool v2,
   return ids;
 }
 
-/// Every routed result body of `ids` must equal its serial record.
+/// Every routed result body of `ids` must equal its serial record at
+/// its router id: the leading "index" is the router's on every path.
 void expect_routed_records(serve::Client& c, bool v2,
                            const std::vector<std::uint64_t>& ids,
                            const SerialRecords& want,
@@ -722,7 +712,7 @@ void expect_routed_records(serve::Client& c, bool v2,
             ",\"wait\":true,\"timeout_ms\":20000}");
     const std::string body(json::member_text(raw, "result"));
     ASSERT_FALSE(body.empty()) << state << " job " << k << ": " << raw;
-    EXPECT_EQ(zero_index(zero_host_seconds(body)), want.record(k, 0))
+    EXPECT_EQ(zero_host_seconds(body), want.record(k, ids[k]))
         << state << " job " << k;
   }
 }

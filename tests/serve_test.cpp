@@ -250,6 +250,129 @@ TEST(ServeProtocol, JsonParserHandlesTheWireDialect) {
   EXPECT_THROW(parse_json(""), JsonError);
 }
 
+TEST(ServeProtocol, MembersAndElementsAreTheTextAsWritten) {
+  const std::string doc =
+      " { \"op\" : \"submit\",\n\"jobs\":[ {\"b\":1, \"a\":\"x\\u0041\"} ,\t[2] ,"
+      "\"s\" ] , \"k\\n\":null}\r\n";
+  const auto members = json::object_members(doc);
+  ASSERT_EQ(members.size(), 3u);
+  EXPECT_EQ(members[0].first, "op");
+  EXPECT_EQ(members[0].second, "\"submit\"");
+  EXPECT_EQ(members[1].first, "jobs");
+  EXPECT_EQ(members[2].first, "k\\n");  // escapes left as written
+  EXPECT_EQ(members[2].second, "null");
+  const auto elems = json::array_elements(members[1].second);
+  ASSERT_EQ(elems.size(), 3u);
+  EXPECT_EQ(elems[0], "{\"b\":1, \"a\":\"x\\u0041\"}");
+  EXPECT_EQ(elems[1], "[2]");
+  EXPECT_EQ(elems[2], "\"s\"");
+  EXPECT_TRUE(json::array_elements(" [ ] ").empty());
+  EXPECT_TRUE(json::object_members("{}").empty());
+  // Only the kind asked for, and only one whole document.
+  EXPECT_THROW(json::array_elements("{}"), JsonError);
+  EXPECT_THROW(json::object_members("[]"), JsonError);
+  EXPECT_THROW(json::array_elements("[1] [2]"), JsonError);
+  EXPECT_THROW(json::object_members("{\"a\":1"), JsonError);
+}
+
+TEST(ServeProtocol, MutatedDocumentsScanAndParseAlike) {
+  // object_members/array_elements check without building a Value; they
+  // must refuse exactly the documents parse_json refuses, and what
+  // parse_json builds must read back the same. Mutate valid documents
+  // (long plain runs included, so the eight-byte fast path meets quotes,
+  // escapes and control bytes at every offset) and compare.
+  const std::vector<std::string> seeds = {
+      "{\"op\":\"submit\",\"jobs\":[{\"program\":{\"source\":"
+      "\"li r1, 100\\nloop: addi r1, r1, -1\\nbne r1, r0, loop\\nhalt\\n\"},"
+      "\"seed\":3,\"x\":[1.5e3,-0,true,false,null,\"\\ud83d\\ude00\"]}]}",
+      "[{\"a\":\"abcdefghijklmnopqrstuvwxyz0123456789\\t\\\"\\/\"},[[]],{},-12.5E-2,"
+      "123456789012345678,-9223372036854775808,99999999999999999999,-0]",
+  };
+  const std::string alphabet = "{}[]:,\"\\/ \n\t\x01\x1f-+.eE0123456789abtfnru";
+  Rng rng(0x5ca77e2);
+  int refused = 0;
+  for (int trial = 0; trial < 20000; ++trial) {
+    std::string doc = seeds[rng.next_below(seeds.size())];
+    for (int m = 1 + static_cast<int>(rng.next_below(3)); m > 0; --m) {
+      const std::size_t at = rng.next_below(doc.size() + 1);
+      const char c = alphabet[rng.next_below(alphabet.size())];
+      switch (rng.next_below(3)) {
+        case 0: doc.insert(at, 1, c); break;
+        case 1: if (at < doc.size()) doc.erase(at, 1); break;
+        default: if (at < doc.size()) doc[at] = c; break;
+      }
+    }
+    bool parsed = true;
+    json::Value v;
+    try {
+      v = parse_json(doc);
+    } catch (const JsonError&) {
+      parsed = false;
+    }
+    const auto scans = [&](bool object) {
+      try {
+        if (object)
+          json::object_members(doc);
+        else
+          json::array_elements(doc);
+        return true;
+      } catch (const JsonError&) {
+        return false;
+      }
+    };
+    EXPECT_EQ(scans(true), parsed && v.is_object()) << doc;
+    EXPECT_EQ(scans(false), parsed && v.is_array()) << doc;
+    if (parsed) {
+      // A double that reads back as an integer (-0.0 prints as "-0")
+      // settles after one round trip.
+      const std::string once = json::serialize(parse_json(json::serialize(v)));
+      EXPECT_EQ(json::serialize(parse_json(once)), once) << doc;
+    }
+    refused += parsed ? 0 : 1;
+  }
+  EXPECT_GT(refused, 1000);  // the mutations do break documents
+}
+
+TEST(ServeProtocol, LongStringsAreCheckedAtEveryOffset) {
+  // Strings are scanned eight bytes at a time: a control character, a
+  // quote or an escape must be found wherever it falls in a word.
+  for (std::size_t at = 0; at < 24; ++at) {
+    std::string text(24, 'x');
+    for (const char c : {'\x01', '\x1f'}) {
+      text[at] = c;
+      EXPECT_THROW(parse_json("\"" + text + "\""), JsonError) << at;
+    }
+    text[at] = '"';
+    EXPECT_THROW(parse_json("\"" + text + "\""), JsonError) << at;
+    const std::string escaped =
+        std::string(at, 'x') + "\\n" + std::string(24 - at, 'y');
+    EXPECT_EQ(parse_json("\"" + escaped + "\"").as_string(),
+              std::string(at, 'x') + "\n" + std::string(24 - at, 'y'))
+        << at;
+    text[at] = '\x7f';  // DEL and bytes above it are plain
+    EXPECT_EQ(parse_json("\"" + text + "\"").as_string(), text) << at;
+  }
+}
+
+TEST(ServeProtocol, ResultAnswerBodyIsFoundByItsPrefix) {
+  const std::string body = "{\"index\":7,\"ipc\":0.25}";
+  const std::string answer = serve::result_answer(42, body);
+  EXPECT_EQ(answer, "{\"ok\":true,\"type\":\"result\",\"id\":42,\"result\":" +
+                        body + "}");
+  EXPECT_EQ(serve::result_answer_body(answer), body);
+  EXPECT_EQ(json::member_text(answer, "result"), body);
+  // Anything else is not recognised, so a proxy parses it instead.
+  EXPECT_TRUE(serve::result_answer_body(
+                  "{\"ok\":false,\"error\":\"not_ready\",\"id\":42}")
+                  .empty());
+  EXPECT_TRUE(serve::result_answer_body(
+                  "{\"ok\":true,\"type\":\"result\",\"id\":,\"result\":{}}")
+                  .empty());
+  EXPECT_TRUE(serve::result_answer_body(
+                  "{\"ok\":true,\"type\":\"result\",\"id\":1, \"result\":{}}")
+                  .empty());
+}
+
 TEST(ServeProtocol, ConfigDecodingAppliesDefaultsAndValidates) {
   const json::Value v =
       parse_json("{\"pes\":32,\"threads\":8,\"width\":16,\"sched\":\"smt\","
@@ -999,6 +1122,65 @@ TEST(ServeServer, LanesFillAcrossSubmits) {
   EXPECT_EQ(batch->get_uint("batched_jobs", 0), 8u);
   const auto& occupancy = batch->find("occupancy_log2")->as_array();
   EXPECT_EQ(occupancy[4].as_uint(), 1u);  // bucket [8, 16)
+  server.stop();
+}
+
+/// A submit-level "batch_lanes" (what masc-routerd --batch-lanes sends)
+/// fills in each job that sets none; a job's own value wins; neither is
+/// part of a cache key.
+TEST(ServeServer, SubmitLevelBatchLanesFillsJobsThatSetNone) {
+  ServerOptions opts = test_options();
+  opts.workers = 1;  // no --batch-lanes: serial unless a submit says so
+  opts.cache_bytes = 1 << 20;
+  Server server(opts);
+  server.start();
+  Client c;
+  c.connect("127.0.0.1", server.port());
+
+  JobSpec spin;
+  spin.source = kSpinForever;
+  spin.label = "blocker";
+  const auto blocker_id = submit_ok(c, {job_json(spin)})[0];
+  await_state(c, blocker_id, "running");
+
+  // Four jobs inherit the submit's 4 lanes; two more force serial. One
+  // program over distinct data: six cache keys, one lane key.
+  std::vector<JobSpec> specs;
+  std::vector<std::string> jobs, plain;
+  for (int j = 0; j < 6; ++j) {
+    JobSpec q;
+    q.source = ".data\nv: .word " + std::to_string(j) + "\n.text\n" +
+               reduction_kernel(4);
+    q.label = "q" + std::to_string(j);
+    specs.push_back(q);
+    jobs.push_back(job_json(q, j < 4 ? "" : "\"batch_lanes\":1"));
+    plain.push_back(job_json(q));
+  }
+  const auto ids = submit_ok(c, jobs, "\"batch_lanes\":4");
+  c.request("{\"op\":\"cancel\",\"id\":" + std::to_string(blocker_id) + "}");
+  for (std::size_t j = 0; j < ids.size(); ++j) {
+    const std::string raw = c.request_raw(result_request(ids[j], true));
+    EXPECT_NE(raw.find("\"stats\":" + serial_stats_json(specs[j])),
+              std::string::npos)
+        << raw;
+  }
+  c.request_raw(result_request(blocker_id, true));
+  const json::Value stats = parse_json(server.stats_json());
+  const json::Value* batch = stats.find("batch");
+  ASSERT_NE(batch, nullptr) << server.stats_json();
+  EXPECT_EQ(batch->get_uint("batched_jobs", 0), 4u);
+  EXPECT_EQ(batch->get_uint("batch_flushes", 0), 1u);
+
+  // The same jobs without any lane width hit the cache, every one.
+  for (std::size_t j = 0; j < jobs.size(); ++j)
+    EXPECT_EQ(
+        sweep_cache_key(serve::job_from_json(parse_json(jobs[j]), 4)),
+        sweep_cache_key(serve::job_from_json(parse_json(plain[j]))));
+  const auto again = submit_ok(c, plain);
+  for (const auto id : again)
+    c.request_raw(result_request(id, true));
+  EXPECT_EQ(parse_json(server.stats_json()).find("cache")->get_uint("hits", 0),
+            6u);
   server.stop();
 }
 
