@@ -92,7 +92,7 @@ std::string_view member_text(std::string_view doc, std::string_view key);
 /// Each top-level member of the JSON object `doc`: its key as written
 /// (escapes left undecoded) and the exact text of its value. Unlike
 /// member_text, this checks as it goes and builds no Value: it throws
-/// JsonError unless `doc` is one document parse_json() would accept.
+/// JsonError unless `doc` is one object that parse_json() would accept.
 std::vector<std::pair<std::string_view, std::string_view>> object_members(
     std::string_view doc);
 
