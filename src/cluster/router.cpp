@@ -198,11 +198,39 @@ std::vector<std::string> backend_names(const std::vector<BackendSpec>& bs) {
   return names;
 }
 
+// The job members a result-cache key covers (sweep_cache_key), under the
+// names job_from_json reads them by: every config member
+// config_from_json reads, the program and the cycle budget. label, seed,
+// batch_lanes and members no reader knows are left out, as the cache
+// leaves them out. A member missing here costs affinity, never results.
+constexpr std::string_view kJobMembers[] = {"config", "program",
+                                            "max_cycles"};
+constexpr std::string_view kConfigMembers[] = {
+    "pes",         "threads",        "width",          "arity",
+    "issue_width", "switch_penalty", "multithreading", "pipelined_network",
+    "pipelined_execution", "sched"};
+
 }  // namespace
 
 Hash128 route_key(const std::vector<std::string_view>& jobs) {
+  // Each text goes in as its length and its standard-library hash, a
+  // word at a time: FNV-128 a byte at a time over every program was a
+  // fifth of the router's CPU, and a route key only has to spread keys
+  // and agree within one build.
   Fnv128 h;
-  for (const std::string_view job : jobs) h.str(job);
+  const auto add = [&h](std::string_view text) {
+    h.u64(text.size()).u64(std::hash<std::string_view>{}(text));
+  };
+  std::string_view job_texts[std::size(kJobMembers)];
+  std::string_view config_texts[std::size(kConfigMembers)];
+  for (const std::string_view job : jobs) {
+    json::member_texts(job, kJobMembers, job_texts);
+    const auto& [config, program, max_cycles] = job_texts;
+    json::member_texts(config, kConfigMembers, config_texts);
+    for (const std::string_view text : config_texts) add(text);
+    add(program);
+    add(max_cycles);
+  }
   return h.digest();
 }
 
@@ -467,22 +495,20 @@ void Router::reset_channel(net::EventLoop& loop, std::size_t b,
 // --- submit ----------------------------------------------------------------
 
 void Router::handle_submit(std::string_view text, const serve::Reply& reply) {
-  // One checking pass over the request that builds nothing: the jobs are
-  // routed by a hash of their bytes and forwarded as the client wrote
-  // them. A job that does not decode is refused by the backend, whose
-  // bad_request the client gets byte for byte.
+  // One checking pass over the request that builds nothing and splits
+  // the jobs: they are routed by a hash of their text and forwarded as
+  // the client wrote them. A job that does not decode is refused by the
+  // backend, whose bad_request the client gets byte for byte.
   std::string_view jobs_text, key_text, deadline_text;
+  std::vector<std::string_view> jobs;
   const std::string_view doc = text.empty() ? "{}" : text;
-  for (const auto& [key, value] : json::object_members(doc)) {
+  for (const auto& [key, value] : json::object_members(doc, "jobs", &jobs)) {
     std::string_view* slot = key == "jobs"          ? &jobs_text
                              : key == "key"         ? &key_text
                              : key == "deadline_ms" ? &deadline_text
                                                     : nullptr;
     if (slot && slot->empty()) *slot = value;  // the first one, as find() does
   }
-  const std::vector<std::string_view> jobs =
-      jobs_text.starts_with('[') ? json::array_elements(jobs_text)
-                                 : std::vector<std::string_view>{};
   if (jobs.empty())
     throw JsonError("submit needs a non-empty \"jobs\" array");
   const std::uint64_t deadline_ms =
@@ -1067,11 +1093,8 @@ void Router::on_result_answer(const CallPtr& call, std::size_t b,
   // spliced unparsed: the backend's own bytes with the router's ids, so
   // a routed result is byte-equal to the same job's direct one
   // (docs/CLUSTER.md). Any other answer is parsed.
-  std::string_view body = serve::result_answer_body(f.body);
-  const json::Value resp = body.empty() ? answer_json(f.body) : json::Value{};
-  if (resp.get_bool("ok", false) && resp.get_string("type", "") == "result")
-    body = json::member_text(f.body, "result");
-  if (!body.empty()) {
+  if (const std::string_view body = serve::result_answer_body(f.body);
+      !body.empty()) {
     std::string record = with_id(body, "index", rid);
     {
       const std::lock_guard<std::mutex> lock(state_mu_);
@@ -1086,6 +1109,7 @@ void Router::on_result_answer(const CallPtr& call, std::size_t b,
     }
     return call->reply.send(serve::result_answer(rid, record));
   }
+  const json::Value resp = answer_json(f.body);
   if (resp.is_null())
     return round_failed(call,
                         "garbled answer from " + opts_.backends[b].name());

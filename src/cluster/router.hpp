@@ -8,13 +8,13 @@
 // holds a thread while a backend answers. Three responsibilities
 // (docs/CLUSTER.md):
 //
-//  1. Cache-affinity routing. A submit's jobs are hashed as the client
-//     wrote them (route_key) and the key picks the owning backend on a
-//     rendezvous ring — a repeated submit always lands where its cached
-//     result already lives. The jobs are forwarded as sent and the
-//     backend's answers spliced, not re-rendered: the router decodes a
-//     job only to materialize a peer cache's answer. Fleets without
-//     caches can route by least-outstanding instead.
+//  1. Cache-affinity routing. A submit's jobs are hashed on the text
+//     their cache keys cover (route_key), and the key picks the owning
+//     backend on a rendezvous ring — a repeated submit always lands
+//     where its cached result already lives. The jobs are forwarded as
+//     sent and the backend's answers spliced, not re-rendered: the
+//     router decodes a job only to materialize a peer cache's answer.
+//     Fleets without caches can route by least-outstanding instead.
 //  2. Health-checked failover. Per-backend circuit breakers (fed by
 //     both live traffic and a background ping prober) stop the router
 //     from burning timeouts on a dead backend; the moment a breaker
@@ -107,9 +107,12 @@ struct RouterOptions {
   unsigned io_threads = 2;
 };
 
-/// The affinity key of a submit: FNV-128 over the exact text of each
-/// of its jobs. Byte-equal submits always share an owner; jobs equal in
-/// meaning but written differently may not (docs/CLUSTER.md).
+/// The affinity key of a submit: FNV-128 over the text of what each
+/// job's result-cache key covers — its config members by name, its
+/// program and its max_cycles — read from the job as written, never
+/// decoded, each text entering as its length and std::hash. Member
+/// order, whitespace, and members the cache ignores do not move a job;
+/// a value spelled differently may (docs/CLUSTER.md).
 Hash128 route_key(const std::vector<std::string_view>& jobs);
 
 class Router {

@@ -1,14 +1,13 @@
 #include "common/json.hpp"
 
 #include <algorithm>
-#include <bit>
 #include <cctype>
 #include <cerrno>
 #include <cmath>
 #include <cstdio>
 #include <cstdlib>
-#include <cstring>
 #include <limits>
+#include <utility>
 
 namespace masc {
 
@@ -192,25 +191,29 @@ std::size_t skip_ws(std::string_view s, std::size_t i) {
   return i;
 }
 
+/// The closing quote of the string whose text starts at `i`, or
+/// s.size() when torn: the first '"' no odd run of backslashes escapes.
+std::size_t closing_quote(std::string_view s, std::size_t i) {
+  for (const std::size_t from = i;; ++i) {
+    i = s.find('"', i);
+    if (i == std::string_view::npos) return s.size();
+    std::size_t run = i;
+    while (run > from && s[run - 1] == '\\') --run;
+    if ((i - run) % 2 == 0) return i;
+  }
+}
+
 /// One past the end of the value starting at `i` in valid JSON text:
 /// strings and containers by their closing character, scalars at the
 /// next ',' or enclosing '}'/']' (trailing whitespace included).
 std::size_t skip_value(std::string_view s, std::size_t i) {
   int depth = 0;
-  bool in_string = false;
   for (; i < s.size(); ++i) {
-    const char c = s[i];
-    if (in_string) {
-      if (c == '\\') {
-        ++i;
-      } else if (c == '"') {
-        in_string = false;
-        if (depth == 0) return i + 1;
-      }
-      continue;
-    }
-    switch (c) {
-      case '"': in_string = true; break;
+    switch (s[i]) {
+      case '"':
+        i = closing_quote(s, i + 1);
+        if (depth == 0) return std::min(i + 1, s.size());
+        break;
       case '{': case '[': ++depth; break;
       case '}': case ']':
         if (depth == 0) return i;
@@ -222,31 +225,44 @@ std::size_t skip_value(std::string_view s, std::size_t i) {
       default: break;
     }
   }
-  return std::min(i, s.size());  // an escape can step past a torn end
+  return s.size();
 }
 
 }  // namespace
 
-std::string_view member_text(std::string_view doc, std::string_view key) {
+void member_texts(std::string_view doc, std::span<const std::string_view> keys,
+                  std::span<std::string_view> out) {
+  std::fill(out.begin(), out.end(), std::string_view{});
+  std::size_t missing = keys.size();
   std::size_t i = skip_ws(doc, 0);
-  if (i >= doc.size() || doc[i] != '{') return {};
+  if (i >= doc.size() || doc[i] != '{') return;
   ++i;
-  for (;;) {
+  while (missing > 0) {
     i = skip_ws(doc, i);
-    if (i >= doc.size() || doc[i] != '"') return {};
+    if (i >= doc.size() || doc[i] != '"') return;
     const std::size_t key_end = skip_value(doc, i);
-    const bool match = doc.substr(i + 1, key_end - i - 2) == key;
+    const std::string_view key = doc.substr(i + 1, key_end - i - 2);
     i = skip_ws(doc, key_end);
-    if (i >= doc.size() || doc[i] != ':') return {};
+    if (i >= doc.size() || doc[i] != ':') return;
     const std::size_t start = skip_ws(doc, i + 1);
     std::size_t end = skip_value(doc, start);
     i = end;
     while (end > start && is_ws(doc[end - 1])) --end;
-    if (match) return doc.substr(start, end - start);
+    for (std::size_t k = 0; k < keys.size(); ++k)
+      if (out[k].empty() && key == keys[k]) {
+        out[k] = doc.substr(start, end - start);
+        --missing;
+      }
     i = skip_ws(doc, i);
-    if (i >= doc.size() || doc[i] != ',') return {};
+    if (i >= doc.size() || doc[i] != ',') return;
     ++i;
   }
+}
+
+std::string_view member_text(std::string_view doc, std::string_view key) {
+  std::string_view text;
+  member_texts(doc, {&key, 1}, {&text, 1});
+  return text;
 }
 
 }  // namespace json
@@ -261,33 +277,9 @@ using json::Value;
                   what);
 }
 
-/// How many of the eight bytes at `p` lead as plain string characters,
-/// before a quote, backslash or control character: eight at a time.
-std::size_t plain_bytes(const char* p) {
-  constexpr std::uint64_t kOnes = 0x0101010101010101ULL;
-  constexpr std::uint64_t kHighs = 0x8080808080808080ULL;
-  std::uint64_t x = 0;
-  std::memcpy(&x, p, sizeof x);
-  // A byte below n sets its high bit in (x - n*kOnes) & ~x (n <= 0x80);
-  // the lowest such bit is always a true one.
-  const auto below = [](std::uint64_t v, std::uint64_t n) {
-    return (v - n * kOnes) & ~v & kHighs;
-  };
-  const std::uint64_t stop = below(x, 0x20) | below(x ^ ('"' * kOnes), 1) |
-                             below(x ^ ('\\' * kOnes), 1);
-  if (stop == 0) return 8;
-  if constexpr (std::endian::native == std::endian::little)
-    return static_cast<std::size_t>(std::countr_zero(stop)) / 8;
-  return 0;  // the caller goes on byte by byte
-}
-
-/// One past the run of plain string characters from `i`.
+/// One past the run of plain string characters from `i`: up to a quote,
+/// backslash or control character.
 std::size_t plain_run(std::string_view s, std::size_t i) {
-  while (i + 8 <= s.size()) {
-    const std::size_t n = plain_bytes(s.data() + i);
-    i += n;
-    if (n < 8) break;
-  }
   while (i < s.size() && static_cast<unsigned char>(s[i]) >= 0x20 &&
          s[i] != '"' && s[i] != '\\')
     ++i;
@@ -304,15 +296,6 @@ std::size_t number_end(std::string_view s, std::size_t i) {
   return i;
 }
 
-/// The number of digits of `tok` when it is one or more digits after an
-/// optional '-', else 0.
-std::size_t plain_integer_digits(std::string_view tok) {
-  if (tok.starts_with('-')) tok.remove_prefix(1);
-  for (const char c : tok)
-    if (c < '0' || c > '9') return 0;
-  return tok.size();
-}
-
 /// The value of hex digit `c`, or -1 when it is not one.
 int hex_digit(char c) {
   if (c >= '0' && c <= '9') return c - '0';
@@ -320,29 +303,59 @@ int hex_digit(char c) {
   return lower >= 'a' && lower <= 'f' ? lower - 'a' + 10 : -1;
 }
 
-/// The one JSON grammar check: walks text without building anything,
-/// each step returning one past what it checked and throwing JsonError
-/// on the first fault. Nesting is bounded so crafted input cannot blow
-/// the C++ stack.
-class Scanner {
+/// The one JSON grammar: a recursive-descent walk that checks text as
+/// it goes, each step returning one past what it checked and throwing
+/// JsonError on the first fault. Given a Value to fill it builds what it
+/// checks (parse_json); given none it builds nothing, so a proxy can
+/// check a request and keep spans of it. Nesting is bounded so crafted
+/// input cannot blow the C++ stack.
+class Parser {
  public:
-  explicit Scanner(std::string_view text) : s_(text) {}
+  explicit Parser(std::string_view text) : s_(text) {}
 
-  /// The text is one JSON document.
-  void check() { end(value(0, 0)); }
+  /// The text is one JSON document, built into `out` when given.
+  void document(Value* out) { end(value(0, 0, out)); }
 
-  /// The text is one object (or, with open '[', array); on_item(key,
-  /// value) sees each member (or element, with an empty key).
+  /// The text is one object (or, with open '[', array), built into
+  /// nothing; on_item(key, value) sees each member (or element, with an
+  /// empty key), its key as written. When the first top-level member
+  /// keyed `split` holds an array, its elements go to `*elements` from
+  /// the same pass.
   template <typename OnItem>
-  void document(char open, OnItem&& on_item) {
+  void document(char open, OnItem&& on_item, std::string_view split = {},
+                std::vector<std::string_view>* elements = nullptr) {
     const std::size_t i = skip_ws(s_, 0);
     if (i >= s_.size() || s_[i] != open)
       fail_at(i, open == '{' ? "expected '{'" : "expected '['");
-    end(items(i, 0, on_item));
+    split_ = split;
+    split_elements_ = elements;
+    end(items(i, 0, nullptr, on_item));
+  }
+
+  /// The decoded text of a key written as `raw` (between its quotes),
+  /// which the walk accepted.
+  static std::string unescape(std::string_view raw) {
+    if (raw.find('\\') == std::string_view::npos) return std::string(raw);
+    const std::string quoted = '"' + std::string(raw) + '"';
+    std::string out;
+    Parser(quoted).string(0, &out);
+    return out;
   }
 
  private:
   static constexpr int kMaxDepth = 64;
+
+  /// Ignores each item.
+  struct Skip {
+    void operator()(std::string_view, std::string_view) const {}
+  };
+  /// Appends each element to `out`.
+  struct Append {
+    std::vector<std::string_view>* out;
+    void operator()(std::string_view, std::string_view v) const {
+      out->push_back(v);
+    }
+  };
 
   void end(std::size_t i) const {
     if (skip_ws(s_, i) != s_.size())
@@ -355,42 +368,56 @@ class Scanner {
                                                       : "expected ']'");
   }
 
-  std::size_t value(std::size_t i, int depth) {
+  std::size_t value(std::size_t i, int depth, Value* out) {
     if (depth > kMaxDepth) fail_at(i, "nesting too deep");
     i = skip_ws(s_, i);
     if (i >= s_.size()) fail_at(i, "unexpected end of input");
     switch (s_[i]) {
-      case '{': case '[':
-        return items(i, depth, [](std::string_view, std::string_view) {});
-      case '"': return string(i);
-      case 't': return literal(i, "true");
-      case 'f': return literal(i, "false");
-      case 'n': return literal(i, "null");
-      default: return number(i);
+      case '{': case '[': return items(i, depth, out, Skip{});
+      case '"':
+        if (out) out->kind = Value::Kind::kString;
+        return string(i, out ? &out->string : nullptr);
+      case 't': return literal(i, "true", out);
+      case 'f': return literal(i, "false", out);
+      case 'n': return literal(i, "null", out);
+      default: return number(i, out);
     }
   }
 
-  /// The object or array opening at `i`; on_item sees each member or
-  /// element, its value trimmed of whitespace.
+  /// The object or array opening at `i`, built into `out` when given;
+  /// on_item sees each member or element, its value trimmed of
+  /// whitespace.
   template <typename OnItem>
-  std::size_t items(std::size_t i, int depth, OnItem&& on_item) {
+  std::size_t items(std::size_t i, int depth, Value* out, OnItem&& on_item) {
     const bool object = s_[i] == '{';
     const char close = object ? '}' : ']';
+    if (out) out->kind = object ? Value::Kind::kObject : Value::Kind::kArray;
     i = skip_ws(s_, i + 1);
     if (i < s_.size() && s_[i] == close) return i + 1;
     for (;;) {
       std::string_view key;
+      Value* slot = nullptr;
       if (object) {
         i = skip_ws(s_, i);
         if (i >= s_.size() || s_[i] != '"') fail_at(i, "expected '\"'");
-        const std::size_t key_end = string(i);
+        auto* member = out ? &out->object.emplace_back() : nullptr;
+        const std::size_t key_end = string(i, member ? &member->first : nullptr);
         key = s_.substr(i + 1, key_end - i - 2);
+        if (member) slot = &member->second;
         i = skip_ws(s_, key_end);
         expect(i, ':');
         ++i;
+      } else if (out) {
+        slot = &out->array.emplace_back();
       }
       const std::size_t start = skip_ws(s_, i);
-      i = value(start, depth + 1);
+      std::vector<std::string_view>* split = nullptr;
+      if (depth == 0 && split_elements_ && key_is(key, split_))
+        split = std::exchange(split_elements_, nullptr);
+      if (split && start < s_.size() && s_[start] == '[')
+        i = items(start, depth + 1, nullptr, Append{split});
+      else
+        i = value(start, depth + 1, slot);
       on_item(key, s_.substr(start, i - start));
       i = skip_ws(s_, i);
       if (i < s_.size() && s_[i] == ',') {
@@ -402,41 +429,58 @@ class Scanner {
     }
   }
 
-  std::size_t literal(std::size_t i, std::string_view lit) const {
+  std::size_t literal(std::size_t i, std::string_view lit, Value* out) const {
     if (s_.compare(i, lit.size(), lit) != 0) fail_at(i, "bad literal");
+    if (out && lit != "null") {
+      out->kind = Value::Kind::kBool;
+      out->boolean = lit == "true";
+    }
     return i + lit.size();
   }
 
-  std::size_t string(std::size_t i) const {
+  /// The string opening at `i`, decoded into `out` when given.
+  std::size_t string(std::size_t i, std::string* out) const {
     for (++i;;) {
-      i = plain_run(s_, i);
+      const std::size_t run = plain_run(s_, i);
+      if (out) out->append(s_.substr(i, run - i));
+      i = run;
       if (i >= s_.size()) fail_at(i, "unterminated string");
       const char c = s_[i++];
       if (c == '"') return i;
       if (c != '\\') fail_at(i - 1, "raw control character in string");
       if (i >= s_.size()) fail_at(i, "unterminated escape");
-      switch (s_[i++]) {
-        case '"': case '\\': case '/': case 'b': case 'f': case 'n':
-        case 'r': case 't': break;
-        case 'u': i = unicode_escape(i); break;
+      char decoded = s_[i++];
+      switch (decoded) {
+        case '"': case '\\': case '/': break;
+        case 'b': decoded = '\b'; break;
+        case 'f': decoded = '\f'; break;
+        case 'n': decoded = '\n'; break;
+        case 'r': decoded = '\r'; break;
+        case 't': decoded = '\t'; break;
+        case 'u': i = unicode_escape(i, out); continue;
         default: fail_at(i - 1, "bad escape character");
       }
+      if (out) *out += decoded;
     }
   }
 
   /// The four hex digits of a unicode escape at `i`, with a high
-  /// surrogate paired with the low one that must follow.
-  std::size_t unicode_escape(std::size_t i) const {
-    const std::uint32_t cp = hex4(i);
+  /// surrogate paired with the low one that must follow; the code point
+  /// is appended to `out` as UTF-8 when given.
+  std::size_t unicode_escape(std::size_t i, std::string* out) const {
+    std::uint32_t cp = hex4(i);
     i += 4;
     if (cp >= 0xD800 && cp <= 0xDBFF) {
       if (i + 1 >= s_.size() || s_[i] != '\\' || s_[i + 1] != 'u')
         fail_at(i, "lone high surrogate");
       const std::uint32_t lo = hex4(i + 2);
       if (lo < 0xDC00 || lo > 0xDFFF) fail_at(i, "invalid low surrogate");
-      return i + 6;
+      cp = 0x10000 + ((cp - 0xD800) << 10) + (lo - 0xDC00);
+      i += 6;
+    } else if (cp >= 0xDC00 && cp <= 0xDFFF) {
+      fail_at(i, "lone low surrogate");
     }
-    if (cp >= 0xDC00 && cp <= 0xDFFF) fail_at(i, "lone low surrogate");
+    if (out) append_utf8(*out, cp);
     return i;
   }
 
@@ -449,105 +493,6 @@ class Scanner {
       v = v << 4 | static_cast<std::uint32_t>(d);
     }
     return v;
-  }
-
-  /// A run of number characters that holds a digit and reads whole as a
-  /// double.
-  std::size_t number(std::size_t i) const {
-    const std::size_t end = number_end(s_, i);
-    if (plain_integer_digits(s_.substr(i, end - i)) > 0) return end;
-    const std::string tok(s_.substr(i, end - i));
-    char* stop = nullptr;
-    std::strtod(tok.c_str(), &stop);
-    if (tok.find_first_of("0123456789") == std::string::npos ||
-        stop != tok.c_str() + tok.size())
-      fail_at(i, "bad number");
-    return end;
-  }
-
-  std::string_view s_;
-};
-
-/// Decodes the Value of text the Scanner accepted, so it checks nothing.
-class Decoder {
- public:
-  explicit Decoder(std::string_view text) : s_(text) {}
-
-  /// Fills `v` (a fresh Value) with the value at the cursor.
-  void value(Value& v) {
-    pos_ = skip_ws(s_, pos_);
-    switch (s_[pos_]) {
-      case '{': case '[': {
-        const bool object = s_[pos_] == '{';
-        v.kind = object ? Value::Kind::kObject : Value::Kind::kArray;
-        pos_ = skip_ws(s_, pos_ + 1);
-        if (s_[pos_] == (object ? '}' : ']')) {
-          ++pos_;
-          return;
-        }
-        for (;;) {
-          if (object) {
-            pos_ = skip_ws(s_, pos_);
-            std::string key = string();
-            pos_ = skip_ws(s_, pos_) + 1;  // the ':'
-            value(v.object.emplace_back(std::move(key), Value{}).second);
-          } else {
-            value(v.array.emplace_back());
-          }
-          pos_ = skip_ws(s_, pos_);
-          if (s_[pos_++] != ',') return;  // the closing bracket
-        }
-      }
-      case '"':
-        v.kind = Value::Kind::kString;
-        v.string = string();
-        return;
-      case 't': case 'f':
-        v.kind = Value::Kind::kBool;
-        v.boolean = s_[pos_] == 't';
-        pos_ += v.boolean ? 4 : 5;
-        return;
-      case 'n':
-        pos_ += 4;
-        return;
-      default:
-        number(v);
-    }
-  }
-
- private:
-  std::string string() {
-    std::string out;
-    for (++pos_;;) {
-      const std::size_t run = plain_run(s_, pos_);
-      out.append(s_.substr(pos_, run - pos_));
-      pos_ = run;
-      if (s_[pos_++] == '"') return out;
-      switch (const char e = s_[pos_++]) {  // after a backslash
-        case 'b': out += '\b'; break;
-        case 'f': out += '\f'; break;
-        case 'n': out += '\n'; break;
-        case 'r': out += '\r'; break;
-        case 't': out += '\t'; break;
-        case 'u': append_utf8(out, code_point()); break;
-        default: out += e;  // '"', '\\' or '/'
-      }
-    }
-  }
-
-  std::uint32_t hex4() {
-    std::uint32_t v = 0;
-    for (int k = 0; k < 4; ++k)
-      v = v << 4 | static_cast<std::uint32_t>(hex_digit(s_[pos_++]));
-    return v;
-  }
-
-  /// A unicode escape's code point, a surrogate pair joined.
-  std::uint32_t code_point() {
-    const std::uint32_t cp = hex4();
-    if (cp < 0xD800 || cp > 0xDBFF) return cp;
-    pos_ += 2;  // the low half's "\u"
-    return 0x10000 + ((cp - 0xD800) << 10) + (hex4() - 0xDC00);
   }
 
   static void append_utf8(std::string& out, std::uint32_t cp) {
@@ -568,59 +513,63 @@ class Decoder {
     }
   }
 
-  /// Every number as a double; one with no '.' or exponent that fits
-  /// int64 also exactly.
-  void number(Value& v) {
-    const std::size_t start = pos_;
-    pos_ = number_end(s_, pos_);
-    const std::string_view text = s_.substr(start, pos_ - start);
-    v.kind = Value::Kind::kNumber;
-    // Up to 18 digits fit int64, and the double nearest that integer is
-    // the one strtod reads (the sign of a "-0" included).
-    if (const std::size_t n = plain_integer_digits(text); n > 0 && n <= 18) {
-      std::uint64_t u = 0;
-      for (const char c : text.substr(text.size() - n))
-        u = u * 10 + static_cast<std::uint64_t>(c - '0');
-      const bool negative = text[0] == '-';
-      v.integer = negative ? -static_cast<std::int64_t>(u)
-                           : static_cast<std::int64_t>(u);
-      v.is_integer = true;
-      v.number = negative ? -static_cast<double>(u) : static_cast<double>(u);
-      return;
-    }
-    const std::string tok(text);
-    v.number = std::strtod(tok.c_str(), nullptr);
+  /// A run of number characters that holds a digit and reads whole as a
+  /// double, built into `out` when given: every number as a double, and
+  /// one with no '.' or exponent that fits int64 also exactly.
+  std::size_t number(std::size_t i, Value* out) const {
+    const std::size_t end = number_end(s_, i);
+    const std::string tok(s_.substr(i, end - i));
+    char* stop = nullptr;
+    const double number = std::strtod(tok.c_str(), &stop);
+    if (tok.find_first_of("0123456789") == std::string::npos ||
+        stop != tok.c_str() + tok.size())
+      fail_at(i, "bad number");
+    if (!out) return end;
+    out->kind = Value::Kind::kNumber;
+    out->number = number;
     if (tok.find_first_of(".eE") == std::string::npos) {
       errno = 0;
-      char* end = nullptr;
-      const long long i = std::strtoll(tok.c_str(), &end, 10);
-      if (errno == 0 && end == tok.c_str() + tok.size()) {
-        v.integer = i;
-        v.is_integer = true;
+      const long long integer = std::strtoll(tok.c_str(), &stop, 10);
+      if (errno == 0 && stop == tok.c_str() + tok.size()) {
+        out->integer = integer;
+        out->is_integer = true;
       }
     }
+    return end;
+  }
+
+  /// Whether the key written as `raw` (between its quotes) decodes to
+  /// `name`.
+  static bool key_is(std::string_view raw, std::string_view name) {
+    return raw.find('\\') == std::string_view::npos ? raw == name
+                                                    : unescape(raw) == name;
   }
 
   std::string_view s_;
-  std::size_t pos_ = 0;
+  std::string_view split_;
+  std::vector<std::string_view>* split_elements_ = nullptr;
 };
 
 }  // namespace
 
 namespace json {
 
-std::vector<std::pair<std::string_view, std::string_view>> object_members(
-    std::string_view doc) {
-  std::vector<std::pair<std::string_view, std::string_view>> out;
-  Scanner(doc).document('{', [&](std::string_view k, std::string_view v) {
-    out.emplace_back(k, v);
-  });
+std::vector<std::pair<std::string, std::string_view>> object_members(
+    std::string_view doc, std::string_view split,
+    std::vector<std::string_view>* elements) {
+  std::vector<std::pair<std::string, std::string_view>> out;
+  Parser(doc).document(
+      '{',
+      [&](std::string_view k, std::string_view v) {
+        out.emplace_back(Parser::unescape(k), v);
+      },
+      split, elements);
   return out;
 }
 
 std::vector<std::string_view> array_elements(std::string_view doc) {
   std::vector<std::string_view> out;
-  Scanner(doc).document('[', [&](std::string_view, std::string_view v) {
+  Parser(doc).document('[', [&](std::string_view, std::string_view v) {
     out.push_back(v);
   });
   return out;
@@ -629,9 +578,8 @@ std::vector<std::string_view> array_elements(std::string_view doc) {
 }  // namespace json
 
 json::Value parse_json(std::string_view text) {
-  Scanner(text).check();
   json::Value v;
-  Decoder(text).value(v);
+  Parser(text).document(&v);
   return v;
 }
 

@@ -10,6 +10,7 @@
 
 #include <cstdint>
 #include <map>
+#include <span>
 #include <stdexcept>
 #include <string>
 #include <string_view>
@@ -89,16 +90,26 @@ std::string serialize(const Value& v);
 /// re-serializing it.
 std::string_view member_text(std::string_view doc, std::string_view key);
 
-/// Each top-level member of the JSON object `doc`: its key as written
-/// (escapes left undecoded) and the exact text of its value. Unlike
-/// member_text, this checks as it goes and builds no Value: it throws
-/// JsonError unless `doc` is one object that parse_json() would accept.
-std::vector<std::pair<std::string_view, std::string_view>> object_members(
-    std::string_view doc);
+/// member_text for each of `keys` in one walk over `doc`: `out[k]` gets
+/// the text of the first member keyed `keys[k]` (`out` is as long as
+/// `keys`).
+void member_texts(std::string_view doc, std::span<const std::string_view> keys,
+                  std::span<std::string_view> out);
+
+/// Each top-level member of the JSON object `doc`: its key, escapes
+/// decoded, and the exact text of its value. Unlike member_text, this
+/// checks as it goes and builds no Value: it throws JsonError unless
+/// `doc` is one object that parse_json() would accept. When `elements`
+/// is given and the first member keyed `split` holds an array, the same
+/// pass appends the exact text of each of its elements, whitespace
+/// around it trimmed, so a proxy can hash and forward a request's
+/// elements without a second look.
+std::vector<std::pair<std::string, std::string_view>> object_members(
+    std::string_view doc, std::string_view split = {},
+    std::vector<std::string_view>* elements = nullptr);
 
 /// The exact text of each element of the JSON array `doc`, whitespace
-/// around it trimmed. Checks `doc` as object_members() does. Lets a proxy
-/// hash and forward a request's elements without parsing them.
+/// around it trimmed. Checks `doc` as object_members() does.
 std::vector<std::string_view> array_elements(std::string_view doc);
 
 }  // namespace json

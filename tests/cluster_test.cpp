@@ -557,11 +557,9 @@ TEST(RouterAffinityTest, RepeatSubmitsLandOnTheOwnersCache) {
   EXPECT_EQ(stats.find("fleet")->get_uint("cache_hits", 0), 3u);
 
   // An old client's config may still carry "sim_threads", a removed host
-  // knob. It is ignored: every job keeps its cache key and its result
-  // bytes, through the router and directly at the backend. The router
-  // routes on the jobs' text, though, and this text differs: the submit
-  // lands on its own ring owner, which is the cache's owner only by
-  // chance (docs/CLUSTER.md "Cache-affinity routing").
+  // knob. It is ignored: every job keeps its cache key, so the whole
+  // submit routes to the same owner and hits its cache, with the same
+  // result bytes — through the router and directly at the backend.
   const std::string width = "\"width\":16}";
   const std::string legacy_width = "\"width\":16,\"sim_threads\":4}";
   std::string legacy_submit = submit;
@@ -574,16 +572,6 @@ TEST(RouterAffinityTest, RepeatSubmitsLandOnTheOwnersCache) {
                   legacy_req.find("jobs")->as_array()[i])),
               sweep_cache_key(serve::job_from_json(
                   parse_json(job_json(kernels[i], "aff-" + std::to_string(i))))));
-  const auto jobs_of = [](const std::string& req) {
-    std::vector<std::string> out;
-    for (const std::string_view job :
-         json::array_elements(json::member_text(req, "jobs")))
-      out.emplace_back(job);
-    return out;
-  };
-  ASSERT_EQ(route_owner(fleet, jobs_of(submit)), with_hits);
-  const bool lands_on_owner =
-      route_owner(fleet, jobs_of(legacy_submit)) == with_hits;
   const json::Value routed = c.request(legacy_submit);
   ASSERT_TRUE(routed.get_bool("ok", false)) << legacy_submit;
   EXPECT_EQ(result_stats(await_result_raw(c, ids_of(routed)[0])),
@@ -594,8 +582,7 @@ TEST(RouterAffinityTest, RepeatSubmitsLandOnTheOwnersCache) {
   ASSERT_TRUE(local.get_bool("ok", false)) << legacy_submit;
   EXPECT_EQ(result_stats(await_result_raw(direct, ids_of(local)[0])),
             serial_stats_json(kernels[0]));
-  EXPECT_EQ(server_cache_hits(*fleet.servers[with_hits]),
-            lands_on_owner ? 9u : 6u);
+  EXPECT_EQ(server_cache_hits(*fleet.servers[with_hits]), 9u);
 }
 
 TEST(RouterIdempotencyTest, KeyedSubmitReturnsTheOriginalRouterIds) {
@@ -1668,13 +1655,14 @@ TEST(RouterProxyTest, ForwardsTheClientsJobTextVerbatim) {
   Client c;
   c.connect("127.0.0.1", router.port(), 5000);
   const json::Value sub = c.request(
-      "{ \"jobs\" : " + jobs + " , \"op\":\"submit\",\"deadline_ms\":900}");
+      "{ \"jobs\" : " + jobs + " , \"op\":\"submit\",\"deadline\\u005fms\":900}");
   ASSERT_TRUE(sub.get_bool("ok", false)) << json::serialize(sub);
   EXPECT_EQ(ids_of(sub).size(), 2u);
   router.stop();
 
   // The backend got the client's jobs byte for byte, and the fleet's
-  // lane width once, beside them.
+  // lane width once, beside them. The deadline's key was spelled with an
+  // escape, which the router decodes as a backend would.
   const std::string& req = backend.request();
   EXPECT_EQ(json::member_text(req, "jobs"), jobs) << req;
   EXPECT_EQ(json::member_text(req, "batch_lanes"), "4") << req;
@@ -1714,18 +1702,75 @@ TEST(RouterProxyTest, RelaysTheBackendsRefusalOfAJobThatDoesNotAssemble) {
             serial_stats_json(counting_kernel(5)));
 }
 
-TEST(RouterRouteKeyTest, HashesEachJobAsWritten) {
-  // Byte-equal jobs share a route key; jobs equal in meaning but written
-  // differently do not, though the result cache keys them alike. The
-  // router trades that away for never decoding a job it forwards.
-  const std::string job = job_json(counting_kernel(9), "k");
-  const std::string spaced = "{ " + job.substr(1);
-  EXPECT_EQ(cluster::route_key({job}), cluster::route_key({std::string(job)}));
-  EXPECT_NE(cluster::route_key({job}), cluster::route_key({spaced}));
-  EXPECT_EQ(sweep_cache_key(serve::job_from_json(parse_json(job))),
-            sweep_cache_key(serve::job_from_json(parse_json(spaced))));
-  // Each job is hashed whole: splitting the text differently changes the key.
-  EXPECT_NE(cluster::route_key({job, job}), cluster::route_key({job + job}));
+TEST(RouterProxyTest, ReadsRequestMembersWhoseKeysAreEscaped) {
+  ServerOptions sopts;
+  sopts.workers = 1;
+  Fleet fleet(1, sopts, test_router_options());
+  Client c = fleet.connect();
+
+  // A member key spelled with escapes is the key it decodes to, as at a
+  // backend: the escaped "jobs" are the jobs, and the escaped "key" keeps
+  // the submit idempotent, in either spelling.
+  const std::string jobs = "[" + job_json(counting_kernel(5), "esc") + "]";
+  const std::string escaped = "{\"op\":\"submit\",\"k\\u0065y\":\"esc\","
+                              "\"j\\u006fbs\":" + jobs + "}";
+  const json::Value first = c.request(escaped);
+  ASSERT_TRUE(first.get_bool("ok", false)) << json::serialize(first);
+  EXPECT_FALSE(first.get_bool("duplicate", true));
+  for (const std::string& again :
+       {escaped, "{\"op\":\"submit\",\"key\":\"esc\",\"jobs\":" + jobs + "}"}) {
+    const json::Value repeat = c.request(again);
+    ASSERT_TRUE(repeat.get_bool("ok", false)) << again;
+    EXPECT_TRUE(repeat.get_bool("duplicate", false)) << again;
+    EXPECT_EQ(ids_of(repeat), ids_of(first)) << again;
+  }
+  EXPECT_EQ(result_stats(await_result_raw(c, ids_of(first)[0])),
+            serial_stats_json(counting_kernel(5)));
+  EXPECT_EQ(router_counter(router_stats(c), "submits_routed"), 1u);
+}
+
+TEST(RouterRouteKeyTest, HashesWhatTheCacheKeyCoversAsWritten) {
+  // The router never decodes a job it forwards, yet jobs the result
+  // cache keys alike should share an owner. The route key reads the
+  // members the cache key covers, by name, from the text: whitespace,
+  // member order, the label, the seed, batch_lanes and unknown members
+  // do not move a job.
+  const auto key = [](const std::string& job) {
+    return cluster::route_key({job});
+  };
+  const auto cache_key = [](const std::string& job) {
+    return sweep_cache_key(serve::job_from_json(parse_json(job)));
+  };
+  const std::string source = "\"source\":\"halt\\n\"";
+  const std::string job =
+      "{\"config\":{\"pes\":8,\"threads\":4,\"width\":16},"
+      "\"program\":{" + source + "},\"label\":\"a\"}";
+  const std::string same =
+      "{ \"label\":\"b\",\"seed\":7, \"batch_lanes\":1,\n"
+      "\"program\" : {" + source + "} ,\"config\":{\"width\":16,"
+      "\"sim_threads\":4,\"threads\":4, \"pes\" : 8}}";
+  EXPECT_EQ(key(same), key(job));
+  EXPECT_EQ(cache_key(same), cache_key(job));
+  // What the cache key covers moves the job.
+  for (const std::string& other : {
+           "{\"config\":{\"pes\":16,\"threads\":4,\"width\":16},"
+           "\"program\":{" + source + "}}",
+           std::string("{\"config\":{\"pes\":8,\"threads\":4,\"width\":16},"
+                       "\"program\":{\"source\":\"li r1, 1\\nhalt\\n\"}}"),
+           "{\"config\":{\"pes\":8,\"threads\":4,\"width\":16},"
+           "\"program\":{" + source + "},\"max_cycles\":99}"}) {
+    EXPECT_NE(key(other), key(job)) << other;
+    EXPECT_NE(cache_key(other), cache_key(job)) << other;
+  }
+  // A value is hashed as written: the same source spelled with an
+  // escape is another route key, though the cache keys it alike.
+  const std::string spelled =
+      "{\"config\":{\"pes\":8,\"threads\":4,\"width\":16},"
+      "\"program\":{\"source\":\"h\\u0061lt\\n\"}}";
+  EXPECT_NE(key(spelled), key(job));
+  EXPECT_EQ(cache_key(spelled), cache_key(job));
+  // Each job counts: two of it are not one.
+  EXPECT_NE(cluster::route_key({job, job}), key(job));
 }
 
 TEST(RouterMetricsTest, BackendStatsAreTheBackendsOwnBytes) {
