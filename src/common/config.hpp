@@ -132,6 +132,8 @@ struct MachineConfig {
 
   /// Short human-readable identifier, e.g. "p16.t16.w8.k2".
   std::string name() const;
+
+  bool operator==(const MachineConfig&) const = default;
 };
 
 }  // namespace masc

@@ -131,6 +131,9 @@ void serialize_into(const Value& v, std::string& out) {
       if (v.is_integer) {
         std::snprintf(buf, sizeof buf, "%lld",
                       static_cast<long long>(v.integer));
+      } else if (v.number == 0 && std::signbit(v.number)) {
+        // "%.17g" gives "-0", which reads back as the integer 0.
+        std::snprintf(buf, sizeof buf, "-0.0");
       } else if (std::isfinite(v.number)) {
         std::snprintf(buf, sizeof buf, "%.17g", v.number);
       } else {
@@ -201,6 +204,34 @@ std::size_t closing_quote(std::string_view s, std::size_t i) {
     while (run > from && s[run - 1] == '\\') --run;
     if ((i - run) % 2 == 0) return i;
   }
+}
+
+/// The number of members (or elements) of the object or array opening
+/// at `i` in valid JSON text: the commas at its own depth, plus one
+/// unless it is empty. On other text it is only a guess.
+std::size_t count_items(std::string_view s, std::size_t i) {
+  std::size_t commas = 0;
+  bool empty = true;
+  int depth = 0;
+  for (; i < s.size(); ++i) {
+    switch (s[i]) {
+      case ' ': case '\t': case '\n': case '\r': break;
+      case '{': case '[':
+        if (depth++ > 0) empty = false;
+        break;
+      case '}': case ']':
+        if (--depth == 0) return empty ? 0 : commas + 1;
+        break;
+      case ',':
+        if (depth == 1) ++commas;
+        break;
+      case '"':
+        i = closing_quote(s, i + 1);
+        [[fallthrough]];
+      default: empty = false; break;
+    }
+  }
+  return commas + 1;
 }
 
 /// One past the end of the value starting at `i` in valid JSON text:
@@ -391,7 +422,15 @@ class Parser {
   std::size_t items(std::size_t i, int depth, Value* out, OnItem&& on_item) {
     const bool object = s_[i] == '{';
     const char close = object ? '}' : ']';
-    if (out) out->kind = object ? Value::Kind::kObject : Value::Kind::kArray;
+    if (out) {
+      // Sized once: growing member by member moved every built member
+      // on each reallocation.
+      out->kind = object ? Value::Kind::kObject : Value::Kind::kArray;
+      if (object)
+        out->object.reserve(json::count_items(s_, i));
+      else
+        out->array.reserve(json::count_items(s_, i));
+    }
     i = skip_ws(s_, i + 1);
     if (i < s_.size() && s_[i] == close) return i + 1;
     for (;;) {

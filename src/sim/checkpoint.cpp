@@ -105,8 +105,10 @@ void Machine::restore_state(const std::string& blob) {
   scoreboard_.restore(r);
   restore(stats_, r);
   if (!r.done()) throw BinError("trailing bytes after checkpoint");
-  // The fallback decode slot caches derived state; drop it.
+  // The fallback decode slot and the hazard cache hold derived state;
+  // drop them.
   fallback_pc_ = ~Addr{0};
+  forget_hazards();
 }
 
 }  // namespace masc

@@ -17,10 +17,15 @@
 //                          the faulting PE, lower PEs written; lanes stop
 //                          just that lane with the same message
 //   sreg/set_sreg/sflag/set_sflag/preg    per-lane registers
+//   sreg_lanes(t, r)       scalar register r of every lane, indexed by
+//                          lane (serially, a deferred read of the one)
+//   set_sreg_lanes(t, r, v)  register r of every lane <- v(lane), one
+//                          row loop; dead lanes too, whose registers are
+//                          never read again
 //   broadcast(t, r)        sreg r of every lane, indexed like a P·L row
 //                          (serially a value, so row stores cannot alias it)
 //   preg_row/pflag_row/zero_row/ones_row  P·L-element rows
-//   local_mem, scalar_mem/set_scalar_mem, thread table
+//   local_mem/set_local_mem, scalar_mem/set_scalar_mem, thread table
 // Address loops never run for dead lanes. Register-number and mask checks
 // depend only on the instruction, so they are uniform; they fire even
 // when the mask is all zero, mask first.
@@ -208,7 +213,7 @@ void exec_parallel(S& s, ThreadId t, const Instruction& in) {
           if (load) {
             if (d) d[i] = s.local_mem(lane, pe, a);
           } else {
-            s.local_mem(lane, pe, a) = src[i];
+            s.set_local_mem(lane, pe, a, src[i]);
           }
         }
       });
@@ -290,14 +295,20 @@ void exec_reduction(S& s, ThreadId t, const Instruction& in) {
           p, l, w, [=](std::size_t i) {
             return static_cast<Word>((act[i] != 0) & ((flags[i] != 0) == want));
           });
-      s.for_live([&](std::uint32_t lane) {
-        switch (f) {
-          case RedFunct::kFAnd: s.set_sflag(lane, t, in.rd, r[lane] == 0); break;
-          case RedFunct::kFOr: s.set_sflag(lane, t, in.rd, r[lane] != 0); break;
-          case RedFunct::kAny: s.set_sreg(lane, t, in.rd, r[lane] != 0 ? 1 : 0); break;
-          default: s.set_sreg(lane, t, in.rd, r[lane]); break;
-        }
-      });
+      switch (f) {
+        case RedFunct::kFAnd:
+        case RedFunct::kFOr:
+          s.for_live([&](std::uint32_t lane) {
+            s.set_sflag(lane, t, in.rd, (r[lane] != 0) == (f == RedFunct::kFOr));
+          });
+          break;
+        case RedFunct::kAny:
+          s.set_sreg_lanes(t, in.rd, [=](std::uint32_t lane) -> Word { return r[lane] != 0; });
+          break;
+        default:
+          s.set_sreg_lanes(t, in.rd, [=](std::uint32_t lane) { return r[lane]; });
+          break;
+      }
       break;
     }
     case RedFunct::kGetPe:
@@ -316,7 +327,7 @@ void exec_reduction(S& s, ThreadId t, const Instruction& in) {
           detail::reduce_op_of(f), [&](auto op) {
             return net::reduce_lanes<op()>(p, l, w, net::value_leaves<op()>(vals, act, w));
           });
-      s.for_live([&](std::uint32_t lane) { s.set_sreg(lane, t, in.rd, r[lane]); });
+      s.set_sreg_lanes(t, in.rd, [=](std::uint32_t lane) { return r[lane]; });
       break;
     }
   }
@@ -344,10 +355,10 @@ ExecResult execute(S& s, ThreadId t, Addr pc, const Instruction& in) {
   }
 
   auto reg = [&](std::uint32_t lane, RegNum r) { return s.sreg(lane, t, r); };
-  // rd <- value(lane), for every live lane.
-  auto write_rd = [&](auto&& value) {
-    s.for_live([&](std::uint32_t lane) { s.set_sreg(lane, t, in.rd, value(lane)); });
-  };
+  // Register r of every lane, read once per instruction.
+  auto lanes_of = [&](RegNum r) { return s.sreg_lanes(t, r); };
+  // rd <- value(lane), as one row loop over the lanes.
+  auto write_rd = [&](auto value) { s.set_sreg_lanes(t, in.rd, value); };
   auto take = [&](Addr target) {
     res.next_pc = target;
     res.taken_branch = true;
@@ -364,20 +375,24 @@ ExecResult execute(S& s, ThreadId t, Addr pc, const Instruction& in) {
       if (in.is_halt()) res.halt = true;
       break;
 
-    case Opcode::kSAlu:
+    case Opcode::kSAlu: {
+      const auto a = lanes_of(in.rs);
+      const auto b = lanes_of(in.rt);
       dispatch<AluFunct::kCount>(static_cast<AluFunct>(in.funct), [&](auto f) {
-        write_rd([&](std::uint32_t lane) {
-          return alu<f()>(reg(lane, in.rs), reg(lane, in.rt), w);
-        });
+        write_rd([=](std::uint32_t lane) { return alu<f()>(a[lane], b[lane], w); });
       });
       break;
-    case Opcode::kSCmp:
+    }
+    case Opcode::kSCmp: {
+      const auto a = lanes_of(in.rs);
+      const auto b = lanes_of(in.rt);
       dispatch<CmpFunct::kCount>(static_cast<CmpFunct>(in.funct), [&](auto f) {
         s.for_live([&](std::uint32_t lane) {
-          s.set_sflag(lane, t, in.rd, detail::cmp<f()>(reg(lane, in.rs), reg(lane, in.rt), w));
+          s.set_sflag(lane, t, in.rd, detail::cmp<f()>(a[lane], b[lane], w));
         });
       });
       break;
+    }
     case Opcode::kSFlag:
       dispatch<FlagFunct::kCount>(static_cast<FlagFunct>(in.funct), [&](auto f) {
         s.for_live([&](std::uint32_t lane) {
@@ -387,37 +402,54 @@ ExecResult execute(S& s, ThreadId t, Addr pc, const Instruction& in) {
       });
       break;
 
-    case Opcode::kAddi:
-      write_rd([&](std::uint32_t lane) { return reg(lane, in.rs) + simm; });
+    case Opcode::kAddi: {
+      const auto a = lanes_of(in.rs);
+      write_rd([=](std::uint32_t lane) { return a[lane] + simm; });
       break;
-    case Opcode::kAndi:
-      write_rd([&](std::uint32_t lane) { return reg(lane, in.rs) & zimm; });
+    }
+    case Opcode::kAndi: {
+      const auto a = lanes_of(in.rs);
+      write_rd([=](std::uint32_t lane) { return a[lane] & zimm; });
       break;
-    case Opcode::kOri:
-      write_rd([&](std::uint32_t lane) { return reg(lane, in.rs) | zimm; });
+    }
+    case Opcode::kOri: {
+      const auto a = lanes_of(in.rs);
+      write_rd([=](std::uint32_t lane) { return a[lane] | zimm; });
       break;
-    case Opcode::kXori:
-      write_rd([&](std::uint32_t lane) { return reg(lane, in.rs) ^ zimm; });
+    }
+    case Opcode::kXori: {
+      const auto a = lanes_of(in.rs);
+      write_rd([=](std::uint32_t lane) { return a[lane] ^ zimm; });
       break;
-    case Opcode::kSlti:
-      write_rd([&](std::uint32_t lane) -> Word {
-        return sign_extend(reg(lane, in.rs), w) < in.imm ? 1 : 0;
+    }
+    case Opcode::kSlti: {
+      const auto a = lanes_of(in.rs);
+      const std::int32_t imm = in.imm;
+      write_rd([=](std::uint32_t lane) -> Word { return sign_extend(a[lane], w) < imm ? 1 : 0; });
+      break;
+    }
+    case Opcode::kSltiu: {
+      const auto a = lanes_of(in.rs);
+      write_rd([=](std::uint32_t lane) -> Word {
+        return truncate(a[lane], w) < truncate(simm, w) ? 1 : 0;
       });
       break;
-    case Opcode::kSltiu:
-      write_rd([&](std::uint32_t lane) -> Word {
-        return truncate(reg(lane, in.rs), w) < truncate(simm, w) ? 1 : 0;
-      });
+    }
+    case Opcode::kSlli: {
+      const auto a = lanes_of(in.rs);
+      write_rd([=](std::uint32_t lane) { return alu<AluFunct::kSll>(a[lane], simm, w); });
       break;
-    case Opcode::kSlli:
-      write_rd([&](std::uint32_t lane) { return alu<AluFunct::kSll>(reg(lane, in.rs), simm, w); });
+    }
+    case Opcode::kSrli: {
+      const auto a = lanes_of(in.rs);
+      write_rd([=](std::uint32_t lane) { return alu<AluFunct::kSrl>(a[lane], simm, w); });
       break;
-    case Opcode::kSrli:
-      write_rd([&](std::uint32_t lane) { return alu<AluFunct::kSrl>(reg(lane, in.rs), simm, w); });
+    }
+    case Opcode::kSrai: {
+      const auto a = lanes_of(in.rs);
+      write_rd([=](std::uint32_t lane) { return alu<AluFunct::kSra>(a[lane], simm, w); });
       break;
-    case Opcode::kSrai:
-      write_rd([&](std::uint32_t lane) { return alu<AluFunct::kSra>(reg(lane, in.rs), simm, w); });
-      break;
+    }
     case Opcode::kLui:
       write_rd([&](std::uint32_t) { return simm << 16; });
       break;
@@ -446,9 +478,11 @@ ExecResult execute(S& s, ThreadId t, Addr pc, const Instruction& in) {
                                static_cast<unsigned>(Opcode::kBeq)];
       // The control value is the *decision*, not the operands: lanes
       // whose registers differ but branch the same way stay convergent.
+      const auto a = lanes_of(in.rd);
+      const auto b = lanes_of(in.rs);
       const bool taken = dispatch<CmpFunct::kCount>(c, [&](auto f) {
         return s.control([&](std::uint32_t lane) -> Word {
-          return detail::cmp<f()>(reg(lane, in.rd), reg(lane, in.rs), w) ? 1 : 0;
+          return detail::cmp<f()>(a[lane], b[lane], w) ? 1 : 0;
         }) != 0;
       });
       if (taken) take(branch_target);

@@ -53,6 +53,19 @@ class SerialLanes {
   Word preg(std::uint32_t, ThreadId t, RegNum r, PEIndex pe) const {
     return st_.preg(t, r, pe);
   }
+  /// A scalar register of the one lane, read where it is indexed, as
+  /// sreg() would be.
+  struct SregLanes {
+    const ArchState* st;
+    ThreadId t;
+    RegNum r;
+    Word operator[](std::size_t) const { return st->sreg(t, r); }
+  };
+  SregLanes sreg_lanes(ThreadId t, RegNum r) const { return {&st_, t, r}; }
+  template <typename V>
+  void set_sreg_lanes(ThreadId t, RegNum r, V value) {
+    st_.set_sreg(t, r, value(0u));
+  }
   /// The broadcast operand, held by value so row stores cannot alias it.
   struct Broadcast {
     Word v;
@@ -65,8 +78,9 @@ class SerialLanes {
   const Word* zero_row() const { return st_.zero_row(); }
   const std::uint8_t* ones_row() const { return st_.ones_row(); }
 
-  Word& local_mem(std::uint32_t, PEIndex pe, Addr a) {
-    return st_.local_mem_row(pe)[a];
+  Word local_mem(std::uint32_t, PEIndex pe, Addr a) { return st_.local_mem_row(pe)[a]; }
+  void set_local_mem(std::uint32_t, PEIndex pe, Addr a, Word v) {
+    st_.local_mem_row(pe)[a] = v;
   }
   Word scalar_mem(std::uint32_t, Addr a) const { return st_.scalar_mem(a); }
   void set_scalar_mem(std::uint32_t, Addr a, Word v) { st_.set_scalar_mem(a, v); }

@@ -2,7 +2,9 @@
 
 #include <algorithm>
 #include <chrono>
+#include <memory>
 #include <optional>
+#include <utility>
 
 #include "common/bits.hpp"
 #include "common/error.hpp"
@@ -28,6 +30,37 @@ enum class LaneStop : std::uint8_t {
   kReplay,   ///< ejected; must be re-run serially from cycle 0
 };
 
+/// Which of n indices (addresses, register rows) a run touched: a
+/// bitmap, so each is listed once, and the list, so forgetting them
+/// costs what touching them did. The bitmap's 64-bit words cannot alias
+/// the machine's Word state, which a byte map would.
+class TouchSet {
+ public:
+  explicit TouchSet(std::size_t n) : bits_((n + 63) / 64, 0) {}
+
+  void add(std::size_t i) {
+    std::uint64_t& word = bits_[i / 64];
+    const std::uint64_t bit = std::uint64_t{1} << (i % 64);
+    if (word & bit) return;
+    word |= bit;
+    list_.push_back(i);
+  }
+
+  /// f(i) for every index touched since the last call; then none is.
+  template <typename F>
+  void forget(F&& f) {
+    for (const std::size_t i : list_) {
+      f(i);
+      bits_[i / 64] = 0;
+    }
+    list_.clear();
+  }
+
+ private:
+  std::vector<std::uint64_t> bits_;
+  std::vector<std::size_t> list_;
+};
+
 /// N SweepJobs in lockstep: the L-lane state view of sim/datapath.hpp
 /// under the one control pass (sim/pipeline.hpp). Control and timing
 /// state is SHARED — one thread table, one scoreboard, one Stats —
@@ -36,10 +69,23 @@ enum class LaneStop : std::uint8_t {
 /// (tap()). Data state is per-lane, lane index innermost. A snapshot of
 /// the shared Stats at the cycle a lane stops is bit-identical to that
 /// lane's own serial Stats.
+///
+/// A machine is built zeroed once and then reused, batch after batch
+/// (see kept_machine()): reset() clears only what the last run touched
+/// — its text and data image, the scalar and local-memory addresses it
+/// stored to, and the parallel register and flag rows it used — so a
+/// reused machine is indistinguishable from a fresh one.
 class BatchMachine : public Pipeline<BatchMachine> {
  public:
   BatchMachine(const MachineConfig& cfg, std::uint32_t lanes)
-      : Pipeline(cfg), L_(lanes), P_(cfg.num_pes), W_(cfg.word_width) {
+      : Pipeline(cfg),
+        L_(lanes),
+        P_(cfg.num_pes),
+        W_(cfg.word_width),
+        scalar_stores_(cfg.scalar_mem_bytes),
+        local_stores_(cfg.local_mem_bytes),
+        preg_rows_(std::size_t{cfg.effective_threads()} * cfg.num_parallel_regs),
+        pflag_rows_(std::size_t{cfg.effective_threads()} * cfg.num_flag_regs) {
     const std::size_t T = cfg_.effective_threads();
     live_count_ = L_;
     stop_.assign(L_, LaneStop::kRunning);
@@ -58,6 +104,38 @@ class BatchMachine : public Pipeline<BatchMachine> {
     taps_.resize(L_);
   }
 
+  /// Host bytes of the per-lane state, which reuse saves re-zeroing.
+  std::size_t footprint() const {
+    return (scalar_mem_.size() + local_mem_.size() + pregs_.size() + instr_mem_.size()) *
+               sizeof(Word) +
+           pflags_.size();
+  }
+
+  /// Make the machine what construction made, for another batch of the
+  /// same config and lane count.
+  void reset() {
+    reset_control();
+    live_count_ = L_;
+    std::fill(stop_.begin(), stop_.end(), LaneStop::kRunning);
+    std::fill(fault_msg_.begin(), fault_msg_.end(), nullptr);
+    std::fill(threads_.begin(), threads_.end(), ThreadContext{});
+    std::fill_n(instr_mem_.begin(), std::exchange(text_words_, 0), 0);
+    std::fill_n(scalar_mem_.begin(), std::exchange(image_words_, 0) * L_, 0);
+    scalar_stores_.forget([&](std::size_t a) {
+      std::fill_n(scalar_mem_.data() + a * L_, L_, 0);
+    });
+    local_stores_.forget([&](std::size_t a) {
+      for (PEIndex pe = 0; pe < P_; ++pe)
+        std::fill_n(local_mem_.data() + local_i(pe, static_cast<Addr>(a), 0), L_, 0);
+    });
+    // Scalar registers and flags are a few KB: zeroed whole.
+    std::fill(sregs_.begin(), sregs_.end(), 0);
+    std::fill(sflags_.begin(), sflags_.end(), 0);
+    const std::size_t row = std::size_t{P_} * L_;
+    preg_rows_.forget([&](std::size_t k) { std::fill_n(pregs_.data() + k * row, row, 0); });
+    pflag_rows_.forget([&](std::size_t k) { std::fill_n(pflags_.data() + k * row, row, 0); });
+  }
+
   /// Load the shared program image (text + entry; identical across
   /// lanes) and each lane's data segment. A lane whose data does not fit
   /// scalar memory faults exactly as its serial load() would.
@@ -65,12 +143,14 @@ class BatchMachine : public Pipeline<BatchMachine> {
     expect(shared.text.size() <= instr_mem_.size(),
            "program text exceeds instruction memory");
     std::copy(shared.text.begin(), shared.text.end(), instr_mem_.begin());
+    text_words_ = shared.text.size();
     for (std::uint32_t lane = 0; lane < L_; ++lane) {
       const Program& p = *lane_data[lane];
       if (p.data.size() > cfg_.scalar_mem_bytes) {
         eject_fault(lane, fault_text::kDataTooBig);
         continue;
       }
+      image_words_ = std::max(image_words_, p.data.size());
       for (std::size_t a = 0; a < p.data.size(); ++a)
         scalar_mem_[a * L_ + lane] = p.data[a];
     }
@@ -137,6 +217,19 @@ class BatchMachine : public Pipeline<BatchMachine> {
     expect(r < cfg_.num_scalar_regs, "scalar register out of range");
     sregs_[sreg_i(t, r, lane)] = truncate(v, W_);
   }
+  /// Register r of every lane, lane k's at [k].
+  const Word* sreg_lanes(ThreadId t, RegNum r) const {
+    if (r == 0) return zero_pl_.data();
+    expect(r < cfg_.num_scalar_regs, "lane batch: scalar register out of range");
+    return sregs_.data() + sreg_i(t, r, 0);
+  }
+  template <typename V>
+  void set_sreg_lanes(ThreadId t, RegNum r, V value) {
+    if (r == 0) return;
+    expect(r < cfg_.num_scalar_regs, "scalar register out of range");
+    Word* const d = sregs_.data() + sreg_i(t, r, 0);
+    for (std::uint32_t lane = 0; lane < L_; ++lane) d[lane] = truncate(value(lane), W_);
+  }
   bool sflag(std::uint32_t lane, ThreadId t, RegNum f) const {
     if (f == 0) return true;
     expect(f < cfg_.num_flag_regs, "lane batch: scalar flag out of range");
@@ -157,29 +250,38 @@ class BatchMachine : public Pipeline<BatchMachine> {
   /// operand. Dead lanes read a stale but in-bounds value; their row
   /// writes are architectural no-ops.
   const Word* broadcast(ThreadId t, RegNum r) {
-    for (std::uint32_t lane = 0; lane < L_; ++lane) bcast_pl_[lane] = sreg(lane, t, r);
-    for (std::uint32_t pe = 1; pe < P_; ++pe)
-      std::copy_n(bcast_pl_.begin(), L_, bcast_pl_.begin() + std::size_t{pe} * L_);
+    const Word* const v = sreg_lanes(t, r);
+    for (std::uint32_t pe = 0; pe < P_; ++pe)
+      std::copy_n(v, L_, bcast_pl_.begin() + std::size_t{pe} * L_);
     return bcast_pl_.data();
   }
 
-  // [pe][lane] rows of P*L elements.
+  // [pe][lane] rows of P*L elements; reset() clears the rows handed out.
   Word* preg_row(ThreadId t, RegNum r) {
-    return pregs_.data() + (std::size_t{t} * cfg_.num_parallel_regs + r) * P_ * L_;
+    const std::size_t k = std::size_t{t} * cfg_.num_parallel_regs + r;
+    preg_rows_.add(k);
+    return pregs_.data() + k * P_ * L_;
   }
   std::uint8_t* pflag_row(ThreadId t, RegNum f) {
-    return pflags_.data() + (std::size_t{t} * cfg_.num_flag_regs + f) * P_ * L_;
+    const std::size_t k = std::size_t{t} * cfg_.num_flag_regs + f;
+    pflag_rows_.add(k);
+    return pflags_.data() + k * P_ * L_;
   }
   const Word* zero_row() const { return zero_pl_.data(); }
   const std::uint8_t* ones_row() const { return ones_pl_.data(); }
 
-  Word& local_mem(std::uint32_t lane, PEIndex pe, Addr a) {
-    return local_mem_[(std::size_t{pe} * cfg_.local_mem_bytes + a) * L_ + lane];
+  Word local_mem(std::uint32_t lane, PEIndex pe, Addr a) const {
+    return local_mem_[local_i(pe, a, lane)];
+  }
+  void set_local_mem(std::uint32_t lane, PEIndex pe, Addr a, Word v) {
+    local_stores_.add(a);
+    local_mem_[local_i(pe, a, lane)] = v;
   }
   Word scalar_mem(std::uint32_t lane, Addr a) const {
     return scalar_mem_[std::size_t{a} * L_ + lane];
   }
   void set_scalar_mem(std::uint32_t lane, Addr a, Word v) {
+    scalar_stores_.add(a);
     scalar_mem_[std::size_t{a} * L_ + lane] = truncate(v, W_);
   }
 
@@ -203,6 +305,9 @@ class BatchMachine : public Pipeline<BatchMachine> {
   }
   std::size_t sflag_i(ThreadId t, RegNum f, std::uint32_t lane) const {
     return (std::size_t{t} * cfg_.num_flag_regs + f) * L_ + lane;
+  }
+  std::size_t local_i(PEIndex pe, Addr a, std::uint32_t lane) const {
+    return (std::size_t{pe} * cfg_.local_mem_bytes + a) * L_ + lane;
   }
 
   // --- Lane ejection ---------------------------------------------------------
@@ -301,7 +406,44 @@ class BatchMachine : public Pipeline<BatchMachine> {
 
   std::vector<Word> bcast_pl_;  ///< P*L broadcast operand (see broadcast())
   std::vector<Word> taps_;   ///< per-lane control tap values
+
+  // What the run since the last reset() touched.
+  std::size_t text_words_ = 0;   ///< loaded program text
+  std::size_t image_words_ = 0;  ///< longest loaded data segment
+  TouchSet scalar_stores_;  ///< scalar addresses stored to
+  TouchSet local_stores_;   ///< local addresses stored to, on any PE
+  TouchSet preg_rows_;      ///< [thread][reg] rows handed out
+  TouchSet pflag_rows_;     ///< [thread][flag] rows handed out
 };
+
+/// The BatchMachines this thread ran lately, most recent last, kept for
+/// reuse so a batch does not zero megabytes of fresh state: a sweep
+/// worker keeps one per config and lane count, up to kKeptBytes in all.
+constexpr std::size_t kKeptBytes = std::size_t{64} << 20;
+
+/// A machine for `lanes` lanes of `cfg`, as construction makes it: a
+/// kept one reset, or a new one, kept when it fits. `fresh` owns a
+/// machine too large to keep.
+BatchMachine& kept_machine(const MachineConfig& cfg, std::uint32_t lanes,
+                           std::unique_ptr<BatchMachine>& fresh) {
+  thread_local std::vector<std::unique_ptr<BatchMachine>> kept;
+  for (auto it = kept.begin(); it != kept.end(); ++it)
+    if ((*it)->lanes() == lanes && (*it)->config() == cfg) {
+      std::rotate(it, it + 1, kept.end());
+      kept.back()->reset();
+      return *kept.back();
+    }
+  fresh = std::make_unique<BatchMachine>(cfg, lanes);
+  std::size_t bytes = fresh->footprint();
+  if (bytes > kKeptBytes) return *fresh;
+  for (const auto& m : kept) bytes += m->footprint();
+  while (bytes > kKeptBytes) {
+    bytes -= kept.front()->footprint();
+    kept.erase(kept.begin());
+  }
+  kept.push_back(std::move(fresh));
+  return *kept.back();
+}
 
 }  // namespace
 
@@ -379,9 +521,10 @@ std::vector<SweepResult> run_lane_batch(const std::vector<LaneJob>& lanes,
     };
 
     bool engine_ok = true;
-    std::optional<BatchMachine> bm;
+    std::unique_ptr<BatchMachine> unkept;
+    BatchMachine* bm = nullptr;
     try {
-      bm.emplace(lead.cfg, L);
+      bm = &kept_machine(lead.cfg, L, unkept);
       std::vector<const Program*> lane_progs(L);
       for (std::uint32_t l = 0; l < L; ++l)
         lane_progs[l] = &lanes[batch[l]].job->program;

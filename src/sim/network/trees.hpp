@@ -7,9 +7,11 @@
 //    operators this equals a fold, but the saturating sum unit is NOT
 //    associative (saturation at an internal node is sticky), so emulating
 //    the tree shape — leaves padded with the operator identity up to the
-//    next power of two — is required for bit-exact fidelity.
-//    reduce_lanes() is the form the simulator runs: every lane of a batch
-//    (one lane serially) in one pass, the operator a template parameter.
+//    next power of two — is required for bit-exact fidelity whenever a
+//    node saturates. reduce_lanes() is the form the simulator runs: every
+//    lane of a batch (one lane serially) in one pass, the operator a
+//    template parameter; its sums are exact and only a lane in which
+//    some node may saturate takes the tree.
 //    tree_reduce(), flag_reduce() and resolve_first_index() reduce one
 //    column; they are the reference the property tests pin it against.
 //
@@ -128,6 +130,68 @@ auto value_leaves(const Word* vals, const std::uint8_t* act, unsigned width) {
   };
 }
 
+/// The saturating sums of reduce_lanes(): each lane's result word into
+/// out[lane], from the leaves leaf(pe·l + lane); `col` has room for a
+/// column padded to a power of two. Acc holds any sum of p leaves.
+///
+/// A node's word is the exact sum of the leaves below it until some node
+/// saturates, so the tree's order shows in a result only when a node
+/// saturates. Each lane's exact sums come first, in one pass over the
+/// leaves: unsigned, of every leaf; signed, of the positive leaves and
+/// of the negative leaves' magnitudes. Only a lane in which a node may
+/// saturate with leaves of both signs takes the hardware tree.
+template <ReduceOp Op, typename Acc, typename Leaf>
+void saturating_sums(std::uint32_t p, std::uint32_t l, unsigned width, Leaf leaf, Word* col,
+                     Word* out) {
+  thread_local std::vector<Acc> sums;
+  sums.assign(2 * std::size_t{l}, Acc{0});
+  Acc* const pos = sums.data();
+  Acc* const neg = pos + l;
+  for (std::uint32_t pe = 0; pe < p; ++pe) {
+    const std::size_t at = std::size_t{pe} * l;
+    for (std::uint32_t lane = 0; lane < l; ++lane) {
+      if constexpr (Op == ReduceOp::kSumU) {
+        pos[lane] += leaf(at + lane);
+      } else {
+        // Shifts and masks, no compare: the loop vectorizes on SSE2.
+        const auto v = static_cast<Word>(sign_extend(leaf(at + lane), width));
+        const Word negative = static_cast<Word>(static_cast<SWord>(v) >> 31);
+        pos[lane] += v & ~negative;
+        neg[lane] += (Word{0} - v) & negative;
+      }
+    }
+  }
+  const std::uint32_t padded = std::uint32_t{1} << ceil_log2(p);
+  const Word max = Op == ReduceOp::kSumU ? low_mask(width) : signed_max_word(width);
+  for (std::uint32_t lane = 0; lane < l; ++lane) {
+    if constexpr (Op == ReduceOp::kSumU) {
+      // Every partial sum is at most the total, and a saturated node
+      // saturates every node above it: the root is min(total, max).
+      out[lane] = pos[lane] > max ? max : static_cast<Word>(pos[lane]);
+    } else if (neg[lane] == 0 || pos[lane] == 0 ||
+               (DWord{neg[lane]} <= DWord{max} + 1 && pos[lane] <= max)) {
+      // Every partial sum lies between minus the negative leaves' sum
+      // and the positive leaves' sum; both in range, no node saturates
+      // and the root is the exact total. With leaves of one sign, as
+      // unsigned, a saturated node saturates every node above it: the
+      // root is the total clamped.
+      const SDWord total = static_cast<SDWord>(pos[lane]) - static_cast<SDWord>(neg[lane]);
+      const SDWord hi = max;
+      out[lane] = truncate(static_cast<Word>(std::clamp(total, -hi - 1, hi)), width);
+    } else {
+      // Some node may saturate: the hardware tree, its padding leaves
+      // past p holding the identity, each level combining nodes 2j and
+      // 2j+1 into node j.
+      for (std::uint32_t pe = 0; pe < p; ++pe) col[pe] = leaf(std::size_t{pe} * l + lane);
+      std::fill(col + p, col + padded, identity<Op>(width));
+      for (std::uint32_t nodes = padded; nodes > 1; nodes /= 2)
+        for (std::uint32_t j = 0; j < nodes / 2; ++j)
+          col[j] = combine<Op>(col[2 * j], col[2 * j + 1], width);
+      out[lane] = col[0];
+    }
+  }
+}
+
 /// The lane-wide reduction network: reduces every lane of a [pe][lane]
 /// row of p·l elements in one pass, lane index innermost, into an l-wide
 /// accumulator. leaf(i) is the word element i = pe·l + lane feeds the
@@ -139,40 +203,39 @@ auto value_leaves(const Word* vals, const std::uint8_t* act, unsigned width) {
 /// tests pin.
 template <ReduceOp Op, typename Leaf>
 const Word* reduce_lanes(std::uint32_t p, std::uint32_t l, unsigned width, Leaf leaf) {
-  // The leaves first, in one flat pass over the whole row: the widest
-  // loop, and the only one that reads the machine's rows. Every later
-  // loop runs over word rows of l lanes, which vectorize.
-  const std::uint32_t padded = std::uint32_t{1} << ceil_log2(p);
-  const std::size_t n = std::size_t{p} * l;
-  const std::size_t m = std::size_t{padded} * l;
-  Word* const row = lane_scratch(m + m / 2);
-  for (std::size_t i = 0; i < n; ++i) row[i] = leaf(i);
-  if constexpr (Op != ReduceOp::kSum && Op != ReduceOp::kSumU) {
-    // Associative: a linear fold equals the tree (see tree_reduce()).
-    // PE 0's row accumulates.
-    for (std::uint32_t pe = 1; pe < p; ++pe) {
-      const Word* const next = row + std::size_t{pe} * l;
-      for (std::uint32_t lane = 0; lane < l; ++lane)
-        row[lane] = combine<Op>(row[lane], next[lane], width);
-    }
-    return row;
+  if constexpr (Op == ReduceOp::kSum || Op == ReduceOp::kSumU) {
+    // Leaves are below 2^width, so width + ceil_log2(p) bits hold any
+    // sum of them: 32-bit sums where they fit, twice the lanes a vector.
+    const std::uint32_t padded = std::uint32_t{1} << ceil_log2(p);
+    Word* const col = lane_scratch(padded + l);
+    Word* const out = col + padded;
+    if (width + ceil_log2(p) <= 32)
+      saturating_sums<Op, Word>(p, l, width, leaf, col, out);
+    else
+      saturating_sums<Op, DWord>(p, l, width, leaf, col, out);
+    return out;
   } else {
-    // Saturating sum keeps the exact hardware tree: padding leaves past p
-    // hold the identity, and each level combines nodes 2j and 2j+1 of
-    // every lane into node j, alternating between two buffers.
-    std::fill(row + n, row + m, identity<Op>(width));
-    Word* src = row;
-    Word* dst = row + m;
-    for (std::size_t nodes = padded; nodes > 1; nodes /= 2) {
-      for (std::size_t j = 0; j < nodes / 2; ++j) {
-        const Word* const x = src + 2 * j * l;
-        const Word* const y = x + l;
-        for (std::uint32_t lane = 0; lane < l; ++lane)
-          dst[j * l + lane] = combine<Op>(x[lane], y[lane], width);
-      }
-      std::swap(src, dst);
+    // Associative and commutative: any fold equals the tree (see
+    // tree_reduce()). The leaves first, in one flat pass over the whole
+    // row, max/min's sign-extended once here so that every fold compares
+    // them as they are. Then the upper half of the PEs' rows folds onto
+    // the lower half, one flat loop per halving, until PE 0's row is left.
+    constexpr bool extend = Op == ReduceOp::kMax || Op == ReduceOp::kMin;
+    const unsigned fold_width = extend ? 32 : width;
+    const std::size_t n = std::size_t{p} * l;
+    Word* const row = lane_scratch(n);
+    for (std::size_t i = 0; i < n; ++i)
+      row[i] = extend ? static_cast<Word>(sign_extend(leaf(i), width)) : leaf(i);
+    for (std::uint32_t rows = p; rows > 1;) {
+      const std::uint32_t half = rows / 2;
+      const Word* const upper = row + std::size_t{rows - half} * l;
+      for (std::size_t k = 0; k < std::size_t{half} * l; ++k)
+        row[k] = combine<Op>(row[k], upper[k], fold_width);
+      rows -= half;
     }
-    return src;
+    if (extend)
+      for (std::uint32_t lane = 0; lane < l; ++lane) row[lane] = truncate(row[lane], width);
+    return row;
   }
 }
 

@@ -109,6 +109,10 @@ class Pipeline {
   /// The datapath loads its own memories and thread table first.
   void load_text(const std::vector<InstrWord>& text);
 
+  /// Return the control state to what construction made, for a datapath
+  /// that runs another program on the same config.
+  void reset_control() { *this = Pipeline(cfg_); }
+
   struct ThreadIssueState {
     Cycle ready_at = 0;       ///< earliest cycle the next instruction may issue
     Cycle pending_since = 0;  ///< when the current oldest instruction entered ID
@@ -133,6 +137,9 @@ class Pipeline {
     Cycle earliest = 0;
     StallCause cause = StallCause::kNone;
   };
+
+  /// Drop every cached hazard check (see hazards_).
+  void forget_hazards() { hazards_.assign(hazards_.size(), HazardCheck{}); }
 
   Datapath& dp() { return static_cast<Datapath&>(*this); }
 
@@ -160,6 +167,14 @@ class Pipeline {
   Scoreboard scoreboard_;
   Stats stats_;
   std::vector<ThreadIssueState> tstate_;
+  /// The fine-grain scan's hazard cache: a stalled thread's last check,
+  /// valid while its `earliest` lies ahead. Until then nothing the check
+  /// read can change unless the thread issues, is spawned or is woken
+  /// (which drop its entry), or some thread issues a TMOV or occupies a
+  /// shared sequential unit (which drop every entry). A TMOV's own check
+  /// reads another thread's scoreboard and is never cached. Derived
+  /// state: not part of a checkpoint.
+  std::vector<HazardCheck> hazards_;
   /// Predecode table covering the loaded program text; PCs past the text
   /// (a wild jump into zeroed instruction memory) fall back to the
   /// shared single-slot cache below, preserving seed decode semantics.
@@ -201,6 +216,7 @@ Pipeline<D>::Pipeline(const MachineConfig& cfg)
       reduction_latency_(cfg_.reduction_latency()),
       scoreboard_(cfg, cfg.effective_threads()) {
   tstate_.assign(cfg.effective_threads(), ThreadIssueState{});
+  hazards_.assign(cfg.effective_threads(), HazardCheck{});
   stats_.issued_by_thread.assign(cfg.effective_threads(), 0);
   stats_.thread_stalls.assign(cfg.effective_threads(), {});
 }
@@ -448,11 +464,16 @@ void Pipeline<D>::issue(ThreadId t, const DecodedEntry& de) {
   // Occupy sequential units.
   const bool seq_mul = cfg_.multiplier == MultiplierKind::kSequential;
   const bool seq_div = cfg_.divider == DividerKind::kSequential;
-  if ((info.uses_scalar_mul && seq_mul) || (info.uses_scalar_div && seq_div))
-    scalar_muldiv_free_ = avail + 1;
-  if ((info.uses_pe_mul && seq_mul) || (info.uses_pe_div && seq_div))
-    pe_muldiv_free_ = avail + 1;
+  const bool scalar_unit =
+      (info.uses_scalar_mul && seq_mul) || (info.uses_scalar_div && seq_div);
+  const bool pe_unit = (info.uses_pe_mul && seq_mul) || (info.uses_pe_div && seq_div);
+  if (scalar_unit) scalar_muldiv_free_ = avail + 1;
+  if (pe_unit) pe_muldiv_free_ = avail + 1;
   if (de.uses_falkoff_maxmin) falkoff_free_ = avail + 1;
+  if (in.op == Opcode::kTMov || scalar_unit || pe_unit || de.uses_falkoff_maxmin)
+    forget_hazards();
+  else
+    hazards_[t] = HazardCheck{};
 
   // Thread continuation.
   ctx.pc = res.next_pc;
@@ -473,6 +494,7 @@ void Pipeline<D>::issue(ThreadId t, const DecodedEntry& de) {
         jc.state = ThreadState::kActive;
         tstate_[j].ready_at = now_ + kStartupPenalty;
         tstate_[j].pending_since = tstate_[j].ready_at;
+        hazards_[j] = HazardCheck{};
       }
     }
     // The machine finishes the moment the last context frees (keeps the
@@ -482,6 +504,7 @@ void Pipeline<D>::issue(ThreadId t, const DecodedEntry& de) {
   if (res.spawned != ArchState::kNoThread) {
     tstate_[res.spawned].ready_at = now_ + kStartupPenalty;
     tstate_[res.spawned].pending_since = tstate_[res.spawned].ready_at;
+    hazards_[res.spawned] = HazardCheck{};
   }
   if (res.halt) {
     halted_ = true;
@@ -525,9 +548,9 @@ void Pipeline<D>::issue_stage_finegrain(std::uint32_t max_issues) {
   // first ready one(s) in rotating-priority order. SMT re-checks each
   // candidate just before issuing so that same-cycle co-issued
   // instructions can never be mutually dependent.
-  const ThreadId rotate_from = last_issued_;
+  ThreadId t = last_issued_;
   for (std::uint32_t k = 0; k < T && issued < max_issues; ++k) {
-    const ThreadId t = (rotate_from + 1 + k) % T;
+    t = t + 1 == T ? 0 : t + 1;
     auto& ctx = dp().thread(t);
     if (ctx.state == ThreadState::kFree) continue;
     any_live = true;
@@ -541,15 +564,24 @@ void Pipeline<D>::issue_stage_finegrain(std::uint32_t max_issues) {
       if (first_block == StallCause::kNone) first_block = StallCause::kControlPenalty;
       continue;
     }
+    auto stall = [&](StallCause cause) {
+      ++stats_.thread_stalls[t][static_cast<std::size_t>(cause)];
+      tstate_[t].blocked_on = cause;
+      if (first_block == StallCause::kNone) first_block = cause;
+    };
+    if (hazards_[t].earliest > now_) {
+      // The cached check, still ahead of now, is what re-evaluating gives.
+      stall(hazards_[t].cause);
+      continue;
+    }
     const DecodedEntry& de = decoded(ctx.pc);
     const HazardCheck hc = earliest_issue(t, de);
     if (hc.earliest <= now_) {
       issue(t, de);
       ++issued;
     } else {
-      ++stats_.thread_stalls[t][static_cast<std::size_t>(hc.cause)];
-      tstate_[t].blocked_on = hc.cause;
-      if (first_block == StallCause::kNone) first_block = hc.cause;
+      stall(hc.cause);
+      if (de.instr.op != Opcode::kTMov) hazards_[t] = hc;
     }
   }
 

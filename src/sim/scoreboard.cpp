@@ -30,30 +30,6 @@ Scoreboard::Scoreboard(const MachineConfig& cfg, std::uint32_t threads)
   entries_.assign(per_thread_ * threads, Entry{});
 }
 
-std::size_t Scoreboard::index(ThreadId t, RegRef ref) const {
-  std::size_t base = per_thread_ * t;
-  switch (ref.space) {
-    case RegSpace::kScalarGpr: break;
-    case RegSpace::kScalarFlag: base += sgpr_; break;
-    case RegSpace::kParallelGpr: base += sgpr_ + sflag_; break;
-    case RegSpace::kParallelFlag: base += static_cast<std::size_t>(sgpr_) + sflag_ + pgpr_; break;
-  }
-  return base + ref.num;
-}
-
-const Scoreboard::Entry& Scoreboard::lookup(ThreadId t, RegRef ref) const {
-  if (ref.hardwired()) return zero_;
-  return entries_.at(index(t, ref));
-}
-
-void Scoreboard::record_write(ThreadId t, RegRef ref, Cycle avail,
-                              InstrClass producer) {
-  if (ref.hardwired()) return;
-  auto& e = entries_.at(index(t, ref));
-  e.avail = avail;
-  e.producer = producer;
-}
-
 void Scoreboard::save(BinWriter& w) const {
   // Field-by-field: Entry has padding that must not enter the blob.
   w.u64(entries_.size());

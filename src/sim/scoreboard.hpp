@@ -27,15 +27,33 @@ class Scoreboard {
     InstrClass producer = InstrClass::kScalar;
   };
 
-  const Entry& lookup(ThreadId t, RegRef ref) const;
-  void record_write(ThreadId t, RegRef ref, Cycle avail, InstrClass producer);
+  // Inline: the issue stage looks registers up several times a cycle.
+  const Entry& lookup(ThreadId t, RegRef ref) const {
+    if (ref.hardwired()) return zero_;
+    return entries_.at(index(t, ref));
+  }
+  void record_write(ThreadId t, RegRef ref, Cycle avail, InstrClass producer) {
+    if (ref.hardwired()) return;
+    auto& e = entries_.at(index(t, ref));
+    e.avail = avail;
+    e.producer = producer;
+  }
 
   /// Checkpoint the full table (see Machine::save_state).
   void save(BinWriter& w) const;
   void restore(BinReader& r);  ///< throws BinError on a shape mismatch
 
  private:
-  std::size_t index(ThreadId t, RegRef ref) const;
+  std::size_t index(ThreadId t, RegRef ref) const {
+    std::size_t base = per_thread_ * t;
+    switch (ref.space) {
+      case RegSpace::kScalarGpr: break;
+      case RegSpace::kScalarFlag: base += sgpr_; break;
+      case RegSpace::kParallelGpr: base += sgpr_ + sflag_; break;
+      case RegSpace::kParallelFlag: base += static_cast<std::size_t>(sgpr_) + sflag_ + pgpr_; break;
+    }
+    return base + ref.num;
+  }
 
   std::uint32_t sgpr_, sflag_, pgpr_, pflag_;
   std::size_t per_thread_;

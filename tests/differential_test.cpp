@@ -28,6 +28,7 @@
 #include <gtest/gtest.h>
 #include <unistd.h>
 
+#include <algorithm>
 #include <filesystem>
 #include <memory>
 #include <optional>
@@ -43,6 +44,7 @@
 #include "serve/protocol.hpp"
 #include "serve/server.hpp"
 #include "sim/lane_batch.hpp"
+#include "sim/network/trees.hpp"
 #include "sim/sweep.hpp"
 #include "test_util.hpp"
 
@@ -502,6 +504,109 @@ TEST_P(DifferentialEngine, PerLaneDataFaultsMatchSerialJobs) {
 
 INSTANTIATE_TEST_SUITE_P(Seeds, DifferentialEngine,
                          ::testing::Values(1u, 2u, 3u, 4u, 5u, 17u, 99u, 12345u));
+
+// --- saturating sums at their edges -------------------------------------
+
+/// Loads PE k's value and mask bit from words k and p + k of the job's
+/// table, then checks rsum and rsumu, unmasked and masked, against the
+/// reference network's words at 2p .. 2p + 3; a mismatch spins to the
+/// cycle limit.
+std::string saturation_src(std::uint32_t p) {
+  std::ostringstream os;
+  os << "main:\npindex p1\nli r1, " << p << "\nli r2, 0\nload:\n"
+     << "lw r4, 0(r2)\nlw r5, " << p << "(r2)\npceqs pf1, r2, p1\n"
+     << "pbcast p2, r4 ?pf1\npbcast p3, r5 ?pf1\naddi r2, r2, 1\nbne r2, r1, load\n"
+     << "li r6, 1\npceqs pf2, r6, p3\n";
+  const char* checks[] = {"rsum r7, p2", "rsum r7, p2 ?pf2", "rsumu r7, p2", "rsumu r7, p2 ?pf2"};
+  for (std::uint32_t k = 0; k < 4; ++k)
+    os << checks[k] << "\nlw r8, " << 2 * p + k << "(r0)\nbne r7, r8, bad\n";
+  os << "halt\nbad:\nj bad\n";
+  return os.str();
+}
+
+TEST(DifferentialSaturation, SumsAtTheEdgesMatchTheReferenceTree) {
+  // Values near ±max/p at widths 8, 16 and 32, so that in one batch some
+  // lanes saturate and others do not: one-signed lanes whose total
+  // straddles the bound, and mixed-sign lanes whose halves saturate an
+  // inner node while the total lies in range. Serial runs must compute
+  // the reference network's words (else they spin), and every lane of a
+  // batch must stay in lockstep and match its serial run byte for byte.
+  Rng rng(0x5a7u);
+  for (const unsigned w : {8u, 16u, 32u}) {
+    for (const std::uint32_t p : {8u, 13u}) {
+      MachineConfig cfg = small_config();
+      cfg.word_width = w;
+      cfg.num_pes = p;
+      cfg.validate();
+      const Program prog = assemble(saturation_src(p));
+      const std::int64_t max = signed_max_word(w);
+      const std::int64_t unit = max / p;
+      const std::uint32_t left = (std::uint32_t{1} << ceil_log2(p)) / 2;  // the root's left subtree
+      auto near = [&](std::int64_t x) {  // x, give or take a quarter
+        return x + rng.next_in(-(x / 4), x / 4);
+      };
+      std::uint32_t tree_differs = 0, saturated = 0, exact = 0;
+      for (int round = 0; round < 4; ++round) {
+        const std::uint32_t lanes = 8;
+        std::vector<SweepJob> jobs(lanes);
+        for (std::uint32_t l = 0; l < lanes; ++l) {
+          std::vector<Word> values(p), mask(p);
+          for (std::uint32_t pe = 0; pe < p; ++pe) {
+            std::int64_t v = 0;
+            switch ((l + static_cast<std::uint32_t>(round)) % 5) {
+              case 0: v = near(unit); break;        // signed total near +max
+              case 1: v = -near(unit); break;       // near min
+              case 2: v = near(2 * unit); break;    // unsigned total near max
+              case 3: v = pe < left ? near(3 * unit) : -near(3 * unit); break;
+              default: v = rng.next_bool() ? near(unit) : -near(unit); break;
+            }
+            values[pe] = truncate(static_cast<Word>(v), w);
+            mask[pe] = rng.next_below(4) != 0 ? 1 : 0;
+          }
+          const std::vector<std::uint8_t> all(p, 1), act(mask.begin(), mask.end());
+          std::vector<Word> data = values;
+          data.insert(data.end(), mask.begin(), mask.end());
+          for (const net::ReduceOp op : {net::ReduceOp::kSum, net::ReduceOp::kSumU})
+            for (const auto* a : {&all, &act}) {
+              const Word want = net::tree_reduce(op, values, *a, w);
+              data.push_back(want);
+              // The exact total, clamped: what the tree gives unless an
+              // inner node saturates with leaves of both signs.
+              std::int64_t total = 0;
+              for (std::uint32_t pe = 0; pe < p; ++pe)
+                if ((*a)[pe])
+                  total += op == net::ReduceOp::kSum ? sign_extend(values[pe], w)
+                                                     : std::int64_t{values[pe]};
+              const std::int64_t hi = op == net::ReduceOp::kSum ? max : 2 * max + 1;
+              const std::int64_t lo = op == net::ReduceOp::kSum ? -max - 1 : 0;
+              tree_differs += truncate(static_cast<Word>(std::clamp(total, lo, hi)), w) != want;
+              (total > hi || total < lo ? saturated : exact) += 1;
+            }
+          jobs[l].cfg = cfg;
+          jobs[l].program = prog;
+          jobs[l].program.data = data;
+          jobs[l].max_cycles = 20'000;
+          jobs[l].label = "lane" + std::to_string(l);
+        }
+        std::vector<LaneJob> lane_jobs;
+        for (std::uint32_t l = 0; l < lanes; ++l) lane_jobs.push_back({&jobs[l], l});
+        LaneBatchReport report;
+        const auto got = run_lane_batch(lane_jobs, &report);
+        const std::string where = "w=" + std::to_string(w) + " p=" + std::to_string(p);
+        EXPECT_EQ(report.lanes, lanes) << where;
+        EXPECT_EQ(report.replayed, 0u) << where;
+        for (std::uint32_t l = 0; l < lanes; ++l) {
+          const SweepResult want = run_sweep_job(jobs[l], l);
+          ASSERT_EQ(want.status, SweepStatus::kFinished) << where << " lane " << l;
+          ASSERT_EQ(result_bytes(got[l], cfg), result_bytes(want, cfg)) << where << " lane " << l;
+        }
+      }
+      EXPECT_GT(tree_differs, 0u) << "w=" << w << " p=" << p;
+      EXPECT_GT(saturated, 0u) << "w=" << w << " p=" << p;
+      EXPECT_GT(exact, 0u) << "w=" << w << " p=" << p;
+    }
+  }
+}
 
 // --- served results ---------------------------------------------------
 

@@ -504,6 +504,82 @@ std::vector<Word> value_lanes(const std::vector<Word>& row, const std::vector<st
   return {r, r + l};
 }
 
+/// Every thread's part of leak_writer_src(): the top scalar and local
+/// addresses stored to, every register and flag set.
+std::string leak_writes() {
+  std::string src;
+  for (int r = 1; r < 8; ++r) src += "    li r" + std::to_string(r) + ", 77\n";
+  for (int f = 1; f < 8; ++f) {
+    src += "    sfset sf" + std::to_string(f) + "\n";
+    src += "    pceqs pf" + std::to_string(f) + ", r0, p0\n";
+  }
+  for (int r = 1; r < 16; ++r) src += "    pmovi p" + std::to_string(r) + ", 9\n";
+  return src + R"(    pmovi p14, 63
+    psw p1, 0(p14)
+    psw p1, 0(p0)
+    sw r1, 255(r0)
+    sw r1, 130(r0)
+)";
+}
+
+/// Every thread's part of leak_reader_src(): folds each location the
+/// writer touched into r11, reading only what it never wrote, and spins
+/// a while when any was not zero.
+std::string leak_reads(const std::string& tag) {
+  std::string src = "    lw r11, 255(r0)\n    lw r12, 130(r0)\n    add r11, r11, r12\n";
+  for (int r = 1; r < 8; ++r) src += "    add r11, r11, r" + std::to_string(r) + "\n";
+  for (int f = 1; f < 8; ++f) {
+    src += "    bfset sf" + std::to_string(f) + ", " + tag + "_leak\n";
+    src += "    rcount r12, pf" + std::to_string(f) + "\n    add r11, r11, r12\n";
+  }
+  for (int r = 1; r < 16; ++r)
+    src += "    rsumu r12, p" + std::to_string(r) + "\n    add r11, r11, r12\n";
+  src += R"(    pmovi p2, 63
+    plw p3, 0(p2)
+    plw p4, 0(p0)
+    rsumu r12, p3
+    add r11, r11, r12
+    rsumu r12, p4
+    add r11, r11, r12
+    beq r11, r0, TAG_done
+TAG_leak:
+    li r12, 40
+TAG_spin:
+    addi r12, r12, -1
+    bne r12, r0, TAG_spin
+TAG_done:
+)";
+  for (std::size_t at; (at = src.find("TAG")) != std::string::npos;) src.replace(at, 3, tag);
+  return src;
+}
+
+TEST(LaneBatch, AReusedMachineLeaksNothingIntoTheNextBatch) {
+  // One thread runs two batches of one config and lane count, so the
+  // second reuses the first's machine. The first stores to high scalar
+  // and local-memory addresses and sets registers and flags in two
+  // threads; the second reads every one of them before writing it, and
+  // would take a longer path on any non-zero. It must match its serial
+  // run byte for byte.
+  const std::string writer = "main:\n    la r8, worker\n    tspawn r9, r8\n" + leak_writes() +
+                             "    tjoin r9\n    halt\nworker:\n" + leak_writes() + "    texit\n";
+  const std::string reader = "main:\n    la r8, worker\n    tspawn r9, r8\n" +
+                             leak_reads("m") + "    tjoin r9\n    halt\nworker:\n" +
+                             leak_reads("w") + "    texit\n";
+  const MachineConfig cfg = small_cfg();
+  const auto writes = make_grid(cfg, writer, {1, 2, 3, 4});
+  const auto reads = make_grid(cfg, reader, {5, 6, 7, 8});
+  LaneBatchReport rep;
+  const auto written = run_lane_batch(as_lanes(writes), &rep);
+  EXPECT_EQ(rep.lanes, 4u);
+  expect_identical(run_serial(writes), written, "writer");
+  const auto read = run_lane_batch(as_lanes(reads), &rep);
+  EXPECT_EQ(rep.lanes, 4u);
+  EXPECT_EQ(rep.replayed, 0u);
+  const auto serial = run_serial(reads);
+  for (const SweepResult& r : serial) ASSERT_EQ(r.status, SweepStatus::kFinished) << r.error;
+  expect_identical(serial, read, "reader after writer");
+}
+
 TEST(LaneWideNetwork, MatchesReferenceNetworkPerLane) {
   // Every operator, over random rows, masks (all on, all off, random) and
   // widths, at L in {1, 3, 8, 16}: lane k of the one-pass kernel equals the

@@ -13,6 +13,7 @@
 
 #include <atomic>
 #include <chrono>
+#include <cmath>
 #include <condition_variable>
 #include <cstdio>
 #include <mutex>
@@ -359,6 +360,39 @@ TEST(ServeProtocol, MutatedDocumentsScanAndParseAlike) {
     refused += parsed ? 0 : 1;
   }
   EXPECT_GT(refused, 1000);  // the mutations do break documents
+}
+
+TEST(ServeProtocol, NegativeZeroRoundTripsAsADouble) {
+  // parse → serialize → parse keeps a double -0.0 a double -0.0 (an
+  // underflowing literal reads as one too); the integer -0 stays the
+  // integer 0.
+  for (const char* text : {"-0.0", "-0e0", "-12.5E-2123456789012345678"}) {
+    const json::Value once = parse_json(text);
+    ASSERT_FALSE(once.is_integer) << text;
+    const std::string printed = json::serialize(once);
+    const json::Value twice = parse_json(printed);
+    EXPECT_FALSE(twice.is_integer) << text << " printed as " << printed;
+    EXPECT_EQ(twice.as_number(), 0.0) << text;
+    EXPECT_TRUE(std::signbit(twice.as_number())) << text << " printed as " << printed;
+    EXPECT_EQ(json::serialize(twice), printed);
+  }
+  const json::Value doc = parse_json("{\"a\":[-0.0,-0],\"b\":{\"c\":-0.0}}");
+  EXPECT_EQ(json::serialize(doc), "{\"a\":[-0.0,0],\"b\":{\"c\":-0.0}}");
+  EXPECT_EQ(json::serialize(parse_json(json::serialize(doc))), json::serialize(doc));
+  // Objects and arrays of every size read back member for member.
+  std::string obj = "{";
+  std::string arr = "[";
+  for (int k = 0; k < 40; ++k) {
+    const json::Value o = parse_json(obj + "}");
+    const json::Value a = parse_json(arr + "]");
+    ASSERT_EQ(o.object.size(), static_cast<std::size_t>(k));
+    ASSERT_EQ(a.as_array().size(), static_cast<std::size_t>(k));
+    EXPECT_EQ(json::serialize(o), obj + "}");
+    EXPECT_EQ(json::serialize(a), arr + "]");
+    const std::string sep = k ? "," : "";
+    obj += sep + "\"k" + std::to_string(k) + "\":[{\"x\":\",]}\"},[" + std::to_string(k) + "]]";
+    arr += sep + "{\"k\":[1,2]}";
+  }
 }
 
 TEST(ServeProtocol, ResultAnswerBodyIsFoundByItsPrefix) {
