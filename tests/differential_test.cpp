@@ -422,6 +422,61 @@ TEST_P(DifferentialEngine, CheckpointResumeAtARandomCycleMatchesStraightRun) {
   }
 }
 
+TEST_P(DifferentialEngine, HazardCacheMatchesReEvaluationEveryCycle) {
+  // restore_state() drops the issue stage's hazard cache, so a machine
+  // restored from its own blob before every cycle re-evaluates every
+  // stalled thread every cycle. Its run must equal the straight one's
+  // — stall counts by cause included — with sequential units shared by
+  // every thread and, under SMT, same-cycle transfers.
+  Rng rng(GetParam());
+  for (int round = 0; round < 2; ++round) {
+    Program prog = assemble(random_mt_program(rng));
+    prog.data.resize(kTableWords);
+    for (Word& w : prog.data) w = static_cast<Word>(rng.next_below(1u << 16));
+    for (const ThreadSchedPolicy policy : {ThreadSchedPolicy::kFineGrain, ThreadSchedPolicy::kSmt}) {
+      MachineConfig cfg = mt_policy_config(policy);
+      cfg.multiplier = MultiplierKind::kSequential;
+      cfg.maxmin_unit = MaxMinUnitKind::kFalkoff;
+      Machine straight(cfg);
+      straight.load(prog);
+      ASSERT_TRUE(straight.run(1'000'000));
+      Machine stepped(cfg);
+      stepped.load(prog);
+      while (!stepped.finished()) {
+        stepped.restore_state(stepped.save_state());
+        stepped.step();
+      }
+      EXPECT_EQ(to_json(stepped.stats()), to_json(straight.stats()))
+          << "policy " << static_cast<int>(policy);
+    }
+  }
+}
+
+TEST(DifferentialHazardCache, SharedUnitTakenMidStallMatchesReEvaluation) {
+  // A worker stalls on a reduction before its multiply while thread 0
+  // starts a multiply of its own some cycles later: from then on the
+  // worker waits for the shared multiplier, whatever cause it cached.
+  for (int filler = 0; filler < 16; ++filler) {
+    std::string src = "main:\nla r8, worker\ntspawn r9, r8\nli r1, 3\n";
+    for (int k = 0; k < filler; ++k) src += "addi r6, r6, 1\n";
+    src += "mul r3, r1, r1\ntjoin r9\nhalt\n"
+           "worker:\npindex p1\nrsum r4, p1\nmul r5, r4, r4\ntexit\n";
+    const Program prog = assemble(src);
+    MachineConfig cfg = mt_policy_config(ThreadSchedPolicy::kFineGrain);
+    cfg.multiplier = MultiplierKind::kSequential;
+    Machine straight(cfg);
+    straight.load(prog);
+    ASSERT_TRUE(straight.run(1'000'000));
+    Machine stepped(cfg);
+    stepped.load(prog);
+    while (!stepped.finished()) {
+      stepped.restore_state(stepped.save_state());
+      stepped.step();
+    }
+    EXPECT_EQ(to_json(stepped.stats()), to_json(straight.stats())) << "filler " << filler;
+  }
+}
+
 /// The data faults a lane can take alone. Each probe has r14 hold the
 /// job's kProbeWord table word and uses it as an address or PE index
 /// (r14/r15 and p8/p9 are untouched by the random blocks); the plw/psw
