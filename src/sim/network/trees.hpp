@@ -131,30 +131,30 @@ auto value_leaves(const Word* vals, const std::uint8_t* act, unsigned width) {
 }
 
 /// The saturating sums of reduce_lanes(): each lane's result word into
-/// out[lane], from the leaves leaf(pe·l + lane); `col` has room for a
-/// column padded to a power of two. Acc holds any sum of p leaves.
+/// out[lane], from the p·l leaves of a [pe][lane] row; `col` has room
+/// for a column padded to a power of two. Acc holds any sum of p leaves.
 ///
 /// A node's word is the exact sum of the leaves below it until some node
 /// saturates, so the tree's order shows in a result only when a node
 /// saturates. Each lane's exact sums come first, in one pass over the
-/// leaves: unsigned, of every leaf; signed, of the positive leaves and
+/// row: unsigned, of every leaf; signed, of the positive leaves and
 /// of the negative leaves' magnitudes. Only a lane in which a node may
 /// saturate with leaves of both signs takes the hardware tree.
-template <ReduceOp Op, typename Acc, typename Leaf>
-void saturating_sums(std::uint32_t p, std::uint32_t l, unsigned width, Leaf leaf, Word* col,
-                     Word* out) {
+template <ReduceOp Op, typename Acc>
+void saturating_sums(const Word* row, std::uint32_t p, std::uint32_t l, unsigned width,
+                     Word* col, Word* out) {
   thread_local std::vector<Acc> sums;
   sums.assign(2 * std::size_t{l}, Acc{0});
   Acc* const pos = sums.data();
   Acc* const neg = pos + l;
   for (std::uint32_t pe = 0; pe < p; ++pe) {
-    const std::size_t at = std::size_t{pe} * l;
+    const Word* const x = row + std::size_t{pe} * l;
     for (std::uint32_t lane = 0; lane < l; ++lane) {
       if constexpr (Op == ReduceOp::kSumU) {
-        pos[lane] += leaf(at + lane);
+        pos[lane] += x[lane];
       } else {
         // Shifts and masks, no compare: the loop vectorizes on SSE2.
-        const auto v = static_cast<Word>(sign_extend(leaf(at + lane), width));
+        const auto v = static_cast<Word>(sign_extend(x[lane], width));
         const Word negative = static_cast<Word>(static_cast<SWord>(v) >> 31);
         pos[lane] += v & ~negative;
         neg[lane] += (Word{0} - v) & negative;
@@ -182,7 +182,7 @@ void saturating_sums(std::uint32_t p, std::uint32_t l, unsigned width, Leaf leaf
       // Some node may saturate: the hardware tree, its padding leaves
       // past p holding the identity, each level combining nodes 2j and
       // 2j+1 into node j.
-      for (std::uint32_t pe = 0; pe < p; ++pe) col[pe] = leaf(std::size_t{pe} * l + lane);
+      for (std::uint32_t pe = 0; pe < p; ++pe) col[pe] = row[std::size_t{pe} * l + lane];
       std::fill(col + p, col + padded, identity<Op>(width));
       for (std::uint32_t nodes = padded; nodes > 1; nodes /= 2)
         for (std::uint32_t j = 0; j < nodes / 2; ++j)
@@ -203,29 +203,31 @@ void saturating_sums(std::uint32_t p, std::uint32_t l, unsigned width, Leaf leaf
 /// tests pin.
 template <ReduceOp Op, typename Leaf>
 const Word* reduce_lanes(std::uint32_t p, std::uint32_t l, unsigned width, Leaf leaf) {
+  // The leaves first, in one flat pass over the whole row: the widest
+  // loop, and the only one that reads the machine's rows. max/min's are
+  // sign-extended here, once, so that every fold compares them as they
+  // are. Every later loop runs over word rows, which vectorize.
+  constexpr bool extend = Op == ReduceOp::kMax || Op == ReduceOp::kMin;
+  const std::size_t n = std::size_t{p} * l;
+  const std::uint32_t padded = std::uint32_t{1} << ceil_log2(p);
+  Word* const row = lane_scratch(n + padded + l);
+  for (std::size_t i = 0; i < n; ++i)
+    row[i] = extend ? static_cast<Word>(sign_extend(leaf(i), width)) : leaf(i);
   if constexpr (Op == ReduceOp::kSum || Op == ReduceOp::kSumU) {
     // Leaves are below 2^width, so width + ceil_log2(p) bits hold any
     // sum of them: 32-bit sums where they fit, twice the lanes a vector.
-    const std::uint32_t padded = std::uint32_t{1} << ceil_log2(p);
-    Word* const col = lane_scratch(padded + l);
+    Word* const col = row + n;
     Word* const out = col + padded;
     if (width + ceil_log2(p) <= 32)
-      saturating_sums<Op, Word>(p, l, width, leaf, col, out);
+      saturating_sums<Op, Word>(row, p, l, width, col, out);
     else
-      saturating_sums<Op, DWord>(p, l, width, leaf, col, out);
+      saturating_sums<Op, DWord>(row, p, l, width, col, out);
     return out;
   } else {
     // Associative and commutative: any fold equals the tree (see
-    // tree_reduce()). The leaves first, in one flat pass over the whole
-    // row, max/min's sign-extended once here so that every fold compares
-    // them as they are. Then the upper half of the PEs' rows folds onto
-    // the lower half, one flat loop per halving, until PE 0's row is left.
-    constexpr bool extend = Op == ReduceOp::kMax || Op == ReduceOp::kMin;
+    // tree_reduce()). The upper half of the PEs' rows folds onto the
+    // lower half, one flat loop per halving, until PE 0's row is left.
     const unsigned fold_width = extend ? 32 : width;
-    const std::size_t n = std::size_t{p} * l;
-    Word* const row = lane_scratch(n);
-    for (std::size_t i = 0; i < n; ++i)
-      row[i] = extend ? static_cast<Word>(sign_extend(leaf(i), width)) : leaf(i);
     for (std::uint32_t rows = p; rows > 1;) {
       const std::uint32_t half = rows / 2;
       const Word* const upper = row + std::size_t{rows - half} * l;
