@@ -144,7 +144,8 @@ template <ReduceOp Op, typename Acc>
 void saturating_sums(const Word* row, std::uint32_t p, std::uint32_t l, unsigned width,
                      Word* col, Word* out) {
   thread_local std::vector<Acc> sums;
-  sums.assign(2 * std::size_t{l}, Acc{0});
+  if (sums.size() < 2 * std::size_t{l}) sums.resize(2 * std::size_t{l});
+  std::fill_n(sums.data(), 2 * std::size_t{l}, Acc{0});
   Acc* const pos = sums.data();
   Acc* const neg = pos + l;
   for (std::uint32_t pe = 0; pe < p; ++pe) {
