@@ -206,34 +206,6 @@ std::size_t closing_quote(std::string_view s, std::size_t i) {
   }
 }
 
-/// The number of members (or elements) of the object or array opening
-/// at `i` in valid JSON text: the commas at its own depth, plus one
-/// unless it is empty. On other text it is only a guess.
-std::size_t count_items(std::string_view s, std::size_t i) {
-  std::size_t commas = 0;
-  bool empty = true;
-  int depth = 0;
-  for (; i < s.size(); ++i) {
-    switch (s[i]) {
-      case ' ': case '\t': case '\n': case '\r': break;
-      case '{': case '[':
-        if (depth++ > 0) empty = false;
-        break;
-      case '}': case ']':
-        if (--depth == 0) return empty ? 0 : commas + 1;
-        break;
-      case ',':
-        if (depth == 1) ++commas;
-        break;
-      case '"':
-        i = closing_quote(s, i + 1);
-        [[fallthrough]];
-      default: empty = false; break;
-    }
-  }
-  return commas + 1;
-}
-
 /// One past the end of the value starting at `i` in valid JSON text:
 /// strings and containers by their closing character, scalars at the
 /// next ',' or enclosing '}'/']' (trailing whitespace included).
@@ -422,15 +394,7 @@ class Parser {
   std::size_t items(std::size_t i, int depth, Value* out, OnItem&& on_item) {
     const bool object = s_[i] == '{';
     const char close = object ? '}' : ']';
-    if (out) {
-      // Sized once: growing member by member moved every built member
-      // on each reallocation.
-      out->kind = object ? Value::Kind::kObject : Value::Kind::kArray;
-      if (object)
-        out->object.reserve(json::count_items(s_, i));
-      else
-        out->array.reserve(json::count_items(s_, i));
-    }
+    if (out) out->kind = object ? Value::Kind::kObject : Value::Kind::kArray;
     i = skip_ws(s_, i + 1);
     if (i < s_.size() && s_[i] == close) return i + 1;
     for (;;) {
